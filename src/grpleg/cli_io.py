@@ -34,7 +34,7 @@ from .experiment import (
     train,
     weight_summary,
 )
-from .grp import GrpConfig, GrpLayer, GrpModel
+from .grp import GrpConfig, GrpModel
 from .target_controller import ControllerGains
 
 MODEL_FORMAT = 1
@@ -239,8 +239,8 @@ def model_to_dict(model: GrpModel) -> dict:
         "config": grp_config_to_dict(model.config),
         "gamma": model.gamma,
         "episode_count": model.episode_count,
-        "layers": [{"W": ly.W.tolist(), "R": ly.R.tolist()}
-                   for ly in model.layers],
+        "layers": [{"W": W.tolist(), "R": R.tolist()}
+                   for W, R in zip(model.W, model.R)],
     }
 
 
@@ -257,25 +257,28 @@ def model_from_dict(data: dict) -> GrpModel:
     if len(layers_raw) != config.m:
         raise ValueError(
             f"model has {len(layers_raw)} layers but config.m = {config.m}")
-    layers = []
+    W = np.empty((config.m, mulnet.NET_DIM, mulnet.NET_DIM))
+    R = np.empty_like(W)
     for k, entry in enumerate(layers_raw):
         _reject_unknown(entry, ("W", "R"), f"layers[{k}].")
-        mats = {}
-        for name in ("W", "R"):
+        for name, stack in (("W", W), ("R", R)):
+            if name not in entry:
+                raise ValueError(f"layers[{k}] missing key '{name}'")
             mat = np.array(entry[name], dtype=float)
-            if mat.shape != (mulnet.NET_DIM, mulnet.NET_DIM):
+            if mat.shape != stack.shape[1:]:
                 raise ValueError(
                     f"layers[{k}].{name} has shape {mat.shape}, "
                     f"expected ({mulnet.NET_DIM}, {mulnet.NET_DIM})")
-            mats[name] = mat
-        layers.append(GrpLayer(W=mats["W"], R=mats["R"]))
+            if not np.isfinite(mat).all():
+                raise ValueError(f"layers[{k}].{name} has non-finite entries")
+            stack[k] = mat
     gamma = float(data["gamma"])
-    if gamma <= 0.0:
-        raise ValueError(f"gamma must be positive, got {gamma}")
+    if not 0.0 < gamma < math.inf:
+        raise ValueError(f"gamma must be positive and finite, got {gamma}")
     episode_count = int(data["episode_count"])
     if episode_count < 0:
         raise ValueError(f"episode_count must be >= 0, got {episode_count}")
-    return GrpModel(layers=layers, gamma=gamma, config=config,
+    return GrpModel(W=W, R=R, gamma=gamma, config=config,
                     episode_count=episode_count)
 
 

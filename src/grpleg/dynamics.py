@@ -21,7 +21,7 @@ so the equations of motion stay defined for arbitrary applied torques.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
@@ -133,11 +133,19 @@ def knee_stop_torque(phi_k: float, phi_k_dot: float, params: LegParams) -> float
 
 
 def saturate(torques: JointTorques, params: LegParams) -> JointTorques:
-    """Actuator model: clamp both joint torques to [-tau_max, +tau_max]."""
+    """Actuator model: clamp both joint torques to [-tau_max, +tau_max].
+
+    Infinite torques clamp like any other; a NaN torque has no sign to
+    clamp toward and raises ValueError naming the joint.
+    """
     m = params.tau_max
+    tau_h, tau_k = torques.tau_h, torques.tau_k
+    if tau_h != tau_h or tau_k != tau_k:  # only NaN is unequal to itself
+        joint = "tau_h" if tau_h != tau_h else "tau_k"
+        raise ValueError(f"{joint} torque is NaN; it cannot be saturated")
     return JointTorques(
-        tau_h=max(-m, min(m, torques.tau_h)),
-        tau_k=max(-m, min(m, torques.tau_k)),
+        tau_h=max(-m, min(m, tau_h)),
+        tau_k=max(-m, min(m, tau_k)),
     )
 
 
@@ -255,7 +263,3 @@ def total_energy(state: LegState, params: LegParams) -> float:
     y_s = -lt * math.sin(theta_t) - 0.5 * ls * math.sin(theta_s)
     potential = g * (mt * y_t + ms * y_s)
     return kinetic + potential
-
-
-def with_time(state: LegState, t: float) -> LegState:
-    return replace(state, t=t)

@@ -150,29 +150,21 @@ def sample_tasks(
     return out
 
 
-def _sensor_row(kin, state: LegState, task: SwingTask):
-    return [
-        kin.alpha - task.alpha_tgt,
-        state.phi_h,
-        state.phi_h_dot,
-        state.phi_k,
-        state.phi_k_dot,
-    ]
+def _network_input(alpha, s, alpha_tgt):
+    """Network input from the five sensor channels [alpha - alpha_tgt,
+    phi_h, phi_h_dot, phi_k, phi_k_dot]. `s` is a LegState with scalar
+    alpha, giving one (8,) row, or a Trajectory with alpha a column,
+    giving (T, 8)."""
+    return split_input(
+        np.asarray(
+            [alpha - alpha_tgt, s.phi_h, s.phi_h_dot, s.phi_k, s.phi_k_dot]
+        ).T
+    )
 
 
 def sensor_matrix(traj: Trajectory) -> np.ndarray:
     """(T, 8) network inputs for every row of a trajectory."""
-    raw = np.stack(
-        [
-            traj.alpha - traj.task.alpha_tgt,
-            traj.phi_h,
-            traj.phi_h_dot,
-            traj.phi_k,
-            traj.phi_k_dot,
-        ],
-        axis=-1,
-    )
-    return split_input(raw)
+    return _network_input(traj.alpha, traj, traj.task.alpha_tgt)
 
 
 def _swing_rollout(
@@ -212,7 +204,7 @@ def _swing_rollout(
 
         x = None
         if models:
-            x = split_input(_sensor_row(kin, state, task))
+            x = _network_input(kin.alpha, state, task.alpha_tgt)
         layer_out = {name: grp.forward(mdl, x) for name, mdl in models}
 
         if model_driven:
@@ -414,16 +406,15 @@ def evaluate(
 def weight_summary(model: GrpModel) -> dict:
     """Per-layer weight dump with Frobenius norms, JSON-ready. Layers whose
     Generator norm sits near zero never produce torque: passive pairs."""
-    layers = []
-    for ly in model.layers:
-        layers.append(
-            {
-                "W_norm": float(np.linalg.norm(ly.W)),
-                "R_norm": float(np.linalg.norm(ly.R)),
-                "W": ly.W.tolist(),
-                "R": ly.R.tolist(),
-            }
-        )
+    layers = [
+        {
+            "W_norm": float(np.linalg.norm(W)),
+            "R_norm": float(np.linalg.norm(R)),
+            "W": W.tolist(),
+            "R": R.tolist(),
+        }
+        for W, R in zip(model.W, model.R)
+    ]
     return {
         "m": model.m,
         "gamma": model.gamma,

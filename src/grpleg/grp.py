@@ -4,7 +4,9 @@ online from a reference torque.
 Each of the m layers holds two multiplicative networks over the same 8-dim
 input: a Generator producing a candidate torque G^k and an RP whose sigmoid
 head predicts the layer's mixing weight pi^k. The combined output is
-tau_out = sum_k G^k pi^k.
+tau_out = sum_k G^k pi^k. A model stores its weights as two (m, 8, 8)
+stacks, W for the Generators and R for the RPs, layer k at index k, so a
+whole stack evaluates in one network call.
 
 Learning is supervised by a reference torque r_G at every control step. The
 reference responsibility r_RP is a softmax of -gamma |e_G| over layers
@@ -71,41 +73,30 @@ class GrpConfig:
 
 
 @dataclass
-class GrpLayer:
-    W: np.ndarray  # Generator weights, (8, 8)
-    R: np.ndarray  # RP weights, (8, 8)
-
-
-@dataclass
 class GrpModel:
-    layers: list[GrpLayer]
+    """m Generator/RP pairs: W[k] and R[k] are layer k's (8, 8) Generator
+    and RP weights, so W and R are (m, 8, 8) float arrays."""
+
+    W: np.ndarray
+    R: np.ndarray
     gamma: float
     config: GrpConfig
     episode_count: int = 0
 
     @property
     def m(self) -> int:
-        return len(self.layers)
-
-    def weight_stacks(self):
-        """(m, 8, 8) views of Generator and RP weights, in layer order."""
-        return (
-            np.stack([ly.W for ly in self.layers]),
-            np.stack([ly.R for ly in self.layers]),
-        )
+        return self.W.shape[0]
 
 
 @dataclass
 class StepRecord:
-    """Everything one learn/forward step produced, per layer."""
+    """Everything one learn step produced, per layer."""
 
     G: np.ndarray
     pi: np.ndarray
     e_G: np.ndarray
     r_RP: np.ndarray
     e_RP: np.ndarray
-    tau_out: float
-    r_G: float
 
 
 def init(config: GrpConfig) -> GrpModel:
@@ -114,17 +105,13 @@ def init(config: GrpConfig) -> GrpModel:
     Each layer draws from its own child stream of the config seed, so
     layers are pairwise distinct and layer k's weights do not depend on m.
     """
-    layers = []
+    W = np.empty((config.m, NET_DIM, NET_DIM))
+    R = np.empty_like(W)
     for k in range(config.m):
         rng = np.random.default_rng([config.seed, k])
-        shape = (NET_DIM, NET_DIM)
-        layers.append(
-            GrpLayer(
-                W=rng.uniform(-config.init_scale, config.init_scale, shape),
-                R=rng.uniform(-config.init_scale, config.init_scale, shape),
-            )
-        )
-    return GrpModel(layers=layers, gamma=config.gamma0, config=config)
+        W[k] = rng.uniform(-config.init_scale, config.init_scale, W.shape[1:])
+        R[k] = rng.uniform(-config.init_scale, config.init_scale, R.shape[1:])
+    return GrpModel(W=W, R=R, gamma=config.gamma0, config=config)
 
 
 def responsibility_reference(errors, gamma: float) -> np.ndarray:
@@ -142,9 +129,8 @@ def responsibility_reference(errors, gamma: float) -> np.ndarray:
 
 def forward(model: GrpModel, x):
     """Per-layer (G^k, pi^k) and the combined torque tau_out."""
-    W, R = model.weight_stacks()
-    G = net_forward(W, x)
-    pi = sigmoid_head(net_forward(R, x), model.config.w_gain)
+    G = net_forward(model.W, x)
+    pi = sigmoid_head(net_forward(model.R, x), model.config.w_gain)
     return G, pi, float(G @ pi)
 
 
@@ -161,29 +147,29 @@ def total_output_identity(model: GrpModel, x, r_G: float) -> float:
 
 
 def learn_step_joint(models: list[GrpModel], x, r_Gs) -> list[StepRecord]:
-    """One online update of several models sharing the same input.
+    """One online update of several models sharing the same input; returns
+    one record per model.
 
-    All Generator and RP matrices ride a single stacked network evaluation;
-    every subsequent op is row-local, so the result is bit-identical to
-    updating each model on its own (which is exactly how `learn_step` is
-    implemented). Weight layout: all models' W blocks, then all R blocks.
+    Generator k moves down its squared-error gradient at the gated rate
+    r_RP^k * mu; its RP regresses onto the reference responsibility at the
+    RP rate, through the sigmoid head. All Generator and RP matrices ride a
+    single stacked network evaluation; every subsequent op is row-local, so
+    the result is bit-identical to updating each model on its own. Weight
+    layout: all models' W stacks, then all R stacks.
     """
-    sizes = [len(mdl.layers) for mdl in models]
-    total = sum(sizes)
-    S = np.stack(
-        [ly.W for mdl in models for ly in mdl.layers]
-        + [ly.R for mdl in models for ly in mdl.layers]
-    )
+    S = np.concatenate([mdl.W for mdl in models] + [mdl.R for mdl in models])
+    total = S.shape[0] // 2
     out, dS = forward_and_gradient(S, x)
 
     records = []
     gain = np.empty(2 * total)
     decay = np.empty(2 * total)
     lo = 0
-    for mdl, m, r_G in zip(models, sizes, r_Gs):
+    for mdl, r_G in zip(models, r_Gs):
         cfg = mdl.config
-        G = out[lo : lo + m]
-        pi = sigmoid_head(out[total + lo : total + lo + m], cfg.w_gain)
+        hi = lo + mdl.m
+        G = out[lo:hi]
+        pi = sigmoid_head(out[total + lo : total + hi], cfg.w_gain)
         e_G = r_G - G
         r_RP = responsibility_reference(e_G, mdl.gamma)
         e_RP = r_RP - pi
@@ -192,53 +178,30 @@ def learn_step_joint(models: list[GrpModel], x, r_Gs) -> list[StepRecord]:
         # RP updates chain through the sigmoid at the ungated RP rate.
         mu_k = r_RP * cfg.mu
         mu_rp = cfg.rp_rate
-        gain[lo : lo + m] = mu_k * e_G
-        gain[total + lo : total + lo + m] = (
-            mu_rp * e_RP * cfg.w_gain * pi * (1.0 - pi)
-        )
-        decay[lo : lo + m] = mu_k * cfg.lam
-        decay[total + lo : total + lo + m] = mu_rp * cfg.lam
-        records.append(
-            StepRecord(
-                G=G,
-                pi=pi,
-                e_G=e_G,
-                r_RP=r_RP,
-                e_RP=e_RP,
-                tau_out=float(G @ pi),
-                r_G=float(r_G),
-            )
-        )
-        lo += m
+        gain[lo:hi] = mu_k * e_G
+        gain[total + lo : total + hi] = mu_rp * e_RP * cfg.w_gain * pi * (1.0 - pi)
+        decay[lo:hi] = mu_k * cfg.lam
+        decay[total + lo : total + hi] = mu_rp * cfg.lam
+        records.append(StepRecord(G=G, pi=pi, e_G=e_G, r_RP=r_RP, e_RP=e_RP))
+        lo = hi
 
     new_S = S + gain[:, None, None] * dS - decay[:, None, None] * S
     if not np.all(np.isfinite(new_S)):
-        worst = max(records, key=lambda r: np.abs(r.e_G).max())
+        k = max(range(len(models)), key=lambda i: np.abs(records[i].e_G).max())
         raise RuntimeError(
             "non-finite weight update: "
-            f"max|S|={np.abs(S).max():g} r_G={worst.r_G:g} "
-            f"max|e_G|={np.abs(worst.e_G).max():g} "
+            f"max|S|={np.abs(S).max():g} r_G={float(r_Gs[k]):g} "
+            f"max|e_G|={np.abs(records[k].e_G).max():g} "
             f"episodes={[mdl.episode_count for mdl in models]}"
         )
 
     lo = 0
-    for mdl, m in zip(models, sizes):
-        for k, ly in enumerate(mdl.layers):
-            ly.W = new_S[lo + k]
-            ly.R = new_S[total + lo + k]
-        lo += m
+    for mdl in models:
+        hi = lo + mdl.m
+        mdl.W = new_S[lo:hi]
+        mdl.R = new_S[total + lo : total + hi]
+        lo = hi
     return records
-
-
-def learn_step(model: GrpModel, x, r_G: float):
-    """One online update of every layer from (x, r_G); returns the mutated
-    model and the step's per-layer record.
-
-    Generator k moves down its squared-error gradient at the gated rate
-    r_RP^k * mu; its RP regresses onto the reference responsibility at the
-    base rate, through the sigmoid head.
-    """
-    return model, learn_step_joint([model], x, [r_G])[0]
 
 
 def end_episode(model: GrpModel) -> GrpModel:

@@ -154,9 +154,9 @@ def test_criterion_06_total_output_identity():
     for _ in range(1000):
         m = int(rng.integers(1, 6))
         model = grp.init(GrpConfig(m=m, seed=int(rng.integers(0, 1000))))
-        for ly in model.layers:
-            ly.W = ly.W * rng.uniform(0.2, 5.0)
-            ly.R = ly.R * rng.uniform(0.2, 5.0)
+        for k in range(m):
+            model.W[k] = model.W[k] * rng.uniform(0.2, 5.0)
+            model.R[k] = model.R[k] * rng.uniform(0.2, 5.0)
         model.gamma = float(rng.uniform(0.01, 100.0))
         raw = [rng.uniform(-1, 1), rng.uniform(2, 3.9), rng.uniform(-2, 2),
                rng.uniform(2, 3.9), rng.uniform(-2, 2)]

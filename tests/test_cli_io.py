@@ -1,6 +1,7 @@
 """File formats and command line: strict configs, exact round-trips."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -150,9 +151,9 @@ def test_model_round_trip_bit_exact(tmp_path):
         assert back.config == model.config
         assert back.gamma == model.gamma
         assert back.episode_count == model.episode_count
-        for a, b in zip(model.layers, back.layers):
-            assert np.array_equal(a.W, b.W)
-            assert np.array_equal(a.R, b.R)
+        for k in range(model.m):
+            assert np.array_equal(model.W[k], back.W[k])
+            assert np.array_equal(model.R[k], back.R[k])
 
 
 def test_model_file_deterministic_bytes(tmp_path):
@@ -184,6 +185,15 @@ def test_model_loaded_forward_matches(tmp_path):
         (lambda d: d["layers"].pop(), "layers but config.m"),
         (lambda d: d["layers"][0].update(Q=[]), "layers\\[0\\].Q"),
         (lambda d: d["layers"][1].update(W=[[0.0] * 8] * 7), "shape"),
+        (lambda d: d["layers"][1].pop("R"), "layers\\[1\\] missing key 'R'"),
+        (lambda d: d["layers"][2]["R"][3].__setitem__(5, math.nan),
+         "layers\\[2\\].R has non-finite"),
+        (lambda d: d["layers"][0]["W"][0].__setitem__(0, -math.inf),
+         "layers\\[0\\].W has non-finite"),
+        (lambda d: d.update(gamma=math.nan),
+         "gamma must be positive and finite, got nan"),
+        (lambda d: d.update(gamma=math.inf),
+         "gamma must be positive and finite, got inf"),
     ],
 )
 def test_model_file_rejects_malformed(mangle, message):

@@ -320,6 +320,17 @@ def test_saturate_clamps_both_joints():
     assert saturate(JointTorques(-12.5, 3.0), P) == JointTorques(-12.5, 3.0)
     tight = LegParams(tau_max=10.0)
     assert saturate(JointTorques(-11.0, 9.0), tight) == JointTorques(-10.0, 9.0)
+    assert saturate(JointTorques(math.inf, -math.inf), P) == JointTorques(60.0, -60.0)
+
+
+@pytest.mark.parametrize("torques, joint", [
+    (JointTorques(math.nan, 1.0), "tau_h"),
+    (JointTorques(1.0, math.nan), "tau_k"),
+    (JointTorques(math.nan, math.nan), "tau_h"),
+])
+def test_saturate_rejects_nan_torque(torques, joint):
+    with pytest.raises(ValueError, match=f"{joint} torque is NaN"):
+        saturate(torques, P)
 
 
 # --- validation ---------------------------------------------------------

@@ -208,8 +208,8 @@ def test_train_cycles_demos_in_order():
     log_a = train(a_hip, a_knee, demos, episodes=1)
     log_b = train(b_hip, b_knee, demos[:1], episodes=1)
     assert np.array_equal(log_a.hip_mean_abs_e[0], log_b.hip_mean_abs_e[0])
-    assert np.array_equal(a_hip.layers[0].W, b_hip.layers[0].W)
-    assert np.array_equal(a_knee.layers[1].R, b_knee.layers[1].R)
+    assert np.array_equal(a_hip.W[0], b_hip.W[0])
+    assert np.array_equal(a_knee.R[1], b_knee.R[1])
 
 
 def test_train_validation():
@@ -243,11 +243,11 @@ def test_evaluate_report_consistency():
 
 def test_evaluate_never_mutates_weights():
     hip, knee = fresh_pair()
-    before = [(ly.W.copy(), ly.R.copy())
-              for ly in hip.layers + knee.layers]
+    before = [(W.copy(), R.copy())
+              for mdl in (hip, knee) for W, R in zip(mdl.W, mdl.R)]
     gamma = (hip.gamma, knee.gamma)
     evaluate(hip, knee, sample_tasks(SampleRanges(), 2, seed=12))
-    after = [(ly.W, ly.R) for ly in hip.layers + knee.layers]
+    after = [(W, R) for mdl in (hip, knee) for W, R in zip(mdl.W, mdl.R)]
     for (w0, r0), (w1, r1) in zip(before, after):
         assert np.array_equal(w0, w1)
         assert np.array_equal(r0, r1)
@@ -313,7 +313,7 @@ def test_weight_summary_layout():
     assert summary["gamma"] == model.gamma
     assert len(summary["layers"]) == 2
     entry = summary["layers"][0]
-    assert entry["W_norm"] == pytest.approx(np.linalg.norm(model.layers[0].W))
+    assert entry["W_norm"] == pytest.approx(np.linalg.norm(model.W[0]))
     assert np.array(entry["W"]).shape == (8, 8)
-    model.layers[1].W[:] = 0.0
+    model.W[1][:] = 0.0
     assert weight_summary(model)["layers"][1]["W_norm"] == 0.0

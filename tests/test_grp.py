@@ -1,5 +1,6 @@
 """GRP stack: responsibility softmax, output identity, gated learning."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -11,7 +12,7 @@ from grpleg.grp import (
     end_episode,
     forward,
     init,
-    learn_step,
+    learn_step_joint,
     responsibility_reference,
     total_output_identity,
 )
@@ -60,30 +61,30 @@ def test_config_rejects_bad_fields(kwargs):
 def test_init_deterministic():
     a = init(GrpConfig(m=3, seed=42))
     b = init(GrpConfig(m=3, seed=42))
-    for la, lb in zip(a.layers, b.layers):
-        assert np.array_equal(la.W, lb.W)
-        assert np.array_equal(la.R, lb.R)
+    for k in range(3):
+        assert np.array_equal(a.W[k], b.W[k])
+        assert np.array_equal(a.R[k], b.R[k])
 
 
 def test_init_layers_pairwise_distinct():
     model = init(GrpConfig(m=3, seed=1))
     for i in range(3):
         for j in range(i + 1, 3):
-            assert not np.array_equal(model.layers[i].W, model.layers[j].W)
-            assert not np.array_equal(model.layers[i].R, model.layers[j].R)
+            assert not np.array_equal(model.W[i], model.W[j])
+            assert not np.array_equal(model.R[i], model.R[j])
 
 
 def test_init_layer_stream_independent_of_m():
     small = init(GrpConfig(m=1, seed=9))
     big = init(GrpConfig(m=4, seed=9))
-    assert np.array_equal(small.layers[0].W, big.layers[0].W)
+    assert np.array_equal(small.W[0], big.W[0])
 
 
 def test_init_scale_bounds_weights():
     model = init(GrpConfig(m=2, init_scale=0.05, seed=3))
-    for ly in model.layers:
-        assert np.abs(ly.W).max() <= 0.05
-        assert np.abs(ly.R).max() <= 0.05
+    for k in range(2):
+        assert np.abs(model.W[k]).max() <= 0.05
+        assert np.abs(model.R[k]).max() <= 0.05
     assert model.gamma == model.config.gamma0
     assert model.episode_count == 0
 
@@ -135,8 +136,8 @@ def test_responsibility_properties_fuzz():
 
 def test_forward_zero_generators():
     model = init(GrpConfig(m=3, seed=2))
-    for ly in model.layers:
-        ly.W = np.zeros_like(ly.W)
+    for k in range(3):
+        model.W[k] = np.zeros_like(model.W[k])
     G, pi, tau = forward(model, sample_x())
     assert np.all(G == 0.0) and tau == 0.0
     assert np.all((0.0 < pi) & (pi < 1.0))
@@ -146,7 +147,7 @@ def test_forward_single_layer_saturated_gate():
     model = init(GrpConfig(m=1, seed=4))
     R = np.zeros((8, 8))
     R[2, 2] = 10.0  # large gain on phi_h drives the head to saturation
-    model.layers[0].R = R
+    model.R[0] = R
     x = sample_x(1)
     G, pi, tau = forward(model, x)
     assert pi[0] > 1.0 - 1e-12
@@ -158,9 +159,10 @@ def test_forward_matches_per_layer_recomputation():
     x = sample_x(2)
     G, pi, tau = forward(model, x)
     manual = 0.0
-    for k, ly in enumerate(model.layers):
-        gk = mulnet.net_forward(ly.W, x)
-        pk = mulnet.sigmoid_head(mulnet.net_forward(ly.R, x), model.config.w_gain)
+    for k in range(3):
+        gk = mulnet.net_forward(model.W[k], x)
+        pk = mulnet.sigmoid_head(mulnet.net_forward(model.R[k], x),
+                                 model.config.w_gain)
         assert gk == G[k] and pk == pi[k]
         manual += gk * pk
     assert math.isclose(tau, manual, rel_tol=1e-13)
@@ -184,17 +186,16 @@ def test_total_output_identity_fuzz():
         assert abs(out - r_G) < 1e-12
 
 
-# --------------------------------------------------------------- learn_step
+# --------------------------------------------------------- learn_step_joint
 
 
 def test_learn_step_record_fields():
     model = init(GrpConfig(m=3, seed=7))
     x = sample_x(4)
-    _, rec = learn_step(model, x, 2.0)
+    rec = learn_step_joint([model], x, [2.0])[0]
     assert abs(rec.r_RP.sum() - 1.0) < 1e-12
-    assert np.array_equal(rec.e_G, rec.r_G - rec.G)
+    assert np.array_equal(rec.e_G, 2.0 - rec.G)
     assert np.array_equal(rec.e_RP, rec.r_RP - rec.pi)
-    assert rec.tau_out == float(rec.G @ rec.pi)
 
 
 def test_learn_step_gating_freezes_nonresponsible_generator():
@@ -203,15 +204,15 @@ def test_learn_step_gating_freezes_nonresponsible_generator():
     x = sample_x(5)
     G, _, _ = forward(model, x)
     r_G = G[0] + 1e-3  # layer 0 nearly exact, layer 1 clearly off
-    before = [ly.W.copy() for ly in model.layers]
-    before_R = [ly.R.copy() for ly in model.layers]
-    _, rec = learn_step(model, x, r_G)
+    before = [W.copy() for W in model.W]
+    before_R = [R.copy() for R in model.R]
+    rec = learn_step_joint([model], x, [r_G])[0]
     assert rec.r_RP[0] == 1.0 and rec.r_RP[1] == 0.0
-    assert not np.array_equal(model.layers[0].W, before[0])
-    assert np.array_equal(model.layers[1].W, before[1])
+    assert not np.array_equal(model.W[0], before[0])
+    assert np.array_equal(model.W[1], before[1])
     # RPs are never gated; both move
-    for ly, rb in zip(model.layers, before_R):
-        assert not np.array_equal(ly.R, rb)
+    for R, rb in zip(model.R, before_R):
+        assert not np.array_equal(R, rb)
 
 
 def test_learn_step_descends_generator_error():
@@ -219,7 +220,7 @@ def test_learn_step_descends_generator_error():
     x = sample_x(6)
     r_G = 5.0
     e0 = abs(r_G - forward(model, x)[0][0])
-    learn_step(model, x, r_G)
+    learn_step_joint([model], x, [r_G])
     e1 = abs(r_G - forward(model, x)[0][0])
     assert e1 < e0
 
@@ -230,7 +231,7 @@ def test_learn_step_descends_responsible_layer_with_m3():
     r_G = -4.0
     G, _, _ = forward(model, x)
     k = int(np.abs(r_G - G).argmin())
-    learn_step(model, x, r_G)
+    learn_step_joint([model], x, [r_G])
     G1, _, _ = forward(model, x)
     assert abs(r_G - G1[k]) < abs(r_G - G[k])
 
@@ -238,7 +239,7 @@ def test_learn_step_descends_responsible_layer_with_m3():
 def test_learn_step_single_layer_reference_is_unity():
     model = init(GrpConfig(m=1, seed=15))
     for trial in range(5):
-        _, rec = learn_step(model, sample_x(trial), float(trial))
+        rec = learn_step_joint([model], sample_x(trial), [float(trial)])[0]
         assert rec.r_RP[0] == 1.0
 
 
@@ -247,7 +248,7 @@ def test_learn_step_update_formula():
     model = init(cfg)
     x = sample_x(8)
     r_G = 1.5
-    W, R = model.weight_stacks()
+    W, R = model.W.copy(), model.R.copy()
     G = mulnet.net_forward(W, x)
     b = mulnet.net_forward(R, x)
     pi = mulnet.sigmoid_head(b, cfg.w_gain)
@@ -268,34 +269,62 @@ def test_learn_step_update_formula():
         )
         for k in range(2)
     ]
-    learn_step(model, x, r_G)
+    learn_step_joint([model], x, [r_G])
     for k in range(2):
-        assert np.allclose(model.layers[k].W, want_W[k], rtol=1e-13, atol=0.0)
-        assert np.allclose(model.layers[k].R, want_R[k], rtol=1e-13, atol=0.0)
+        assert np.allclose(model.W[k], want_W[k], rtol=1e-13, atol=0.0)
+        assert np.allclose(model.R[k], want_R[k], rtol=1e-13, atol=0.0)
 
 
 def test_learn_step_deterministic_sequence():
     def run():
         model = init(GrpConfig(m=3, seed=21))
         for t in range(50):
-            learn_step(model, sample_x(t), math.sin(0.1 * t))
+            learn_step_joint([model], sample_x(t), [math.sin(0.1 * t)])
             if t % 10 == 9:
                 end_episode(model)
         return model
 
     a, b = run(), run()
     assert a.gamma == b.gamma and a.episode_count == b.episode_count
-    for la, lb in zip(a.layers, b.layers):
-        assert np.array_equal(la.W, lb.W)
-        assert np.array_equal(la.R, lb.R)
+    for k in range(3):
+        assert np.array_equal(a.W[k], b.W[k])
+        assert np.array_equal(a.R[k], b.R[k])
+
+
+def test_learn_step_joint_matches_solo_steps():
+    """Stepping an m=1 and an m=3 model together is bit-identical to
+    stepping each alone: records, weights and annealed gamma."""
+
+    def pair():
+        return [init(GrpConfig(m=1, mu=1e-3, mu_rp=1e-2, seed=31)),
+                init(GrpConfig(m=3, mu=2e-3, lam=1e-3, w_gain=1.5, seed=32))]
+
+    joint, solo = pair(), pair()
+    rng = np.random.default_rng(33)
+    for t in range(200):
+        x = sample_x(t)
+        r_Gs = rng.uniform(-5.0, 5.0, 2)
+        records = learn_step_joint(joint, x, r_Gs)
+        for mdl, r_G, rec in zip(solo, r_Gs, records):
+            alone = learn_step_joint([mdl], x, [r_G])[0]
+            for field in dataclasses.fields(rec):
+                assert np.array_equal(getattr(rec, field.name),
+                                      getattr(alone, field.name))
+        if t % 50 == 49:
+            for mdl in joint + solo:
+                end_episode(mdl)
+    for a, b in zip(joint, solo):
+        assert np.all(np.isfinite(a.W)) and np.all(np.isfinite(a.R))
+        assert np.array_equal(a.W, b.W) and np.array_equal(a.R, b.R)
+        assert a.gamma == b.gamma and a.episode_count == b.episode_count == 4
 
 
 def test_learn_step_rejects_nonfinite_update():
     model = init(GrpConfig(m=1, seed=22))
-    model.layers[0].W[0, 0] = 1e308  # linear gain overflows the forward pass
+    model.W[0][0, 0] = 1e308  # linear gain overflows the forward pass
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(RuntimeError, match="non-finite"):
-            learn_step(model, sample_x(9), 1.0)
+            learn_step_joint([model], sample_x(9), [1.0])
 
 
 # -------------------------------------------------------------- end_episode
