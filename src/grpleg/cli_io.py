@@ -275,7 +275,10 @@ def model_from_dict(data: dict) -> GrpModel:
     gamma = float(data["gamma"])
     if not 0.0 < gamma < math.inf:
         raise ValueError(f"gamma must be positive and finite, got {gamma}")
-    episode_count = int(data["episode_count"])
+    episode_count = data["episode_count"]
+    if type(episode_count) is not int:
+        raise ValueError(
+            f"episode_count must be an integer, got {episode_count!r}")
     if episode_count < 0:
         raise ValueError(f"episode_count must be >= 0, got {episode_count}")
     return GrpModel(W=W, R=R, gamma=gamma, config=config,

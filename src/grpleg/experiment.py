@@ -174,54 +174,36 @@ def _swing_rollout(
     params: LegParams,
     dt: float,
     timeout: float,
-    hip_model: GrpModel | None = None,
-    knee_model: GrpModel | None = None,
-    model_driven: bool = False,
+    models: tuple[GrpModel, GrpModel] | None = None,
 ) -> Trajectory:
     """Roll one swing until ground contact or timeout.
 
-    Controller-driven: the plant receives the saturated target-controller
-    torque; attached models are evaluated for their traces only. Model
-    driven: the plant receives the saturated combined model torques, and
-    the controller state machine runs purely as a contact/phase monitor on
-    the kinematics it observes.
+    Without models the plant receives the saturated target-controller
+    torque. With (hip, knee) models it receives their saturated combined
+    torques, and the controller state machine runs purely as a
+    contact/phase monitor on the kinematics it observes.
     """
-    if model_driven and (hip_model is None or knee_model is None):
-        raise ValueError("model-driven rollout needs both hip and knee models")
-    models = [("hip", hip_model), ("knee", knee_model)]
-    models = [(name, mdl) for name, mdl in models if mdl is not None]
+    # eval weights are frozen, so the joint stack is built once per swing
+    joint = None if models is None else grp.stack_models(list(models))
 
     state = init_state
     ctrl = ControllerState()
     cols = {k: [] for k in ("t", "phi_h", "phi_k", "phi_h_dot", "phi_k_dot")}
     cols.update({k: [] for k in ("alpha", "alpha_dot", "l", "tau_h", "tau_k")})
     phases, contacts = [], []
-    trace_rows = {name: [] for name, _ in models}
+    layer_rows = []  # per tick: (hip, knee) outputs of grp.forward
 
     while True:
         kin = kinematics(state, params)
         demo_tq, ctrl = control_step(state, ctrl, task, gains, params)
 
-        x = None
-        if models:
-            x = _network_input(kin.alpha, state, task.alpha_tgt)
-        layer_out = {name: grp.forward(mdl, x) for name, mdl in models}
-
-        if model_driven:
-            applied = saturate(
-                JointTorques(layer_out["hip"][2], layer_out["knee"][2]), params
-            )
-        else:
+        if joint is None:
             applied = saturate(demo_tq, params)
-
-        for name, mdl in models:
-            G, pi, _ = layer_out[name]
-            if model_driven:
-                r = np.full(mdl.m, np.nan)
-            else:
-                r_G = applied.tau_h if name == "hip" else applied.tau_k
-                r = grp.responsibility_reference(r_G - G, mdl.gamma)
-            trace_rows[name].append((G, pi, r))
+        else:
+            x = _network_input(kin.alpha, state, task.alpha_tgt)
+            hip_out, knee_out = grp.forward(joint, x)
+            applied = saturate(JointTorques(hip_out[2], knee_out[2]), params)
+            layer_rows.append((hip_out, knee_out))
 
         cols["t"].append(state.t)
         cols["phi_h"].append(state.phi_h)
@@ -240,14 +222,15 @@ def _swing_rollout(
             break
         state = integrate_step(state, applied, params, dt)
 
-    traces = {
-        name: ModelTrace(
-            G=np.array([g for g, _, _ in rows]),
-            pi=np.array([p for _, p, _ in rows]),
-            r=np.array([r for _, _, r in rows]),
-        )
-        for name, rows in trace_rows.items()
-    }
+    traces = {}
+    if models is not None:
+        for name, mdl, rows in zip(("hip", "knee"), models, zip(*layer_rows)):
+            traces[name] = ModelTrace(
+                G=np.array([G for G, _, _ in rows]),
+                pi=np.array([pi for _, pi, _ in rows]),
+                # no reference torque exists when models drive: r is all NaN
+                r=np.full((len(rows), mdl.m), np.nan),
+            )
     return Trajectory(
         t=np.array(cols["t"]),
         phi_h=np.array(cols["phi_h"]),
@@ -284,21 +267,16 @@ def annotate_with_models(
 ) -> Trajectory:
     """Demonstration trajectory with frozen-model traces attached: per-layer
     G, pi, and the reference responsibilities the recorded torques imply."""
-    X = sensor_matrix(traj)
     out = replace(traj, traces=dict(traj.traces))
-    for name, mdl, r_G in (
-        ("hip", hip_model, traj.tau_h),
-        ("knee", knee_model, traj.tau_k),
+    layer_out = grp.forward(
+        grp.stack_models([hip_model, knee_model]), sensor_matrix(traj)
+    )
+    for (name, mdl, r_G), (G, pi, _) in zip(
+        (("hip", hip_model, traj.tau_h), ("knee", knee_model, traj.tau_k)),
+        layer_out,
     ):
-        Gs = np.empty((len(traj), mdl.m))
-        pis = np.empty((len(traj), mdl.m))
-        rs = np.empty((len(traj), mdl.m))
-        for i in range(len(traj)):
-            Gk, pik, _ = grp.forward(mdl, X[i])
-            Gs[i] = Gk
-            pis[i] = pik
-            rs[i] = grp.responsibility_reference(r_G[i] - Gk, mdl.gamma)
-        out.traces[name] = ModelTrace(G=Gs, pi=pis, r=rs)
+        r = grp.responsibility_reference(r_G[:, None] - G, mdl.gamma)
+        out.traces[name] = ModelTrace(G=G, pi=pi, r=r)
     return out
 
 
@@ -381,9 +359,7 @@ def evaluate(
             params,
             dt,
             timeout,
-            hip_model=hip_model,
-            knee_model=knee_model,
-            model_driven=True,
+            models=(hip_model, knee_model),
         )
         for task, init in tasks
     ]

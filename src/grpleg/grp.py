@@ -8,6 +8,12 @@ tau_out = sum_k G^k pi^k. A model stores its weights as two (m, 8, 8)
 stacks, W for the Generators and R for the RPs, layer k at index k, so a
 whole stack evaluates in one network call.
 
+Every layer of every model sees the same input, so several models also
+evaluate together: `stack_models` lays their frozen W stacks, then their R
+stacks, into one (2M, 8, 8) ForwardStack, and `forward` makes one network
+call and one sigmoid-head call over it, for one input or a block of
+inputs. A single model is a one-model stack.
+
 Learning is supervised by a reference torque r_G at every control step. The
 reference responsibility r_RP is a softmax of -gamma |e_G| over layers
 (sharper gamma -> closer to winner-take-all on the smallest Generator
@@ -23,6 +29,7 @@ predicted pi^k are free sigmoids in (0, 1).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,6 +61,11 @@ class GrpConfig:
     def __post_init__(self):
         if self.m < 1:
             raise ValueError(f"m must be >= 1, got {self.m}")
+        for name in ("mu", "lam", "gamma0", "beta", "w_gain", "init_scale", "mu_rp"):
+            v = getattr(self, name)
+            if v is not None and not math.isfinite(v):
+                label = "lam (lambda)" if name == "lam" else name
+                raise ValueError(f"{label} must be finite, got {v}")
         for name in ("mu", "gamma0", "init_scale"):
             v = getattr(self, name)
             if not v > 0.0:
@@ -61,7 +73,7 @@ class GrpConfig:
         if self.mu_rp is not None and not self.mu_rp > 0.0:
             raise ValueError(f"mu_rp must be > 0 when set, got {self.mu_rp}")
         if self.lam < 0.0:
-            raise ValueError(f"lam must be >= 0, got {self.lam}")
+            raise ValueError(f"lam (lambda) must be >= 0, got {self.lam}")
         if not self.beta > 1.0:
             raise ValueError(f"beta must be > 1, got {self.beta}")
         if self.seed < 0:
@@ -115,23 +127,60 @@ def init(config: GrpConfig) -> GrpModel:
 
 
 def responsibility_reference(errors, gamma: float) -> np.ndarray:
-    """Softmax of -gamma |e_G| over layers.
+    """Softmax of -gamma |e_G| over layers, the last axis; broadcasts over
+    leading axes.
 
     Max-shifted before exponentiation, so arbitrarily sharp gamma degrades
     gracefully to one-hot on the smallest |e_G| instead of underflowing to
     0/0.
     """
     z = -gamma * np.abs(np.asarray(errors, dtype=float))
-    z -= z.max()
+    z -= z.max(-1, keepdims=True)
     w = np.exp(z)
-    return w / w.sum()
+    return w / w.sum(-1, keepdims=True)
 
 
-def forward(model: GrpModel, x):
-    """Per-layer (G^k, pi^k) and the combined torque tau_out."""
-    G = net_forward(model.W, x)
-    pi = sigmoid_head(net_forward(model.R, x), model.config.w_gain)
-    return G, pi, float(G @ pi)
+@dataclass(frozen=True)
+class ForwardStack:
+    """Frozen weights of several models laid out for one network call.
+
+    S is every model's W stack, then every model's R stack: (2M, 8, 8) for
+    M layers in all. w_gain holds the sigmoid gain of each of the M RP
+    rows, and model i's layers are rows bounds[i] of either half.
+    """
+
+    S: np.ndarray
+    w_gain: np.ndarray
+    bounds: tuple[tuple[int, int], ...]
+
+
+def stack_models(models: list[GrpModel]) -> ForwardStack:
+    """Copy the models' current weights into one ForwardStack; later learn
+    steps do not reach it."""
+    S = np.concatenate([mdl.W for mdl in models] + [mdl.R for mdl in models])
+    w_gain = np.concatenate([np.full(mdl.m, mdl.config.w_gain) for mdl in models])
+    ends = np.cumsum([mdl.m for mdl in models]).tolist()
+    return ForwardStack(S, w_gain, tuple(zip([0] + ends[:-1], ends)))
+
+
+def forward(stack: ForwardStack, x) -> list[tuple]:
+    """(G, pi, tau_out) per stacked model, from one network call and one
+    sigmoid head over all of them: per-layer Generator outputs G^k, RP
+    responsibilities pi^k and the combined torque sum_k G^k pi^k.
+
+    x is one (8,) input, giving (m,) layer outputs and a float torque, or a
+    (..., 8) block, giving (..., m) outputs and (...) torques.
+    """
+    x = np.asarray(x, dtype=float)
+    out = net_forward(stack.S, x[..., None, :])
+    half = stack.w_gain.size
+    pis = sigmoid_head(out[..., half:], stack.w_gain)
+    result = []
+    for lo, hi in stack.bounds:
+        G, pi = out[..., lo:hi], pis[..., lo:hi]
+        tau = (G[..., None, :] @ pi[..., :, None])[..., 0, 0]
+        result.append((G, pi, float(tau) if tau.ndim == 0 else tau))
+    return result
 
 
 def total_output_identity(model: GrpModel, x, r_G: float) -> float:
@@ -139,7 +188,7 @@ def total_output_identity(model: GrpModel, x, r_G: float) -> float:
     sum_k (G^k + e_G^k)(pi^k + e_RP^k). Collapses algebraically to
     r_G * sum_k r_RP^k = r_G, which is why the plant can be driven by the
     reference torque while the stack is still untrained."""
-    G, pi, _ = forward(model, x)
+    G, pi, _ = forward(stack_models([model]), x)[0]
     e_G = r_G - G
     r_RP = responsibility_reference(e_G, model.gamma)
     e_RP = r_RP - pi
@@ -155,7 +204,7 @@ def learn_step_joint(models: list[GrpModel], x, r_Gs) -> list[StepRecord]:
     RP rate, through the sigmoid head. All Generator and RP matrices ride a
     single stacked network evaluation; every subsequent op is row-local, so
     the result is bit-identical to updating each model on its own. Weight
-    layout: all models' W stacks, then all R stacks.
+    layout as in ForwardStack: all models' W stacks, then all R stacks.
     """
     S = np.concatenate([mdl.W for mdl in models] + [mdl.R for mdl in models])
     total = S.shape[0] // 2

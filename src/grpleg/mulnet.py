@@ -10,8 +10,11 @@ input i without adding to it):
 
 Signed sensor channels are split into (positive, negative) half-wave pairs
 before entering the network, so every x_j >= 0 and exactly one of each pair
-is active. A consequence worth keeping in mind: if x_j = 0 then every
-exp(W_ij * x_j) = 1 and the output is independent of W_ij entirely.
+is active. `split_input` does this as one signed gather of the raw channels
+followed by one maximum against a floor row (0 for split channels, -inf for
+the joint angles, which pass through). A consequence worth keeping in mind:
+if x_j = 0 then every exp(W_ij * x_j) = 1 and the output is independent of
+W_ij entirely.
 
 Exponent arguments are clamped to +-EXP_CLAMP before exponentiation to keep
 early-training weight transients from overflowing; each clamped entry bumps
@@ -39,6 +42,11 @@ _OFF_F = _OFF.astype(float)
 _P_FLOOR = np.finfo(float).tiny
 _P_CEIL = np.nextafter(1.0, 0.0)
 
+# split_input's layout: source channel, sign and floor of each output entry
+_SPLIT_SRC = np.array([0, 0, 1, 2, 2, 3, 4, 4])
+_SPLIT_SIGN = np.array([1.0, -1.0, 1.0, 1.0, -1.0, 1.0, 1.0, -1.0])
+_SPLIT_FLOOR = np.array([0.0, 0.0, -np.inf, 0.0, 0.0, -np.inf, 0.0, 0.0])
+
 _clamp_events = 0
 
 
@@ -58,24 +66,18 @@ def split_input(raw):
 
     The target error and both joint rates split into half-wave pairs
     (max(v, 0), max(-v, 0)); the joint angles pass through unsplit (they
-    never go negative on this leg). Broadcasts over leading axes.
+    never go negative on this leg). One signed gather and one maximum
+    against a floor row do it: the floor is 0 for split channels and -inf
+    for the angles. Broadcasts over leading axes. The result is written
+    C-ordered, because a batched net_forward's summation order follows the
+    memory layout (the gather alone returns 2-D input F-ordered).
     """
     raw = np.asarray(raw, dtype=float)
     if raw.shape[-1] != RAW_DIM:
         raise ValueError(f"expected {RAW_DIM} sensory channels, got {raw.shape[-1]}")
     out = np.empty(raw.shape[:-1] + (NET_DIM,))
-    da = raw[..., 0]
-    out[..., 0] = np.maximum(da, 0.0)
-    out[..., 1] = np.maximum(-da, 0.0)
-    out[..., 2] = raw[..., 1]
-    hd = raw[..., 2]
-    out[..., 3] = np.maximum(hd, 0.0)
-    out[..., 4] = np.maximum(-hd, 0.0)
-    out[..., 5] = raw[..., 3]
-    kd = raw[..., 4]
-    out[..., 6] = np.maximum(kd, 0.0)
-    out[..., 7] = np.maximum(-kd, 0.0)
-    return out
+    np.multiply(raw[..., _SPLIT_SRC], _SPLIT_SIGN, out=out)
+    return np.maximum(out, _SPLIT_FLOOR, out=out)
 
 
 def _row_products(W, x):

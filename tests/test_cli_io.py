@@ -168,8 +168,8 @@ def test_model_loaded_forward_matches(tmp_path):
     save_model(tmp_path / "knee.json", knee)
     back = load_model(tmp_path / "knee.json")
     x = np.linspace(-0.5, 0.5, 8)
-    G0, pi0, tau0 = grp.forward(knee, x)
-    G1, pi1, tau1 = grp.forward(back, x)
+    G0, pi0, tau0 = grp.forward(grp.stack_models([knee]), x)[0]
+    G1, pi1, tau1 = grp.forward(grp.stack_models([back]), x)[0]
     assert np.array_equal(G0, G1) and np.array_equal(pi0, pi1)
     assert tau0 == tau1
 
@@ -194,6 +194,11 @@ def test_model_loaded_forward_matches(tmp_path):
          "gamma must be positive and finite, got nan"),
         (lambda d: d.update(gamma=math.inf),
          "gamma must be positive and finite, got inf"),
+        (lambda d: d.update(episode_count=1599.7),
+         "episode_count must be an integer, got 1599.7"),
+        (lambda d: d.update(episode_count=True),
+         "episode_count must be an integer, got True"),
+        (lambda d: d.update(episode_count="3"), "episode_count must be an integer"),
     ],
 )
 def test_model_file_rejects_malformed(mangle, message):
@@ -400,6 +405,17 @@ def test_cli_bad_config_names_key(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.count("\n") == 1
     assert "'knee.layers'" in err
+
+
+def test_cli_train_rejects_nan_lambda(tmp_path, capsys):
+    (tmp_path / "cfg.json").write_text(
+        '{"episodes": 1, "demo_count": 1, "knee": {"lambda": NaN}}')
+    rc = cli_io.cli(["train", "--config", str(tmp_path / "cfg.json"),
+                     "--out", str(tmp_path)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert "lambda" in err and "finite" in err
 
 
 def test_cli_gradcheck_passes(capsys):

@@ -1,11 +1,13 @@
 """Protocol plumbing: task sampling, rollouts, training loop, evaluation."""
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from grpleg import grp, mulnet
+from grpleg.cli_io import load_model
 from grpleg.dynamics import JointTorques, LegParams, LegState, integrate_step
 from grpleg.experiment import (
     DEG,
@@ -30,6 +32,21 @@ from grpleg.target_controller import ControllerGains, make_task
 def demo():
     task, init = sample_tasks(SampleRanges(), 1, seed=3)[0]
     return run_demo_episode(task, init)
+
+
+FIXTURE_DIR = Path(__file__).resolve().parent.parent / "perfbench" / "fixture"
+
+
+@pytest.fixture(scope="module")
+def fixture_pair():
+    """The committed default-trained hip and knee models."""
+    return load_model(FIXTURE_DIR / "hip.json"), load_model(FIXTURE_DIR / "knee.json")
+
+
+def same_bits(a, b):
+    a = np.ascontiguousarray(a, dtype=float)
+    b = np.ascontiguousarray(b, dtype=float)
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
 
 
 def fresh_pair(m_knee=3):
@@ -148,6 +165,30 @@ def test_annotate_keeps_plant_columns(demo):
     assert np.allclose(sums, 1.0, atol=1e-12)
 
 
+def test_annotate_matches_per_row_loop(demo, fixture_pair):
+    """The block forward equals a per-row loop over separate Generator and
+    RP network calls and a per-row softmax, bit for bit."""
+    hip, knee = fixture_pair
+    out = annotate_with_models(demo, hip, knee)
+    X = sensor_matrix(demo)
+    for name, mdl, r_G in (("hip", hip, demo.tau_h), ("knee", knee, demo.tau_k)):
+        G = np.empty((len(demo), mdl.m))
+        pi = np.empty_like(G)
+        r = np.empty_like(G)
+        for i in range(len(demo)):
+            G[i] = mulnet.net_forward(mdl.W, X[i])
+            pi[i] = mulnet.sigmoid_head(mulnet.net_forward(mdl.R, X[i]),
+                                        mdl.config.w_gain)
+            z = -mdl.gamma * np.abs(r_G[i] - G[i])
+            z -= z.max()
+            w = np.exp(z)
+            r[i] = w / w.sum()
+        trace = out.traces[name]
+        assert same_bits(trace.G, G)
+        assert same_bits(trace.pi, pi)
+        assert same_bits(trace.r, r)
+
+
 def test_sensor_matrix_matches_columns(demo):
     X = sensor_matrix(demo)
     assert X.shape == (len(demo), 8)
@@ -261,11 +302,35 @@ def test_evaluate_torques_match_model_output():
     _, (traj,) = evaluate(hip, knee, tasks)
     X = sensor_matrix(traj)
     i = len(traj) // 3
-    _, _, tau_h = grp.forward(hip, X[i])
-    _, _, tau_k = grp.forward(knee, X[i])
+    _, _, tau_h = grp.forward(grp.stack_models([hip]), X[i])[0]
+    _, _, tau_k = grp.forward(grp.stack_models([knee]), X[i])[0]
     cap = LegParams().tau_max
     assert traj.tau_h[i] == np.clip(tau_h, -cap, cap)
     assert traj.tau_k[i] == np.clip(tau_k, -cap, cap)
+
+
+def test_model_driven_rollout_matches_one_model_forwards(fixture_pair):
+    """One joint forward per tick gives the traces, applied torques and
+    exponent-clamp count of separate one-model forwards on the same rows."""
+    hip, knee = fixture_pair
+    tasks = sample_tasks(SampleRanges(), 1, seed=2)
+    mulnet.reset_exp_clamp_count()
+    _, (traj,) = evaluate(hip, knee, tasks)
+    clamps = mulnet.exp_clamp_count()
+    mulnet.reset_exp_clamp_count()
+    X = sensor_matrix(traj)
+    cap = LegParams().tau_max
+    for name, mdl, applied in (("hip", hip, traj.tau_h), ("knee", knee, traj.tau_k)):
+        one = grp.stack_models([mdl])
+        rows = [grp.forward(one, x)[0] for x in X]
+        trace = traj.traces[name]
+        assert same_bits(trace.G, np.array([G for G, _, _ in rows]))
+        assert same_bits(trace.pi, np.array([pi for _, pi, _ in rows]))
+        tau = np.array([tau for _, _, tau in rows])
+        assert same_bits(applied, np.clip(tau, -cap, cap))
+        assert trace.r.shape == (len(traj), mdl.m) and np.isnan(trace.r).all()
+    assert clamps > 0
+    assert mulnet.exp_clamp_count() == clamps
 
 
 # ------------------------------------------------- responsibility summaries

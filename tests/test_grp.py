@@ -14,6 +14,7 @@ from grpleg.grp import (
     init,
     learn_step_joint,
     responsibility_reference,
+    stack_models,
     total_output_identity,
 )
 
@@ -53,6 +54,26 @@ def test_config_defaults_valid():
 def test_config_rejects_bad_fields(kwargs):
     with pytest.raises(ValueError):
         GrpConfig(**kwargs)
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("lam", math.nan, "lam \\(lambda\\) must be finite, got nan"),
+        ("lam", math.inf, "lam \\(lambda\\) must be finite, got inf"),
+        ("mu", math.inf, "mu must be finite"),
+        ("mu", math.nan, "mu must be finite"),
+        ("mu_rp", math.inf, "mu_rp must be finite"),
+        ("beta", math.inf, "beta must be finite"),
+        ("gamma0", math.inf, "gamma0 must be finite"),
+        ("init_scale", math.inf, "init_scale must be finite"),
+        ("w_gain", math.nan, "w_gain must be finite"),
+        ("w_gain", -math.inf, "w_gain must be finite"),
+    ],
+)
+def test_config_rejects_non_finite_fields(field, value, message):
+    with pytest.raises(ValueError, match=message):
+        GrpConfig(m=1, **{field: value})
 
 
 # --------------------------------------------------------------------- init
@@ -138,7 +159,7 @@ def test_forward_zero_generators():
     model = init(GrpConfig(m=3, seed=2))
     for k in range(3):
         model.W[k] = np.zeros_like(model.W[k])
-    G, pi, tau = forward(model, sample_x())
+    G, pi, tau = forward(stack_models([model]), sample_x())[0]
     assert np.all(G == 0.0) and tau == 0.0
     assert np.all((0.0 < pi) & (pi < 1.0))
 
@@ -149,7 +170,7 @@ def test_forward_single_layer_saturated_gate():
     R[2, 2] = 10.0  # large gain on phi_h drives the head to saturation
     model.R[0] = R
     x = sample_x(1)
-    G, pi, tau = forward(model, x)
+    G, pi, tau = forward(stack_models([model]), x)[0]
     assert pi[0] > 1.0 - 1e-12
     assert math.isclose(tau, G[0], rel_tol=1e-9)
 
@@ -157,7 +178,7 @@ def test_forward_single_layer_saturated_gate():
 def test_forward_matches_per_layer_recomputation():
     model = init(GrpConfig(m=3, seed=5))
     x = sample_x(2)
-    G, pi, tau = forward(model, x)
+    G, pi, tau = forward(stack_models([model]), x)[0]
     manual = 0.0
     for k in range(3):
         gk = mulnet.net_forward(model.W[k], x)
@@ -166,6 +187,57 @@ def test_forward_matches_per_layer_recomputation():
         assert gk == G[k] and pk == pi[k]
         manual += gk * pk
     assert math.isclose(tau, manual, rel_tol=1e-13)
+
+
+def same_bits(a, b):
+    a = np.ascontiguousarray(a, dtype=float)
+    b = np.ascontiguousarray(b, dtype=float)
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+def test_forward_joint_stack_matches_one_model_stacks():
+    """Models with different m and w_gain evaluated in one stack give, per
+    model, the bits of a one-model stack, for one input and for a block."""
+    models = [init(GrpConfig(m=m, w_gain=g, seed=s))
+              for m, g, s in ((1, 1.0, 20), (3, 2.5, 21), (2, 0.5, 22))]
+    for mdl in models:
+        mdl.W *= 400.0  # large enough that exponent clamps fire
+    joint = stack_models(models)
+    assert joint.S.shape == (12, 8, 8)
+    assert joint.bounds == ((0, 1), (1, 4), (4, 6))
+    X = np.stack([sample_x(seed) for seed in range(6)])
+    for x in (X[0], X):
+        mulnet.reset_exp_clamp_count()
+        together = forward(joint, x)
+        clamps = mulnet.exp_clamp_count()
+        mulnet.reset_exp_clamp_count()
+        alone = [forward(stack_models([mdl]), x)[0] for mdl in models]
+        assert clamps > 0 and mulnet.exp_clamp_count() == clamps
+        for mdl, (G, pi, tau), (G1, pi1, tau1) in zip(models, together, alone):
+            assert G.shape == x.shape[:-1] + (mdl.m,)
+            assert same_bits(G, G1) and same_bits(pi, pi1) and same_bits(tau, tau1)
+    for mdl, (G, pi, tau) in zip(models, forward(joint, X)):
+        for i, x in enumerate(X):
+            G1, pi1, tau1 = forward(stack_models([mdl]), x)[0]
+            assert isinstance(tau1, float) and same_bits(tau1, G1 @ pi1)
+            assert same_bits(G[i], G1) and same_bits(pi[i], pi1)
+            assert same_bits(tau[i], tau1)
+
+
+def test_forward_stack_is_a_snapshot():
+    model = init(GrpConfig(m=2, seed=23))
+    joint = stack_models([model])
+    G0 = forward(joint, sample_x(8))[0][0].copy()
+    learn_step_joint([model], sample_x(8), [3.0])
+    assert same_bits(forward(joint, sample_x(8))[0][0], G0)
+
+
+def test_responsibility_reference_broadcasts_over_rows():
+    rng = np.random.default_rng(24)
+    E = rng.normal(0.0, 5.0, size=(4, 6, 3))
+    R = responsibility_reference(E, 0.7)
+    for idx in np.ndindex(E.shape[:-1]):
+        assert same_bits(R[idx], responsibility_reference(E[idx], 0.7))
 
 
 def test_total_output_identity_point():
@@ -202,7 +274,7 @@ def test_learn_step_gating_freezes_nonresponsible_generator():
     model = init(GrpConfig(m=2, seed=11))
     model.gamma = 1e9  # one-hot reference: loser's Generator rate is exactly 0
     x = sample_x(5)
-    G, _, _ = forward(model, x)
+    G, _, _ = forward(stack_models([model]), x)[0]
     r_G = G[0] + 1e-3  # layer 0 nearly exact, layer 1 clearly off
     before = [W.copy() for W in model.W]
     before_R = [R.copy() for R in model.R]
@@ -219,9 +291,9 @@ def test_learn_step_descends_generator_error():
     model = init(GrpConfig(m=1, mu=1e-3, lam=0.0, seed=12))
     x = sample_x(6)
     r_G = 5.0
-    e0 = abs(r_G - forward(model, x)[0][0])
+    e0 = abs(r_G - forward(stack_models([model]), x)[0][0][0])
     learn_step_joint([model], x, [r_G])
-    e1 = abs(r_G - forward(model, x)[0][0])
+    e1 = abs(r_G - forward(stack_models([model]), x)[0][0][0])
     assert e1 < e0
 
 
@@ -229,10 +301,10 @@ def test_learn_step_descends_responsible_layer_with_m3():
     model = init(GrpConfig(m=3, mu=1e-3, lam=0.0, seed=14))
     x = sample_x(7)
     r_G = -4.0
-    G, _, _ = forward(model, x)
+    G, _, _ = forward(stack_models([model]), x)[0]
     k = int(np.abs(r_G - G).argmin())
     learn_step_joint([model], x, [r_G])
-    G1, _, _ = forward(model, x)
+    G1, _, _ = forward(stack_models([model]), x)[0]
     assert abs(r_G - G1[k]) < abs(r_G - G[k])
 
 
