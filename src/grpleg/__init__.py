@@ -3,3 +3,8 @@ double-pendulum leg, and the modular generator/responsibility-predictor (GRP)
 model that learns it online from controller demonstrations."""
 
 __version__ = "0.1.0"
+
+
+class NonFiniteError(RuntimeError):
+    """A numerical update went non-finite: a diverging learn step or plant
+    integration step. Raised before the bad values replace the old state."""

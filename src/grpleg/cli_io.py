@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import grp, mulnet
+from . import NonFiniteError, grp, mulnet
 from .dynamics import LegParams
 from .experiment import (
     EvalReport,
@@ -610,7 +610,7 @@ def cli(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, NonFiniteError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

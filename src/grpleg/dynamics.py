@@ -23,6 +23,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from . import NonFiniteError
+
 
 @dataclass(frozen=True)
 class LegParams:
@@ -239,7 +241,7 @@ def integrate_step(
         for yi, a, b, c, d in zip(y, k1, k2, k3, k4)
     )
     if not all(math.isfinite(v) for v in out):
-        raise RuntimeError(f"non-finite state after integration step at t={state.t}")
+        raise NonFiniteError(f"non-finite state after integration step at t={state.t}")
     return LegState(out[0], out[1], out[2], out[3], t=state.t + dt)
 
 

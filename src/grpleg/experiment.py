@@ -299,22 +299,21 @@ def train(
     if not demos:
         raise ValueError("no demonstrations to train on")
     cache = [(sensor_matrix(d), d.tau_h, d.tau_k) for d in demos]
-    pair = [hip_model, knee_model]
-    hip_log = np.empty((episodes, hip_model.m))
-    knee_log = np.empty((episodes, knee_model.m))
+    stack = grp.LearnStack([hip_model, knee_model])
+    log = np.empty((episodes, hip_model.m + knee_model.m))
     for ep in range(episodes):
         X, r_h, r_k = cache[ep % len(cache)]
-        hip_sum = np.zeros(hip_model.m)
-        knee_sum = np.zeros(knee_model.m)
+        refs = np.stack((r_h, r_k), axis=1)
+        abs_sum = np.zeros(log.shape[1])
         for i in range(X.shape[0]):
-            rec_h, rec_k = grp.learn_step_joint(pair, X[i], (r_h[i], r_k[i]))
-            hip_sum += np.abs(rec_h.e_G)
-            knee_sum += np.abs(rec_k.e_G)
-        hip_log[ep] = hip_sum / X.shape[0]
-        knee_log[ep] = knee_sum / X.shape[0]
+            grp.learn_step_joint(stack, X[i], refs[i])
+            abs_sum += np.abs(stack.e_G)
+        log[ep] = abs_sum / X.shape[0]
         grp.end_episode(hip_model)
         grp.end_episode(knee_model)
-    return TrainLog(hip_mean_abs_e=hip_log, knee_mean_abs_e=knee_log)
+    return TrainLog(
+        hip_mean_abs_e=log[:, : hip_model.m], knee_mean_abs_e=log[:, hip_model.m :]
+    )
 
 
 def peak_responsibilities(trajectories: list[Trajectory]) -> dict[str, np.ndarray]:
@@ -351,6 +350,11 @@ def evaluate(
 ) -> tuple[EvalReport, list[Trajectory]]:
     """Reference-free evaluation: the models alone drive the plant through
     each task; landing error is |alpha_tgt - alpha at contact| in degrees."""
+    for name, mdl in (("hip", hip_model), ("knee", knee_model)):
+        if not isinstance(mdl, GrpModel):
+            raise ValueError(
+                f"evaluation needs a {name} GrpModel, got {type(mdl).__name__}"
+            )
     trajs = [
         _swing_rollout(
             init,

@@ -9,10 +9,14 @@ stacks, W for the Generators and R for the RPs, layer k at index k, so a
 whole stack evaluates in one network call.
 
 Every layer of every model sees the same input, so several models also
-evaluate together: `stack_models` lays their frozen W stacks, then their R
-stacks, into one (2M, 8, 8) ForwardStack, and `forward` makes one network
-call and one sigmoid-head call over it, for one input or a block of
-inputs. A single model is a one-model stack.
+evaluate and learn together, over one (2M, 8, 8) array holding every
+model's W stack, then every R stack. For evaluation, `stack_models` copies
+frozen weights into a ForwardStack, and `forward` makes one network call
+and one sigmoid-head call over it, for one input or a block of inputs.
+For training, a LearnStack is live: it owns the array, each model's W and
+R are views into it, and `learn_step_joint` updates it in place with one
+network-and-gradient call and one sigmoid-head call per step. A single
+model is a one-model stack.
 
 Learning is supervised by a reference torque r_G at every control step. The
 reference responsibility r_RP is a softmax of -gamma |e_G| over layers
@@ -34,6 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import NonFiniteError
 from .mulnet import NET_DIM, forward_and_gradient, net_forward, sigmoid_head
 
 
@@ -135,9 +140,11 @@ def responsibility_reference(errors, gamma: float) -> np.ndarray:
     0/0.
     """
     z = -gamma * np.abs(np.asarray(errors, dtype=float))
-    z -= z.max(-1, keepdims=True)
-    w = np.exp(z)
-    return w / w.sum(-1, keepdims=True)
+    # ufunc reductions called directly, as in mulnet
+    z -= np.maximum.reduce(z, -1, keepdims=True)
+    np.exp(z, out=z)
+    z /= np.add.reduce(z, -1, keepdims=True)
+    return z
 
 
 @dataclass(frozen=True)
@@ -195,62 +202,114 @@ def total_output_identity(model: GrpModel, x, r_G: float) -> float:
     return float((G + e_G) @ (pi + e_RP))
 
 
-def learn_step_joint(models: list[GrpModel], x, r_Gs) -> list[StepRecord]:
-    """One online update of several models sharing the same input; returns
-    one record per model.
+class LearnStack:
+    """Live weights of several models that learn together.
+
+    S lays out every model's W stack, then every R stack, as a ForwardStack
+    does, but each model's W and R become views into it, so a learn step
+    updates all of them in place. The per-row Generator rate and decay, RP
+    rate, sigmoid gain and RP decay come from the configs once, and the
+    update runs in preallocated work buffers. A model belongs to one live
+    stack at a time; rebinding its W or R detaches it.
+    """
+
+    def __init__(self, models: list[GrpModel]):
+        models = list(models)
+        if len({id(mdl) for mdl in models}) < len(models):
+            raise ValueError(
+                "the same model appears twice in a learn stack; "
+                "its weight views would alias"
+            )
+        sizes = [mdl.m for mdl in models]
+        total = sum(sizes)
+        ends = np.cumsum(sizes).tolist()
+        self.models = models
+        self.slices = tuple(slice(lo, hi) for lo, hi in zip([0] + ends[:-1], ends))
+        self.S = np.concatenate([mdl.W for mdl in models] + [mdl.R for mdl in models])
+        for mdl, sl in zip(models, self.slices):
+            mdl.W = self.S[sl]
+            mdl.R = self.S[total + sl.start : total + sl.stop]
+
+        def per_row(values):
+            return np.repeat(np.array(values, dtype=float), sizes)
+
+        self.row_model = np.repeat(np.arange(len(models)), sizes)
+        self.mu = per_row([mdl.config.mu for mdl in models])
+        self.lam = per_row([mdl.config.lam for mdl in models])
+        self.rp_rate = per_row([mdl.config.rp_rate for mdl in models])
+        self.w_gain = per_row([mdl.config.w_gain for mdl in models])
+        self.e_G = np.zeros(total)  # the last step's Generator errors
+
+        # work buffers: the reference responsibilities, the per-row gain and
+        # decay of the update as (2M, 1, 1) columns with 1-D views of their
+        # halves (the RP decay rows never change), the new stack and its
+        # decay term
+        self._r_RP = np.empty(total)
+        self._gain = np.empty((2 * total, 1, 1))
+        self._gain_G = self._gain[:total, 0, 0]
+        self._gain_RP = self._gain[total:, 0, 0]
+        self._decay = np.empty((2 * total, 1, 1))
+        self._decay_G = self._decay[:total, 0, 0]
+        self._decay[total:, 0, 0] = self.rp_rate * self.lam
+        self._new = np.empty_like(self.S)
+        self._decay_term = np.empty_like(self.S)
+
+
+def learn_step_joint(stack: LearnStack, x, r_G) -> list[StepRecord]:
+    """One online update of every model in a live stack from a shared input
+    and one reference torque per model; returns one record per model.
 
     Generator k moves down its squared-error gradient at the gated rate
     r_RP^k * mu; its RP regresses onto the reference responsibility at the
-    RP rate, through the sigmoid head. All Generator and RP matrices ride a
-    single stacked network evaluation; every subsequent op is row-local, so
-    the result is bit-identical to updating each model on its own. Weight
-    layout as in ForwardStack: all models' W stacks, then all R stacks.
+    RP rate, through the sigmoid head. The whole stack rides one network
+    evaluation and one sigmoid head; only the responsibility softmax runs
+    per model. Every op is row-local, so the result is bit-identical to
+    updating each model on its own. The new weights are checked before
+    they replace the old, so a non-finite update changes nothing.
     """
-    S = np.concatenate([mdl.W for mdl in models] + [mdl.R for mdl in models])
-    total = S.shape[0] // 2
+    S = stack.S
+    total = stack.w_gain.size
     out, dS = forward_and_gradient(S, x)
+    r_G = np.asarray(r_G, dtype=float)
+    G = out[:total]
+    pi = sigmoid_head(out[total:], stack.w_gain)
+    e_G = stack.e_G = r_G[stack.row_model] - G
+    r_RP = stack._r_RP
+    refs = []
+    for mdl, sl in zip(stack.models, stack.slices):
+        r = responsibility_reference(e_G[sl], mdl.gamma)
+        r_RP[sl] = r
+        refs.append(r)
+    e_RP = r_RP - pi
 
-    records = []
-    gain = np.empty(2 * total)
-    decay = np.empty(2 * total)
-    lo = 0
-    for mdl, r_G in zip(models, r_Gs):
-        cfg = mdl.config
-        hi = lo + mdl.m
-        G = out[lo:hi]
-        pi = sigmoid_head(out[total + lo : total + hi], cfg.w_gain)
-        e_G = r_G - G
-        r_RP = responsibility_reference(e_G, mdl.gamma)
-        e_RP = r_RP - pi
-        # Generator rate is gated by the reference responsibility, decay
-        # included, so a non-responsible layer is bit-exactly unchanged;
-        # RP updates chain through the sigmoid at the ungated RP rate.
-        mu_k = r_RP * cfg.mu
-        mu_rp = cfg.rp_rate
-        gain[lo:hi] = mu_k * e_G
-        gain[total + lo : total + hi] = mu_rp * e_RP * cfg.w_gain * pi * (1.0 - pi)
-        decay[lo:hi] = mu_k * cfg.lam
-        decay[total + lo : total + hi] = mu_rp * cfg.lam
-        records.append(StepRecord(G=G, pi=pi, e_G=e_G, r_RP=r_RP, e_RP=e_RP))
-        lo = hi
+    # Generator rate is gated by the reference responsibility, decay
+    # included, so a non-responsible layer is bit-exactly unchanged; RP
+    # updates chain through the sigmoid at the ungated RP rate.
+    mu_k = r_RP * stack.mu
+    np.multiply(mu_k, e_G, out=stack._gain_G)
+    np.multiply(mu_k, stack.lam, out=stack._decay_G)
+    rp_gain = stack.rp_rate * e_RP
+    rp_gain *= stack.w_gain
+    rp_gain *= pi
+    np.multiply(rp_gain, 1.0 - pi, out=stack._gain_RP)
 
-    new_S = S + gain[:, None, None] * dS - decay[:, None, None] * S
-    if not np.all(np.isfinite(new_S)):
-        k = max(range(len(models)), key=lambda i: np.abs(records[i].e_G).max())
-        raise RuntimeError(
+    new = np.multiply(stack._gain, dS, out=stack._new)
+    new += S
+    new -= np.multiply(stack._decay, S, out=stack._decay_term)
+    if not np.isfinite(new).all():
+        worst = [np.abs(e_G[sl]).max() for sl in stack.slices]
+        k = worst.index(max(worst))
+        raise NonFiniteError(
             "non-finite weight update: "
-            f"max|S|={np.abs(S).max():g} r_G={float(r_Gs[k]):g} "
-            f"max|e_G|={np.abs(records[k].e_G).max():g} "
-            f"episodes={[mdl.episode_count for mdl in models]}"
+            f"max|S|={np.abs(S).max():g} r_G={float(r_G[k]):g} "
+            f"max|e_G|={worst[k]:g} "
+            f"episodes={[mdl.episode_count for mdl in stack.models]}"
         )
-
-    lo = 0
-    for mdl in models:
-        hi = lo + mdl.m
-        mdl.W = new_S[lo:hi]
-        mdl.R = new_S[total + lo : total + hi]
-        lo = hi
-    return records
+    np.copyto(S, new)
+    return [
+        StepRecord(G=G[sl], pi=pi[sl], e_G=e_G[sl], r_RP=r, e_RP=e_RP[sl])
+        for sl, r in zip(stack.slices, refs)
+    ]
 
 
 def end_episode(model: GrpModel) -> GrpModel:

@@ -24,7 +24,10 @@ unclamped sum-product, evaluated with the same clamped row products as the
 forward pass.
 
 All array ops broadcast over leading axes, so a stack of weight matrices
-shaped (m, 8, 8) evaluates m networks in one call.
+shaped (m, 8, 8) evaluates m networks in one call. On arrays this small
+the per-call overhead outweighs the arithmetic, so sums call
+`np.add.reduce` directly rather than through the ndarray method's Python
+layer (the same reduction, so the same bits).
 """
 
 from __future__ import annotations
@@ -34,10 +37,6 @@ import numpy as np
 RAW_DIM = 5  # (alpha - alpha_tgt), phi_h, phi_h_dot, phi_k, phi_k_dot
 NET_DIM = 8
 EXP_CLAMP = 50.0
-
-_EYE = np.eye(NET_DIM, dtype=bool)
-_OFF = ~_EYE
-_OFF_F = _OFF.astype(float)
 
 _P_FLOOR = np.finfo(float).tiny
 _P_CEIL = np.nextafter(1.0, 0.0)
@@ -83,14 +82,16 @@ def split_input(raw):
 def _row_products(W, x):
     """prod_{j != i} exp(W_ij * x_j) per row, with per-argument clamping."""
     global _clamp_events
-    args = W * x[..., None, :]
+    args = np.multiply(W, x[..., None, :], order="C")
+    # the diagonal argument W_ii * x_i is the linear gain, never
+    # exponentiated: zero it so the row sums run over off-diagonal entries
+    # (C order makes the flat reshape a view, so the write lands in args)
+    args.reshape(-1, NET_DIM * NET_DIM)[:, :: NET_DIM + 1] = 0.0
     clipped = np.minimum(np.maximum(args, -EXP_CLAMP), EXP_CLAMP)
-    hits = int(np.count_nonzero((clipped != args) & _OFF))
+    hits = int(np.count_nonzero(clipped != args))
     if hits:
         _clamp_events += hits
-    # row sums over off-diagonal entries only; the diagonal argument
-    # W_ii * x_i is the linear gain, never exponentiated
-    return np.exp((clipped * _OFF_F).sum(axis=-1))
+    return np.exp(np.add.reduce(clipped, -1))
 
 
 def net_forward(W, x):
@@ -98,8 +99,7 @@ def net_forward(W, x):
     shape for stacked weights."""
     W = np.asarray(W, dtype=float)
     x = np.asarray(x, dtype=float)
-    diag = np.diagonal(W, axis1=-2, axis2=-1)
-    return (diag * x * _row_products(W, x)).sum(axis=-1)
+    return np.add.reduce(W.diagonal(0, -2, -1) * x * _row_products(W, x), -1)
 
 
 def forward_and_gradient(W, x):
@@ -111,11 +111,11 @@ def forward_and_gradient(W, x):
     W = np.asarray(W, dtype=float)
     x = np.asarray(x, dtype=float)
     d_diag = x * _row_products(W, x)
-    terms = np.diagonal(W, axis1=-2, axis2=-1) * d_diag
-    grad = terms[..., :, None] * x[..., None, :]
+    terms = W.diagonal(0, -2, -1) * d_diag
+    grad = np.multiply(terms[..., :, None], x[..., None, :], order="C")
     # overwrite the (i, i) slots with the exact diagonal partials
-    grad.reshape(grad.shape[:-2] + (NET_DIM * NET_DIM,))[..., :: NET_DIM + 1] = d_diag
-    return terms.sum(axis=-1), grad
+    grad.reshape(-1, NET_DIM * NET_DIM)[:, :: NET_DIM + 1] = d_diag.reshape(-1, NET_DIM)
+    return np.add.reduce(terms, -1), grad
 
 
 def net_gradient(W, x):
@@ -131,13 +131,17 @@ def net_gradient(W, x):
 def sigmoid_head(b, w_gain: float = 1.0):
     """Responsibility head pi = 1 / (1 + exp(-w_gain * b)).
 
-    Evaluated in the overflow-free two-branch form and pinned to the open
-    interval (0, 1) so a saturated head never reports exactly 0 or 1.
+    Evaluated overflow-free with e = exp(-|z|): 1 / (1 + e) for z >= 0 and
+    e / (1 + e) below, as one division of a selected numerator, and pinned
+    to the open interval (0, 1) so a saturated head never reports exactly
+    0 or 1. w_gain is a scalar or broadcasts against b (one gain per row).
     """
     z = np.asarray(b, dtype=float) * w_gain
     e = np.exp(-np.abs(z))
-    p = np.where(z >= 0.0, 1.0 / (1.0 + e), e / (1.0 + e))
-    return np.minimum(np.maximum(p, _P_FLOOR), _P_CEIL)[()]
+    p = np.where(z >= 0.0, 1.0, e)
+    p /= 1.0 + e
+    np.maximum(p, _P_FLOOR, out=p)
+    return np.minimum(p, _P_CEIL, out=p)[()]
 
 
 def finite_difference_check(W, x, h: float = 1e-6) -> float:

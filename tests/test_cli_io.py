@@ -57,7 +57,7 @@ def trained_pair(steps=40):
         raw = [rng.uniform(-1, 1), rng.uniform(2, 3.9), rng.uniform(-2, 2),
                rng.uniform(2, 3.9), rng.uniform(-2, 2)]
         x = mulnet.split_input(raw)
-        grp.learn_step_joint([hip, knee], x, rng.uniform(-60, 60, size=2))
+        grp.learn_step_joint(grp.LearnStack([hip, knee]), x, rng.uniform(-60, 60, size=2))
     grp.end_episode(hip)
     grp.end_episode(knee)
     return hip, knee
@@ -416,6 +416,19 @@ def test_cli_train_rejects_nan_lambda(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.count("\n") == 1
     assert "lambda" in err and "finite" in err
+
+
+def test_cli_train_reports_diverging_update(tmp_path, capsys):
+    (tmp_path / "cfg.json").write_text(
+        '{"episodes": 3, "demo_count": 1, "knee": {"mu": 1e6}}')
+    with np.errstate(over="ignore", invalid="ignore"):
+        rc = cli_io.cli(["train", "--config", str(tmp_path / "cfg.json"),
+                         "--out", str(tmp_path)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith("error: non-finite weight update: ")
+    assert not (tmp_path / "knee.json").exists()
 
 
 def test_cli_gradcheck_passes(capsys):

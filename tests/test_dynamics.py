@@ -7,6 +7,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
+from grpleg import NonFiniteError
 from grpleg.dynamics import (
     JointTorques,
     LegParams,
@@ -203,6 +204,13 @@ def test_rk4_convergence_order():
 def test_rejects_nonpositive_dt():
     with pytest.raises(ValueError):
         integrate_step(LegState(1, 1, 0, 0), JointTorques(), P, 0.0)
+
+
+def test_nonfinite_step_raises_dedicated_error():
+    # every stage stays finite; the weighted sum of the four stage
+    # accelerations overflows, and the tiny step keeps the rates finite
+    with pytest.raises(NonFiniteError, match="non-finite state"):
+        integrate_step(LegState(3.8, 3.0, 0.0, 0.0), JointTorques(1e307, 0.0), P, 1e-300)
 
 
 # --- energy -------------------------------------------------------------

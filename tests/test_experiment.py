@@ -282,6 +282,15 @@ def test_evaluate_report_consistency():
             assert np.all((trace.pi > 0) & (trace.pi < 1))
 
 
+def test_evaluate_rejects_missing_model():
+    hip, knee = fresh_pair()
+    tasks = sample_tasks(SampleRanges(), 1, seed=14)
+    with pytest.raises(ValueError, match="needs a hip GrpModel, got NoneType"):
+        evaluate(None, knee, tasks)
+    with pytest.raises(ValueError, match="needs a knee GrpModel, got NoneType"):
+        evaluate(hip, None, tasks)
+
+
 def test_evaluate_never_mutates_weights():
     hip, knee = fresh_pair()
     before = [(W.copy(), R.copy())

@@ -6,9 +6,10 @@ import math
 import numpy as np
 import pytest
 
-from grpleg import grp, mulnet
+from grpleg import NonFiniteError, grp, mulnet
 from grpleg.grp import (
     GrpConfig,
+    LearnStack,
     end_episode,
     forward,
     init,
@@ -228,7 +229,7 @@ def test_forward_stack_is_a_snapshot():
     model = init(GrpConfig(m=2, seed=23))
     joint = stack_models([model])
     G0 = forward(joint, sample_x(8))[0][0].copy()
-    learn_step_joint([model], sample_x(8), [3.0])
+    learn_step_joint(LearnStack([model]), sample_x(8), [3.0])
     assert same_bits(forward(joint, sample_x(8))[0][0], G0)
 
 
@@ -264,7 +265,7 @@ def test_total_output_identity_fuzz():
 def test_learn_step_record_fields():
     model = init(GrpConfig(m=3, seed=7))
     x = sample_x(4)
-    rec = learn_step_joint([model], x, [2.0])[0]
+    rec = learn_step_joint(LearnStack([model]), x, [2.0])[0]
     assert abs(rec.r_RP.sum() - 1.0) < 1e-12
     assert np.array_equal(rec.e_G, 2.0 - rec.G)
     assert np.array_equal(rec.e_RP, rec.r_RP - rec.pi)
@@ -278,7 +279,7 @@ def test_learn_step_gating_freezes_nonresponsible_generator():
     r_G = G[0] + 1e-3  # layer 0 nearly exact, layer 1 clearly off
     before = [W.copy() for W in model.W]
     before_R = [R.copy() for R in model.R]
-    rec = learn_step_joint([model], x, [r_G])[0]
+    rec = learn_step_joint(LearnStack([model]), x, [r_G])[0]
     assert rec.r_RP[0] == 1.0 and rec.r_RP[1] == 0.0
     assert not np.array_equal(model.W[0], before[0])
     assert np.array_equal(model.W[1], before[1])
@@ -292,7 +293,7 @@ def test_learn_step_descends_generator_error():
     x = sample_x(6)
     r_G = 5.0
     e0 = abs(r_G - forward(stack_models([model]), x)[0][0][0])
-    learn_step_joint([model], x, [r_G])
+    learn_step_joint(LearnStack([model]), x, [r_G])
     e1 = abs(r_G - forward(stack_models([model]), x)[0][0][0])
     assert e1 < e0
 
@@ -303,7 +304,7 @@ def test_learn_step_descends_responsible_layer_with_m3():
     r_G = -4.0
     G, _, _ = forward(stack_models([model]), x)[0]
     k = int(np.abs(r_G - G).argmin())
-    learn_step_joint([model], x, [r_G])
+    learn_step_joint(LearnStack([model]), x, [r_G])
     G1, _, _ = forward(stack_models([model]), x)[0]
     assert abs(r_G - G1[k]) < abs(r_G - G[k])
 
@@ -311,7 +312,7 @@ def test_learn_step_descends_responsible_layer_with_m3():
 def test_learn_step_single_layer_reference_is_unity():
     model = init(GrpConfig(m=1, seed=15))
     for trial in range(5):
-        rec = learn_step_joint([model], sample_x(trial), [float(trial)])[0]
+        rec = learn_step_joint(LearnStack([model]), sample_x(trial), [float(trial)])[0]
         assert rec.r_RP[0] == 1.0
 
 
@@ -341,7 +342,7 @@ def test_learn_step_update_formula():
         )
         for k in range(2)
     ]
-    learn_step_joint([model], x, [r_G])
+    learn_step_joint(LearnStack([model]), x, [r_G])
     for k in range(2):
         assert np.allclose(model.W[k], want_W[k], rtol=1e-13, atol=0.0)
         assert np.allclose(model.R[k], want_R[k], rtol=1e-13, atol=0.0)
@@ -351,7 +352,7 @@ def test_learn_step_deterministic_sequence():
     def run():
         model = init(GrpConfig(m=3, seed=21))
         for t in range(50):
-            learn_step_joint([model], sample_x(t), [math.sin(0.1 * t)])
+            learn_step_joint(LearnStack([model]), sample_x(t), [math.sin(0.1 * t)])
             if t % 10 == 9:
                 end_episode(model)
         return model
@@ -376,9 +377,9 @@ def test_learn_step_joint_matches_solo_steps():
     for t in range(200):
         x = sample_x(t)
         r_Gs = rng.uniform(-5.0, 5.0, 2)
-        records = learn_step_joint(joint, x, r_Gs)
+        records = learn_step_joint(LearnStack(joint), x, r_Gs)
         for mdl, r_G, rec in zip(solo, r_Gs, records):
-            alone = learn_step_joint([mdl], x, [r_G])[0]
+            alone = learn_step_joint(LearnStack([mdl]), x, [r_G])[0]
             for field in dataclasses.fields(rec):
                 assert np.array_equal(getattr(rec, field.name),
                                       getattr(alone, field.name))
@@ -396,7 +397,112 @@ def test_learn_step_rejects_nonfinite_update():
     model.W[0][0, 0] = 1e308  # linear gain overflows the forward pass
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(RuntimeError, match="non-finite"):
-            learn_step_joint([model], sample_x(9), [1.0])
+            learn_step_joint(LearnStack([model]), sample_x(9), [1.0])
+
+
+def reference_learn_step(models, x, r_Gs):
+    """The learn step as it was before the live stack: the models' weights
+    are concatenated every tick, and each model is rebound to slices of a
+    newly built array."""
+    S = np.concatenate([mdl.W for mdl in models] + [mdl.R for mdl in models])
+    total = S.shape[0] // 2
+    out, dS = mulnet.forward_and_gradient(S, x)
+    records = []
+    gain = np.empty(2 * total)
+    decay = np.empty(2 * total)
+    lo = 0
+    for mdl, r_G in zip(models, r_Gs):
+        cfg = mdl.config
+        hi = lo + mdl.m
+        G = out[lo:hi]
+        pi = mulnet.sigmoid_head(out[total + lo : total + hi], cfg.w_gain)
+        e_G = r_G - G
+        r_RP = responsibility_reference(e_G, mdl.gamma)
+        e_RP = r_RP - pi
+        mu_k = r_RP * cfg.mu
+        mu_rp = cfg.rp_rate
+        gain[lo:hi] = mu_k * e_G
+        gain[total + lo : total + hi] = mu_rp * e_RP * cfg.w_gain * pi * (1.0 - pi)
+        decay[lo:hi] = mu_k * cfg.lam
+        decay[total + lo : total + hi] = mu_rp * cfg.lam
+        records.append(grp.StepRecord(G=G, pi=pi, e_G=e_G, r_RP=r_RP, e_RP=e_RP))
+        lo = hi
+    new_S = S + gain[:, None, None] * dS - decay[:, None, None] * S
+    assert np.all(np.isfinite(new_S))
+    lo = 0
+    for mdl in models:
+        hi = lo + mdl.m
+        mdl.W = new_S[lo:hi]
+        mdl.R = new_S[total + lo : total + hi]
+        lo = hi
+    return records
+
+
+def test_learn_stack_matches_reference_step():
+    """The live stack reproduces the concatenate-and-rebind learn step bit
+    for bit over 300 ticks: records, weights, gamma and exponent clamps."""
+
+    def pair():
+        hip = init(GrpConfig(m=1, mu=1e-3, mu_rp=1e-2, w_gain=0.5, seed=41))
+        knee = init(GrpConfig(m=3, mu=2e-3, lam=1e-3, w_gain=1.5, beta=1.1, seed=42))
+        hip.R -= 20.0  # off-diagonal exponent arguments clamp at -EXP_CLAMP
+        knee.W[1] -= 20.0
+        return [hip, knee]
+
+    live, ref = pair(), pair()
+    stack = LearnStack(live)
+    rng = np.random.default_rng(43)
+    clamps = 0
+    for t in range(300):
+        x = sample_x(t)
+        r_Gs = rng.uniform(-5.0, 5.0, 2)
+        mulnet.reset_exp_clamp_count()
+        records = learn_step_joint(stack, x, r_Gs)
+        live_clamps = mulnet.exp_clamp_count()
+        mulnet.reset_exp_clamp_count()
+        expected = reference_learn_step(ref, x, r_Gs)
+        assert live_clamps == mulnet.exp_clamp_count()
+        clamps += live_clamps
+        for rec, want in zip(records, expected):
+            for field in dataclasses.fields(rec):
+                assert same_bits(getattr(rec, field.name), getattr(want, field.name))
+        if t % 50 == 49:
+            for mdl in live + ref:
+                end_episode(mdl)
+    assert clamps > 0
+    for a, b in zip(live, ref):
+        assert same_bits(a.W, b.W) and same_bits(a.R, b.R)
+        assert a.gamma == b.gamma and a.episode_count == b.episode_count == 6
+
+
+def test_learn_stack_weights_are_views():
+    hip, knee = init(GrpConfig(m=1, seed=44)), init(GrpConfig(m=3, seed=45))
+    stack = LearnStack([hip, knee])
+    learn_step_joint(stack, sample_x(10), [1.0, -1.0])
+    assert stack.S.shape == (8, 8, 8)
+    for mdl, lo, hi in ((hip, 0, 1), (knee, 1, 4)):
+        assert mdl.W.base is stack.S and mdl.R.base is stack.S
+        assert same_bits(mdl.W, stack.S[lo:hi])
+        assert same_bits(mdl.R, stack.S[4 + lo : 4 + hi])
+
+
+def test_learn_stack_nonfinite_update_changes_nothing():
+    hip, knee = init(GrpConfig(m=1, seed=46)), init(GrpConfig(m=3, seed=47))
+    stack = LearnStack([hip, knee])
+    learn_step_joint(stack, sample_x(11), [1.0, -1.0])
+    knee.W[2][2, 2] = 1e308  # the hip-angle gain overflows the forward pass
+    before = [(mdl.W.copy(), mdl.R.copy()) for mdl in (hip, knee)]
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NonFiniteError, match="non-finite weight update"):
+            learn_step_joint(stack, sample_x(12), [1.0, -1.0])
+    for mdl, (W, R) in zip((hip, knee), before):
+        assert same_bits(mdl.W, W) and same_bits(mdl.R, R)
+
+
+def test_learn_stack_rejects_repeated_model():
+    model = init(GrpConfig(m=2, seed=48))
+    with pytest.raises(ValueError, match="same model appears twice"):
+        LearnStack([model, model])
 
 
 # -------------------------------------------------------------- end_episode

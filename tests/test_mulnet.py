@@ -287,6 +287,33 @@ def test_sigmoid_monotone():
     assert np.all(np.diff(p) > 0.0)
 
 
+@pytest.mark.parametrize("gain", ["scalar", "per-row"])
+def test_sigmoid_matches_two_branch_bits(gain):
+    """One division of a selected numerator gives the bits of the two-branch
+    form, for 0-d and 1-d input."""
+    b = np.array([0.0, -0.0, 1e-300, -1e-300, 40.0, -40.0, 800.0, -800.0])
+    w = 1.0 if gain == "scalar" else np.linspace(0.5, 2.0, b.size)
+
+    def two_branch(b, w):
+        z = np.asarray(b, dtype=float) * w
+        e = np.exp(-np.abs(z))
+        p = np.where(z >= 0.0, 1.0 / (1.0 + e), e / (1.0 + e))
+        tiny, below_one = np.finfo(float).tiny, np.nextafter(1.0, 0.0)
+        return np.minimum(np.maximum(p, tiny), below_one)
+
+    def bits(a):
+        return np.ascontiguousarray(a, dtype=float).view(np.int64)
+
+    got = sigmoid_head(b, w)
+    assert got.shape == b.shape
+    assert np.array_equal(bits(got), bits(two_branch(b, w)))
+    for i in range(b.size):
+        wi = w if np.isscalar(w) else w[i]
+        one = sigmoid_head(b[i], wi)
+        assert np.ndim(one) == 0
+        assert np.array_equal(bits(one), bits(two_branch(b[i], wi)))
+
+
 # ------------------------------------------------------------ clamp guard
 
 
