@@ -98,18 +98,32 @@ def _reject_unknown(data: dict, allowed, where: str) -> None:
         raise ValueError(f"unknown config key '{where}{unknown[0]}'")
 
 
+def _int(value, key: str) -> int:
+    """A JSON integer, not coerced; the error names the dotted `key`."""
+    if type(value) is not int:
+        raise ValueError(f"{key} must be an integer, got {value!r}")
+    return value
+
+
+def _float(value, key: str) -> float:
+    """A JSON number (not a bool or string) as a float."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{key} must be a number, got {value!r}")
+    return float(value)
+
+
 def _float_dataclass(cls, data: dict, where: str):
     """Parse a dataclass whose fields are all floats; absent keys keep
     their defaults."""
     names = [f.name for f in dataclasses.fields(cls)]
     _reject_unknown(data, names, where)
-    return cls(**{k: float(data[k]) for k in names if k in data})
+    return cls(**{k: _float(data[k], where + k) for k in names if k in data})
 
 
 def _pair(value, key: str) -> tuple[float, float]:
     if not isinstance(value, (list, tuple)) or len(value) != 2:
         raise ValueError(f"config key '{key}' must be a [lo, hi] pair")
-    return (float(value[0]), float(value[1]))
+    return (_float(value[0], f"{key}[0]"), _float(value[1], f"{key}[1]"))
 
 
 def _ranges_from_dict(data: dict, where: str) -> SampleRanges:
@@ -121,7 +135,7 @@ def _ranges_from_dict(data: dict, where: str) -> SampleRanges:
             kwargs[name] = _pair(data[name], where + name)
     for name in ("phi_h0", "phi_k0"):
         if name in data:
-            kwargs[name] = float(data[name])
+            kwargs[name] = _float(data[name], where + name)
     return SampleRanges(**kwargs)
 
 
@@ -154,14 +168,15 @@ def grp_config_from_dict(data: dict, where: str = "",
                   for f in dataclasses.fields(GrpConfig)}
     for key in ("m", "seed"):
         if key in data:
-            kwargs[key] = int(data[key])
+            kwargs[key] = _int(data[key], where + key)
     if "mu_rp" in data:
-        kwargs["mu_rp"] = None if data["mu_rp"] is None else float(data["mu_rp"])
+        mu_rp = data["mu_rp"]
+        kwargs["mu_rp"] = None if mu_rp is None else _float(mu_rp, where + "mu_rp")
     if "lambda" in data:
-        kwargs["lam"] = float(data["lambda"])
+        kwargs["lam"] = _float(data["lambda"], where + "lambda")
     for key in ("mu", "gamma0", "beta", "w_gain", "init_scale"):
         if key in data:
-            kwargs[key] = float(data[key])
+            kwargs[key] = _float(data[key], where + key)
     return GrpConfig(**kwargs)
 
 
@@ -204,10 +219,10 @@ def run_config_from_dict(data: dict) -> RunConfig:
         kwargs["knee"] = grp_config_from_dict(data["knee"], "knee.", DEFAULT_KNEE)
     for name in ("dt", "timeout"):
         if name in data:
-            kwargs[name] = float(data[name])
+            kwargs[name] = _float(data[name], name)
     for name in ("episodes", "demo_count", "eval_count", "demo_seed", "eval_seed"):
         if name in data:
-            kwargs[name] = int(data[name])
+            kwargs[name] = _int(data[name], name)
     return RunConfig(**kwargs)
 
 
@@ -252,6 +267,8 @@ def model_from_dict(data: dict) -> GrpModel:
             raise ValueError(f"model file missing key '{key}'")
     if data["format"] != MODEL_FORMAT:
         raise ValueError(f"unsupported model format {data['format']!r}")
+    if "m" not in data["config"]:
+        raise ValueError("model file config missing key 'm'")
     config = grp_config_from_dict(data["config"], "config.")
     layers_raw = data["layers"]
     if len(layers_raw) != config.m:
@@ -272,13 +289,10 @@ def model_from_dict(data: dict) -> GrpModel:
             if not np.isfinite(mat).all():
                 raise ValueError(f"layers[{k}].{name} has non-finite entries")
             stack[k] = mat
-    gamma = float(data["gamma"])
+    gamma = _float(data["gamma"], "gamma")
     if not 0.0 < gamma < math.inf:
         raise ValueError(f"gamma must be positive and finite, got {gamma}")
-    episode_count = data["episode_count"]
-    if type(episode_count) is not int:
-        raise ValueError(
-            f"episode_count must be an integer, got {episode_count!r}")
+    episode_count = _int(data["episode_count"], "episode_count")
     if episode_count < 0:
         raise ValueError(f"episode_count must be >= 0, got {episode_count}")
     return GrpModel(W=W, R=R, gamma=gamma, config=config,
@@ -299,22 +313,19 @@ _TRACE_COL = re.compile(r"^(\w+)_(G|pi|r)_([1-9][0-9]*)$")
 def write_trajectory(path, traj: Trajectory) -> None:
     names = list(FIXED_COLUMNS)
     cols = [traj.t, traj.phi_h, traj.phi_k, traj.phi_h_dot, traj.phi_k_dot,
-            traj.alpha, traj.alpha_dot, traj.l, traj.tau_h, traj.tau_k]
+            traj.alpha, traj.alpha_dot, traj.l, traj.tau_h, traj.tau_k,
+            traj.phase, traj.contact]
     for model_name, trace in traj.traces.items():
         for k in range(trace.G.shape[1]):
             names += [f"{model_name}_G_{k + 1}",
                       f"{model_name}_pi_{k + 1}",
                       f"{model_name}_r_{k + 1}"]
             cols += [trace.G[:, k], trace.pi[:, k], trace.r[:, k]]
-    phase = traj.phase
-    contact = traj.contact
+    # '%.17g' % x is f"{x:.17g}" for every double, nan, inf and -0 included
+    row = ",".join(["%.17g"] * 10 + ["%d", "%d"] + ["%.17g"] * (len(cols) - 12)) + "\n"
     with open(path, "w", newline="\n") as fh:
         fh.write(",".join(names) + "\n")
-        for i in range(len(traj)):
-            head = [f"{c[i]:.17g}" for c in cols[:10]]
-            tail = [f"{c[i]:.17g}" for c in cols[10:]]
-            fh.write(",".join(head + [f"{phase[i]:d}", f"{int(contact[i]):d}"]
-                              + tail) + "\n")
+        fh.write("".join([row % r for r in zip(*[c.tolist() for c in cols])]))
 
 
 def _parse_trace_header(extra: list[str], path) -> list[tuple[str, int]]:

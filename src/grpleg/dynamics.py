@@ -151,6 +151,14 @@ def saturate(torques: JointTorques, params: LegParams) -> JointTorques:
     )
 
 
+def _mass_coefficients(params: LegParams) -> tuple[float, float, float, float, float]:
+    """(a, b, c, d1, d2): the mass-matrix terms a, b, c and the gravity
+    terms d1, d2 of the equations of motion."""
+    lt, ls, mt, ms, g = params.l_t, params.l_s, params.m_t, params.m_s, params.g
+    return ((0.25 * mt + ms) * lt * lt, 0.25 * ms * ls * ls, 0.5 * ms * lt * ls,
+            (0.5 * mt + ms) * lt * g, 0.5 * ms * ls * g)
+
+
 def _accel_generalized(
     phi_h: float,
     phi_k: float,
@@ -159,6 +167,7 @@ def _accel_generalized(
     tau_h: float,
     tau_k: float,
     params: LegParams,
+    coef: tuple[float, float, float, float, float],
 ) -> tuple[float, float]:
     """Accelerations (phi_h_ddot, phi_k_ddot).
 
@@ -170,21 +179,16 @@ def _accel_generalized(
 
     with d = theta_t - theta_s. The generalized-force mapping follows from
     phi_h = theta_t + pi/2, phi_k = theta_t - theta_s + pi (virtual work).
+    `coef` is `_mass_coefficients(params)`, passed in so a caller making
+    several calls computes it once.
     """
-    lt, ls, mt, ms, g = params.l_t, params.l_s, params.m_t, params.m_s, params.g
-
     tau_k = tau_k + knee_stop_torque(phi_k, phi_k_dot, params)
 
     theta_t = phi_h - 0.5 * math.pi
     theta_s = phi_h + 0.5 * math.pi - phi_k
     tt_d = phi_h_dot
     ts_d = phi_h_dot - phi_k_dot
-
-    a = (0.25 * mt + ms) * lt * lt
-    b = 0.25 * ms * ls * ls
-    c = 0.5 * ms * lt * ls
-    d1 = (0.5 * mt + ms) * lt * g
-    d2 = 0.5 * ms * ls * g
+    a, b, c, d1, d2 = coef
 
     delta = theta_t - theta_s
     cd, sd = math.cos(delta), math.sin(delta)
@@ -195,6 +199,8 @@ def _accel_generalized(
     m12 = c * cd
     det = a * b - m12 * m12
     if not det > 1e-12:
+        if det != det:  # a NaN angle; only NaN is unequal to itself
+            raise ValueError("NaN joint angle in the mass matrix")
         # cannot happen for positive masses/lengths (det >= a*b - c^2 > 0)
         raise RuntimeError(f"singular mass matrix (det={det})")
 
@@ -216,33 +222,44 @@ def accelerations(
         torques.tau_h,
         torques.tau_k,
         params,
+        _mass_coefficients(params),
     )
 
 
 def integrate_step(
     state: LegState, torques: JointTorques, params: LegParams, dt: float
 ) -> LegState:
-    """One classical 4th-order fixed step with torques held constant."""
+    """One classical 4th-order fixed step with torques held constant; raises
+    NonFiniteError, naming the step's time, if the state or torque goes non-finite."""
     if not dt > 0.0:
         raise ValueError("dt must be positive")
     th, tk = torques.tau_h, torques.tau_k
-
-    def deriv(q1, q2, v1, v2):
-        a1, a2 = _accel_generalized(q1, q2, v1, v2, th, tk, params)
-        return v1, v2, a1, a2
-
-    y = (state.phi_h, state.phi_k, state.phi_h_dot, state.phi_k_dot)
-    k1 = deriv(*y)
-    k2 = deriv(*(yi + 0.5 * dt * ki for yi, ki in zip(y, k1)))
-    k3 = deriv(*(yi + 0.5 * dt * ki for yi, ki in zip(y, k2)))
-    k4 = deriv(*(yi + dt * ki for yi, ki in zip(y, k3)))
-    out = tuple(
-        yi + dt / 6.0 * (a + 2.0 * b + 2.0 * c + d)
-        for yi, a, b, c, d in zip(y, k1, k2, k3, k4)
+    coef = _mass_coefficients(params)
+    h = 0.5 * dt
+    qh, qk, vh, vk = state.phi_h, state.phi_k, state.phi_h_dot, state.phi_k_dot
+    # stage j evaluates the accelerations (ah_j, ak_j) at rates (vh_j, vk_j)
+    try:
+        ah1, ak1 = _accel_generalized(qh, qk, vh, vk, th, tk, params, coef)
+        vh2, vk2 = vh + h * ah1, vk + h * ak1
+        ah2, ak2 = _accel_generalized(qh + h * vh, qk + h * vk, vh2, vk2, th, tk, params, coef)
+        vh3, vk3 = vh + h * ah2, vk + h * ak2
+        ah3, ak3 = _accel_generalized(qh + h * vh2, qk + h * vk2, vh3, vk3, th, tk, params, coef)
+        vh4, vk4 = vh + dt * ah3, vk + dt * ak3
+        ah4, ak4 = _accel_generalized(qh + dt * vh3, qk + dt * vk3, vh4, vk4, th, tk, params, coef)
+    except ValueError as exc:  # math.cos(inf), or a NaN angle in the mass matrix
+        raise NonFiniteError(
+            f"non-finite state or torque in integration step at t={state.t}: {exc}"
+        ) from exc
+    s = dt / 6.0
+    out = (
+        qh + s * (vh + 2.0 * vh2 + 2.0 * vh3 + vh4),
+        qk + s * (vk + 2.0 * vk2 + 2.0 * vk3 + vk4),
+        vh + s * (ah1 + 2.0 * ah2 + 2.0 * ah3 + ah4),
+        vk + s * (ak1 + 2.0 * ak2 + 2.0 * ak3 + ak4),
     )
-    if not all(math.isfinite(v) for v in out):
+    if not all(map(math.isfinite, out)):
         raise NonFiniteError(f"non-finite state after integration step at t={state.t}")
-    return LegState(out[0], out[1], out[2], out[3], t=state.t + dt)
+    return LegState(*out, t=state.t + dt)
 
 
 def total_energy(state: LegState, params: LegParams) -> float:
@@ -252,9 +269,7 @@ def total_energy(state: LegState, params: LegParams) -> float:
     tt_d = state.phi_h_dot
     ts_d = state.phi_h_dot - state.phi_k_dot
 
-    a = (0.25 * mt + ms) * lt * lt
-    b = 0.25 * ms * ls * ls
-    c = 0.5 * ms * lt * ls
+    a, b, c, _, _ = _mass_coefficients(params)
     kinetic = (
         0.5 * a * tt_d * tt_d
         + 0.5 * b * ts_d * ts_d

@@ -188,14 +188,13 @@ def _swing_rollout(
 
     state = init_state
     ctrl = ControllerState()
-    cols = {k: [] for k in ("t", "phi_h", "phi_k", "phi_h_dot", "phi_k_dot")}
-    cols.update({k: [] for k in ("alpha", "alpha_dot", "l", "tau_h", "tau_k")})
-    phases, contacts = [], []
+    # per tick: Trajectory's first ten fields in order, then phase, contact
+    ticks = []
     layer_rows = []  # per tick: (hip, knee) outputs of grp.forward
 
     while True:
         kin = kinematics(state, params)
-        demo_tq, ctrl = control_step(state, ctrl, task, gains, params)
+        demo_tq, ctrl = control_step(kin, ctrl, task, gains)
 
         if joint is None:
             applied = saturate(demo_tq, params)
@@ -205,18 +204,11 @@ def _swing_rollout(
             applied = saturate(JointTorques(hip_out[2], knee_out[2]), params)
             layer_rows.append((hip_out, knee_out))
 
-        cols["t"].append(state.t)
-        cols["phi_h"].append(state.phi_h)
-        cols["phi_k"].append(state.phi_k)
-        cols["phi_h_dot"].append(state.phi_h_dot)
-        cols["phi_k_dot"].append(state.phi_k_dot)
-        cols["alpha"].append(kin.alpha)
-        cols["alpha_dot"].append(kin.alpha_dot)
-        cols["l"].append(kin.l)
-        cols["tau_h"].append(applied.tau_h)
-        cols["tau_k"].append(applied.tau_k)
-        phases.append(int(ctrl.phase))
-        contacts.append(ctrl.contact)
+        ticks.append((
+            state.t, state.phi_h, state.phi_k, state.phi_h_dot, state.phi_k_dot,
+            kin.alpha, kin.alpha_dot, kin.l, applied.tau_h, applied.tau_k,
+            ctrl.phase, ctrl.contact,
+        ))
 
         if ctrl.contact or state.t >= timeout:
             break
@@ -231,17 +223,9 @@ def _swing_rollout(
                 # no reference torque exists when models drive: r is all NaN
                 r=np.full((len(rows), mdl.m), np.nan),
             )
+    *floats, phases, contacts = zip(*ticks)
     return Trajectory(
-        t=np.array(cols["t"]),
-        phi_h=np.array(cols["phi_h"]),
-        phi_k=np.array(cols["phi_k"]),
-        phi_h_dot=np.array(cols["phi_h_dot"]),
-        phi_k_dot=np.array(cols["phi_k_dot"]),
-        alpha=np.array(cols["alpha"]),
-        alpha_dot=np.array(cols["alpha_dot"]),
-        l=np.array(cols["l"]),
-        tau_h=np.array(cols["tau_h"]),
-        tau_k=np.array(cols["tau_k"]),
+        *map(np.array, floats),
         phase=np.array(phases, dtype=int),
         contact=np.array(contacts, dtype=bool),
         task=task,

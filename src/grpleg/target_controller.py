@@ -174,15 +174,14 @@ def update_contact(ctrl: ControllerState, kin: KinematicSnapshot, task: SwingTas
 
 
 def control_step(
-    state: LegState,
+    kin: KinematicSnapshot,
     ctrl: ControllerState,
     task: SwingTask,
     gains: ControllerGains,
-    params: LegParams,
 ) -> tuple[JointTorques, ControllerState]:
-    """One control tick: phase update, knee-policy dispatch, hip composition,
-    contact test."""
-    kin = kinematics(state, params)
+    """One control tick on the kinematic snapshot `kin` of the current state
+    (`dynamics.kinematics`): phase update, knee-policy dispatch, hip
+    composition, contact test."""
     ctrl = update_phase(ctrl, kin, task)
     tau_add = 0.0
     if ctrl.phase is Phase.FLEXION:

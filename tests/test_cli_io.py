@@ -1,5 +1,6 @@
 """File formats and command line: strict configs, exact round-trips."""
 
+import dataclasses
 import json
 import math
 import os
@@ -36,6 +37,7 @@ from grpleg.experiment import (
     ModelTrace,
     SampleRanges,
     annotate_with_models,
+    evaluate,
     run_demo_episode,
     sample_tasks,
 )
@@ -131,6 +133,38 @@ def test_run_config_validation(kwargs):
         RunConfig(**kwargs)
 
 
+@pytest.mark.parametrize(
+    "parse, data, key",
+    [
+        (grp_config_from_dict, {"m": 3.7}, "m must be an integer, got 3.7"),
+        (run_config_from_dict, {"episodes": 1599.7}, "episodes must be an integer"),
+        (run_config_from_dict, {"params": {"g": True}},
+         "params.g must be a number, got True"),
+        (run_config_from_dict, {"demo_seed": "7"},
+         "demo_seed must be an integer, got '7'"),
+        (run_config_from_dict, {"knee": {"seed": "7"}},
+         "knee.seed must be an integer, got '7'"),
+        (run_config_from_dict, {"dt": "0.001"}, "dt must be a number, got '0.001'"),
+        (run_config_from_dict, {"hip": {"m": True}}, "hip.m must be an integer"),
+        (run_config_from_dict, {"knee": {"lambda": "1e-4"}},
+         "knee.lambda must be a number"),
+        (run_config_from_dict, {"ranges": {"alpha_tgt": [0.9, "1.4"]}},
+         "ranges.alpha_tgt\\[1\\] must be a number"),
+    ],
+    ids=["m-float", "episodes-float", "g-bool", "demo_seed-str", "knee.seed-str",
+         "dt-str", "hip.m-bool", "knee.lambda-str", "alpha_tgt-str"],
+)
+def test_config_rejects_coercible_values(parse, data, key):
+    with pytest.raises(ValueError, match=key):
+        parse(data)
+
+
+def test_config_accepts_json_integers_for_floats():
+    cfg = run_config_from_dict({"dt": 1, "params": {"g": 10}, "hip": {"mu_rp": None}})
+    assert (cfg.dt, cfg.params.g, cfg.hip.mu_rp) == (1.0, 10.0, None)
+    assert type(cfg.dt) is float and type(cfg.params.g) is float
+
+
 def test_grp_config_lambda_key_and_null_rp_rate():
     cfg = GrpConfig(m=2, lam=3e-5, mu_rp=None)
     data = grp_config_to_dict(cfg)
@@ -199,6 +233,7 @@ def test_model_loaded_forward_matches(tmp_path):
         (lambda d: d.update(episode_count=True),
          "episode_count must be an integer, got True"),
         (lambda d: d.update(episode_count="3"), "episode_count must be an integer"),
+        (lambda d: d["config"].pop("m"), "model file config missing key 'm'"),
     ],
 )
 def test_model_file_rejects_malformed(mangle, message):
@@ -226,6 +261,58 @@ def test_knee_trace_adds_nine_columns(tmp_path, demo_traj):
     header = (tmp_path / "k.csv").read_text().splitlines()[0].split(",")
     assert len(header) == 12 + 9
     assert header[12:15] == ["knee_G_1", "knee_pi_1", "knee_r_1"]
+
+
+def reference_csv(traj) -> bytes:
+    """A trajectory CSV with every value formatted on its own: f"{v:.17g}"
+    per double, the phase and contact as integers."""
+    names = list(FIXED_COLUMNS)
+    cols = [getattr(traj, name) for name in FIXED_COLUMNS[:10]]
+    for model_name, trace in traj.traces.items():
+        for k in range(trace.G.shape[1]):
+            names += [f"{model_name}_{f}_{k + 1}" for f in ("G", "pi", "r")]
+            cols += [trace.G[:, k], trace.pi[:, k], trace.r[:, k]]
+    lines = [",".join(names)]
+    for i in range(len(traj)):
+        fields = [f"{c[i]:.17g}" for c in cols[:10]]
+        fields += [f"{traj.phase[i]:d}", f"{int(traj.contact[i]):d}"]
+        fields += [f"{c[i]:.17g}" for c in cols[10:]]
+        lines.append(",".join(fields))
+    return ("\n".join(lines) + "\n").encode()
+
+
+SPECIAL_DOUBLES = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e308]
+
+
+def with_special_doubles(traj):
+    """A copy whose float columns start with SPECIAL_DOUBLES, rotated per
+    column, and whose contact column alternates."""
+    n = len(SPECIAL_DOUBLES)
+    fixed = {name: getattr(traj, name).copy() for name in FIXED_COLUMNS[:10]}
+    traces = {name: ModelTrace(G=t.G.copy(), pi=t.pi.copy(), r=t.r.copy())
+              for name, t in traj.traces.items()}
+    cols = list(fixed.values()) + [
+        a.T for t in traces.values() for a in (t.G, t.pi, t.r)]
+    for j, col in enumerate(cols):
+        col[..., :n] = np.roll(SPECIAL_DOUBLES, j)
+    contact = np.arange(len(traj)) % 2 == 0
+    return dataclasses.replace(traj, **fixed, contact=contact, traces=traces)
+
+
+@pytest.mark.parametrize("driven_by", ["controller", "models"])
+def test_trajectory_bytes_match_per_value_format(tmp_path, demo_traj, driven_by):
+    if driven_by == "controller":
+        traj = demo_traj
+    else:
+        hip, knee = trained_pair()
+        tasks = sample_tasks(SampleRanges(), 1, seed=5)
+        traj = evaluate(hip, knee, tasks)[1][0]
+        assert np.isnan(traj.traces["knee"].r).all()
+    for case in (traj, with_special_doubles(traj)):
+        write_trajectory(tmp_path / "t.csv", case)
+        assert (tmp_path / "t.csv").read_bytes() == reference_csv(case)
+    first = [line.split(b",")[0] for line in reference_csv(case).splitlines()[1:7]]
+    assert first == [b"nan", b"inf", b"-inf", b"-0", b"4.9406564584124654e-324", b"1e+308"]
 
 
 def test_trajectory_round_trip_value_exact(tmp_path, demo_traj):

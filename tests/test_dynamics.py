@@ -213,6 +213,79 @@ def test_nonfinite_step_raises_dedicated_error():
         integrate_step(LegState(3.8, 3.0, 0.0, 0.0), JointTorques(1e307, 0.0), P, 1e-300)
 
 
+@pytest.mark.parametrize(
+    "state, torques, dt",
+    [
+        # the stage rates overflow to inf and math.cos(inf) has no value
+        (LegState(3.8, 3.0, 0.0, 0.0), JointTorques(1e308, 0.0), 1e-300),
+        # NaN accelerations reach the angles by the third stage
+        (LegState(3.8, 3.0, 0.0, 0.0), JointTorques(math.nan, 0.0), 1e-3),
+        (LegState(math.inf, 3.0, 0.0, 0.0), JointTorques(), 1e-3),
+    ],
+    ids=["overflow", "nan-torque", "inf-angle"],
+)
+def test_plant_divergence_raises_nonfinite_error(state, torques, dt):
+    with pytest.raises(NonFiniteError, match=r"non-finite state or torque .* at t=0\.0"):
+        integrate_step(state, torques, P, dt)
+
+
+def test_singular_mass_matrix_stays_a_runtime_error():
+    # a vanishing thigh mass makes det(M) = 0 up to rounding with the leg
+    # straight; that is a bad plant, not a diverging state
+    params = LegParams(m_t=1e-20)
+    with pytest.raises(RuntimeError, match="singular mass matrix") as excinfo:
+        integrate_step(LegState(3.8, math.pi, 0.0, 0.0), JointTorques(), params, 1e-3)
+    assert excinfo.type is RuntimeError
+
+
+def reference_rk4(state, torques, params, dt):
+    """The generic RK4 step that `integrate_step` unrolls: a derivative
+    closure over `accelerations` and one generator per stage."""
+
+    def deriv(q1, q2, v1, v2):
+        a1, a2 = accelerations(LegState(q1, q2, v1, v2), torques, params)
+        return v1, v2, a1, a2
+
+    y = (state.phi_h, state.phi_k, state.phi_h_dot, state.phi_k_dot)
+    k1 = deriv(*y)
+    k2 = deriv(*(yi + 0.5 * dt * ki for yi, ki in zip(y, k1)))
+    k3 = deriv(*(yi + 0.5 * dt * ki for yi, ki in zip(y, k2)))
+    k4 = deriv(*(yi + dt * ki for yi, ki in zip(y, k3)))
+    out = tuple(
+        yi + dt / 6.0 * (a + 2.0 * b + 2.0 * c + d)
+        for yi, a, b, c, d in zip(y, k1, k2, k3, k4)
+    )
+    return LegState(*out, t=state.t + dt)
+
+
+def test_integrate_step_matches_generic_rk4_bits():
+    rng = np.random.default_rng(606)
+    tau_max = P.tau_max
+    stop_engaged = 0
+    for i in range(400):
+        # every fifth knee starts past pi, inside the stop
+        knee = math.pi + rng.uniform(0.0, 0.05) if i % 5 == 0 else rng.uniform(2.0, 3.1)
+        st = LegState(
+            rng.uniform(2.5, 4.5),
+            knee,
+            rng.uniform(-10.0, 10.0),
+            rng.uniform(-15.0, 15.0),
+            t=rng.uniform(0.0, 2.0),
+        )
+        stop_engaged += st.phi_k > math.pi
+        tau = rng.uniform(-tau_max, tau_max, size=2)
+        tau[rng.random(2) < 0.3] = tau_max
+        tau[rng.random(2) < 0.3] = -tau_max
+        torques = JointTorques(float(tau[0]), float(tau[1]))
+        dt = (1e-3, 2e-2)[i % 2]
+        got = integrate_step(st, torques, P, dt)
+        want = reference_rk4(st, torques, P, dt)
+        got_bits = np.array([got.phi_h, got.phi_k, got.phi_h_dot, got.phi_k_dot, got.t])
+        want_bits = np.array([want.phi_h, want.phi_k, want.phi_h_dot, want.phi_k_dot, want.t])
+        assert got_bits.tobytes() == want_bits.tobytes(), (st, torques, dt)
+    assert stop_engaged == 80
+
+
 # --- energy -------------------------------------------------------------
 
 def test_energy_at_rest_equilibrium():

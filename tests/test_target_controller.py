@@ -15,6 +15,7 @@ from grpleg.dynamics import (
     kinematics,
     saturate,
 )
+from grpleg.experiment import run_demo_episode
 from grpleg.target_controller import (
     ControllerGains,
     ControllerState,
@@ -56,7 +57,7 @@ def rollout(st, task, timeout=2.0):
     ctrl = ControllerState()
     steps = []
     while True:
-        tq, ctrl = control_step(st, ctrl, task, G, P)
+        tq, ctrl = control_step(kinematics(st, P), ctrl, task, G)
         steps.append((st, tq, ctrl))
         if ctrl.contact or st.t >= timeout:
             return st, ctrl, steps
@@ -190,7 +191,7 @@ def test_stop_extend_is_terminal():
 
 def test_initial_state_dispatches_flexion_policy():
     st, task = demo_task(vh=-2.0, vk=-1.0)  # alpha_dot = -1.5
-    tq, ctrl = control_step(st, ControllerState(), task, G, P)
+    tq, ctrl = control_step(kinematics(st, P), ControllerState(), task, G)
     assert ctrl.phase is Phase.FLEXION
     kin = kinematics(st, P)
     assert tq.tau_k == pytest.approx(G.k_i * kin.alpha_dot)
@@ -254,6 +255,26 @@ def test_extension_term_follows_latch_exactly():
             latched_seen = True
         assert tq.tau_k == expect
     assert latched_seen
+
+
+def test_demo_rollout_records_the_control_steps():
+    # the library rollout computes one snapshot per tick and hands it to
+    # control_step; its rows must be the helper's ticks, value for value
+    st, task = demo_task(alpha_tgt_deg=72.0)
+    _, _, steps = rollout(st, task)
+    traj = run_demo_episode(task, st, G, P, DT)
+    assert len(traj) == len(steps)
+    for i, (state, tq, ctrl) in enumerate(steps):
+        kin = kinematics(state, P)
+        applied = saturate(tq, P)
+        want = (state.t, state.phi_h, state.phi_k, state.phi_h_dot, state.phi_k_dot,
+                kin.alpha, kin.alpha_dot, kin.l, applied.tau_h, applied.tau_k,
+                int(ctrl.phase), ctrl.contact)
+        got = tuple(getattr(traj, name)[i] for name in (
+            "t", "phi_h", "phi_k", "phi_h_dot", "phi_k_dot", "alpha", "alpha_dot",
+            "l", "tau_h", "tau_k", "phase", "contact"))
+        assert got == want, i
+    assert traj.contact[-1] and not traj.timed_out
 
 
 def test_contact_requires_latched_extension():
