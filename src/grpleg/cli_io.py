@@ -11,10 +11,12 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import re
 import sys
+import typing
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -92,10 +94,18 @@ class RunConfig:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
 
 
-def _reject_unknown(data: dict, allowed, where: str) -> None:
+def _object(data, allowed, where: str) -> dict:
+    """`data`, if it is a JSON object with no key outside `allowed`."""
+    if not isinstance(data, dict):
+        raise ValueError(f"{where[:-1] or 'top level'} must be an object, got {data!r}")
     unknown = sorted(set(data) - set(allowed))
     if unknown:
         raise ValueError(f"unknown config key '{where}{unknown[0]}'")
+    return data
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 def _int(value, key: str) -> int:
@@ -106,124 +116,68 @@ def _int(value, key: str) -> int:
 
 
 def _float(value, key: str) -> float:
-    """A JSON number (not a bool or string) as a float."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
+    """A finite JSON number (not a bool or string) as a float."""
+    if not _is_number(value):
         raise ValueError(f"{key} must be a number, got {value!r}")
+    if not math.isfinite(value):
+        raise ValueError(f"{key} has non-finite value {value!r}")
     return float(value)
 
 
-def _float_dataclass(cls, data: dict, where: str):
-    """Parse a dataclass whose fields are all floats; absent keys keep
-    their defaults."""
-    names = [f.name for f in dataclasses.fields(cls)]
-    _reject_unknown(data, names, where)
-    return cls(**{k: _float(data[k], where + k) for k in names if k in data})
+@functools.cache
+def _fields(cls) -> tuple:
+    """(attribute, JSON key, resolved type, default) per field of a config
+    dataclass, in declaration order, which is also the on-disk key order.
+    `lam` is written as `lambda`, the one key that differs."""
+    hints = typing.get_type_hints(cls)
+    return tuple((f.name, "lambda" if f.name == "lam" else f.name,
+                  hints[f.name], f.default) for f in dataclasses.fields(cls))
 
 
-def _pair(value, key: str) -> tuple[float, float]:
-    if not isinstance(value, (list, tuple)) or len(value) != 2:
-        raise ValueError(f"config key '{key}' must be a [lo, hi] pair")
-    return (_float(value[0], f"{key}[0]"), _float(value[1], f"{key}[1]"))
+def _value(tp, value, key: str, base):
+    if tp is int:
+        return _int(value, key)
+    if tp is float:
+        return _float(value, key)
+    if tp == float | None:
+        return None if value is None else _float(value, key)
+    if tp == tuple[float, float]:
+        if not isinstance(value, list) or len(value) != 2:
+            raise ValueError(f"config key '{key}' must be a [lo, hi] pair")
+        return (_float(value[0], f"{key}[0]"), _float(value[1], f"{key}[1]"))
+    return _from_json(tp, value, key + ".", base)
 
 
-def _ranges_from_dict(data: dict, where: str) -> SampleRanges:
-    names = [f.name for f in dataclasses.fields(SampleRanges)]
-    _reject_unknown(data, names, where)
+def _from_json(cls, data, where: str = "", base=None):
+    """A config dataclass from its JSON form, each value checked against
+    its field's type. Keys not present keep `base`'s value (or the field
+    default); every error names the dotted key."""
+    fields = _fields(cls)
+    _object(data, [key for _, key, _, _ in fields], where)
     kwargs = {}
-    for name in ("alpha_tgt", "phi_h_dot0", "phi_k_dot0"):
-        if name in data:
-            kwargs[name] = _pair(data[name], where + name)
-    for name in ("phi_h0", "phi_k0"):
-        if name in data:
-            kwargs[name] = _float(data[name], where + name)
-    return SampleRanges(**kwargs)
-
-
-_GRP_KEYS = ("m", "mu", "mu_rp", "lambda", "gamma0", "beta", "w_gain",
-             "init_scale", "seed")
-
-
-def grp_config_to_dict(config: GrpConfig) -> dict:
-    return {
-        "m": config.m,
-        "mu": config.mu,
-        "mu_rp": config.mu_rp,
-        "lambda": config.lam,
-        "gamma0": config.gamma0,
-        "beta": config.beta,
-        "w_gain": config.w_gain,
-        "init_scale": config.init_scale,
-        "seed": config.seed,
-    }
-
-
-def grp_config_from_dict(data: dict, where: str = "",
-                         base: GrpConfig | None = None) -> GrpConfig:
-    """GrpConfig from its JSON form; keys not present fall back to `base`
-    (or the dataclass defaults). `lambda` maps to the decay rate."""
-    _reject_unknown(data, _GRP_KEYS, where)
-    kwargs = {}
-    if base is not None:
-        kwargs = {f.name: getattr(base, f.name)
-                  for f in dataclasses.fields(GrpConfig)}
-    for key in ("m", "seed"):
+    for name, key, tp, default in fields:
+        current = default if base is None else getattr(base, name)
         if key in data:
-            kwargs[key] = _int(data[key], where + key)
-    if "mu_rp" in data:
-        mu_rp = data["mu_rp"]
-        kwargs["mu_rp"] = None if mu_rp is None else _float(mu_rp, where + "mu_rp")
-    if "lambda" in data:
-        kwargs["lam"] = _float(data["lambda"], where + "lambda")
-    for key in ("mu", "gamma0", "beta", "w_gain", "init_scale"):
-        if key in data:
-            kwargs[key] = _float(data[key], where + key)
-    return GrpConfig(**kwargs)
+            kwargs[name] = _value(tp, data[key], where + key, current)
+        elif current is dataclasses.MISSING:
+            raise ValueError(f"missing config key '{where}{key}'")
+    return cls(**kwargs) if base is None else replace(base, **kwargs)
 
 
-def run_config_to_dict(config: RunConfig) -> dict:
-    return {
-        "params": dataclasses.asdict(config.params),
-        "gains": dataclasses.asdict(config.gains),
-        "ranges": {
-            "alpha_tgt": list(config.ranges.alpha_tgt),
-            "phi_h_dot0": list(config.ranges.phi_h_dot0),
-            "phi_k_dot0": list(config.ranges.phi_k_dot0),
-            "phi_h0": config.ranges.phi_h0,
-            "phi_k0": config.ranges.phi_k0,
-        },
-        "hip": grp_config_to_dict(config.hip),
-        "knee": grp_config_to_dict(config.knee),
-        "dt": config.dt,
-        "timeout": config.timeout,
-        "episodes": config.episodes,
-        "demo_count": config.demo_count,
-        "eval_count": config.eval_count,
-        "demo_seed": config.demo_seed,
-        "eval_seed": config.eval_seed,
-    }
+def _to_json(obj):
+    """The JSON form of a config dataclass (keys in declaration order) or
+    of one of its field values."""
+    if isinstance(obj, tuple):
+        return list(obj)
+    if not dataclasses.is_dataclass(obj):
+        return obj
+    return {key: _to_json(getattr(obj, name)) for name, key, _, _ in _fields(type(obj))}
 
 
-def run_config_from_dict(data: dict) -> RunConfig:
-    names = [f.name for f in dataclasses.fields(RunConfig)]
-    _reject_unknown(data, names, "")
-    kwargs = {}
-    if "params" in data:
-        kwargs["params"] = _float_dataclass(LegParams, data["params"], "params.")
-    if "gains" in data:
-        kwargs["gains"] = _float_dataclass(ControllerGains, data["gains"], "gains.")
-    if "ranges" in data:
-        kwargs["ranges"] = _ranges_from_dict(data["ranges"], "ranges.")
-    if "hip" in data:
-        kwargs["hip"] = grp_config_from_dict(data["hip"], "hip.", DEFAULT_HIP)
-    if "knee" in data:
-        kwargs["knee"] = grp_config_from_dict(data["knee"], "knee.", DEFAULT_KNEE)
-    for name in ("dt", "timeout"):
-        if name in data:
-            kwargs[name] = _float(data[name], name)
-    for name in ("episodes", "demo_count", "eval_count", "demo_seed", "eval_seed"):
-        if name in data:
-            kwargs[name] = _int(data[name], name)
-    return RunConfig(**kwargs)
+# The entry points: every config file and model `config` goes through the walker.
+grp_config_to_dict = run_config_to_dict = _to_json
+grp_config_from_dict = functools.partial(_from_json, GrpConfig)
+run_config_from_dict = functools.partial(_from_json, RunConfig)
 
 
 def _dump_json(path, data) -> None:
@@ -259,43 +213,48 @@ def model_to_dict(model: GrpModel) -> dict:
     }
 
 
+_MODEL_KEYS = ("format", "config", "gamma", "episode_count", "layers")
+
+
+def _matrix(value, key: str) -> np.ndarray:
+    """NET_DIM lists of NET_DIM finite JSON numbers, as an array."""
+    n = mulnet.NET_DIM
+    if not (isinstance(value, list) and len(value) == n
+            and all(isinstance(row, list) and len(row) == n for row in value)):
+        raise ValueError(f"{key} must have shape ({n}, {n}): {n} lists of {n} numbers")
+    return np.array([[_float(v, key) for v in row] for row in value])
+
+
 def model_from_dict(data: dict) -> GrpModel:
-    _reject_unknown(data, ("format", "config", "gamma", "episode_count",
-                           "layers"), "")
-    for key in ("format", "config", "gamma", "episode_count", "layers"):
+    _object(data, _MODEL_KEYS, "")
+    for key in _MODEL_KEYS:
         if key not in data:
             raise ValueError(f"model file missing key '{key}'")
-    if data["format"] != MODEL_FORMAT:
+    if _int(data["format"], "format") != MODEL_FORMAT:
         raise ValueError(f"unsupported model format {data['format']!r}")
-    if "m" not in data["config"]:
+    if isinstance(data["config"], dict) and "m" not in data["config"]:
         raise ValueError("model file config missing key 'm'")
-    config = grp_config_from_dict(data["config"], "config.")
-    layers_raw = data["layers"]
-    if len(layers_raw) != config.m:
-        raise ValueError(
-            f"model has {len(layers_raw)} layers but config.m = {config.m}")
+    config = _from_json(GrpConfig, data["config"], "config.")
+    layers = data["layers"]
+    if not isinstance(layers, list):
+        raise ValueError(f"layers must be a list, got {layers!r}")
+    if len(layers) != config.m:
+        raise ValueError(f"model has {len(layers)} layers but config.m = {config.m}")
     W = np.empty((config.m, mulnet.NET_DIM, mulnet.NET_DIM))
     R = np.empty_like(W)
-    for k, entry in enumerate(layers_raw):
-        _reject_unknown(entry, ("W", "R"), f"layers[{k}].")
+    for k, entry in enumerate(layers):
+        _object(entry, ("W", "R"), f"layers[{k}].")
         for name, stack in (("W", W), ("R", R)):
             if name not in entry:
                 raise ValueError(f"layers[{k}] missing key '{name}'")
-            mat = np.array(entry[name], dtype=float)
-            if mat.shape != stack.shape[1:]:
-                raise ValueError(
-                    f"layers[{k}].{name} has shape {mat.shape}, "
-                    f"expected ({mulnet.NET_DIM}, {mulnet.NET_DIM})")
-            if not np.isfinite(mat).all():
-                raise ValueError(f"layers[{k}].{name} has non-finite entries")
-            stack[k] = mat
-    gamma = _float(data["gamma"], "gamma")
-    if not 0.0 < gamma < math.inf:
-        raise ValueError(f"gamma must be positive and finite, got {gamma}")
+            stack[k] = _matrix(entry[name], f"layers[{k}].{name}")
+    gamma = data["gamma"]
+    if not (_is_number(gamma) and 0.0 < gamma < math.inf):
+        raise ValueError(f"gamma must be positive and finite, got {gamma!r}")
     episode_count = _int(data["episode_count"], "episode_count")
     if episode_count < 0:
         raise ValueError(f"episode_count must be >= 0, got {episode_count}")
-    return GrpModel(W=W, R=R, gamma=gamma, config=config,
+    return GrpModel(W=W, R=R, gamma=float(gamma), config=config,
                     episode_count=episode_count)
 
 
@@ -381,7 +340,12 @@ def read_trajectory(path) -> Trajectory:
     if not rows:
         raise ValueError(f"{path}: no data rows")
     data = np.array(rows)
-    contact = data[:, 11] != 0.0
+    for col, name, allowed in ((10, "phase", (1, 2, 3)), (11, "contact", (0, 1))):
+        bad = np.flatnonzero(~np.isin(data[:, col], allowed))
+        if bad.size:
+            raise ValueError(f"{path} line {bad[0] + 2}: {name} must be one of "
+                             f"{allowed}, got {data[bad[0], col]:g}")
+    contact = data[:, 11] == 1.0
     traces: dict[str, ModelTrace] = {}
     col = len(FIXED_COLUMNS)
     for model_name in dict.fromkeys(b[0] for b in blocks):
@@ -420,8 +384,8 @@ def report_to_dict(report: EvalReport) -> dict:
 
 
 def report_from_dict(data: dict) -> EvalReport:
-    _reject_unknown(data, ("trajectories", "avg_error_deg", "max_error_deg",
-                           "timeout_count", "active_generators", "peak_pi"), "")
+    _object(data, ("trajectories", "avg_error_deg", "max_error_deg",
+                   "timeout_count", "active_generators", "peak_pi"), "")
     per = data["trajectories"]
     return EvalReport(
         alpha_tgt_deg=np.array([e["alpha_tgt_deg"] for e in per]),

@@ -65,16 +65,6 @@ class LegState:
     phi_k_dot: float
     t: float = 0.0
 
-    def validate(self) -> None:
-        """Check the physical operating range. Not enforced on construction:
-        transient hyperextension (phi_k slightly past pi) can occur mid-swing
-        and must not kill a rollout."""
-        vals = (self.phi_h, self.phi_k, self.phi_h_dot, self.phi_k_dot, self.t)
-        if not all(math.isfinite(v) for v in vals):
-            raise ValueError("non-finite leg state")
-        if not 0.0 < self.phi_k <= math.pi:
-            raise ValueError(f"knee angle {self.phi_k} outside (0, pi]")
-
 
 @dataclass(frozen=True)
 class JointTorques:

@@ -53,15 +53,16 @@ class GrpConfig:
     responsibilities (at most 1), and one rate cannot serve both.
     """
 
+    # Field order is the key order of config and model files.
     m: int
     mu: float = 1e-3
+    mu_rp: float | None = None
     lam: float = 1e-4
     gamma0: float = 1.0
     beta: float = 1.05
     w_gain: float = 1.0
     init_scale: float = 0.1
     seed: int = 0
-    mu_rp: float | None = None
 
     def __post_init__(self):
         if self.m < 1:

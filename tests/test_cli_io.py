@@ -150,9 +150,24 @@ def test_run_config_validation(kwargs):
          "knee.lambda must be a number"),
         (run_config_from_dict, {"ranges": {"alpha_tgt": [0.9, "1.4"]}},
          "ranges.alpha_tgt\\[1\\] must be a number"),
+        (run_config_from_dict, {"params": 5}, "params must be an object, got 5"),
+        (run_config_from_dict, {"timeout": math.nan}, "timeout has non-finite value nan"),
+        (run_config_from_dict, {"timeout": math.inf}, "timeout has non-finite value inf"),
+        (run_config_from_dict, {"gains": {"k_i": math.nan}}, "gains.k_i has non-finite"),
+        (run_config_from_dict, {"params": {"l_t": math.inf}}, "params.l_t has non-finite"),
+        (run_config_from_dict, {"ranges": {"phi_h0": math.nan}},
+         "ranges.phi_h0 has non-finite"),
+        (run_config_from_dict, {"ranges": {"alpha_tgt": [0, math.inf]}},
+         "ranges.alpha_tgt\\[1\\] has non-finite value inf"),
+        (run_config_from_dict, {"ranges": [1, 2]}, "ranges must be an object, got \\[1, 2\\]"),
+        (run_config_from_dict, {"hip": "x"}, "hip must be an object, got 'x'"),
+        (run_config_from_dict, {"dt": None}, "dt must be a number, got None"),
+        (grp_config_from_dict, {"mu": 1e-3}, "missing config key 'm'"),
     ],
     ids=["m-float", "episodes-float", "g-bool", "demo_seed-str", "knee.seed-str",
-         "dt-str", "hip.m-bool", "knee.lambda-str", "alpha_tgt-str"],
+         "dt-str", "hip.m-bool", "knee.lambda-str", "alpha_tgt-str",
+         "params-int", "timeout-nan", "timeout-inf", "k_i-nan", "l_t-inf", "phi_h0-nan",
+         "alpha_tgt-inf", "ranges-list", "hip-str", "dt-null", "m-missing"],
 )
 def test_config_rejects_coercible_values(parse, data, key):
     with pytest.raises(ValueError, match=key):
@@ -163,6 +178,64 @@ def test_config_accepts_json_integers_for_floats():
     cfg = run_config_from_dict({"dt": 1, "params": {"g": 10}, "hip": {"mu_rp": None}})
     assert (cfg.dt, cfg.params.g, cfg.hip.mu_rp) == (1.0, 10.0, None)
     assert type(cfg.dt) is float and type(cfg.params.g) is float
+
+
+RUN_CONFIG_KEYS = ["params", "gains", "ranges", "hip", "knee", "dt", "timeout",
+                   "episodes", "demo_count", "eval_count", "demo_seed", "eval_seed"]
+GRP_CONFIG_KEYS = ["m", "mu", "mu_rp", "lambda", "gamma0", "beta", "w_gain",
+                   "init_scale", "seed"]
+SECTION_KEYS = {
+    "params": ["l_t", "l_s", "m_t", "m_s", "g", "knee_stop_stiffness",
+               "knee_stop_damping", "tau_max"],
+    "gains": ["k_p_alpha", "k_d_alpha", "k_i", "k_ii", "k_stp", "k_ext",
+              "alpha_dot_max", "delta_alpha_thr"],
+    "ranges": ["alpha_tgt", "phi_h_dot0", "phi_k_dot0", "phi_h0", "phi_k0"],
+    "hip": GRP_CONFIG_KEYS,
+    "knee": GRP_CONFIG_KEYS,
+}
+
+
+def test_config_files_keep_their_key_order():
+    data = run_config_to_dict(RunConfig())
+    assert list(data) == RUN_CONFIG_KEYS
+    for section, keys in SECTION_KEYS.items():
+        assert list(data[section]) == keys, section
+    assert data["ranges"]["alpha_tgt"] == list(SampleRanges().alpha_tgt)
+    assert list(grp_config_to_dict(GrpConfig(m=2))) == GRP_CONFIG_KEYS
+    assert list(model_to_dict(trained_pair(steps=1)[1])["config"]) == GRP_CONFIG_KEYS
+
+
+def off_default_config(hip_mu_rp) -> RunConfig:
+    """A RunConfig with every field, nested ones included, off its default."""
+    return RunConfig(
+        params=LegParams(l_t=0.45, l_s=0.52, m_t=7.0, m_s=4.1, g=9.8,
+                         knee_stop_stiffness=1e4, knee_stop_damping=120.0,
+                         tau_max=55.0),
+        gains=ControllerGains(k_p_alpha=100.0, k_d_alpha=8.0, k_i=20.0, k_ii=3.0,
+                              k_stp=240.0, k_ext=190.0, alpha_dot_max=9.0,
+                              delta_alpha_thr=0.12),
+        ranges=SampleRanges(alpha_tgt=(0.9, 1.4), phi_h_dot0=(-3.0, -0.5),
+                            phi_k_dot0=(-6.0, -2.0), phi_h0=3.8, phi_k0=3.0),
+        hip=GrpConfig(m=2, mu=2e-6, mu_rp=hip_mu_rp, lam=2e-4, gamma0=1.5,
+                      beta=1.02, w_gain=0.9, init_scale=0.2, seed=4),
+        knee=GrpConfig(m=5, mu=3e-6, mu_rp=2e-2, lam=3e-4, gamma0=0.5, beta=1.03,
+                       w_gain=1.1, init_scale=0.05, seed=6),
+        dt=5e-4, timeout=1.5, episodes=33, demo_count=7, eval_count=9,
+        demo_seed=3, eval_seed=5)
+
+
+@pytest.mark.parametrize("hip_mu_rp", [3e-2, None])
+def test_run_config_off_default_round_trip(hip_mu_rp):
+    cfg = off_default_config(hip_mu_rp)
+    default = RunConfig()
+    for f in dataclasses.fields(RunConfig):
+        value, base = getattr(cfg, f.name), getattr(default, f.name)
+        if dataclasses.is_dataclass(value):
+            for g in dataclasses.fields(value):
+                assert getattr(value, g.name) != getattr(base, g.name), (f.name, g.name)
+        else:
+            assert value != base, f.name
+    assert run_config_from_dict(json.loads(json.dumps(run_config_to_dict(cfg)))) == cfg
 
 
 def test_grp_config_lambda_key_and_null_rp_rate():
@@ -234,6 +307,17 @@ def test_model_loaded_forward_matches(tmp_path):
          "episode_count must be an integer, got True"),
         (lambda d: d.update(episode_count="3"), "episode_count must be an integer"),
         (lambda d: d["config"].pop("m"), "model file config missing key 'm'"),
+        (lambda d: d.update(format=True), "format must be an integer, got True"),
+        (lambda d: d.update(format=1.0), "format must be an integer, got 1.0"),
+        (lambda d: d["layers"][0].update(W=[[True] * 8] * 8),
+         "layers\\[0\\].W must be a number, got True"),
+        (lambda d: d["layers"][1].update(W=[["1"] * 8] * 8),
+         "layers\\[1\\].W must be a number, got '1'"),
+        (lambda d: d.update(config=5), "config must be an object, got 5"),
+        (lambda d: d.update(layers=5), "layers must be a list, got 5"),
+        (lambda d: d["layers"].__setitem__(0, 5), "layers\\[0\\] must be an object, got 5"),
+        (lambda d: d["layers"][2].update(W={"0": [0.0] * 8}),
+         "layers\\[2\\].W must have shape"),
     ],
 )
 def test_model_file_rejects_malformed(mangle, message):
@@ -369,6 +453,17 @@ def test_trajectory_read_errors_name_lines(tmp_path, demo_traj):
     with pytest.raises(ValueError, match="line 1: bad trajectory header"):
         read_trajectory(tmp_path / "hdr.csv")
 
+    for col, value, message in [(10, "2.7", "phase must be one of \\(1, 2, 3\\), got 2.7"),
+                                (10, "9", "phase must be one of"),
+                                (10, "nan", "phase must be one of .*, got nan"),
+                                (11, "0.5", "contact must be one of \\(0, 1\\), got 0.5"),
+                                (11, "-3", "contact must be one of .*, got -3")]:
+        parts = lines[3].split(",")
+        parts[col] = value
+        (tmp_path / "int.csv").write_text("\n".join(lines[:3] + [",".join(parts)]) + "\n")
+        with pytest.raises(ValueError, match="line 4: " + message):
+            read_trajectory(tmp_path / "int.csv")
+
 
 @pytest.mark.parametrize(
     "extra, message",
@@ -492,6 +587,14 @@ def test_cli_bad_config_names_key(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.count("\n") == 1
     assert "'knee.layers'" in err
+
+    (tmp_path / "cfg.json").write_text('{"params": 5}')
+    rc = cli_io.cli(["demo", "--config", str(tmp_path / "cfg.json"),
+                     "--out", str(tmp_path)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert "params must be an object" in err
 
 
 def test_cli_train_rejects_nan_lambda(tmp_path, capsys):

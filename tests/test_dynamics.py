@@ -427,14 +427,6 @@ def test_params_reject_nonpositive():
         LegParams(tau_max=0.0)
 
 
-def test_state_validate():
-    LegState(2.0, 2.0, 0.0, 0.0).validate()
-    with pytest.raises(ValueError):
-        LegState(2.0, 4.0, 0.0, 0.0).validate()  # knee past pi
-    with pytest.raises(ValueError):
-        LegState(math.nan, 2.0, 0.0, 0.0).validate()
-
-
 def test_rest_length_property():
     assert P.l_0 == 1.0
     assert LegParams(l_t=0.4, l_s=0.45).l_0 == pytest.approx(0.85)
