@@ -62,6 +62,10 @@ FIXED_COLUMNS = (
 DEFAULT_HIP = GrpConfig(m=1, mu=1e-6, mu_rp=1e-2, beta=1.01)
 DEFAULT_KNEE = GrpConfig(m=3, mu=1e-6, mu_rp=1e-2, beta=1.01)
 
+# Most plant steps one swing may take: a model-driven swing that never lands
+# runs until its timeout, one trajectory row per step.
+MAX_SWING_STEPS = 10**6
+
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -89,19 +93,38 @@ class RunConfig:
             raise ValueError(f"dt must be positive, got {self.dt}")
         if self.timeout <= self.dt:
             raise ValueError(f"timeout {self.timeout} not beyond one step")
+        if self.timeout / self.dt > MAX_SWING_STEPS:
+            raise ValueError(f"timeout {self.timeout} is more than "
+                             f"{MAX_SWING_STEPS} steps of dt {self.dt}")
         for name in ("episodes", "demo_count", "eval_count"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
 
 
 def _object(data, allowed, where: str) -> dict:
-    """`data`, if it is a JSON object with no key outside `allowed`."""
+    """`data`, if it is a JSON object with no key outside `allowed` (any
+    key when `allowed` is None)."""
     if not isinstance(data, dict):
         raise ValueError(f"{where[:-1] or 'top level'} must be an object, got {data!r}")
-    unknown = sorted(set(data) - set(allowed))
+    unknown = [] if allowed is None else sorted(set(data) - set(allowed))
     if unknown:
         raise ValueError(f"unknown config key '{where}{unknown[0]}'")
     return data
+
+
+def _record(data, keys, where: str) -> dict:
+    """`data`, if it is a JSON object with exactly the keys `keys`."""
+    _object(data, keys, where)
+    for key in keys:
+        if key not in data:
+            raise ValueError(f"{where[:-1] or 'top level'} missing key '{key}'")
+    return data
+
+
+def _list(value, key: str) -> list:
+    if not isinstance(value, list):
+        raise ValueError(f"{key} must be a list, got {value!r}")
+    return value
 
 
 def _is_number(value) -> bool:
@@ -112,6 +135,13 @@ def _int(value, key: str) -> int:
     """A JSON integer, not coerced; the error names the dotted `key`."""
     if type(value) is not int:
         raise ValueError(f"{key} must be an integer, got {value!r}")
+    return value
+
+
+def _bool(value, key: str) -> bool:
+    """A JSON true or false, not coerced."""
+    if type(value) is not bool:
+        raise ValueError(f"{key} must be true or false, got {value!r}")
     return value
 
 
@@ -188,7 +218,11 @@ def _dump_json(path, data) -> None:
 
 def _load_json(path) -> dict:
     with open(path) as fh:
-        data = json.load(fh)
+        try:
+            data = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{path} line {exc.lineno} column {exc.colno}: "
+                             f"{exc.msg}") from None
     if not isinstance(data, dict):
         raise ValueError(f"{path}: expected a JSON object at top level")
     return data
@@ -226,28 +260,21 @@ def _matrix(value, key: str) -> np.ndarray:
 
 
 def model_from_dict(data: dict) -> GrpModel:
-    _object(data, _MODEL_KEYS, "")
-    for key in _MODEL_KEYS:
-        if key not in data:
-            raise ValueError(f"model file missing key '{key}'")
+    _record(data, _MODEL_KEYS, "")
     if _int(data["format"], "format") != MODEL_FORMAT:
         raise ValueError(f"unsupported model format {data['format']!r}")
     if isinstance(data["config"], dict) and "m" not in data["config"]:
         raise ValueError("model file config missing key 'm'")
     config = _from_json(GrpConfig, data["config"], "config.")
-    layers = data["layers"]
-    if not isinstance(layers, list):
-        raise ValueError(f"layers must be a list, got {layers!r}")
+    layers = _list(data["layers"], "layers")
     if len(layers) != config.m:
         raise ValueError(f"model has {len(layers)} layers but config.m = {config.m}")
     W = np.empty((config.m, mulnet.NET_DIM, mulnet.NET_DIM))
     R = np.empty_like(W)
     for k, entry in enumerate(layers):
-        _object(entry, ("W", "R"), f"layers[{k}].")
-        for name, stack in (("W", W), ("R", R)):
-            if name not in entry:
-                raise ValueError(f"layers[{k}] missing key '{name}'")
-            stack[k] = _matrix(entry[name], f"layers[{k}].{name}")
+        _record(entry, ("W", "R"), f"layers[{k}].")
+        W[k] = _matrix(entry["W"], f"layers[{k}].W")
+        R[k] = _matrix(entry["R"], f"layers[{k}].R")
     gamma = data["gamma"]
     if not (_is_number(gamma) and 0.0 < gamma < math.inf):
         raise ValueError(f"gamma must be positive and finite, got {gamma!r}")
@@ -383,20 +410,35 @@ def report_to_dict(report: EvalReport) -> dict:
     }
 
 
+_REPORT_KEYS = ("trajectories", "avg_error_deg", "max_error_deg",
+                "timeout_count", "active_generators", "peak_pi")
+_SWING_KEYS = ("alpha_tgt_deg", "alpha_end_deg", "error_deg", "timed_out")
+
+
 def report_from_dict(data: dict) -> EvalReport:
-    _object(data, ("trajectories", "avg_error_deg", "max_error_deg",
-                   "timeout_count", "active_generators", "peak_pi"), "")
-    per = data["trajectories"]
+    _record(data, _REPORT_KEYS, "")
+    swings = [_record(entry, _SWING_KEYS, f"trajectories[{i}].")
+              for i, entry in enumerate(_list(data["trajectories"], "trajectories"))]
+
+    def column(key, parse=_float):
+        return [parse(entry[key], f"trajectories[{i}].{key}")
+                for i, entry in enumerate(swings)]
+
+    _int(data["timeout_count"], "timeout_count")
+    generators = _object(data["active_generators"], None, "active_generators.")
+    peaks = _object(data["peak_pi"], None, "peak_pi.")
     return EvalReport(
-        alpha_tgt_deg=np.array([e["alpha_tgt_deg"] for e in per]),
-        alpha_end_deg=np.array([e["alpha_end_deg"] for e in per]),
-        error_deg=np.array([e["error_deg"] for e in per]),
-        timed_out=np.array([e["timed_out"] for e in per], dtype=bool),
-        avg_error_deg=float(data["avg_error_deg"]),
-        max_error_deg=float(data["max_error_deg"]),
-        active_generators={k: int(v)
-                           for k, v in data["active_generators"].items()},
-        peak_pi={k: np.array(v) for k, v in data["peak_pi"].items()},
+        alpha_tgt_deg=np.array(column("alpha_tgt_deg")),
+        alpha_end_deg=np.array(column("alpha_end_deg")),
+        error_deg=np.array(column("error_deg")),
+        timed_out=np.array(column("timed_out", _bool), dtype=bool),
+        avg_error_deg=_float(data["avg_error_deg"], "avg_error_deg"),
+        max_error_deg=_float(data["max_error_deg"], "max_error_deg"),
+        active_generators={k: _int(v, f"active_generators.{k}")
+                           for k, v in generators.items()},
+        peak_pi={k: np.array([_float(p, f"peak_pi.{k}")
+                              for p in _list(v, f"peak_pi.{k}")])
+                 for k, v in peaks.items()},
     )
 
 

@@ -287,12 +287,14 @@ def train(
     log = np.empty((episodes, hip_model.m + knee_model.m))
     for ep in range(episodes):
         X, r_h, r_k = cache[ep % len(cache)]
-        refs = np.stack((r_h, r_k), axis=1)
-        abs_sum = np.zeros(log.shape[1])
+        # one reference torque per stack row, gathered once per episode
+        refs = np.stack((r_h, r_k), axis=1)[:, stack.row_model]
+        e_G = np.empty((X.shape[0], log.shape[1]))
         for i in range(X.shape[0]):
             grp.learn_step_joint(stack, X[i], refs[i])
-            abs_sum += np.abs(stack.e_G)
-        log[ep] = abs_sum / X.shape[0]
+            e_G[i] = stack.e_G
+        # summed in tick order, as a running sum over the episode would be
+        log[ep] = np.add.accumulate(np.abs(e_G, out=e_G))[-1] / X.shape[0]
         grp.end_episode(hip_model)
         grp.end_episode(knee_model)
     return TrainLog(

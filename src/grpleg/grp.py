@@ -15,8 +15,11 @@ frozen weights into a ForwardStack, and `forward` makes one network call
 and one sigmoid-head call over it, for one input or a block of inputs.
 For training, a LearnStack is live: it owns the array, each model's W and
 R are views into it, and `learn_step_joint` updates it in place with one
-network-and-gradient call and one sigmoid-head call per step. A single
-model is a one-model stack.
+network-and-gradient call and one sigmoid-head call per step. The stack
+also owns every array a step writes (network output, pi, e_G, r_RP, e_RP,
+gradient and update work) and one StepRecord of views into them per
+model; each step returns those same records, overwritten. A single model
+is a one-model stack.
 
 Learning is supervised by a reference torque r_G at every control step. The
 reference responsibility r_RP is a softmax of -gamma |e_G| over layers
@@ -108,7 +111,8 @@ class GrpModel:
 
 @dataclass
 class StepRecord:
-    """Everything one learn step produced, per layer."""
+    """Everything one learn step produced, per layer of one model: views
+    into its LearnStack's buffers, which the next step overwrites."""
 
     G: np.ndarray
     pi: np.ndarray
@@ -132,15 +136,18 @@ def init(config: GrpConfig) -> GrpModel:
     return GrpModel(W=W, R=R, gamma=config.gamma0, config=config)
 
 
-def responsibility_reference(errors, gamma: float) -> np.ndarray:
+def responsibility_reference(errors, gamma: float, out=None) -> np.ndarray:
     """Softmax of -gamma |e_G| over layers, the last axis; broadcasts over
-    leading axes.
+    leading axes. `out`, when given, receives the result.
 
     Max-shifted before exponentiation, so arbitrarily sharp gamma degrades
     gracefully to one-hot on the smallest |e_G| instead of underflowing to
     0/0.
     """
-    z = -gamma * np.abs(np.asarray(errors, dtype=float))
+    if out is None:
+        errors = np.asarray(errors, dtype=float)
+    z = np.abs(errors, out=out)
+    z *= -gamma
     # ufunc reductions called directly, as in mulnet
     z -= np.maximum.reduce(z, -1, keepdims=True)
     np.exp(z, out=z)
@@ -209,9 +216,11 @@ class LearnStack:
     S lays out every model's W stack, then every R stack, as a ForwardStack
     does, but each model's W and R become views into it, so a learn step
     updates all of them in place. The per-row Generator rate and decay, RP
-    rate, sigmoid gain and RP decay come from the configs once, and the
-    update runs in preallocated work buffers. A model belongs to one live
-    stack at a time; rebinding its W or R detaches it.
+    rate, sigmoid gain and RP decay come from the configs once. G, pi, e_G,
+    r_RP and e_RP hold the last step's per-row values, and `records` holds
+    one StepRecord of views into them per model; the step writes these and
+    its work buffers in place. A model belongs to one live stack at a time;
+    rebinding its W or R detaches it.
     """
 
     def __init__(self, models: list[GrpModel]):
@@ -239,13 +248,28 @@ class LearnStack:
         self.lam = per_row([mdl.config.lam for mdl in models])
         self.rp_rate = per_row([mdl.config.rp_rate for mdl in models])
         self.w_gain = per_row([mdl.config.w_gain for mdl in models])
-        self.e_G = np.zeros(total)  # the last step's Generator errors
 
-        # work buffers: the reference responsibilities, the per-row gain and
-        # decay of the update as (2M, 1, 1) columns with 1-D views of their
-        # halves (the RP decay rows never change), the new stack and its
-        # decay term
-        self._r_RP = np.empty(total)
+        # what a step writes: the network output (every Generator output G,
+        # then every RP pre-activation), the per-row pi, e_G, r_RP and e_RP,
+        # and the gradient; one StepRecord of views per model
+        self._out = np.empty(2 * total)
+        self.G = self._out[:total]
+        self._b = self._out[total:]
+        self.pi = np.empty(total)
+        self.e_G = np.zeros(total)
+        self.r_RP = np.empty(total)
+        self.e_RP = np.empty(total)
+        self._grad = np.empty_like(self.S)
+        self.records = [
+            StepRecord(G=self.G[sl], pi=self.pi[sl], e_G=self.e_G[sl],
+                       r_RP=self.r_RP[sl], e_RP=self.e_RP[sl])
+            for sl in self.slices
+        ]
+
+        # work buffers: one per-row scratch, the per-row gain and decay of
+        # the update as (2M, 1, 1) columns with 1-D views of their halves
+        # (the RP decay rows never change), the new stack and its decay term
+        self._row_work = np.empty(total)
         self._gain = np.empty((2 * total, 1, 1))
         self._gain_G = self._gain[:total, 0, 0]
         self._gain_RP = self._gain[total:, 0, 0]
@@ -258,7 +282,8 @@ class LearnStack:
 
 def learn_step_joint(stack: LearnStack, x, r_G) -> list[StepRecord]:
     """One online update of every model in a live stack from a shared input
-    and one reference torque per model; returns one record per model.
+    and one reference torque per model, or per row; returns one record per
+    model.
 
     Generator k moves down its squared-error gradient at the gated rate
     r_RP^k * mu; its RP regresses onto the reference responsibility at the
@@ -267,50 +292,49 @@ def learn_step_joint(stack: LearnStack, x, r_G) -> list[StepRecord]:
     per model. Every op is row-local, so the result is bit-identical to
     updating each model on its own. The new weights are checked before
     they replace the old, so a non-finite update changes nothing.
+
+    Every array the step writes belongs to the stack, and so do the
+    records: they are `stack.records`, views of the stack's buffers, the
+    same list every step, and the next step overwrites them. Copy what
+    must outlive the step.
     """
-    S = stack.S
-    total = stack.w_gain.size
-    out, dS = forward_and_gradient(S, x)
+    S, dS = stack.S, stack._grad
+    forward_and_gradient(S, x, stack._out, dS)
+    pi = sigmoid_head(stack._b, stack.w_gain, stack.pi)
+    G, e_G, r_RP, e_RP = stack.G, stack.e_G, stack.r_RP, stack.e_RP
     r_G = np.asarray(r_G, dtype=float)
-    G = out[:total]
-    pi = sigmoid_head(out[total:], stack.w_gain)
-    e_G = stack.e_G = r_G[stack.row_model] - G
-    r_RP = stack._r_RP
-    refs = []
-    for mdl, sl in zip(stack.models, stack.slices):
-        r = responsibility_reference(e_G[sl], mdl.gamma)
-        r_RP[sl] = r
-        refs.append(r)
-    e_RP = r_RP - pi
+    if r_G.size != G.size:
+        r_G = r_G[stack.row_model]
+    np.subtract(r_G, G, out=e_G)
+    for mdl, rec in zip(stack.models, stack.records):
+        responsibility_reference(rec.e_G, mdl.gamma, rec.r_RP)
+    np.subtract(r_RP, pi, out=e_RP)
 
     # Generator rate is gated by the reference responsibility, decay
     # included, so a non-responsible layer is bit-exactly unchanged; RP
     # updates chain through the sigmoid at the ungated RP rate.
-    mu_k = r_RP * stack.mu
+    mu_k = np.multiply(r_RP, stack.mu, out=stack._row_work)
     np.multiply(mu_k, e_G, out=stack._gain_G)
     np.multiply(mu_k, stack.lam, out=stack._decay_G)
-    rp_gain = stack.rp_rate * e_RP
+    rp_gain = np.multiply(stack.rp_rate, e_RP, out=stack._gain_RP)
     rp_gain *= stack.w_gain
     rp_gain *= pi
-    np.multiply(rp_gain, 1.0 - pi, out=stack._gain_RP)
+    rp_gain *= np.subtract(1.0, pi, out=mu_k)  # mu_k is spent
 
     new = np.multiply(stack._gain, dS, out=stack._new)
     new += S
     new -= np.multiply(stack._decay, S, out=stack._decay_term)
     if not np.isfinite(new).all():
-        worst = [np.abs(e_G[sl]).max() for sl in stack.slices]
+        worst = [np.abs(rec.e_G).max() for rec in stack.records]
         k = worst.index(max(worst))
         raise NonFiniteError(
             "non-finite weight update: "
-            f"max|S|={np.abs(S).max():g} r_G={float(r_G[k]):g} "
+            f"max|S|={np.abs(S).max():g} r_G={float(r_G[stack.slices[k].start]):g} "
             f"max|e_G|={worst[k]:g} "
             f"episodes={[mdl.episode_count for mdl in stack.models]}"
         )
     np.copyto(S, new)
-    return [
-        StepRecord(G=G[sl], pi=pi[sl], e_G=e_G[sl], r_RP=r, e_RP=e_RP[sl])
-        for sl, r in zip(stack.slices, refs)
-    ]
+    return stack.records
 
 
 def end_episode(model: GrpModel) -> GrpModel:

@@ -102,20 +102,22 @@ def net_forward(W, x):
     return np.add.reduce(W.diagonal(0, -2, -1) * x * _row_products(W, x), -1)
 
 
-def forward_and_gradient(W, x):
+def forward_and_gradient(W, x, out=None, grad=None):
     """(G, dG/dW) in one pass, sharing the row products.
 
     The training loop calls this once per step on a whole weight stack; the
     values are identical to separate net_forward / net_gradient calls.
+    `out` and `grad`, when given, receive G and dG/dW: a C-ordered array of
+    W's leading shape and one of W's shape.
     """
     W = np.asarray(W, dtype=float)
     x = np.asarray(x, dtype=float)
     d_diag = x * _row_products(W, x)
     terms = W.diagonal(0, -2, -1) * d_diag
-    grad = np.multiply(terms[..., :, None], x[..., None, :], order="C")
+    grad = np.multiply(terms[..., :, None], x[..., None, :], out=grad, order="C")
     # overwrite the (i, i) slots with the exact diagonal partials
     grad.reshape(-1, NET_DIM * NET_DIM)[:, :: NET_DIM + 1] = d_diag.reshape(-1, NET_DIM)
-    return np.add.reduce(terms, -1), grad
+    return np.add.reduce(terms, -1, out=out), grad
 
 
 def net_gradient(W, x):
@@ -128,20 +130,23 @@ def net_gradient(W, x):
     return forward_and_gradient(W, x)[1]
 
 
-def sigmoid_head(b, w_gain: float = 1.0):
+def sigmoid_head(b, w_gain: float = 1.0, out=None):
     """Responsibility head pi = 1 / (1 + exp(-w_gain * b)).
 
-    Evaluated overflow-free with e = exp(-|z|): 1 / (1 + e) for z >= 0 and
-    e / (1 + e) below, as one division of a selected numerator, and pinned
-    to the open interval (0, 1) so a saturated head never reports exactly
-    0 or 1. w_gain is a scalar or broadcasts against b (one gain per row).
+    Evaluated overflow-free with e = exp(-|z|): the numerator exp(min(z, 0))
+    is 1 for z >= 0 and e below, so one division gives 1 / (1 + e) or
+    e / (1 + e). The result is pinned to the open interval (0, 1) so a
+    saturated head never reports exactly 0 or 1. w_gain is a scalar or
+    broadcasts against b (one gain per row). `out`, when given, receives pi.
     """
-    z = np.asarray(b, dtype=float) * w_gain
+    z = np.asarray(np.multiply(b, w_gain, out=out, dtype=float))  # 0-d stays an array
     e = np.exp(-np.abs(z))
-    p = np.where(z >= 0.0, 1.0, e)
-    p /= 1.0 + e
-    np.maximum(p, _P_FLOOR, out=p)
-    return np.minimum(p, _P_CEIL, out=p)[()]
+    e += 1.0
+    np.minimum(z, 0.0, out=z)
+    np.exp(z, out=z)
+    z /= e
+    np.maximum(z, _P_FLOOR, out=z)
+    return np.minimum(z, _P_CEIL, out=z)[()]
 
 
 def finite_difference_check(W, x, h: float = 1e-6) -> float:

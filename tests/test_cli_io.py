@@ -24,6 +24,8 @@ from grpleg.cli_io import (
     model_to_dict,
     read_report,
     read_trajectory,
+    report_from_dict,
+    report_to_dict,
     run_config_from_dict,
     run_config_to_dict,
     save_model,
@@ -163,11 +165,13 @@ def test_run_config_validation(kwargs):
         (run_config_from_dict, {"hip": "x"}, "hip must be an object, got 'x'"),
         (run_config_from_dict, {"dt": None}, "dt must be a number, got None"),
         (grp_config_from_dict, {"mu": 1e-3}, "missing config key 'm'"),
+        (run_config_from_dict, {"timeout": 1e300}, "timeout 1e\\+300 is more than"),
     ],
     ids=["m-float", "episodes-float", "g-bool", "demo_seed-str", "knee.seed-str",
          "dt-str", "hip.m-bool", "knee.lambda-str", "alpha_tgt-str",
          "params-int", "timeout-nan", "timeout-inf", "k_i-nan", "l_t-inf", "phi_h0-nan",
-         "alpha_tgt-inf", "ranges-list", "hip-str", "dt-null", "m-missing"],
+         "alpha_tgt-inf", "ranges-list", "hip-str", "dt-null", "m-missing",
+         "timeout-huge"],
 )
 def test_config_rejects_coercible_values(parse, data, key):
     with pytest.raises(ValueError, match=key):
@@ -511,6 +515,34 @@ def test_report_round_trip(tmp_path):
     assert np.array_equal(back.peak_pi["knee"], rep.peak_pi["knee"])
 
 
+@pytest.mark.parametrize(
+    "mangle, message",
+    [
+        (lambda d: d.update(avg_error_deg="3"), "avg_error_deg must be a number, got '3'"),
+        (lambda d: d.update(max_error_deg=True), "max_error_deg must be a number, got True"),
+        (lambda d: d["active_generators"].update(hip=1.7),
+         "active_generators.hip must be an integer, got 1.7"),
+        (lambda d: d.update(trajectories=5), "trajectories must be a list, got 5"),
+        (lambda d: d["trajectories"][0].update(error_deg="2"),
+         "trajectories\\[0\\].error_deg must be a number"),
+        (lambda d: d["trajectories"][1].update(timed_out=1),
+         "trajectories\\[1\\].timed_out must be true or false, got 1"),
+        (lambda d: d["trajectories"][1].pop("alpha_end_deg"),
+         "trajectories\\[1\\] missing key 'alpha_end_deg'"),
+        (lambda d: d.pop("peak_pi"), "missing key 'peak_pi'"),
+        (lambda d: d["peak_pi"].update(knee=[0.5, math.nan]),
+         "peak_pi.knee has non-finite value nan"),
+    ],
+    ids=["avg-str", "max-bool", "active-float", "trajectories-int", "error-str",
+         "timed_out-int", "alpha_end-missing", "peak_pi-missing", "peak-nan"],
+)
+def test_report_rejects_malformed(mangle, message):
+    data = report_to_dict(report_fixture())
+    mangle(data)
+    with pytest.raises(ValueError, match=message):
+        report_from_dict(data)
+
+
 def test_report_aggregates_recomputable(tmp_path):
     write_report(tmp_path / "r.json", report_fixture())
     data = json.loads((tmp_path / "r.json").read_text())
@@ -595,6 +627,16 @@ def test_cli_bad_config_names_key(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.count("\n") == 1
     assert "params must be an object" in err
+
+
+def test_cli_bad_json_names_file(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text("{nope")
+    rc = cli_io.cli(["demo", "--config", str(path), "--out", str(tmp_path)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert f"{path} line 1 column 2" in err
 
 
 def test_cli_train_rejects_nan_lambda(tmp_path, capsys):

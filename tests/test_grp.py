@@ -440,22 +440,24 @@ def reference_learn_step(models, x, r_Gs):
 
 def test_learn_stack_matches_reference_step():
     """The live stack reproduces the concatenate-and-rebind learn step bit
-    for bit over 300 ticks: records, weights, gamma and exponent clamps."""
+    for bit over 300 ticks: records, weights, gamma and exponent clamps,
+    with an m=7 model whose softmax runs past the m=3 of the default knee."""
 
-    def pair():
+    def models():
         hip = init(GrpConfig(m=1, mu=1e-3, mu_rp=1e-2, w_gain=0.5, seed=41))
         knee = init(GrpConfig(m=3, mu=2e-3, lam=1e-3, w_gain=1.5, beta=1.1, seed=42))
+        wide = init(GrpConfig(m=7, mu=1.5e-3, lam=5e-4, gamma0=3.0, beta=1.2, seed=49))
         hip.R -= 20.0  # off-diagonal exponent arguments clamp at -EXP_CLAMP
         knee.W[1] -= 20.0
-        return [hip, knee]
+        return [hip, knee, wide]
 
-    live, ref = pair(), pair()
+    live, ref = models(), models()
     stack = LearnStack(live)
     rng = np.random.default_rng(43)
     clamps = 0
     for t in range(300):
         x = sample_x(t)
-        r_Gs = rng.uniform(-5.0, 5.0, 2)
+        r_Gs = rng.uniform(-5.0, 5.0, 3)
         mulnet.reset_exp_clamp_count()
         records = learn_step_joint(stack, x, r_Gs)
         live_clamps = mulnet.exp_clamp_count()
@@ -473,6 +475,31 @@ def test_learn_stack_matches_reference_step():
     for a, b in zip(live, ref):
         assert same_bits(a.W, b.W) and same_bits(a.R, b.R)
         assert a.gamma == b.gamma and a.episode_count == b.episode_count == 6
+
+
+def test_learn_step_records_are_stack_views():
+    """Every step returns the stack's own records: the same objects each
+    step, views of the stack's buffers that the next step overwrites, and
+    one r_RP entry per layer of the stack."""
+    hip, knee = init(GrpConfig(m=1, seed=50)), init(GrpConfig(m=3, seed=51))
+    stack = LearnStack([hip, knee])
+    first = learn_step_joint(stack, sample_x(13), [1.0, -1.0])
+    second = learn_step_joint(stack, sample_x(14), [2.0, 0.5])
+    assert all(a is b for a, b in zip(first, second)) and len(second) == 2
+    for rec, r_G in zip(second, (2.0, 0.5)):
+        for field in dataclasses.fields(rec):
+            assert np.shares_memory(getattr(rec, field.name), getattr(stack, field.name))
+        assert same_bits(rec.e_G, r_G - rec.G)  # the second step's values
+    assert sum(rec.r_RP.size for rec in second) == stack.w_gain.size == 4
+
+
+def test_learn_step_takes_one_reference_per_model_or_per_row():
+    def run(r_G):
+        stack = LearnStack([init(GrpConfig(m=1, seed=52)), init(GrpConfig(m=3, seed=53))])
+        learn_step_joint(stack, sample_x(15), r_G)
+        return stack.S
+
+    assert same_bits(run([1.5, -0.5]), run([1.5, -0.5, -0.5, -0.5]))
 
 
 def test_learn_stack_weights_are_views():

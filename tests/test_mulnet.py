@@ -289,9 +289,10 @@ def test_sigmoid_monotone():
 
 @pytest.mark.parametrize("gain", ["scalar", "per-row"])
 def test_sigmoid_matches_two_branch_bits(gain):
-    """One division of a selected numerator gives the bits of the two-branch
-    form, for 0-d and 1-d input."""
-    b = np.array([0.0, -0.0, 1e-300, -1e-300, 40.0, -40.0, 800.0, -800.0])
+    """One division of the numerator exp(min(z, 0)) gives the bits of the
+    two-branch form, for 0-d and 1-d input, infinities included."""
+    b = np.array([0.0, -0.0, 1e-300, -1e-300, 40.0, -40.0, 800.0, -800.0,
+                  np.inf, -np.inf])
     w = 1.0 if gain == "scalar" else np.linspace(0.5, 2.0, b.size)
 
     def two_branch(b, w):
