@@ -228,8 +228,18 @@ def _load_json(path) -> dict:
     return data
 
 
+def _parse_file(parse, path):
+    """`parse` applied to the JSON object in the file at `path`; a
+    ValueError it raises names the file."""
+    data = _load_json(path)
+    try:
+        return parse(data)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
 def load_run_config(path) -> RunConfig:
-    return run_config_from_dict(_load_json(path))
+    return _parse_file(run_config_from_dict, path)
 
 
 def save_run_config(path, config: RunConfig) -> None:
@@ -290,7 +300,7 @@ def save_model(path, model: GrpModel) -> None:
 
 
 def load_model(path) -> GrpModel:
-    return model_from_dict(_load_json(path))
+    return _parse_file(model_from_dict, path)
 
 
 _TRACE_COL = re.compile(r"^(\w+)_(G|pi|r)_([1-9][0-9]*)$")
@@ -298,9 +308,7 @@ _TRACE_COL = re.compile(r"^(\w+)_(G|pi|r)_([1-9][0-9]*)$")
 
 def write_trajectory(path, traj: Trajectory) -> None:
     names = list(FIXED_COLUMNS)
-    cols = [traj.t, traj.phi_h, traj.phi_k, traj.phi_h_dot, traj.phi_k_dot,
-            traj.alpha, traj.alpha_dot, traj.l, traj.tau_h, traj.tau_k,
-            traj.phase, traj.contact]
+    cols = [getattr(traj, name) for name in FIXED_COLUMNS]
     for model_name, trace in traj.traces.items():
         for k in range(trace.G.shape[1]):
             names += [f"{model_name}_G_{k + 1}",
@@ -367,12 +375,14 @@ def read_trajectory(path) -> Trajectory:
     if not rows:
         raise ValueError(f"{path}: no data rows")
     data = np.array(rows)
-    for col, name, allowed in ((10, "phase", (1, 2, 3)), (11, "contact", (0, 1))):
-        bad = np.flatnonzero(~np.isin(data[:, col], allowed))
+    fixed = dict(zip(FIXED_COLUMNS, data[:, :len(FIXED_COLUMNS)].T))
+    for name, allowed in (("phase", (1, 2, 3)), ("contact", (0, 1))):
+        bad = np.flatnonzero(~np.isin(fixed[name], allowed))
         if bad.size:
             raise ValueError(f"{path} line {bad[0] + 2}: {name} must be one of "
-                             f"{allowed}, got {data[bad[0], col]:g}")
-    contact = data[:, 11] == 1.0
+                             f"{allowed}, got {fixed[name][bad[0]]:g}")
+    fixed["phase"] = fixed["phase"].astype(int)
+    fixed["contact"] = fixed["contact"] == 1.0
     traces: dict[str, ModelTrace] = {}
     col = len(FIXED_COLUMNS)
     for model_name in dict.fromkeys(b[0] for b in blocks):
@@ -382,12 +392,8 @@ def read_trajectory(path) -> Trajectory:
             G=block[:, :, 0].copy(), pi=block[:, :, 1].copy(),
             r=block[:, :, 2].copy())
         col += 3 * m
-    return Trajectory(
-        t=data[:, 0], phi_h=data[:, 1], phi_k=data[:, 2],
-        phi_h_dot=data[:, 3], phi_k_dot=data[:, 4], alpha=data[:, 5],
-        alpha_dot=data[:, 6], l=data[:, 7], tau_h=data[:, 8],
-        tau_k=data[:, 9], phase=data[:, 10].astype(int), contact=contact,
-        timed_out=not bool(contact[-1]), traces=traces)
+    return Trajectory(**fixed, timed_out=not bool(fixed["contact"][-1]),
+                      traces=traces)
 
 
 def report_to_dict(report: EvalReport) -> dict:
@@ -447,7 +453,7 @@ def write_report(path, report: EvalReport) -> None:
 
 
 def read_report(path) -> EvalReport:
-    return report_from_dict(_load_json(path))
+    return _parse_file(report_from_dict, path)
 
 
 def train_log_to_dict(log: TrainLog) -> dict:

@@ -21,7 +21,7 @@ to the plant; Generators therefore learn the delivered torque, bounded by
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -45,6 +45,10 @@ from .target_controller import (
 )
 
 DEG = math.pi / 180.0
+
+# Peak predicted pi above which a layer counts as an active generator in
+# the evaluation report.
+ACTIVE_PI = 0.1
 
 
 @dataclass(frozen=True)
@@ -174,18 +178,15 @@ def _swing_rollout(
     params: LegParams,
     dt: float,
     timeout: float,
-    models: tuple[GrpModel, GrpModel] | None = None,
+    stack: grp.LearnStack | None = None,
 ) -> Trajectory:
     """Roll one swing until ground contact or timeout.
 
-    Without models the plant receives the saturated target-controller
-    torque. With (hip, knee) models it receives their saturated combined
-    torques, and the controller state machine runs purely as a
-    contact/phase monitor on the kinematics it observes.
+    Without a stack the plant receives the saturated target-controller
+    torque. With the stack of the (hip, knee) models it receives their
+    saturated combined torques, and the controller state machine runs
+    purely as a contact/phase monitor on the kinematics it observes.
     """
-    # eval weights are frozen, so the joint stack is built once per swing
-    joint = None if models is None else grp.stack_models(list(models))
-
     state = init_state
     ctrl = ControllerState()
     # per tick: Trajectory's first ten fields in order, then phase, contact
@@ -196,11 +197,11 @@ def _swing_rollout(
         kin = kinematics(state, params)
         demo_tq, ctrl = control_step(kin, ctrl, task, gains)
 
-        if joint is None:
+        if stack is None:
             applied = saturate(demo_tq, params)
         else:
             x = _network_input(kin.alpha, state, task.alpha_tgt)
-            hip_out, knee_out = grp.forward(joint, x)
+            hip_out, knee_out = grp.forward(stack, x)
             applied = saturate(JointTorques(hip_out[2], knee_out[2]), params)
             layer_rows.append((hip_out, knee_out))
 
@@ -215,8 +216,8 @@ def _swing_rollout(
         state = integrate_step(state, applied, params, dt)
 
     traces = {}
-    if models is not None:
-        for name, mdl, rows in zip(("hip", "knee"), models, zip(*layer_rows)):
+    if stack is not None:
+        for name, mdl, rows in zip(("hip", "knee"), stack.models, zip(*layer_rows)):
             traces[name] = ModelTrace(
                 G=np.array([G for G, _, _ in rows]),
                 pi=np.array([pi for _, pi, _ in rows]),
@@ -244,24 +245,6 @@ def run_demo_episode(
 ) -> Trajectory:
     """One demonstration swing under the target controller."""
     return _swing_rollout(init_state, task, gains, params, dt, timeout)
-
-
-def annotate_with_models(
-    traj: Trajectory, hip_model: GrpModel, knee_model: GrpModel
-) -> Trajectory:
-    """Demonstration trajectory with frozen-model traces attached: per-layer
-    G, pi, and the reference responsibilities the recorded torques imply."""
-    out = replace(traj, traces=dict(traj.traces))
-    layer_out = grp.forward(
-        grp.stack_models([hip_model, knee_model]), sensor_matrix(traj)
-    )
-    for (name, mdl, r_G), (G, pi, _) in zip(
-        (("hip", hip_model, traj.tau_h), ("knee", knee_model, traj.tau_k)),
-        layer_out,
-    ):
-        r = grp.responsibility_reference(r_G[:, None] - G, mdl.gamma)
-        out.traces[name] = ModelTrace(G=G, pi=pi, r=r)
-    return out
 
 
 def train(
@@ -302,28 +285,6 @@ def train(
     )
 
 
-def peak_responsibilities(trajectories: list[Trajectory]) -> dict[str, np.ndarray]:
-    """Per-layer maximum predicted pi over every step of every trajectory."""
-    peaks: dict[str, np.ndarray] = {}
-    for traj in trajectories:
-        for name, trace in traj.traces.items():
-            top = trace.pi.max(axis=0)
-            peaks[name] = np.maximum(peaks[name], top) if name in peaks else top
-    return peaks
-
-
-def active_generator_count(
-    trajectories: list[Trajectory], threshold: float = 0.1
-) -> dict[str, int]:
-    """Number of layers whose predicted pi ever exceeds the threshold."""
-    if not 0.0 < threshold <= 1.0:
-        raise ValueError(f"threshold must be in (0, 1], got {threshold}")
-    return {
-        name: int((peak > threshold).sum())
-        for name, peak in peak_responsibilities(trajectories).items()
-    }
-
-
 def evaluate(
     hip_model: GrpModel,
     knee_model: GrpModel,
@@ -332,30 +293,30 @@ def evaluate(
     params: LegParams = LegParams(),
     dt: float = 1e-3,
     timeout: float = 2.0,
-    active_threshold: float = 0.1,
 ) -> tuple[EvalReport, list[Trajectory]]:
     """Reference-free evaluation: the models alone drive the plant through
-    each task; landing error is |alpha_tgt - alpha at contact| in degrees."""
+    each task; landing error is |alpha_tgt - alpha at contact| in degrees.
+    peak_pi is each layer's largest pi over every tick of every swing, and
+    a layer is an active generator when its peak exceeds ACTIVE_PI. The
+    models join one LearnStack for the call, which reads their weights and
+    never writes them."""
     for name, mdl in (("hip", hip_model), ("knee", knee_model)):
         if not isinstance(mdl, GrpModel):
             raise ValueError(
                 f"evaluation needs a {name} GrpModel, got {type(mdl).__name__}"
             )
+    stack = grp.LearnStack([hip_model, knee_model])
     trajs = [
-        _swing_rollout(
-            init,
-            task,
-            gains,
-            params,
-            dt,
-            timeout,
-            models=(hip_model, knee_model),
-        )
+        _swing_rollout(init, task, gains, params, dt, timeout, stack)
         for task, init in tasks
     ]
     tgt = np.array([task.alpha_tgt for task, _ in tasks]) / DEG
     end = np.array([tr.alpha_end for tr in trajs]) / DEG
     err = np.abs(tgt - end)
+    peak_pi = {
+        name: np.concatenate([tr.traces[name].pi for tr in trajs]).max(axis=0)
+        for name in ("hip", "knee")
+    }
     report = EvalReport(
         alpha_tgt_deg=tgt,
         alpha_end_deg=end,
@@ -363,8 +324,10 @@ def evaluate(
         timed_out=np.array([tr.timed_out for tr in trajs], dtype=bool),
         avg_error_deg=float(err.mean()),
         max_error_deg=float(err.max()),
-        active_generators=active_generator_count(trajs, active_threshold),
-        peak_pi=peak_responsibilities(trajs),
+        active_generators={
+            name: int((peak > ACTIVE_PI).sum()) for name, peak in peak_pi.items()
+        },
+        peak_pi=peak_pi,
     )
     return report, trajs
 

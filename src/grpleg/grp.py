@@ -8,18 +8,15 @@ tau_out = sum_k G^k pi^k. A model stores its weights as two (m, 8, 8)
 stacks, W for the Generators and R for the RPs, layer k at index k, so a
 whole stack evaluates in one network call.
 
-Every layer of every model sees the same input, so several models also
-evaluate and learn together, over one (2M, 8, 8) array holding every
-model's W stack, then every R stack. For evaluation, `stack_models` copies
-frozen weights into a ForwardStack, and `forward` makes one network call
-and one sigmoid-head call over it, for one input or a block of inputs.
-For training, a LearnStack is live: it owns the array, each model's W and
-R are views into it, and `learn_step_joint` updates it in place with one
-network-and-gradient call and one sigmoid-head call per step. The stack
-also owns every array a step writes (network output, pi, e_G, r_RP, e_RP,
-gradient and update work) and one StepRecord of views into them per
-model; each step returns those same records, overwritten. A single model
-is a one-model stack.
+Every layer of every model sees the same input, so several models evaluate
+and learn together over one LearnStack: one (2M, 8, 8) array holding every
+model's W stack, then every R stack, with each model's W and R views into
+it. `forward` reads it with one network call and one sigmoid-head call;
+`learn_step_joint` updates it in place with one network-and-gradient call
+and one sigmoid-head call per step. The stack also owns every array a step
+writes (network output, pi, e_G, r_RP, e_RP, gradient and update work) and
+one StepRecord of views into them per model; each step returns those same
+records, overwritten. A single model is a one-model stack.
 
 Learning is supervised by a reference torque r_G at every control step. The
 reference responsibility r_RP is a softmax of -gamma |e_G| over layers
@@ -155,72 +152,17 @@ def responsibility_reference(errors, gamma: float, out=None) -> np.ndarray:
     return z
 
 
-@dataclass(frozen=True)
-class ForwardStack:
-    """Frozen weights of several models laid out for one network call.
-
-    S is every model's W stack, then every model's R stack: (2M, 8, 8) for
-    M layers in all. w_gain holds the sigmoid gain of each of the M RP
-    rows, and model i's layers are rows bounds[i] of either half.
-    """
-
-    S: np.ndarray
-    w_gain: np.ndarray
-    bounds: tuple[tuple[int, int], ...]
-
-
-def stack_models(models: list[GrpModel]) -> ForwardStack:
-    """Copy the models' current weights into one ForwardStack; later learn
-    steps do not reach it."""
-    S = np.concatenate([mdl.W for mdl in models] + [mdl.R for mdl in models])
-    w_gain = np.concatenate([np.full(mdl.m, mdl.config.w_gain) for mdl in models])
-    ends = np.cumsum([mdl.m for mdl in models]).tolist()
-    return ForwardStack(S, w_gain, tuple(zip([0] + ends[:-1], ends)))
-
-
-def forward(stack: ForwardStack, x) -> list[tuple]:
-    """(G, pi, tau_out) per stacked model, from one network call and one
-    sigmoid head over all of them: per-layer Generator outputs G^k, RP
-    responsibilities pi^k and the combined torque sum_k G^k pi^k.
-
-    x is one (8,) input, giving (m,) layer outputs and a float torque, or a
-    (..., 8) block, giving (..., m) outputs and (...) torques.
-    """
-    x = np.asarray(x, dtype=float)
-    out = net_forward(stack.S, x[..., None, :])
-    half = stack.w_gain.size
-    pis = sigmoid_head(out[..., half:], stack.w_gain)
-    result = []
-    for lo, hi in stack.bounds:
-        G, pi = out[..., lo:hi], pis[..., lo:hi]
-        tau = (G[..., None, :] @ pi[..., :, None])[..., 0, 0]
-        result.append((G, pi, float(tau) if tau.ndim == 0 else tau))
-    return result
-
-
-def total_output_identity(model: GrpModel, x, r_G: float) -> float:
-    """Combined output with feedback errors added to both factors:
-    sum_k (G^k + e_G^k)(pi^k + e_RP^k). Collapses algebraically to
-    r_G * sum_k r_RP^k = r_G, which is why the plant can be driven by the
-    reference torque while the stack is still untrained."""
-    G, pi, _ = forward(stack_models([model]), x)[0]
-    e_G = r_G - G
-    r_RP = responsibility_reference(e_G, model.gamma)
-    e_RP = r_RP - pi
-    return float((G + e_G) @ (pi + e_RP))
-
-
 class LearnStack:
-    """Live weights of several models that learn together.
+    """Live weights of several models that evaluate and learn together.
 
-    S lays out every model's W stack, then every R stack, as a ForwardStack
-    does, but each model's W and R become views into it, so a learn step
-    updates all of them in place. The per-row Generator rate and decay, RP
-    rate, sigmoid gain and RP decay come from the configs once. G, pi, e_G,
-    r_RP and e_RP hold the last step's per-row values, and `records` holds
-    one StepRecord of views into them per model; the step writes these and
-    its work buffers in place. A model belongs to one live stack at a time;
-    rebinding its W or R detaches it.
+    S lays out every model's W stack, then every R stack, and each model's
+    W and R become views into it, so `forward` reads the current weights
+    and a learn step updates all of them in place. The per-row Generator
+    rate and decay, RP rate, sigmoid gain and RP decay come from the
+    configs once. G, pi, e_G, r_RP and e_RP hold the last step's per-row
+    values, and `records` holds one StepRecord of views into them per
+    model; the step writes these and its work buffers in place. A model
+    belongs to one live stack at a time; rebinding its W or R detaches it.
     """
 
     def __init__(self, models: list[GrpModel]):
@@ -280,10 +222,36 @@ class LearnStack:
         self._decay_term = np.empty_like(self.S)
 
 
+def forward(stack: LearnStack, x) -> list[tuple]:
+    """(G, pi, tau_out) per model of the stack, from one network call and
+    one sigmoid head over its current weights at one (8,) input: the (m,)
+    Generator outputs G^k, the (m,) RP responsibilities pi^k and the
+    combined torque sum_k G^k pi^k as a float. The arrays are new, not the
+    stack's step buffers."""
+    x = np.asarray(x, dtype=float)
+    if x.shape != (NET_DIM,):
+        # a block would broadcast against the stack's rows, not per input
+        raise ValueError(f"forward takes one ({NET_DIM},) input, got shape {x.shape}")
+    out = net_forward(stack.S, x)
+    pis = sigmoid_head(out[stack.w_gain.size:], stack.w_gain)
+    return [(out[sl], pis[sl], float(out[sl] @ pis[sl])) for sl in stack.slices]
+
+
+def total_output_identity(model: GrpModel, x, r_G: float) -> float:
+    """Combined output with feedback errors added to both factors:
+    sum_k (G^k + e_G^k)(pi^k + e_RP^k). Collapses algebraically to
+    r_G * sum_k r_RP^k = r_G, which is why the plant can be driven by the
+    reference torque while the stack is still untrained."""
+    G, pi, _ = forward(LearnStack([model]), x)[0]
+    e_G = r_G - G
+    r_RP = responsibility_reference(e_G, model.gamma)
+    e_RP = r_RP - pi
+    return float((G + e_G) @ (pi + e_RP))
+
+
 def learn_step_joint(stack: LearnStack, x, r_G) -> list[StepRecord]:
     """One online update of every model in a live stack from a shared input
-    and one reference torque per model, or per row; returns one record per
-    model.
+    and one reference torque per stack row; returns one record per model.
 
     Generator k moves down its squared-error gradient at the gated rate
     r_RP^k * mu; its RP regresses onto the reference responsibility at the
@@ -303,8 +271,6 @@ def learn_step_joint(stack: LearnStack, x, r_G) -> list[StepRecord]:
     pi = sigmoid_head(stack._b, stack.w_gain, stack.pi)
     G, e_G, r_RP, e_RP = stack.G, stack.e_G, stack.r_RP, stack.e_RP
     r_G = np.asarray(r_G, dtype=float)
-    if r_G.size != G.size:
-        r_G = r_G[stack.row_model]
     np.subtract(r_G, G, out=e_G)
     for mdl, rec in zip(stack.models, stack.records):
         responsibility_reference(rec.e_G, mdl.gamma, rec.r_RP)

@@ -19,9 +19,9 @@ W_ij entirely.
 Exponent arguments are clamped to +-EXP_CLAMP before exponentiation to keep
 early-training weight transients from overflowing; each clamped entry bumps
 a module-level counter (`exp_clamp_count`) so a run can report whether the
-guard ever fired. `net_gradient` returns the exact partials of the
-unclamped sum-product, evaluated with the same clamped row products as the
-forward pass.
+guard ever fired. `forward_and_gradient` returns G with the exact partials
+of the unclamped sum-product, evaluated with the same clamped row products
+as the forward pass.
 
 All array ops broadcast over leading axes, so a stack of weight matrices
 shaped (m, 8, 8) evaluates m networks in one call. On arrays this small
@@ -105,10 +105,12 @@ def net_forward(W, x):
 def forward_and_gradient(W, x, out=None, grad=None):
     """(G, dG/dW) in one pass, sharing the row products.
 
-    The training loop calls this once per step on a whole weight stack; the
-    values are identical to separate net_forward / net_gradient calls.
-    `out` and `grad`, when given, receive G and dG/dW: a C-ordered array of
-    W's leading shape and one of W's shape.
+    The exact partials: entry (i, i) is x_i * prod_{j != i} exp(W_ij * x_j);
+    entry (i, j) for j != i is term_i * x_j, where term_i is row i's
+    contribution to G. Both vanish wherever x_i = 0 resp. x_j = 0. G is
+    identical to net_forward's. The training loop calls this once per step
+    on a whole weight stack. `out` and `grad`, when given, receive G and
+    dG/dW: a C-ordered array of W's leading shape and one of W's shape.
     """
     W = np.asarray(W, dtype=float)
     x = np.asarray(x, dtype=float)
@@ -118,16 +120,6 @@ def forward_and_gradient(W, x, out=None, grad=None):
     # overwrite the (i, i) slots with the exact diagonal partials
     grad.reshape(-1, NET_DIM * NET_DIM)[:, :: NET_DIM + 1] = d_diag.reshape(-1, NET_DIM)
     return np.add.reduce(terms, -1, out=out), grad
-
-
-def net_gradient(W, x):
-    """Exact partials dG/dW, same shape as W.
-
-    Entry (i, i) is x_i * prod_{j != i} exp(W_ij * x_j); entry (i, j) for
-    j != i is term_i * x_j where term_i is row i's contribution to G. Both
-    vanish wherever x_i = 0 resp. x_j = 0.
-    """
-    return forward_and_gradient(W, x)[1]
 
 
 def sigmoid_head(b, w_gain: float = 1.0, out=None):
@@ -150,8 +142,8 @@ def sigmoid_head(b, w_gain: float = 1.0, out=None):
 
 
 def finite_difference_check(W, x, h: float = 1e-6) -> float:
-    """Max discrepancy between net_gradient and central differences of
-    net_forward, entrywise over one 8x8 matrix.
+    """Max discrepancy between forward_and_gradient's partials and central
+    differences of net_forward, entrywise over one 8x8 matrix.
 
     Discrepancies are scaled by max(1, |analytic|, |numeric|): relative for
     large entries, absolute for entries near zero (where central
@@ -159,7 +151,7 @@ def finite_difference_check(W, x, h: float = 1e-6) -> float:
     """
     W = np.asarray(W, dtype=float)
     x = np.asarray(x, dtype=float)
-    analytic = net_gradient(W, x)
+    analytic = forward_and_gradient(W, x)[1]
     fd = np.empty_like(analytic)
     for i in range(NET_DIM):
         for j in range(NET_DIM):

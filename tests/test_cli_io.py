@@ -4,6 +4,7 @@ import dataclasses
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -38,7 +39,6 @@ from grpleg.experiment import (
     EvalReport,
     ModelTrace,
     SampleRanges,
-    annotate_with_models,
     evaluate,
     run_demo_episode,
     sample_tasks,
@@ -61,10 +61,22 @@ def trained_pair(steps=40):
         raw = [rng.uniform(-1, 1), rng.uniform(2, 3.9), rng.uniform(-2, 2),
                rng.uniform(2, 3.9), rng.uniform(-2, 2)]
         x = mulnet.split_input(raw)
-        grp.learn_step_joint(grp.LearnStack([hip, knee]), x, rng.uniform(-60, 60, size=2))
+        r_h, r_k = rng.uniform(-60, 60, size=2)
+        grp.learn_step_joint(grp.LearnStack([hip, knee]), x, [r_h, r_k, r_k, r_k])
     grp.end_episode(hip)
     grp.end_episode(knee)
     return hip, knee
+
+
+def with_traces(traj, seed=9):
+    """A copy of a trajectory carrying hip (m=1) and knee (m=3) traces of
+    seeded finite G, pi and r."""
+    rng = np.random.default_rng(seed)
+    traces = {name: ModelTrace(G=rng.uniform(-60.0, 60.0, (len(traj), m)),
+                               pi=rng.uniform(0.0, 1.0, (len(traj), m)),
+                               r=rng.uniform(0.0, 1.0, (len(traj), m)))
+              for name, m in (("hip", 1), ("knee", 3))}
+    return dataclasses.replace(traj, traces=traces)
 
 
 # -------------------------------------------------------------- run config
@@ -279,8 +291,8 @@ def test_model_loaded_forward_matches(tmp_path):
     save_model(tmp_path / "knee.json", knee)
     back = load_model(tmp_path / "knee.json")
     x = np.linspace(-0.5, 0.5, 8)
-    G0, pi0, tau0 = grp.forward(grp.stack_models([knee]), x)[0]
-    G1, pi1, tau1 = grp.forward(grp.stack_models([back]), x)[0]
+    G0, pi0, tau0 = grp.forward(grp.LearnStack([knee]), x)[0]
+    G1, pi1, tau1 = grp.forward(grp.LearnStack([back]), x)[0]
     assert np.array_equal(G0, G1) and np.array_equal(pi0, pi1)
     assert tau0 == tau1
 
@@ -343,7 +355,7 @@ def test_demo_csv_has_twelve_fixed_columns(tmp_path, demo_traj):
 
 
 def test_knee_trace_adds_nine_columns(tmp_path, demo_traj):
-    traj = annotate_with_models(demo_traj, *trained_pair())
+    traj = with_traces(demo_traj)
     traj.traces.pop("hip")
     write_trajectory(tmp_path / "k.csv", traj)
     header = (tmp_path / "k.csv").read_text().splitlines()[0].split(",")
@@ -404,7 +416,7 @@ def test_trajectory_bytes_match_per_value_format(tmp_path, demo_traj, driven_by)
 
 
 def test_trajectory_round_trip_value_exact(tmp_path, demo_traj):
-    traj = annotate_with_models(demo_traj, *trained_pair())
+    traj = with_traces(demo_traj)
     write_trajectory(tmp_path / "t.csv", traj)
     back = read_trajectory(tmp_path / "t.csv")
     for name in FIXED_COLUMNS[:10]:
@@ -637,6 +649,33 @@ def test_cli_bad_json_names_file(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.count("\n") == 1
     assert f"{path} line 1 column 2" in err
+
+
+def test_cli_bad_model_names_file(tmp_path, capsys):
+    """With hip.json and knee.json side by side, a bad value in one of
+    them is reported with that file's path as well as the key."""
+    hip, knee = trained_pair()
+    save_model(tmp_path / "hip.json", hip)
+    data = model_to_dict(knee)
+    data["layers"][0]["W"][0][0] = "x"
+    (tmp_path / "knee.json").write_text(json.dumps(data))
+    rc = cli_io.cli(["eval", "--n", "1", "--out", str(tmp_path)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert f"{tmp_path / 'knee.json'}: layers[0].W must be a number" in err
+    assert "hip.json" not in err
+
+
+@pytest.mark.parametrize("reader, text, message", [
+    (load_run_config, '{"dt": "x"}', "dt must be a number"),
+    (read_report, '{"trajectories": 5}', "missing key"),
+])
+def test_file_readers_name_the_file(tmp_path, reader, text, message):
+    path = tmp_path / "f.json"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: .*{message}"):
+        reader(path)
 
 
 def test_cli_train_rejects_nan_lambda(tmp_path, capsys):

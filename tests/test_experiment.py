@@ -10,14 +10,11 @@ from grpleg import grp, mulnet
 from grpleg.cli_io import load_model
 from grpleg.dynamics import JointTorques, LegParams, LegState, integrate_step
 from grpleg.experiment import (
+    ACTIVE_PI,
     DEG,
-    ModelTrace,
     SampleRanges,
     Trajectory,
-    active_generator_count,
-    annotate_with_models,
     evaluate,
-    peak_responsibilities,
     run_demo_episode,
     sample_tasks,
     sensor_matrix,
@@ -153,40 +150,23 @@ def test_recorded_torques_replay_to_recorded_states(demo):
         assert state.phi_k_dot == demo.phi_k_dot[i + 1]
 
 
-def test_annotate_keeps_plant_columns(demo):
-    hip, knee = fresh_pair()
-    out = annotate_with_models(demo, hip, knee)
-    for name in ("t", "phi_h", "phi_k", "alpha", "tau_h", "tau_k"):
-        assert np.array_equal(getattr(out, name), getattr(demo, name))
-    assert set(out.traces) == {"hip", "knee"}
-    assert out.traces["hip"].G.shape == (len(demo), 1)
-    assert out.traces["knee"].pi.shape == (len(demo), 3)
-    sums = out.traces["knee"].r.sum(axis=1)
-    assert np.allclose(sums, 1.0, atol=1e-12)
-
-
-def test_annotate_matches_per_row_loop(demo, fixture_pair):
-    """The block forward equals a per-row loop over separate Generator and
-    RP network calls and a per-row softmax, bit for bit."""
+def test_forward_and_reference_match_per_row_loop(demo, fixture_pair):
+    """Over a demonstration's rows, the joint forward and the reference
+    softmax of the recorded torques equal separate Generator and RP network
+    calls and a hand-written max-shifted softmax, bit for bit."""
     hip, knee = fixture_pair
-    out = annotate_with_models(demo, hip, knee)
+    stack = grp.LearnStack([hip, knee])
     X = sensor_matrix(demo)
-    for name, mdl, r_G in (("hip", hip, demo.tau_h), ("knee", knee, demo.tau_k)):
-        G = np.empty((len(demo), mdl.m))
-        pi = np.empty_like(G)
-        r = np.empty_like(G)
-        for i in range(len(demo)):
-            G[i] = mulnet.net_forward(mdl.W, X[i])
-            pi[i] = mulnet.sigmoid_head(mulnet.net_forward(mdl.R, X[i]),
-                                        mdl.config.w_gain)
-            z = -mdl.gamma * np.abs(r_G[i] - G[i])
+    for i in range(len(demo)):
+        outs = grp.forward(stack, X[i])
+        for mdl, r_G, (G, pi, _) in zip((hip, knee), (demo.tau_h[i], demo.tau_k[i]), outs):
+            assert same_bits(G, mulnet.net_forward(mdl.W, X[i]))
+            assert same_bits(pi, mulnet.sigmoid_head(mulnet.net_forward(mdl.R, X[i]),
+                                                     mdl.config.w_gain))
+            z = -mdl.gamma * np.abs(r_G - G)
             z -= z.max()
             w = np.exp(z)
-            r[i] = w / w.sum()
-        trace = out.traces[name]
-        assert same_bits(trace.G, G)
-        assert same_bits(trace.pi, pi)
-        assert same_bits(trace.r, r)
+            assert same_bits(grp.responsibility_reference(r_G - G, mdl.gamma), w / w.sum())
 
 
 def test_sensor_matrix_matches_columns(demo):
@@ -311,8 +291,8 @@ def test_evaluate_torques_match_model_output():
     _, (traj,) = evaluate(hip, knee, tasks)
     X = sensor_matrix(traj)
     i = len(traj) // 3
-    _, _, tau_h = grp.forward(grp.stack_models([hip]), X[i])[0]
-    _, _, tau_k = grp.forward(grp.stack_models([knee]), X[i])[0]
+    _, _, tau_h = grp.forward(grp.LearnStack([hip]), X[i])[0]
+    _, _, tau_k = grp.forward(grp.LearnStack([knee]), X[i])[0]
     cap = LegParams().tau_max
     assert traj.tau_h[i] == np.clip(tau_h, -cap, cap)
     assert traj.tau_k[i] == np.clip(tau_k, -cap, cap)
@@ -330,7 +310,7 @@ def test_model_driven_rollout_matches_one_model_forwards(fixture_pair):
     X = sensor_matrix(traj)
     cap = LegParams().tau_max
     for name, mdl, applied in (("hip", hip, traj.tau_h), ("knee", knee, traj.tau_k)):
-        one = grp.stack_models([mdl])
+        one = grp.LearnStack([mdl])
         rows = [grp.forward(one, x)[0] for x in X]
         trace = traj.traces[name]
         assert same_bits(trace.G, np.array([G for G, _, _ in rows]))
@@ -345,39 +325,32 @@ def test_model_driven_rollout_matches_one_model_forwards(fixture_pair):
 # ------------------------------------------------- responsibility summaries
 
 
-def trace_traj(pi_by_model):
-    """Trajectory stub carrying only responsibility traces."""
-    traces = {
-        name: ModelTrace(G=np.zeros_like(pi), pi=np.asarray(pi, dtype=float),
-                         r=np.full_like(pi, np.nan))
-        for name, pi in pi_by_model.items()
-    }
-    n = next(iter(traces.values())).pi.shape[0]
-    z = np.zeros(n)
-    return Trajectory(t=z, phi_h=z, phi_k=z, phi_h_dot=z, phi_k_dot=z,
-                      alpha=z, alpha_dot=z, l=z, tau_h=z, tau_k=z,
-                      phase=np.ones(n, dtype=int),
-                      contact=np.zeros(n, dtype=bool), traces=traces)
+def test_peak_responsibilities_across_trajectories(fixture_pair):
+    """peak_pi is each layer's largest pi over every tick of every swing."""
+    hip, knee = fixture_pair
+    report, trajs = evaluate(hip, knee, sample_tasks(SampleRanges(), 3, seed=2))
+    assert list(report.peak_pi) == ["hip", "knee"]
+    for name, peak in report.peak_pi.items():
+        per_swing = [tr.traces[name].pi.max(axis=0) for tr in trajs]
+        assert same_bits(peak, np.maximum.reduce(per_swing))
 
 
-def test_peak_responsibilities_across_trajectories():
-    a = trace_traj({"knee": np.array([[0.2, 0.7], [0.3, 0.1]])})
-    b = trace_traj({"knee": np.array([[0.4, 0.05], [0.05, 0.6]])})
-    peaks = peak_responsibilities([a, b])
-    assert np.array_equal(peaks["knee"], [0.4, 0.7])
-
-
-def test_active_generator_count_thresholds():
-    traj = trace_traj({"knee": np.array([[0.05, 0.5, 0.95]])})
-    assert active_generator_count([traj], threshold=0.1) == {"knee": 2}
-    assert active_generator_count([traj], threshold=0.6) == {"knee": 1}
-    assert active_generator_count([traj], threshold=1.0) == {"knee": 0}
-
-
-@pytest.mark.parametrize("threshold", [0.0, -0.5, 1.5])
-def test_active_generator_count_rejects_bad_threshold(threshold):
-    with pytest.raises(ValueError, match="threshold"):
-        active_generator_count([], threshold=threshold)
+@pytest.mark.parametrize("pair", ["fixture", "one-silenced-rp"])
+def test_active_generators_count_peaks_above_a_tenth(pair, fixture_pair):
+    """A layer is an active generator when its peak pi exceeds 0.1."""
+    if pair == "fixture":
+        hip, knee = fixture_pair
+    else:
+        hip, knee = fresh_pair()
+        knee.R[2] = np.diag(np.full(8, -10.0))  # pi^3 stays near 0
+    report, _ = evaluate(hip, knee, sample_tasks(SampleRanges(), 2, seed=2))
+    assert ACTIVE_PI == 0.1
+    assert list(report.active_generators) == ["hip", "knee"]
+    for name, peak in report.peak_pi.items():
+        assert report.active_generators[name] == int((peak > 0.1).sum())
+    if pair == "one-silenced-rp":
+        assert report.peak_pi["knee"][2] < 0.1 < report.peak_pi["knee"][:2].min()
+        assert report.active_generators == {"hip": 1, "knee": 2}
 
 
 def test_weight_summary_layout():

@@ -15,7 +15,6 @@ from grpleg.grp import (
     init,
     learn_step_joint,
     responsibility_reference,
-    stack_models,
     total_output_identity,
 )
 
@@ -160,7 +159,7 @@ def test_forward_zero_generators():
     model = init(GrpConfig(m=3, seed=2))
     for k in range(3):
         model.W[k] = np.zeros_like(model.W[k])
-    G, pi, tau = forward(stack_models([model]), sample_x())[0]
+    G, pi, tau = forward(LearnStack([model]), sample_x())[0]
     assert np.all(G == 0.0) and tau == 0.0
     assert np.all((0.0 < pi) & (pi < 1.0))
 
@@ -171,7 +170,7 @@ def test_forward_single_layer_saturated_gate():
     R[2, 2] = 10.0  # large gain on phi_h drives the head to saturation
     model.R[0] = R
     x = sample_x(1)
-    G, pi, tau = forward(stack_models([model]), x)[0]
+    G, pi, tau = forward(LearnStack([model]), x)[0]
     assert pi[0] > 1.0 - 1e-12
     assert math.isclose(tau, G[0], rel_tol=1e-9)
 
@@ -179,7 +178,7 @@ def test_forward_single_layer_saturated_gate():
 def test_forward_matches_per_layer_recomputation():
     model = init(GrpConfig(m=3, seed=5))
     x = sample_x(2)
-    G, pi, tau = forward(stack_models([model]), x)[0]
+    G, pi, tau = forward(LearnStack([model]), x)[0]
     manual = 0.0
     for k in range(3):
         gk = mulnet.net_forward(model.W[k], x)
@@ -198,39 +197,53 @@ def same_bits(a, b):
 
 def test_forward_joint_stack_matches_one_model_stacks():
     """Models with different m and w_gain evaluated in one stack give, per
-    model, the bits of a one-model stack, for one input and for a block."""
+    model, the bits of a one-model stack."""
     models = [init(GrpConfig(m=m, w_gain=g, seed=s))
               for m, g, s in ((1, 1.0, 20), (3, 2.5, 21), (2, 0.5, 22))]
     for mdl in models:
         mdl.W *= 400.0  # large enough that exponent clamps fire
-    joint = stack_models(models)
+    joint = LearnStack(models)
     assert joint.S.shape == (12, 8, 8)
-    assert joint.bounds == ((0, 1), (1, 4), (4, 6))
-    X = np.stack([sample_x(seed) for seed in range(6)])
-    for x in (X[0], X):
+    assert joint.slices == (slice(0, 1), slice(1, 4), slice(4, 6))
+    for seed in range(6):
+        x = sample_x(seed)
         mulnet.reset_exp_clamp_count()
         together = forward(joint, x)
         clamps = mulnet.exp_clamp_count()
         mulnet.reset_exp_clamp_count()
-        alone = [forward(stack_models([mdl]), x)[0] for mdl in models]
+        alone = [forward(LearnStack([mdl]), x)[0] for mdl in models]
         assert clamps > 0 and mulnet.exp_clamp_count() == clamps
         for mdl, (G, pi, tau), (G1, pi1, tau1) in zip(models, together, alone):
-            assert G.shape == x.shape[:-1] + (mdl.m,)
-            assert same_bits(G, G1) and same_bits(pi, pi1) and same_bits(tau, tau1)
-    for mdl, (G, pi, tau) in zip(models, forward(joint, X)):
-        for i, x in enumerate(X):
-            G1, pi1, tau1 = forward(stack_models([mdl]), x)[0]
+            assert G.shape == pi.shape == (mdl.m,)
             assert isinstance(tau1, float) and same_bits(tau1, G1 @ pi1)
-            assert same_bits(G[i], G1) and same_bits(pi[i], pi1)
-            assert same_bits(tau[i], tau1)
+            assert same_bits(G, G1) and same_bits(pi, pi1) and same_bits(tau, tau1)
 
 
-def test_forward_stack_is_a_snapshot():
-    model = init(GrpConfig(m=2, seed=23))
-    joint = stack_models([model])
-    G0 = forward(joint, sample_x(8))[0][0].copy()
-    learn_step_joint(LearnStack([model]), sample_x(8), [3.0])
-    assert same_bits(forward(joint, sample_x(8))[0][0], G0)
+@pytest.mark.parametrize("rows", [1, 8])
+def test_forward_rejects_a_block_of_inputs(rows):
+    """A block of inputs is refused: an (8, 8) one would pair stack row k
+    with input k."""
+    stack = LearnStack([init(GrpConfig(m=1, seed=25)), init(GrpConfig(m=3, seed=26))])
+    X = np.stack([sample_x(seed) for seed in range(rows)])
+    with pytest.raises(ValueError, match=r"one \(8,\) input, got shape \(%d, 8\)" % rows):
+        forward(stack, X)
+
+
+def test_forward_reads_the_live_stack():
+    """After a learn step, forward on the live stack gives the bits of
+    forward on a fresh stack of copies of the updated models."""
+    hip, knee = init(GrpConfig(m=1, seed=23)), init(GrpConfig(m=3, seed=24))
+    stack = LearnStack([hip, knee])
+    x = sample_x(8)
+    before = forward(stack, x)
+    learn_step_joint(stack, x, [3.0, -1.0, -1.0, -1.0])
+    after = forward(stack, x)
+    copies = [dataclasses.replace(mdl, W=mdl.W.copy(), R=mdl.R.copy())
+              for mdl in (hip, knee)]
+    fresh = forward(LearnStack(copies), x)
+    assert not same_bits(after[1][0], before[1][0])
+    for (G, pi, tau), (G1, pi1, tau1) in zip(after, fresh):
+        assert same_bits(G, G1) and same_bits(pi, pi1) and same_bits(tau, tau1)
 
 
 def test_responsibility_reference_broadcasts_over_rows():
@@ -275,7 +288,7 @@ def test_learn_step_gating_freezes_nonresponsible_generator():
     model = init(GrpConfig(m=2, seed=11))
     model.gamma = 1e9  # one-hot reference: loser's Generator rate is exactly 0
     x = sample_x(5)
-    G, _, _ = forward(stack_models([model]), x)[0]
+    G, _, _ = forward(LearnStack([model]), x)[0]
     r_G = G[0] + 1e-3  # layer 0 nearly exact, layer 1 clearly off
     before = [W.copy() for W in model.W]
     before_R = [R.copy() for R in model.R]
@@ -292,9 +305,9 @@ def test_learn_step_descends_generator_error():
     model = init(GrpConfig(m=1, mu=1e-3, lam=0.0, seed=12))
     x = sample_x(6)
     r_G = 5.0
-    e0 = abs(r_G - forward(stack_models([model]), x)[0][0][0])
+    e0 = abs(r_G - forward(LearnStack([model]), x)[0][0][0])
     learn_step_joint(LearnStack([model]), x, [r_G])
-    e1 = abs(r_G - forward(stack_models([model]), x)[0][0][0])
+    e1 = abs(r_G - forward(LearnStack([model]), x)[0][0][0])
     assert e1 < e0
 
 
@@ -302,10 +315,10 @@ def test_learn_step_descends_responsible_layer_with_m3():
     model = init(GrpConfig(m=3, mu=1e-3, lam=0.0, seed=14))
     x = sample_x(7)
     r_G = -4.0
-    G, _, _ = forward(stack_models([model]), x)[0]
+    G, _, _ = forward(LearnStack([model]), x)[0]
     k = int(np.abs(r_G - G).argmin())
     learn_step_joint(LearnStack([model]), x, [r_G])
-    G1, _, _ = forward(stack_models([model]), x)[0]
+    G1, _, _ = forward(LearnStack([model]), x)[0]
     assert abs(r_G - G1[k]) < abs(r_G - G[k])
 
 
@@ -330,14 +343,14 @@ def test_learn_step_update_formula():
     e_RP = r_RP - pi
     want_W = [
         W[k]
-        + r_RP[k] * cfg.mu * (e_G[k] * mulnet.net_gradient(W[k], x) - cfg.lam * W[k])
+        + r_RP[k] * cfg.mu * (e_G[k] * mulnet.forward_and_gradient(W[k], x)[1] - cfg.lam * W[k])
         for k in range(2)
     ]
     want_R = [
         R[k]
         + cfg.mu
         * (
-            e_RP[k] * cfg.w_gain * pi[k] * (1 - pi[k]) * mulnet.net_gradient(R[k], x)
+            e_RP[k] * cfg.w_gain * pi[k] * (1 - pi[k]) * mulnet.forward_and_gradient(R[k], x)[1]
             - cfg.lam * R[k]
         )
         for k in range(2)
@@ -377,7 +390,7 @@ def test_learn_step_joint_matches_solo_steps():
     for t in range(200):
         x = sample_x(t)
         r_Gs = rng.uniform(-5.0, 5.0, 2)
-        records = learn_step_joint(LearnStack(joint), x, r_Gs)
+        records = learn_step_joint(LearnStack(joint), x, np.repeat(r_Gs, [1, 3]))
         for mdl, r_G, rec in zip(solo, r_Gs, records):
             alone = learn_step_joint(LearnStack([mdl]), x, [r_G])[0]
             for field in dataclasses.fields(rec):
@@ -459,7 +472,7 @@ def test_learn_stack_matches_reference_step():
         x = sample_x(t)
         r_Gs = rng.uniform(-5.0, 5.0, 3)
         mulnet.reset_exp_clamp_count()
-        records = learn_step_joint(stack, x, r_Gs)
+        records = learn_step_joint(stack, x, r_Gs[stack.row_model])
         live_clamps = mulnet.exp_clamp_count()
         mulnet.reset_exp_clamp_count()
         expected = reference_learn_step(ref, x, r_Gs)
@@ -483,8 +496,8 @@ def test_learn_step_records_are_stack_views():
     one r_RP entry per layer of the stack."""
     hip, knee = init(GrpConfig(m=1, seed=50)), init(GrpConfig(m=3, seed=51))
     stack = LearnStack([hip, knee])
-    first = learn_step_joint(stack, sample_x(13), [1.0, -1.0])
-    second = learn_step_joint(stack, sample_x(14), [2.0, 0.5])
+    first = learn_step_joint(stack, sample_x(13), [1.0, -1.0, -1.0, -1.0])
+    second = learn_step_joint(stack, sample_x(14), [2.0, 0.5, 0.5, 0.5])
     assert all(a is b for a, b in zip(first, second)) and len(second) == 2
     for rec, r_G in zip(second, (2.0, 0.5)):
         for field in dataclasses.fields(rec):
@@ -493,19 +506,21 @@ def test_learn_step_records_are_stack_views():
     assert sum(rec.r_RP.size for rec in second) == stack.w_gain.size == 4
 
 
-def test_learn_step_takes_one_reference_per_model_or_per_row():
-    def run(r_G):
-        stack = LearnStack([init(GrpConfig(m=1, seed=52)), init(GrpConfig(m=3, seed=53))])
-        learn_step_joint(stack, sample_x(15), r_G)
-        return stack.S
-
-    assert same_bits(run([1.5, -0.5]), run([1.5, -0.5, -0.5, -0.5]))
+def test_learn_step_rejects_one_reference_per_model():
+    """A learn step takes one reference per stack row; a reference per
+    model does not broadcast over a stack of m=1 and m=3 models, and the
+    weights stay as they were."""
+    stack = LearnStack([init(GrpConfig(m=1, seed=52)), init(GrpConfig(m=3, seed=53))])
+    before = stack.S.copy()
+    with pytest.raises(ValueError):
+        learn_step_joint(stack, sample_x(15), [1.5, -0.5])
+    assert same_bits(stack.S, before)
 
 
 def test_learn_stack_weights_are_views():
     hip, knee = init(GrpConfig(m=1, seed=44)), init(GrpConfig(m=3, seed=45))
     stack = LearnStack([hip, knee])
-    learn_step_joint(stack, sample_x(10), [1.0, -1.0])
+    learn_step_joint(stack, sample_x(10), [1.0, -1.0, -1.0, -1.0])
     assert stack.S.shape == (8, 8, 8)
     for mdl, lo, hi in ((hip, 0, 1), (knee, 1, 4)):
         assert mdl.W.base is stack.S and mdl.R.base is stack.S
@@ -516,12 +531,12 @@ def test_learn_stack_weights_are_views():
 def test_learn_stack_nonfinite_update_changes_nothing():
     hip, knee = init(GrpConfig(m=1, seed=46)), init(GrpConfig(m=3, seed=47))
     stack = LearnStack([hip, knee])
-    learn_step_joint(stack, sample_x(11), [1.0, -1.0])
+    learn_step_joint(stack, sample_x(11), [1.0, -1.0, -1.0, -1.0])
     knee.W[2][2, 2] = 1e308  # the hip-angle gain overflows the forward pass
     before = [(mdl.W.copy(), mdl.R.copy()) for mdl in (hip, knee)]
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(NonFiniteError, match="non-finite weight update"):
-            learn_step_joint(stack, sample_x(12), [1.0, -1.0])
+            learn_step_joint(stack, sample_x(12), [1.0, -1.0, -1.0, -1.0])
     for mdl, (W, R) in zip((hip, knee), before):
         assert same_bits(mdl.W, W) and same_bits(mdl.R, R)
 

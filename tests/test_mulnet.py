@@ -11,8 +11,8 @@ from grpleg.mulnet import (
     NET_DIM,
     exp_clamp_count,
     finite_difference_check,
+    forward_and_gradient,
     net_forward,
-    net_gradient,
     reset_exp_clamp_count,
     sigmoid_head,
     split_input,
@@ -202,14 +202,14 @@ def test_silence_property():
 def test_gradient_zero_input():
     rng = np.random.default_rng(31)
     W = rng.uniform(-1.0, 1.0, (8, 8))
-    assert np.all(net_gradient(W, np.zeros(8)) == 0.0)
+    assert np.all(forward_and_gradient(W, np.zeros(8))[1] == 0.0)
 
 
 def test_gradient_diagonal_only_weights():
     rng = np.random.default_rng(32)
     W = np.diag(rng.uniform(-1.0, 1.0, NET_DIM))
     x = split_input(draw_raw(rng))
-    g = net_gradient(W, x)
+    g = forward_and_gradient(W, x)[1]
     for i in range(NET_DIM):
         for j in range(NET_DIM):
             want = x[i] if i == j else W[i, i] * x[i] * x[j]
@@ -221,7 +221,7 @@ def test_gradient_vs_independent_differences():
     h = 1e-6
     for seed in range(50):
         W, x = draw_instance(seed)
-        g = net_gradient(W, x)
+        g = forward_and_gradient(W, x)[1]
         for i in range(NET_DIM):
             for j in range(NET_DIM):
                 Wp = W.copy()
@@ -250,10 +250,10 @@ def test_gradient_batched_matches_single():
     rng = np.random.default_rng(41)
     stack = rng.uniform(-0.2, 0.2, (4, NET_DIM, NET_DIM))
     x = split_input(draw_raw(rng))
-    g = net_gradient(stack, x)
+    g = forward_and_gradient(stack, x)[1]
     assert g.shape == (4, NET_DIM, NET_DIM)
     for k in range(4):
-        assert np.array_equal(g[k], net_gradient(stack[k], x))
+        assert np.array_equal(g[k], forward_and_gradient(stack[k], x)[1])
 
 
 # -------------------------------------------------------------sigmoid head
