@@ -13,6 +13,15 @@ swing tasks; the target controller's phase/latch machine still runs
 alongside as a shadow monitor, but only to decide ground contact, never to
 produce torque.
 
+Every rollout advances its swings in lockstep: one loop ticks all active
+swings, and a swing that lands or times out leaves the active set. Each
+swing keeps its own scalar plant and controller, so its values are the
+bits of rolling it alone. With models driving, a tick stacks the active
+swings' sensor rows into one block, so an evaluation makes one
+`grp.forward` call per tick for all of its active swings. If several
+swings fail (a NaN torque, a diverging state), the error raised is the
+first in tick order, and within one tick the lowest-numbered swing's.
+
 Torques recorded in trajectories are the saturated values actually applied
 to the plant; Generators therefore learn the delivered torque, bounded by
 +-tau_max, not the controller's raw request.
@@ -154,85 +163,101 @@ def sample_tasks(
     return out
 
 
-def _network_input(alpha, s, alpha_tgt):
-    """Network input from the five sensor channels [alpha - alpha_tgt,
-    phi_h, phi_h_dot, phi_k, phi_k_dot]. `s` is a LegState with scalar
-    alpha, giving one (8,) row, or a Trajectory with alpha a column,
-    giving (T, 8)."""
-    return split_input(
-        np.asarray(
-            [alpha - alpha_tgt, s.phi_h, s.phi_h_dot, s.phi_k, s.phi_k_dot]
-        ).T
-    )
+def _sensor_channels(alpha, s, alpha_tgt) -> tuple:
+    """The five sensor channels [alpha - alpha_tgt, phi_h, phi_h_dot, phi_k,
+    phi_k_dot]. `s` is a LegState with scalar alpha, giving one row of
+    floats, or a Trajectory with alpha a column, giving five columns."""
+    return (alpha - alpha_tgt, s.phi_h, s.phi_h_dot, s.phi_k, s.phi_k_dot)
 
 
 def sensor_matrix(traj: Trajectory) -> np.ndarray:
     """(T, 8) network inputs for every row of a trajectory."""
-    return _network_input(traj.alpha, traj, traj.task.alpha_tgt)
+    return split_input(
+        np.asarray(_sensor_channels(traj.alpha, traj, traj.task.alpha_tgt)).T
+    )
 
 
-def _swing_rollout(
-    init_state: LegState,
-    task: SwingTask,
+def _rollout(
+    swings: list[tuple[SwingTask, LegState]],
     gains: ControllerGains,
     params: LegParams,
     dt: float,
     timeout: float,
     stack: grp.LearnStack | None = None,
-) -> Trajectory:
-    """Roll one swing until ground contact or timeout.
+) -> list[Trajectory]:
+    """Roll every swing in lockstep (see the module docstring) until each
+    lands or times out; a finished swing leaves the active set.
 
     Without a stack the plant receives the saturated target-controller
     torque. With the stack of the (hip, knee) models it receives their
-    saturated combined torques, and the controller state machine runs
-    purely as a contact/phase monitor on the kinematics it observes.
+    saturated combined torques, from one split_input and one grp.forward
+    call per tick on the active swings' (k, 5) sensor block, and the
+    controller state machine runs purely as a contact/phase monitor on the
+    kinematics it observes.
     """
-    state = init_state
-    ctrl = ControllerState()
-    # per tick: Trajectory's first ten fields in order, then phase, contact
-    ticks = []
-    layer_rows = []  # per tick: (hip, knee) outputs of grp.forward
+    tasks = [task for task, _ in swings]
+    states = [init for _, init in swings]
+    ctrls = [ControllerState()] * len(swings)
+    # per swing and tick: Trajectory's first ten fields in order, then
+    # phase, contact
+    ticks = [[] for _ in swings]
+    blocks = []  # per tick with a stack: (active swings, grp.forward output)
+    active = list(range(len(swings)))
 
-    while True:
-        kin = kinematics(state, params)
-        demo_tq, ctrl = control_step(kin, ctrl, task, gains)
+    while active:
+        kins, torques = [], []
+        for i in active:
+            kin = kinematics(states[i], params)
+            demo_tq, ctrls[i] = control_step(kin, ctrls[i], tasks[i], gains)
+            kins.append(kin)
+            torques.append(demo_tq)
+        if stack is not None:
+            raw = [_sensor_channels(kin.alpha, states[i], tasks[i].alpha_tgt)
+                   for i, kin in zip(active, kins)]
+            (_, _, tau_h), (_, _, tau_k) = outs = grp.forward(stack, split_input(raw))
+            blocks.append((active, outs))
+            torques = map(JointTorques, tau_h.tolist(), tau_k.tolist())
 
-        if stack is None:
-            applied = saturate(demo_tq, params)
-        else:
-            x = _network_input(kin.alpha, state, task.alpha_tgt)
-            hip_out, knee_out = grp.forward(stack, x)
-            applied = saturate(JointTorques(hip_out[2], knee_out[2]), params)
-            layer_rows.append((hip_out, knee_out))
+        still = []
+        for i, kin, tq in zip(active, kins, torques):
+            state, ctrl = states[i], ctrls[i]
+            applied = saturate(tq, params)
+            ticks[i].append((
+                state.t, state.phi_h, state.phi_k, state.phi_h_dot, state.phi_k_dot,
+                kin.alpha, kin.alpha_dot, kin.l, applied.tau_h, applied.tau_k,
+                ctrl.phase, ctrl.contact,
+            ))
+            if not (ctrl.contact or state.t >= timeout):
+                states[i] = integrate_step(state, applied, params, dt)
+                still.append(i)
+        active = still
 
-        ticks.append((
-            state.t, state.phi_h, state.phi_k, state.phi_h_dot, state.phi_k_dot,
-            kin.alpha, kin.alpha_dot, kin.l, applied.tau_h, applied.tau_k,
-            ctrl.phase, ctrl.contact,
-        ))
-
-        if ctrl.contact or state.t >= timeout:
-            break
-        state = integrate_step(state, applied, params, dt)
-
-    traces = {}
+    traces = [{} for _ in swings]
     if stack is not None:
-        for name, mdl, rows in zip(("hip", "knee"), stack.models, zip(*layer_rows)):
-            traces[name] = ModelTrace(
-                G=np.array([G for G, _, _ in rows]),
-                pi=np.array([pi for _, pi, _ in rows]),
-                # no reference torque exists when models drive: r is all NaN
-                r=np.full((len(rows), mdl.m), np.nan),
+        # forward rows run tick-major; a stable sort by swing makes each
+        # swing's rows one contiguous run, in tick order
+        order = np.argsort([i for act, _ in blocks for i in act], kind="stable")
+        cuts = np.cumsum([len(rows) for rows in ticks])[:-1]
+        for k, name in enumerate(("hip", "knee")):
+            G, pi = (
+                np.split(np.concatenate([outs[k][j] for _, outs in blocks])[order], cuts)
+                for j in (0, 1)
             )
-    *floats, phases, contacts = zip(*ticks)
-    return Trajectory(
-        *map(np.array, floats),
-        phase=np.array(phases, dtype=int),
-        contact=np.array(contacts, dtype=bool),
-        task=task,
-        timed_out=not ctrl.contact,
-        traces=traces,
-    )
+            for tr, G_i, pi_i in zip(traces, G, pi):
+                # no reference torque exists when models drive: r is all NaN
+                tr[name] = ModelTrace(G=G_i, pi=pi_i, r=np.full(G_i.shape, np.nan))
+    trajs = []
+    for rows, task, ctrl, tr in zip(ticks, tasks, ctrls, traces):
+        *floats, phases, contacts = zip(*rows)
+        trajs.append(Trajectory(
+            *map(np.array, floats),
+            phase=np.array(phases, dtype=int),
+            contact=np.array(contacts, dtype=bool),
+            task=task,
+            timed_out=not ctrl.contact,
+            traces=tr,
+        ))
+    return trajs
 
 
 def run_demo_episode(
@@ -244,7 +269,7 @@ def run_demo_episode(
     timeout: float = 2.0,
 ) -> Trajectory:
     """One demonstration swing under the target controller."""
-    return _swing_rollout(init_state, task, gains, params, dt, timeout)
+    return _rollout([(task, init_state)], gains, params, dt, timeout)[0]
 
 
 def train(
@@ -305,11 +330,10 @@ def evaluate(
             raise ValueError(
                 f"evaluation needs a {name} GrpModel, got {type(mdl).__name__}"
             )
+    if not tasks:
+        raise ValueError("no tasks to evaluate")
     stack = grp.LearnStack([hip_model, knee_model])
-    trajs = [
-        _swing_rollout(init, task, gains, params, dt, timeout, stack)
-        for task, init in tasks
-    ]
+    trajs = _rollout(tasks, gains, params, dt, timeout, stack)
     tgt = np.array([task.alpha_tgt for task, _ in tasks]) / DEG
     end = np.array([tr.alpha_end for tr in trajs]) / DEG
     err = np.abs(tgt - end)

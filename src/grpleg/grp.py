@@ -11,7 +11,8 @@ whole stack evaluates in one network call.
 Every layer of every model sees the same input, so several models evaluate
 and learn together over one LearnStack: one (2M, 8, 8) array holding every
 model's W stack, then every R stack, with each model's W and R views into
-it. `forward` reads it with one network call and one sigmoid-head call;
+it. `forward` reads it with one network call and one sigmoid-head call,
+at one input or at a block of inputs (one per swing in a lockstep rollout);
 `learn_step_joint` updates it in place with one network-and-gradient call
 and one sigmoid-head call per step. The stack also owns every array a step
 writes (network output, pi, e_G, r_RP, e_RP, gradient and update work) and
@@ -224,17 +225,32 @@ class LearnStack:
 
 def forward(stack: LearnStack, x) -> list[tuple]:
     """(G, pi, tau_out) per model of the stack, from one network call and
-    one sigmoid head over its current weights at one (8,) input: the (m,)
+    one sigmoid head over its current weights. At one (8,) input: the (m,)
     Generator outputs G^k, the (m,) RP responsibilities pi^k and the
-    combined torque sum_k G^k pi^k as a float. The arrays are new, not the
-    stack's step buffers."""
+    combined torque sum_k G^k pi^k as a float. At an (N, 8) block of
+    inputs: (N, m), (N, m) and (N,) arrays whose row n holds the bits that
+    input n alone gives, so the lockstep rollout evaluates every active
+    swing in one call, one row per swing. forward raises nothing on
+    non-finite values; the rollout's torque and plant checks do, in tick
+    order. The arrays are new, not the stack's step buffers.
+    """
     x = np.asarray(x, dtype=float)
-    if x.shape != (NET_DIM,):
-        # a block would broadcast against the stack's rows, not per input
-        raise ValueError(f"forward takes one ({NET_DIM},) input, got shape {x.shape}")
-    out = net_forward(stack.S, x)
-    pis = sigmoid_head(out[stack.w_gain.size:], stack.w_gain)
-    return [(out[sl], pis[sl], float(out[sl] @ pis[sl])) for sl in stack.slices]
+    if x.ndim not in (1, 2) or x.shape[-1] != NET_DIM:
+        raise ValueError(
+            f"forward takes one ({NET_DIM},) input or an (N, {NET_DIM}) block, "
+            f"got shape {x.shape}"
+        )
+    total = stack.w_gain.size
+    # the unit axis pairs every input row with every stack row
+    out = net_forward(stack.S, x[..., None, :])
+    G = out[..., :total]
+    pis = sigmoid_head(out[..., total:], stack.w_gain)
+    models = []
+    for sl in stack.slices:
+        # per-row dot products, with the bits of the 1-D G @ pi
+        tau = np.matmul(G[..., None, sl], pis[..., sl, None])[..., 0, 0]
+        models.append((G[..., sl], pis[..., sl], tau if x.ndim == 2 else float(tau)))
+    return models
 
 
 def total_output_identity(model: GrpModel, x, r_G: float) -> float:
@@ -251,7 +267,9 @@ def total_output_identity(model: GrpModel, x, r_G: float) -> float:
 
 def learn_step_joint(stack: LearnStack, x, r_G) -> list[StepRecord]:
     """One online update of every model in a live stack from a shared input
-    and one reference torque per stack row; returns one record per model.
+    and one reference torque per stack row, an array of shape (rows,); any
+    other shape raises ValueError before the step does any work. Returns
+    one record per model.
 
     Generator k moves down its squared-error gradient at the gated rate
     r_RP^k * mu; its RP regresses onto the reference responsibility at the
@@ -266,11 +284,16 @@ def learn_step_joint(stack: LearnStack, x, r_G) -> list[StepRecord]:
     same list every step, and the next step overwrites them. Copy what
     must outlive the step.
     """
+    r_G = np.asarray(r_G, dtype=float)
+    if r_G.shape != stack.pi.shape:
+        raise ValueError(
+            f"learn step takes one reference per stack row, shape {stack.pi.shape}, "
+            f"got shape {r_G.shape}"
+        )
     S, dS = stack.S, stack._grad
     forward_and_gradient(S, x, stack._out, dS)
     pi = sigmoid_head(stack._b, stack.w_gain, stack.pi)
     G, e_G, r_RP, e_RP = stack.G, stack.e_G, stack.r_RP, stack.e_RP
-    r_G = np.asarray(r_G, dtype=float)
     np.subtract(r_G, G, out=e_G)
     for mdl, rec in zip(stack.models, stack.records):
         responsibility_reference(rec.e_G, mdl.gamma, rec.r_RP)

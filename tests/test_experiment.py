@@ -6,8 +6,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from grpleg import grp, mulnet
-from grpleg.cli_io import load_model
+from grpleg import NonFiniteError, experiment, grp, mulnet
+from grpleg.cli_io import FIXED_COLUMNS, load_model
 from grpleg.dynamics import JointTorques, LegParams, LegState, integrate_step
 from grpleg.experiment import (
     ACTIVE_PI,
@@ -22,7 +22,7 @@ from grpleg.experiment import (
     weight_summary,
 )
 from grpleg.grp import GrpConfig
-from grpleg.target_controller import ControllerGains, make_task
+from grpleg.target_controller import ControllerGains, control_step, make_task
 
 
 @pytest.fixture(scope="module")
@@ -320,6 +320,76 @@ def test_model_driven_rollout_matches_one_model_forwards(fixture_pair):
         assert trace.r.shape == (len(traj), mdl.m) and np.isnan(trace.r).all()
     assert clamps > 0
     assert mulnet.exp_clamp_count() == clamps
+
+
+def test_evaluate_rejects_empty_task_list():
+    hip, knee = fresh_pair()
+    with pytest.raises(ValueError, match="no tasks to evaluate"):
+        evaluate(hip, knee, [])
+
+
+def solo_evaluations(hip, knee, tasks, timeout):
+    """Each task evaluated on its own: (report, trajectory) per task and
+    the total exponent-clamp count."""
+    mulnet.reset_exp_clamp_count()
+    runs = [evaluate(hip, knee, [task], timeout=timeout) for task in tasks]
+    return [(report, traj) for report, (traj,) in runs], mulnet.exp_clamp_count()
+
+
+@pytest.mark.parametrize("timeouts", ["none", "one"])
+def test_lockstep_swings_match_solo_evaluations(timeouts, fixture_pair):
+    """Swings evaluated together, in lockstep, are each bit-identical to the
+    swing evaluated alone: every column, trace and report entry, and the
+    total exponent-clamp count; also when one swing times out while the
+    others land and leave the active set at other ticks."""
+    hip, knee = fixture_pair
+    tasks = sample_tasks(SampleRanges(), 3, seed=5)
+    timeout = 2.0
+    if timeouts == "one":
+        # between the two latest landings: only the latest swing times out
+        t_end = sorted(traj.t[-1] for _, traj in solo_evaluations(hip, knee, tasks, 2.0)[0])
+        timeout = 0.5 * (t_end[1] + t_end[2])
+    solo, solo_clamps = solo_evaluations(hip, knee, tasks, timeout)
+    mulnet.reset_exp_clamp_count()
+    report, trajs = evaluate(hip, knee, tasks, timeout=timeout)
+    assert mulnet.exp_clamp_count() == solo_clamps > 0
+    assert report.timed_out.sum() == (timeouts == "one")
+    assert len({len(traj) for traj in trajs}) == 3
+    for n, (traj, (alone_report, alone)) in enumerate(zip(trajs, solo)):
+        assert traj.task == alone.task and traj.timed_out == alone.timed_out
+        for name in FIXED_COLUMNS:
+            assert same_bits(getattr(traj, name), getattr(alone, name)), name
+        assert list(traj.traces) == list(alone.traces) == ["hip", "knee"]
+        for name, trace in traj.traces.items():
+            for field in ("G", "pi", "r"):
+                assert same_bits(getattr(trace, field), getattr(alone.traces[name], field))
+        for field in ("alpha_tgt_deg", "alpha_end_deg", "error_deg", "timed_out"):
+            assert getattr(report, field)[n] == getattr(alone_report, field)[0]
+    for name, peak in report.peak_pi.items():
+        assert same_bits(peak, np.maximum.reduce([r.peak_pi[name] for r, _ in solo]))
+
+
+@pytest.mark.parametrize("fail_ticks, raised", [((10, 5), "swing 1 at tick 5"),
+                                                 ((5, 5), "swing 0 at tick 5")],
+                         ids=["later-swing-first", "same-tick"])
+def test_lockstep_raises_the_first_failure_in_tick_order(fail_ticks, raised, monkeypatch):
+    """Of several failing swings, the one that fails at the earliest tick
+    raises, whatever its place in the task list; within one tick, the
+    lowest-numbered one does."""
+    hip, knee = fresh_pair()
+    tasks = sample_tasks(SampleRanges(), 2, seed=15)
+    calls = [0, 0]
+
+    def failing_control_step(kin, ctrl, task, gains):
+        j = [t for t, _ in tasks].index(task)
+        if calls[j] == fail_ticks[j]:
+            raise NonFiniteError(f"swing {j} at tick {calls[j]}")
+        calls[j] += 1
+        return control_step(kin, ctrl, task, gains)
+
+    monkeypatch.setattr(experiment, "control_step", failing_control_step)
+    with pytest.raises(NonFiniteError, match=raised):
+        evaluate(hip, knee, tasks)
 
 
 # ------------------------------------------------- responsibility summaries

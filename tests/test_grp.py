@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -219,14 +220,35 @@ def test_forward_joint_stack_matches_one_model_stacks():
             assert same_bits(G, G1) and same_bits(pi, pi1) and same_bits(tau, tau1)
 
 
-@pytest.mark.parametrize("rows", [1, 8])
-def test_forward_rejects_a_block_of_inputs(rows):
-    """A block of inputs is refused: an (8, 8) one would pair stack row k
-    with input k."""
+@pytest.mark.parametrize("m", range(1, 9))
+def test_forward_block_matches_per_row_forward(m):
+    """forward on an (N, 8) block gives, row by row, the bits of forward
+    on that row alone: G, pi and tau per model, and the exponent clamps."""
+    models = [init(GrpConfig(m=1, seed=60)), init(GrpConfig(m=m, w_gain=1.5, seed=61))]
+    models[1].W *= 300.0  # large enough that exponent clamps fire
+    stack = LearnStack(models)
+    X = np.stack([sample_x(seed) for seed in range(7)])
+    mulnet.reset_exp_clamp_count()
+    block = forward(stack, X)
+    clamps = mulnet.exp_clamp_count()
+    mulnet.reset_exp_clamp_count()
+    rows = [forward(stack, x) for x in X]
+    assert clamps > 0 and mulnet.exp_clamp_count() == clamps
+    for k, (mdl, (G, pi, tau)) in enumerate(zip(models, block)):
+        assert G.shape == pi.shape == (7, mdl.m) and tau.shape == (7,)
+        assert same_bits(G, [row[k][0] for row in rows])
+        assert same_bits(pi, [row[k][1] for row in rows])
+        assert same_bits(tau, [row[k][2] for row in rows])
+
+
+@pytest.mark.parametrize("shape", [(), (7,), (9,), (3, 5), (3, 16), (2, 3, 8)],
+                         ids=["0-d", "7", "9", "3x5", "3x16", "2x3x8"])
+def test_forward_rejects_inputs_other_than_8_wide_rows(shape):
+    """forward takes one (8,) input or an (N, 8) block; anything else is
+    refused with its shape named."""
     stack = LearnStack([init(GrpConfig(m=1, seed=25)), init(GrpConfig(m=3, seed=26))])
-    X = np.stack([sample_x(seed) for seed in range(rows)])
-    with pytest.raises(ValueError, match=r"one \(8,\) input, got shape \(%d, 8\)" % rows):
-        forward(stack, X)
+    with pytest.raises(ValueError, match=re.escape(f"got shape {shape}")):
+        forward(stack, np.ones(shape))
 
 
 def test_forward_reads_the_live_stack():
@@ -278,7 +300,7 @@ def test_total_output_identity_fuzz():
 def test_learn_step_record_fields():
     model = init(GrpConfig(m=3, seed=7))
     x = sample_x(4)
-    rec = learn_step_joint(LearnStack([model]), x, [2.0])[0]
+    rec = learn_step_joint(LearnStack([model]), x, [2.0] * 3)[0]
     assert abs(rec.r_RP.sum() - 1.0) < 1e-12
     assert np.array_equal(rec.e_G, 2.0 - rec.G)
     assert np.array_equal(rec.e_RP, rec.r_RP - rec.pi)
@@ -292,7 +314,7 @@ def test_learn_step_gating_freezes_nonresponsible_generator():
     r_G = G[0] + 1e-3  # layer 0 nearly exact, layer 1 clearly off
     before = [W.copy() for W in model.W]
     before_R = [R.copy() for R in model.R]
-    rec = learn_step_joint(LearnStack([model]), x, [r_G])[0]
+    rec = learn_step_joint(LearnStack([model]), x, [r_G] * 2)[0]
     assert rec.r_RP[0] == 1.0 and rec.r_RP[1] == 0.0
     assert not np.array_equal(model.W[0], before[0])
     assert np.array_equal(model.W[1], before[1])
@@ -317,7 +339,7 @@ def test_learn_step_descends_responsible_layer_with_m3():
     r_G = -4.0
     G, _, _ = forward(LearnStack([model]), x)[0]
     k = int(np.abs(r_G - G).argmin())
-    learn_step_joint(LearnStack([model]), x, [r_G])
+    learn_step_joint(LearnStack([model]), x, [r_G] * 3)
     G1, _, _ = forward(LearnStack([model]), x)[0]
     assert abs(r_G - G1[k]) < abs(r_G - G[k])
 
@@ -355,7 +377,7 @@ def test_learn_step_update_formula():
         )
         for k in range(2)
     ]
-    learn_step_joint(LearnStack([model]), x, [r_G])
+    learn_step_joint(LearnStack([model]), x, [r_G] * 2)
     for k in range(2):
         assert np.allclose(model.W[k], want_W[k], rtol=1e-13, atol=0.0)
         assert np.allclose(model.R[k], want_R[k], rtol=1e-13, atol=0.0)
@@ -365,7 +387,7 @@ def test_learn_step_deterministic_sequence():
     def run():
         model = init(GrpConfig(m=3, seed=21))
         for t in range(50):
-            learn_step_joint(LearnStack([model]), sample_x(t), [math.sin(0.1 * t)])
+            learn_step_joint(LearnStack([model]), sample_x(t), [math.sin(0.1 * t)] * 3)
             if t % 10 == 9:
                 end_episode(model)
         return model
@@ -392,7 +414,7 @@ def test_learn_step_joint_matches_solo_steps():
         r_Gs = rng.uniform(-5.0, 5.0, 2)
         records = learn_step_joint(LearnStack(joint), x, np.repeat(r_Gs, [1, 3]))
         for mdl, r_G, rec in zip(solo, r_Gs, records):
-            alone = learn_step_joint(LearnStack([mdl]), x, [r_G])[0]
+            alone = learn_step_joint(LearnStack([mdl]), x, [r_G] * mdl.m)[0]
             for field in dataclasses.fields(rec):
                 assert np.array_equal(getattr(rec, field.name),
                                       getattr(alone, field.name))
@@ -515,6 +537,25 @@ def test_learn_step_rejects_one_reference_per_model():
     with pytest.raises(ValueError):
         learn_step_joint(stack, sample_x(15), [1.5, -0.5])
     assert same_bits(stack.S, before)
+
+
+@pytest.mark.parametrize("shape", [(1,), (2,), (4, 1)], ids=["1", "2", "4x1"])
+def test_learn_step_requires_one_reference_per_row(shape):
+    """A hip+knee stack has four rows: a reference of any other shape is
+    refused with both shapes named, before the step writes anything, even
+    where the update would be non-finite."""
+    hip, knee = init(GrpConfig(m=1, seed=54)), init(GrpConfig(m=3, seed=55))
+    stack = LearnStack([hip, knee])
+    learn_step_joint(stack, sample_x(16), [1.0, -1.0, -1.0, -1.0])
+    knee.W[2][2, 2] = 1e308  # the next update would be non-finite
+    before = [stack.S.copy()] + [getattr(stack, name).copy()
+                                 for name in ("G", "pi", "e_G", "r_RP", "e_RP")]
+    with pytest.raises(ValueError, match=re.escape(
+            f"one reference per stack row, shape (4,), got shape {shape}")):
+        learn_step_joint(stack, sample_x(17), np.ones(shape))
+    after = [stack.S] + [getattr(stack, name)
+                         for name in ("G", "pi", "e_G", "r_RP", "e_RP")]
+    assert all(same_bits(a, b) for a, b in zip(after, before))
 
 
 def test_learn_stack_weights_are_views():
