@@ -16,12 +16,20 @@ spring-damper pushes back toward flexion (never pulls), entering the
 equations of motion as an internal knee torque. Joint actuators saturate at
 +-tau_max; the clamp is applied by `saturate`, not inside `accelerations`,
 so the equations of motion stay defined for arbitrary applied torques.
+
+The per-tick records (`LegState`, `JointTorques`, `KinematicSnapshot`) are
+immutable `NamedTuple`s: the plant builds several per 1 kHz tick, and a
+tuple is about half the cost of a frozen dataclass to build. `LegParams`
+stays a frozen dataclass, whose fields the config walker reads; it computes
+its mass-matrix and gravity coefficients once, on first use, and keeps them.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
+from typing import NamedTuple
 
 from . import NonFiniteError
 
@@ -56,9 +64,18 @@ class LegParams:
         """Rest leg length (fully extended)."""
         return self.l_t + self.l_s
 
+    @cached_property
+    def _mass_coefficients(self) -> tuple[float, float, float, float, float]:
+        """(a, b, c, d1, d2): the mass-matrix terms a, b, c and the gravity
+        terms d1, d2 of the equations of motion. Computed on first use and
+        kept in the instance; `dataclasses.replace` builds a new instance, so
+        changed fields never see stale values."""
+        lt, ls, mt, ms, g = self.l_t, self.l_s, self.m_t, self.m_s, self.g
+        return ((0.25 * mt + ms) * lt * lt, 0.25 * ms * ls * ls, 0.5 * ms * lt * ls,
+                (0.5 * mt + ms) * lt * g, 0.5 * ms * ls * g)
 
-@dataclass(frozen=True)
-class LegState:
+
+class LegState(NamedTuple):
     phi_h: float
     phi_k: float
     phi_h_dot: float
@@ -66,14 +83,12 @@ class LegState:
     t: float = 0.0
 
 
-@dataclass(frozen=True)
-class JointTorques:
+class JointTorques(NamedTuple):
     tau_h: float = 0.0
     tau_k: float = 0.0
 
 
-@dataclass(frozen=True)
-class KinematicSnapshot:
+class KinematicSnapshot(NamedTuple):
     alpha: float
     alpha_dot: float
     l: float
@@ -85,29 +100,28 @@ class KinematicSnapshot:
     phi_k_dot: float = 0.0
 
 
-def _segment_angles(state: LegState) -> tuple[float, float]:
+def _segment_angles(phi_h: float, phi_k: float) -> tuple[float, float]:
     # absolute thigh/shank angles (downward-sweep convention)
-    theta_t = state.phi_h - 0.5 * math.pi
-    theta_s = state.phi_h + 0.5 * math.pi - state.phi_k
-    return theta_t, theta_s
+    return phi_h - 0.5 * math.pi, phi_h + 0.5 * math.pi - phi_k
 
 
 def kinematics(state: LegState, params: LegParams) -> KinematicSnapshot:
     """Leg angle/length and knee/foot positions for the current state."""
-    theta_t, theta_s = _segment_angles(state)
-    knee_x = params.l_t * math.cos(theta_t)
-    knee_y = -params.l_t * math.sin(theta_t)
-    foot_x = knee_x + params.l_s * math.cos(theta_s)
-    foot_y = knee_y - params.l_s * math.sin(theta_s)
+    phi_h, phi_k, phi_h_dot, phi_k_dot, _ = state
+    lt, ls = params.l_t, params.l_s
+    theta_t, theta_s = _segment_angles(phi_h, phi_k)
+    knee_x = lt * math.cos(theta_t)
+    knee_y = -lt * math.sin(theta_t)
+    # positional: keyword arguments cost a NamedTuple more than the arithmetic
     return KinematicSnapshot(
-        alpha=state.phi_h - 0.5 * state.phi_k,
-        alpha_dot=state.phi_h_dot - 0.5 * state.phi_k_dot,
-        l=2.0 * params.l_t * math.sin(0.5 * state.phi_k),
-        foot_x=foot_x,
-        foot_y=foot_y,
-        knee_x=knee_x,
-        knee_y=knee_y,
-        phi_k_dot=state.phi_k_dot,
+        phi_h - 0.5 * phi_k,                # alpha
+        phi_h_dot - 0.5 * phi_k_dot,        # alpha_dot
+        2.0 * lt * math.sin(0.5 * phi_k),   # l
+        knee_x + ls * math.cos(theta_s),    # foot_x
+        knee_y - ls * math.sin(theta_s),    # foot_y
+        knee_x,
+        knee_y,
+        phi_k_dot,
     )
 
 
@@ -131,22 +145,15 @@ def saturate(torques: JointTorques, params: LegParams) -> JointTorques:
     clamp toward and raises ValueError naming the joint.
     """
     m = params.tau_max
-    tau_h, tau_k = torques.tau_h, torques.tau_k
+    tau_h, tau_k = torques
+    # in range, the clamp gives back the same floats (-0.0 and +-tau_max
+    # included); NaN fails every comparison and falls through
+    if -m <= tau_h <= m and -m <= tau_k <= m:
+        return torques
     if tau_h != tau_h or tau_k != tau_k:  # only NaN is unequal to itself
         joint = "tau_h" if tau_h != tau_h else "tau_k"
         raise ValueError(f"{joint} torque is NaN; it cannot be saturated")
-    return JointTorques(
-        tau_h=max(-m, min(m, tau_h)),
-        tau_k=max(-m, min(m, tau_k)),
-    )
-
-
-def _mass_coefficients(params: LegParams) -> tuple[float, float, float, float, float]:
-    """(a, b, c, d1, d2): the mass-matrix terms a, b, c and the gravity
-    terms d1, d2 of the equations of motion."""
-    lt, ls, mt, ms, g = params.l_t, params.l_s, params.m_t, params.m_s, params.g
-    return ((0.25 * mt + ms) * lt * lt, 0.25 * ms * ls * ls, 0.5 * ms * lt * ls,
-            (0.5 * mt + ms) * lt * g, 0.5 * ms * ls * g)
+    return JointTorques(max(-m, min(m, tau_h)), max(-m, min(m, tau_k)))
 
 
 def _accel_generalized(
@@ -157,7 +164,6 @@ def _accel_generalized(
     tau_h: float,
     tau_k: float,
     params: LegParams,
-    coef: tuple[float, float, float, float, float],
 ) -> tuple[float, float]:
     """Accelerations (phi_h_ddot, phi_k_ddot).
 
@@ -169,8 +175,6 @@ def _accel_generalized(
 
     with d = theta_t - theta_s. The generalized-force mapping follows from
     phi_h = theta_t + pi/2, phi_k = theta_t - theta_s + pi (virtual work).
-    `coef` is `_mass_coefficients(params)`, passed in so a caller making
-    several calls computes it once.
     """
     tau_k = tau_k + knee_stop_torque(phi_k, phi_k_dot, params)
 
@@ -178,7 +182,7 @@ def _accel_generalized(
     theta_s = phi_h + 0.5 * math.pi - phi_k
     tt_d = phi_h_dot
     ts_d = phi_h_dot - phi_k_dot
-    a, b, c, d1, d2 = coef
+    a, b, c, d1, d2 = params._mass_coefficients
 
     delta = theta_t - theta_s
     cd, sd = math.cos(delta), math.sin(delta)
@@ -212,7 +216,6 @@ def accelerations(
         torques.tau_h,
         torques.tau_k,
         params,
-        _mass_coefficients(params),
     )
 
 
@@ -223,22 +226,21 @@ def integrate_step(
     NonFiniteError, naming the step's time, if the state or torque goes non-finite."""
     if not dt > 0.0:
         raise ValueError("dt must be positive")
-    th, tk = torques.tau_h, torques.tau_k
-    coef = _mass_coefficients(params)
+    th, tk = torques
     h = 0.5 * dt
-    qh, qk, vh, vk = state.phi_h, state.phi_k, state.phi_h_dot, state.phi_k_dot
+    qh, qk, vh, vk, t = state
     # stage j evaluates the accelerations (ah_j, ak_j) at rates (vh_j, vk_j)
     try:
-        ah1, ak1 = _accel_generalized(qh, qk, vh, vk, th, tk, params, coef)
+        ah1, ak1 = _accel_generalized(qh, qk, vh, vk, th, tk, params)
         vh2, vk2 = vh + h * ah1, vk + h * ak1
-        ah2, ak2 = _accel_generalized(qh + h * vh, qk + h * vk, vh2, vk2, th, tk, params, coef)
+        ah2, ak2 = _accel_generalized(qh + h * vh, qk + h * vk, vh2, vk2, th, tk, params)
         vh3, vk3 = vh + h * ah2, vk + h * ak2
-        ah3, ak3 = _accel_generalized(qh + h * vh2, qk + h * vk2, vh3, vk3, th, tk, params, coef)
+        ah3, ak3 = _accel_generalized(qh + h * vh2, qk + h * vk2, vh3, vk3, th, tk, params)
         vh4, vk4 = vh + dt * ah3, vk + dt * ak3
-        ah4, ak4 = _accel_generalized(qh + dt * vh3, qk + dt * vk3, vh4, vk4, th, tk, params, coef)
+        ah4, ak4 = _accel_generalized(qh + dt * vh3, qk + dt * vk3, vh4, vk4, th, tk, params)
     except ValueError as exc:  # math.cos(inf), or a NaN angle in the mass matrix
         raise NonFiniteError(
-            f"non-finite state or torque in integration step at t={state.t}: {exc}"
+            f"non-finite state or torque in integration step at t={t}: {exc}"
         ) from exc
     s = dt / 6.0
     out = (
@@ -248,18 +250,18 @@ def integrate_step(
         vk + s * (ak1 + 2.0 * ak2 + 2.0 * ak3 + ak4),
     )
     if not all(map(math.isfinite, out)):
-        raise NonFiniteError(f"non-finite state after integration step at t={state.t}")
-    return LegState(*out, t=state.t + dt)
+        raise NonFiniteError(f"non-finite state after integration step at t={t}")
+    return LegState(*out, t + dt)
 
 
 def total_energy(state: LegState, params: LegParams) -> float:
     """Kinetic plus potential energy (J); potential zero at hip height."""
     lt, ls, mt, ms, g = params.l_t, params.l_s, params.m_t, params.m_s, params.g
-    theta_t, theta_s = _segment_angles(state)
+    theta_t, theta_s = _segment_angles(state.phi_h, state.phi_k)
     tt_d = state.phi_h_dot
     ts_d = state.phi_h_dot - state.phi_k_dot
 
-    a, b, c, _, _ = _mass_coefficients(params)
+    a, b, c, _, _ = params._mass_coefficients
     kinetic = (
         0.5 * a * tt_d * tt_d
         + 0.5 * b * ts_d * ts_d

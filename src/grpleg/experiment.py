@@ -76,6 +76,9 @@ class SampleRanges:
             lo, hi = getattr(self, name)
             if not lo <= hi:
                 raise ValueError(f"{name} range ({lo}, {hi}) not ordered")
+            # rng.uniform draws lo + (hi - lo) * u and refuses a width that overflows
+            if not math.isfinite(hi - lo):
+                raise ValueError(f"{name} range ({lo}, {hi}) is wider than a float holds")
 
 
 @dataclass

@@ -13,8 +13,9 @@ Angles in radians, torques in N*m. Positive knee torque extends the leg
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import IntEnum
+from typing import NamedTuple
 
 from .dynamics import JointTorques, KinematicSnapshot, LegParams, LegState, kinematics
 
@@ -37,6 +38,11 @@ class ControllerGains:
     k_ext: float = 200.0
     alpha_dot_max: float = 10.0
     delta_alpha_thr: float = math.radians(8.0)
+
+    def __post_init__(self):
+        # stopping_torque divides by it, and a negative one inverts the braking
+        if not self.alpha_dot_max > 0.0:
+            raise ValueError("ControllerGains.alpha_dot_max must be strictly positive")
 
 
 @dataclass(frozen=True)
@@ -72,8 +78,7 @@ def make_task(
     )
 
 
-@dataclass(frozen=True)
-class ControllerState:
+class ControllerState(NamedTuple):
     phase: Phase = Phase.FLEXION
     extension_latched: bool = False
     contact: bool = False
@@ -129,7 +134,7 @@ def update_latch(ctrl: ControllerState, kin: KinematicSnapshot) -> ControllerSta
     """Arm the knee extension once the stopped leg's angular rate reaches
     zero; the latch never releases."""
     if ctrl.phase is Phase.STOP_EXTEND and not ctrl.extension_latched and kin.alpha_dot >= 0.0:
-        return replace(ctrl, extension_latched=True)
+        return ctrl._replace(extension_latched=True)
     return ctrl
 
 
@@ -154,9 +159,9 @@ def update_phase(ctrl: ControllerState, kin: KinematicSnapshot, task: SwingTask)
     """One-way phase progression: flexion ends once the leg has shortened by
     the clearance; holding ends once the leg angle passes the threshold."""
     if ctrl.phase is Phase.FLEXION and kin.l <= task.l_0 - task.l_clr:
-        return replace(ctrl, phase=Phase.HOLD)
+        return ctrl._replace(phase=Phase.HOLD)
     if ctrl.phase is Phase.HOLD and kin.alpha <= task.alpha_thr:
-        return replace(ctrl, phase=Phase.STOP_EXTEND)
+        return ctrl._replace(phase=Phase.STOP_EXTEND)
     return ctrl
 
 
@@ -169,7 +174,7 @@ def update_contact(ctrl: ControllerState, kin: KinematicSnapshot, task: SwingTas
         and not ctrl.contact
         and kin.foot_y <= task.ground_y
     ):
-        return replace(ctrl, contact=True)
+        return ctrl._replace(contact=True)
     return ctrl
 
 

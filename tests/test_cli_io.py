@@ -641,6 +641,24 @@ def test_cli_bad_config_names_key(tmp_path, capsys):
     assert "params must be an object" in err
 
 
+@pytest.mark.parametrize("config, message", [
+    ('{"gains": {"alpha_dot_max": 0}}', "ControllerGains.alpha_dot_max must be strictly positive"),
+    ('{"gains": {"alpha_dot_max": -10.0}}', "ControllerGains.alpha_dot_max must be strictly positive"),
+    ('{"ranges": {"phi_h_dot0": [-1e308, 1e308]}}',
+     "phi_h_dot0 range (-1e+308, 1e+308) is wider than a float holds"),
+])
+def test_cli_rejects_values_the_rollout_cannot_use(tmp_path, capsys, config, message):
+    """A zero alpha_dot_max would divide by zero in the stopping torque, and
+    a range wider than a float holds would overflow the task sampler."""
+    path = tmp_path / "cfg.json"
+    path.write_text(config)
+    rc = cli_io.cli(["demo", "--config", str(path), "--out", str(tmp_path)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {path}: {message}\n"
+    assert not (tmp_path / "manifest.json").exists()
+
+
 def test_cli_bad_json_names_file(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text("{nope")

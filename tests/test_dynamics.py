@@ -1,7 +1,9 @@
 """Double-pendulum plant checks: geometry, an independent high-precision
 Euler-Lagrange oracle for the accelerations, and integrator quality."""
 
+import dataclasses
 import math
+import struct
 
 import mpmath as mp
 import numpy as np
@@ -10,6 +12,7 @@ import pytest
 from grpleg import NonFiniteError
 from grpleg.dynamics import (
     JointTorques,
+    KinematicSnapshot,
     LegParams,
     LegState,
     accelerations,
@@ -404,6 +407,14 @@ def test_saturate_clamps_both_joints():
     assert saturate(JointTorques(math.inf, -math.inf), P) == JointTorques(60.0, -60.0)
 
 
+@pytest.mark.parametrize("tau_h, tau_k", [
+    (-0.0, 0.0), (0.0, -0.0), (60.0, -60.0), (-60.0, 60.0), (-12.5, math.nextafter(60.0, 0.0)),
+])
+def test_saturate_passes_in_range_torques_bit_for_bit(tau_h, tau_k):
+    out = saturate(JointTorques(tau_h, tau_k), P)
+    assert struct.pack("<2d", *out) == struct.pack("<2d", tau_h, tau_k)
+
+
 @pytest.mark.parametrize("torques, joint", [
     (JointTorques(math.nan, 1.0), "tau_h"),
     (JointTorques(1.0, math.nan), "tau_k"),
@@ -425,6 +436,27 @@ def test_params_reject_nonpositive():
         LegParams(knee_stop_stiffness=-1.0)
     with pytest.raises(ValueError):
         LegParams(tau_max=0.0)
+
+
+@pytest.mark.parametrize("record, field", [
+    (LegState(1.0, 2.0, 3.0, 4.0), "phi_k"),
+    (JointTorques(1.0, 2.0), "tau_h"),
+    (KinematicSnapshot(*range(8)), "alpha"),
+])
+def test_records_reject_field_assignment(record, field):
+    with pytest.raises(AttributeError):
+        setattr(record, field, 0.0)
+
+
+def test_mass_coefficients_follow_replaced_params():
+    """The coefficients are cached per LegParams instance; a replaced copy
+    integrates like a freshly built one, never with the original's masses."""
+    st, tq = LegState(math.radians(220), math.radians(175), -2.0, -4.0), JointTorques(8.0, -5.0)
+    base = integrate_step(st, tq, P, 1e-3)  # fills P's cache first
+    replaced = integrate_step(st, tq, dataclasses.replace(P, m_s=5.1), 1e-3)
+    fresh = integrate_step(st, tq, LegParams(m_s=5.1), 1e-3)
+    assert struct.pack("<5d", *replaced) == struct.pack("<5d", *fresh)
+    assert replaced[:4] != base[:4]
 
 
 def test_rest_length_property():

@@ -167,6 +167,11 @@ def test_latch_only_in_stop_extend():
 
 # --- phase machine -------------------------------------------------------
 
+def test_controller_state_rejects_field_assignment():
+    with pytest.raises(AttributeError):
+        ControllerState().contact = True
+
+
 def test_flexion_to_hold_on_clearance():
     task = SwingTask(alpha_tgt=1.0, alpha_thr=1.1, l_clr=0.05, l_0=1.0)
     assert update_phase(ControllerState(), snap(alpha=2.0, l=0.94), task).phase is Phase.HOLD
