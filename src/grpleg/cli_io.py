@@ -10,8 +10,10 @@ except evaluation reports, which speak degrees.
 from __future__ import annotations
 
 import argparse
+import collections
 import dataclasses
 import functools
+import itertools
 import json
 import math
 import re
@@ -41,20 +43,10 @@ from .target_controller import ControllerGains
 
 MODEL_FORMAT = 1
 
-FIXED_COLUMNS = (
-    "t",
-    "phi_h",
-    "phi_k",
-    "phi_h_dot",
-    "phi_k_dot",
-    "alpha",
-    "alpha_dot",
-    "l",
-    "tau_h",
-    "tau_k",
-    "phase",
-    "contact",
-)
+# Trajectory's per-tick fields, the ones before `task`, are the fixed
+# columns of a trajectory file, in field order
+FIXED_COLUMNS = tuple(itertools.takewhile(
+    lambda name: name != "task", (f.name for f in dataclasses.fields(Trajectory))))
 
 # Learning rates here are swing-tuned, not the generic unit-scale module
 # defaults: reference torques reach +-60 N*m, so Generator steps must be
@@ -273,8 +265,6 @@ def model_from_dict(data: dict) -> GrpModel:
     _record(data, _MODEL_KEYS, "")
     if _int(data["format"], "format") != MODEL_FORMAT:
         raise ValueError(f"unsupported model format {data['format']!r}")
-    if isinstance(data["config"], dict) and "m" not in data["config"]:
-        raise ValueError("model file config missing key 'm'")
     config = _from_json(GrpConfig, data["config"], "config.")
     layers = _list(data["layers"], "layers")
     if len(layers) != config.m:
@@ -303,18 +293,19 @@ def load_model(path) -> GrpModel:
     return _parse_file(model_from_dict, path)
 
 
-_TRACE_COL = re.compile(r"^(\w+)_(G|pi|r)_([1-9][0-9]*)$")
+def trace_columns(model_name: str, m: int) -> list[str]:
+    """The trace columns of one model with m layers, in file order: G, pi
+    and r of layer 1, then of layer 2, up to layer m."""
+    return [f"{model_name}_{f}_{k}" for k in range(1, m + 1) for f in ("G", "pi", "r")]
 
 
 def write_trajectory(path, traj: Trajectory) -> None:
     names = list(FIXED_COLUMNS)
     cols = [getattr(traj, name) for name in FIXED_COLUMNS]
     for model_name, trace in traj.traces.items():
-        for k in range(trace.G.shape[1]):
-            names += [f"{model_name}_G_{k + 1}",
-                      f"{model_name}_pi_{k + 1}",
-                      f"{model_name}_r_{k + 1}"]
-            cols += [trace.G[:, k], trace.pi[:, k], trace.r[:, k]]
+        m = trace.G.shape[1]
+        names += trace_columns(model_name, m)
+        cols += [a[:, k] for k in range(m) for a in (trace.G, trace.pi, trace.r)]
     # '%.17g' % x is f"{x:.17g}" for every double, nan, inf and -0 included
     row = ",".join(["%.17g"] * 10 + ["%d", "%d"] + ["%.17g"] * (len(cols) - 12)) + "\n"
     with open(path, "w", newline="\n") as fh:
@@ -322,45 +313,25 @@ def write_trajectory(path, traj: Trajectory) -> None:
         fh.write("".join([row % r for r in zip(*[c.tolist() for c in cols])]))
 
 
-def _parse_trace_header(extra: list[str], path) -> list[tuple[str, int]]:
-    """Validate per-layer columns: contiguous (G, pi, r) triples per layer,
-    layer indices counting up from 1 within each model block."""
-    if len(extra) % 3:
-        raise ValueError(
-            f"{path} line 1: trace columns must come in (G, pi, r) triples, "
-            f"got {len(extra)} extra columns")
-    blocks: list[tuple[str, int]] = []
-    for j in range(0, len(extra), 3):
-        parsed = []
-        for name, want in zip(extra[j:j + 3], ("G", "pi", "r")):
-            mt = _TRACE_COL.match(name)
-            if mt is None or mt.group(2) != want:
-                raise ValueError(f"{path} line 1: bad trace column '{name}'")
-            parsed.append((mt.group(1), int(mt.group(3))))
-        if len({p for p in parsed}) != 1:
-            raise ValueError(
-                f"{path} line 1: mismatched trace triple {extra[j:j + 3]}")
-        model_name, k = parsed[0]
-        if blocks and blocks[-1][0] == model_name:
-            if k != blocks[-1][1] + 1:
-                raise ValueError(
-                    f"{path} line 1: layer index jump at '{extra[j]}'")
-        elif k != 1 or any(b[0] == model_name for b in blocks):
-            raise ValueError(
-                f"{path} line 1: trace columns for '{model_name}' out of order")
-        blocks.append((model_name, k))
-    return blocks
-
-
 def read_trajectory(path) -> Trajectory:
+    """A trajectory file as write_trajectory writes it. The header must be
+    FIXED_COLUMNS, then trace_columns(name, m) for each model in turn, each
+    name one or more word characters and used by one block only."""
     with open(path) as fh:
         lines = fh.read().splitlines()
     if not lines:
         raise ValueError(f"{path}: empty trajectory file")
     header = lines[0].split(",")
-    if tuple(header[:len(FIXED_COLUMNS)]) != FIXED_COLUMNS:
-        raise ValueError(f"{path} line 1: bad trajectory header")
-    blocks = _parse_trace_header(header[len(FIXED_COLUMNS):], path)
+    # (name, m) per model in the order of first appearance, word-character names only
+    names = [col.rsplit("_", 2)[0] for col in header[len(FIXED_COLUMNS):]]
+    models = {name: n // 3 for name, n in collections.Counter(names).items()
+              if re.fullmatch(r"\w+", name)}
+    expected = [*FIXED_COLUMNS, *(c for n, m in models.items() for c in trace_columns(n, m))]
+    if header != expected:
+        j = next(j for j, (a, b) in enumerate(zip(header + [None], expected + [None]))
+                 if a != b)
+        raise ValueError(f"{path} line 1: bad trajectory header from column {j + 1}: "
+                         f"got {','.join(header[j:])!r}, expected {','.join(expected[j:])!r}")
     width = len(header)
     rows = []
     for lineno, line in enumerate(lines[1:], start=2):
@@ -385,28 +356,25 @@ def read_trajectory(path) -> Trajectory:
     fixed["contact"] = fixed["contact"] == 1.0
     traces: dict[str, ModelTrace] = {}
     col = len(FIXED_COLUMNS)
-    for model_name in dict.fromkeys(b[0] for b in blocks):
-        m = sum(1 for b in blocks if b[0] == model_name)
+    for name, m in models.items():
+        # (T, m, 3) with G, pi, r on the last axis, which moved first unpacks
         block = data[:, col:col + 3 * m].reshape(len(rows), m, 3)
-        traces[model_name] = ModelTrace(
-            G=block[:, :, 0].copy(), pi=block[:, :, 1].copy(),
-            r=block[:, :, 2].copy())
+        traces[name] = ModelTrace(*np.moveaxis(block, 2, 0).copy())
         col += 3 * m
     return Trajectory(**fixed, timed_out=not bool(fixed["contact"][-1]),
                       traces=traces)
 
 
+_REPORT_KEYS = ("trajectories", "avg_error_deg", "max_error_deg",
+                "timeout_count", "active_generators", "peak_pi")
+_SWING_KEYS = ("alpha_tgt_deg", "alpha_end_deg", "error_deg", "timed_out")
+
+
 def report_to_dict(report: EvalReport) -> dict:
-    per = []
-    for i in range(report.error_deg.size):
-        per.append({
-            "alpha_tgt_deg": float(report.alpha_tgt_deg[i]),
-            "alpha_end_deg": float(report.alpha_end_deg[i]),
-            "error_deg": float(report.error_deg[i]),
-            "timed_out": bool(report.timed_out[i]),
-        })
+    # one record per swing, its keys named as the EvalReport columns they come from
+    columns = zip(*(getattr(report, key).tolist() for key in _SWING_KEYS))
     return {
-        "trajectories": per,
+        "trajectories": [dict(zip(_SWING_KEYS, swing)) for swing in columns],
         "avg_error_deg": report.avg_error_deg,
         "max_error_deg": report.max_error_deg,
         "timeout_count": int(report.timed_out.sum()),
@@ -414,11 +382,6 @@ def report_to_dict(report: EvalReport) -> dict:
         "peak_pi": {name: [float(x) for x in peaks]
                     for name, peaks in report.peak_pi.items()},
     }
-
-
-_REPORT_KEYS = ("trajectories", "avg_error_deg", "max_error_deg",
-                "timeout_count", "active_generators", "peak_pi")
-_SWING_KEYS = ("alpha_tgt_deg", "alpha_end_deg", "error_deg", "timed_out")
 
 
 def report_from_dict(data: dict) -> EvalReport:
@@ -430,16 +393,25 @@ def report_from_dict(data: dict) -> EvalReport:
         return [parse(entry[key], f"trajectories[{i}].{key}")
                 for i, entry in enumerate(swings)]
 
-    _int(data["timeout_count"], "timeout_count")
+    alpha_tgt, alpha_end, error_deg = (np.array(column(key)) for key in _SWING_KEYS[:3])
+    timed_out = np.array(column("timed_out", _bool), dtype=bool)
+    if not swings:
+        raise ValueError("trajectories must not be empty")
+    avg, top = float(error_deg.mean()), float(error_deg.max())
+    # the writer derives these from the same doubles, so they match exactly
+    for key, want, parse in (("avg_error_deg", avg, _float), ("max_error_deg", top, _float),
+                             ("timeout_count", int(timed_out.sum()), _int)):
+        if parse(data[key], key) != want:
+            raise ValueError(f"{key} is {data[key]!r} but the trajectories give {want!r}")
     generators = _object(data["active_generators"], None, "active_generators.")
     peaks = _object(data["peak_pi"], None, "peak_pi.")
     return EvalReport(
-        alpha_tgt_deg=np.array(column("alpha_tgt_deg")),
-        alpha_end_deg=np.array(column("alpha_end_deg")),
-        error_deg=np.array(column("error_deg")),
-        timed_out=np.array(column("timed_out", _bool), dtype=bool),
-        avg_error_deg=_float(data["avg_error_deg"], "avg_error_deg"),
-        max_error_deg=_float(data["max_error_deg"], "max_error_deg"),
+        alpha_tgt_deg=alpha_tgt,
+        alpha_end_deg=alpha_end,
+        error_deg=error_deg,
+        timed_out=timed_out,
+        avg_error_deg=avg,
+        max_error_deg=top,
         active_generators={k: _int(v, f"active_generators.{k}")
                            for k, v in generators.items()},
         peak_pi={k: np.array([_float(p, f"peak_pi.{k}")

@@ -21,7 +21,7 @@ The per-tick records (`LegState`, `JointTorques`, `KinematicSnapshot`) are
 immutable `NamedTuple`s: the plant builds several per 1 kHz tick, and a
 tuple is about half the cost of a frozen dataclass to build. `LegParams`
 stays a frozen dataclass, whose fields the config walker reads; it computes
-its mass-matrix and gravity coefficients once, on first use, and keeps them.
+its mass-matrix and gravity coefficients once, when built, and keeps them.
 """
 
 from __future__ import annotations
@@ -58,6 +58,10 @@ class LegParams:
         for name in ("knee_stop_stiffness", "knee_stop_damping"):
             if getattr(self, name) < 0.0:
                 raise ValueError(f"LegParams.{name} must be non-negative")
+        a, b, *_ = coefficients = self._mass_coefficients  # a * b: largest term of det
+        if not all(map(math.isfinite, (*coefficients, a * b))):
+            raise ValueError("LegParams l_t, l_s, m_t, m_s and g give a mass matrix "
+                             "or gravity term that overflows a float")
 
     @property
     def l_0(self) -> float:
@@ -67,9 +71,9 @@ class LegParams:
     @cached_property
     def _mass_coefficients(self) -> tuple[float, float, float, float, float]:
         """(a, b, c, d1, d2): the mass-matrix terms a, b, c and the gravity
-        terms d1, d2 of the equations of motion. Computed on first use and
-        kept in the instance; `dataclasses.replace` builds a new instance, so
-        changed fields never see stale values."""
+        terms d1, d2 of the equations of motion. __post_init__ computes and
+        checks them; `dataclasses.replace` builds a new instance, so changed
+        fields never see stale values."""
         lt, ls, mt, ms, g = self.l_t, self.l_s, self.m_t, self.m_s, self.g
         return ((0.25 * mt + ms) * lt * lt, 0.25 * ms * ls * ls, 0.5 * ms * lt * ls,
                 (0.5 * mt + ms) * lt * g, 0.5 * ms * ls * g)

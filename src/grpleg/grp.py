@@ -11,8 +11,8 @@ whole stack evaluates in one network call.
 Every layer of every model sees the same input, so several models evaluate
 and learn together over one LearnStack: one (2M, 8, 8) array holding every
 model's W stack, then every R stack, with each model's W and R views into
-it. `forward` reads it with one network call and one sigmoid-head call,
-at one input or at a block of inputs (one per swing in a lockstep rollout);
+it. `forward` reads it with one network call and one sigmoid-head call at a
+block of inputs, one row per swing in a lockstep rollout;
 `learn_step_joint` updates it in place with one network-and-gradient call
 and one sigmoid-head call per step. The stack also owns every array a step
 writes (network output, pi, e_G, r_RP, e_RP, gradient and update work) and
@@ -224,33 +224,30 @@ class LearnStack:
 
 
 def forward(stack: LearnStack, x) -> list[tuple]:
-    """(G, pi, tau_out) per model of the stack, from one network call and
-    one sigmoid head over its current weights. At one (8,) input: the (m,)
-    Generator outputs G^k, the (m,) RP responsibilities pi^k and the
-    combined torque sum_k G^k pi^k as a float. At an (N, 8) block of
-    inputs: (N, m), (N, m) and (N,) arrays whose row n holds the bits that
-    input n alone gives, so the lockstep rollout evaluates every active
-    swing in one call, one row per swing. forward raises nothing on
-    non-finite values; the rollout's torque and plant checks do, in tick
-    order. The arrays are new, not the stack's step buffers.
+    """(G, pi, tau_out) per model of the stack at an (N, 8) block of inputs,
+    from one network call and one sigmoid head over its current weights:
+    the (N, m) Generator outputs G^k, the (N, m) RP responsibilities pi^k
+    and the (N,) combined torques sum_k G^k pi^k. Row n holds the bits that
+    input n alone, as a (1, 8) block, gives, so the lockstep rollout
+    evaluates every active swing in one call, one row per swing. forward
+    raises nothing on non-finite values; the rollout's torque and plant
+    checks do, in tick order. The arrays are new, not the stack's step
+    buffers.
     """
     x = np.asarray(x, dtype=float)
-    if x.ndim not in (1, 2) or x.shape[-1] != NET_DIM:
+    if x.ndim != 2 or x.shape[1] != NET_DIM:
         raise ValueError(
-            f"forward takes one ({NET_DIM},) input or an (N, {NET_DIM}) block, "
-            f"got shape {x.shape}"
+            f"forward takes an (N, {NET_DIM}) block of inputs, got shape {x.shape}"
         )
     total = stack.w_gain.size
     # the unit axis pairs every input row with every stack row
     out = net_forward(stack.S, x[..., None, :])
     G = out[..., :total]
     pis = sigmoid_head(out[..., total:], stack.w_gain)
-    models = []
-    for sl in stack.slices:
-        # per-row dot products, with the bits of the 1-D G @ pi
-        tau = np.matmul(G[..., None, sl], pis[..., sl, None])[..., 0, 0]
-        models.append((G[..., sl], pis[..., sl], tau if x.ndim == 2 else float(tau)))
-    return models
+    # per-row dot products with the bits of the 1-D G @ pi; an index with
+    # `...` costs less to build than the same one with `:`
+    return [(G[..., sl], pis[..., sl],
+             np.matmul(G[..., None, sl], pis[..., sl, None])[..., 0, 0]) for sl in stack.slices]
 
 
 def total_output_identity(model: GrpModel, x, r_G: float) -> float:
@@ -258,7 +255,8 @@ def total_output_identity(model: GrpModel, x, r_G: float) -> float:
     sum_k (G^k + e_G^k)(pi^k + e_RP^k). Collapses algebraically to
     r_G * sum_k r_RP^k = r_G, which is why the plant can be driven by the
     reference torque while the stack is still untrained."""
-    G, pi, _ = forward(LearnStack([model]), x)[0]
+    (G, pi, _), = forward(LearnStack([model]), np.asarray(x, dtype=float)[None])
+    G, pi = G[0], pi[0]
     e_G = r_G - G
     r_RP = responsibility_reference(e_G, model.gamma)
     e_RP = r_RP - pi

@@ -290,11 +290,11 @@ def test_model_loaded_forward_matches(tmp_path):
     _, knee = trained_pair()
     save_model(tmp_path / "knee.json", knee)
     back = load_model(tmp_path / "knee.json")
-    x = np.linspace(-0.5, 0.5, 8)
+    x = np.linspace(-0.5, 0.5, 8)[None]
     G0, pi0, tau0 = grp.forward(grp.LearnStack([knee]), x)[0]
     G1, pi1, tau1 = grp.forward(grp.LearnStack([back]), x)[0]
     assert np.array_equal(G0, G1) and np.array_equal(pi0, pi1)
-    assert tau0 == tau1
+    assert np.array_equal(tau0, tau1)
 
 
 @pytest.mark.parametrize(
@@ -322,7 +322,7 @@ def test_model_loaded_forward_matches(tmp_path):
         (lambda d: d.update(episode_count=True),
          "episode_count must be an integer, got True"),
         (lambda d: d.update(episode_count="3"), "episode_count must be an integer"),
-        (lambda d: d["config"].pop("m"), "model file config missing key 'm'"),
+        (lambda d: d["config"].pop("m"), "missing config key 'config.m'"),
         (lambda d: d.update(format=True), "format must be an integer, got True"),
         (lambda d: d.update(format=1.0), "format must be an integer, got 1.0"),
         (lambda d: d["layers"][0].update(W=[[True] * 8] * 8),
@@ -481,23 +481,57 @@ def test_trajectory_read_errors_name_lines(tmp_path, demo_traj):
             read_trajectory(tmp_path / "int.csv")
 
 
-@pytest.mark.parametrize(
-    "extra, message",
-    [
-        ("hip_G_1,hip_pi_1", "triples"),
-        ("hip_G_1,hip_pi_1,hip_q_1", "bad trace column"),
-        ("hip_G_1,hip_pi_2,hip_r_1", "mismatched trace triple"),
-        ("hip_G_2,hip_pi_2,hip_r_2", "out of order"),
-        ("hip_G_1,hip_pi_1,hip_r_1,hip_G_3,hip_pi_3,hip_r_3", "index jump"),
-    ],
-)
-def test_trajectory_trace_header_validation(tmp_path, extra, message):
+TRACE_HEADER_CASES = [
+    # (trace columns, what is wrong, where the error says they go wrong)
+    ("hip_G_1,hip_pi_1", "triples", "column 13: got 'hip_G_1,hip_pi_1', expected ''"),
+    ("hip_G_1,hip_pi_1,hip_q_1", "bad trace column",
+     "column 15: got 'hip_q_1', expected 'hip_r_1'"),
+    ("hip_G_1,hip_pi_2,hip_r_1", "mismatched trace triple",
+     "column 14: got 'hip_pi_2,hip_r_1', expected 'hip_pi_1,hip_r_1'"),
+    ("hip_G_2,hip_pi_2,hip_r_2", "out of order",
+     "column 13: got 'hip_G_2,.*', expected 'hip_G_1,"),
+    ("hip_G_1,hip_pi_1,hip_r_1,hip_G_3,hip_pi_3,hip_r_3", "index jump",
+     "column 16: got 'hip_G_3,.*', expected 'hip_G_2,"),
+    # a model name is one or more word characters, a layer index has no
+    # leading zero, and each model's columns form one block
+    ("_G_1,_pi_1,_r_1", "empty model name", "column 13: got '_G_1,_pi_1,_r_1', expected ''"),
+    ("hip x_G_1,hip x_pi_1,hip x_r_1", "space in model name", "column 13: got 'hip x_G_1,"),
+    ("hip_G_01,hip_pi_01,hip_r_01", "leading zero",
+     "column 13: got 'hip_G_01,.*', expected 'hip_G_1,"),
+    ("hip_G_1,hip_pi_1,hip_r_1,knee_G_1,knee_pi_1,knee_r_1,hip_G_2,hip_pi_2,hip_r_2",
+     "split block", "column 16: got 'knee_G_1,.*', expected 'hip_G_2,"),
+]
+
+
+@pytest.mark.parametrize("extra, case, message", TRACE_HEADER_CASES,
+                         ids=[f"{extra}-{case}" for extra, case, _ in TRACE_HEADER_CASES])
+def test_trajectory_trace_header_validation(tmp_path, extra, case, message):
     header = ",".join(FIXED_COLUMNS) + "," + extra
     width = len(header.split(","))
     row = ",".join(["0"] * width)
     (tmp_path / "t.csv").write_text(header + "\n" + row + "\n")
-    with pytest.raises(ValueError, match=message):
+    with pytest.raises(ValueError, match="line 1: bad trajectory header from " + message):
         read_trajectory(tmp_path / "t.csv")
+
+
+FIXTURE_DIR = Path(__file__).resolve().parent.parent / "perfbench" / "fixture"
+
+
+def test_cli_trajectory_files_round_trip_byte_for_byte(tmp_path, capsys):
+    """Every CSV that `demo` and `eval` write reads back into a Trajectory
+    that write_trajectory turns into the same bytes: the reader and the
+    writer agree on the header and on every value."""
+    for name in ("hip.json", "knee.json"):
+        (tmp_path / name).write_bytes((FIXTURE_DIR / name).read_bytes())
+    assert cli_io.cli(["eval", "--n", "2", "--seed", "7", "--out", str(tmp_path)]) == 0
+    assert cli_io.cli(["demo", "--n", "2", "--seed", "3", "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    names = ["eval_001.csv", "eval_002.csv", "demo_001.csv", "demo_002.csv"]
+    for name in names:
+        traj = read_trajectory(tmp_path / name)
+        assert list(traj.traces) == (["hip", "knee"] if name.startswith("eval") else [])
+        write_trajectory(tmp_path / "again.csv", traj)
+        assert (tmp_path / "again.csv").read_bytes() == (tmp_path / name).read_bytes(), name
 
 
 # ------------------------------------------------------------------ reports
@@ -544,9 +578,24 @@ def test_report_round_trip(tmp_path):
         (lambda d: d.pop("peak_pi"), "missing key 'peak_pi'"),
         (lambda d: d["peak_pi"].update(knee=[0.5, math.nan]),
          "peak_pi.knee has non-finite value nan"),
+        # aggregates are derived from the swings; one that disagrees would be
+        # written back as the derived value, so it is refused
+        (lambda d: d.update(timeout_count=7), "timeout_count is 7 but the trajectories give 1"),
+        (lambda d: d.update(timeout_count=True), "timeout_count must be an integer, got True"),
+        (lambda d: d.update(avg_error_deg=3.0000000000000004),
+         "avg_error_deg is 3.0000000000000004 but the trajectories give 3.0"),
+        (lambda d: d.update(max_error_deg=2.0),
+         "max_error_deg is 2.0 but the trajectories give 4.0"),
+        (lambda d: d["trajectories"][0].update(error_deg=2.5),
+         "avg_error_deg is 3.0 but the trajectories give 3.25"),
+        (lambda d: d["trajectories"][0].update(timed_out=True),
+         "timeout_count is 1 but the trajectories give 2"),
+        (lambda d: d.update(trajectories=[]), "trajectories must not be empty"),
     ],
     ids=["avg-str", "max-bool", "active-float", "trajectories-int", "error-str",
-         "timed_out-int", "alpha_end-missing", "peak_pi-missing", "peak-nan"],
+         "timed_out-int", "alpha_end-missing", "peak_pi-missing", "peak-nan",
+         "timeout_count-off", "timeout_count-bool", "avg-off-by-one-ulp", "max-off",
+         "swing-error-changed", "swing-timed_out-changed", "trajectories-empty"],
 )
 def test_report_rejects_malformed(mangle, message):
     data = report_to_dict(report_fixture())
@@ -641,15 +690,23 @@ def test_cli_bad_config_names_key(tmp_path, capsys):
     assert "params must be an object" in err
 
 
+OVERFLOWING_PARAMS = ("LegParams l_t, l_s, m_t, m_s and g give a mass matrix "
+                      "or gravity term that overflows a float")
+
+
 @pytest.mark.parametrize("config, message", [
     ('{"gains": {"alpha_dot_max": 0}}', "ControllerGains.alpha_dot_max must be strictly positive"),
     ('{"gains": {"alpha_dot_max": -10.0}}', "ControllerGains.alpha_dot_max must be strictly positive"),
     ('{"ranges": {"phi_h_dot0": [-1e308, 1e308]}}',
      "phi_h_dot0 range (-1e+308, 1e+308) is wider than a float holds"),
+    ('{"params": {"m_s": 1e308}}', OVERFLOWING_PARAMS),
+    ('{"params": {"l_t": 1e200}}', OVERFLOWING_PARAMS),
 ])
 def test_cli_rejects_values_the_rollout_cannot_use(tmp_path, capsys, config, message):
-    """A zero alpha_dot_max would divide by zero in the stopping torque, and
-    a range wider than a float holds would overflow the task sampler."""
+    """A zero alpha_dot_max would divide by zero in the stopping torque, a
+    range wider than a float holds would overflow the task sampler, and
+    masses or lengths whose mass matrix overflows would reach the plant as
+    a NaN determinant."""
     path = tmp_path / "cfg.json"
     path.write_text(config)
     rc = cli_io.cli(["demo", "--config", str(path), "--out", str(tmp_path)])

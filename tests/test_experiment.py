@@ -158,8 +158,9 @@ def test_forward_and_reference_match_per_row_loop(demo, fixture_pair):
     stack = grp.LearnStack([hip, knee])
     X = sensor_matrix(demo)
     for i in range(len(demo)):
-        outs = grp.forward(stack, X[i])
+        outs = grp.forward(stack, X[i:i + 1])
         for mdl, r_G, (G, pi, _) in zip((hip, knee), (demo.tau_h[i], demo.tau_k[i]), outs):
+            G, pi = G[0], pi[0]
             assert same_bits(G, mulnet.net_forward(mdl.W, X[i]))
             assert same_bits(pi, mulnet.sigmoid_head(mulnet.net_forward(mdl.R, X[i]),
                                                      mdl.config.w_gain))
@@ -291,11 +292,11 @@ def test_evaluate_torques_match_model_output():
     _, (traj,) = evaluate(hip, knee, tasks)
     X = sensor_matrix(traj)
     i = len(traj) // 3
-    _, _, tau_h = grp.forward(grp.LearnStack([hip]), X[i])[0]
-    _, _, tau_k = grp.forward(grp.LearnStack([knee]), X[i])[0]
+    _, _, tau_h = grp.forward(grp.LearnStack([hip]), X[i:i + 1])[0]
+    _, _, tau_k = grp.forward(grp.LearnStack([knee]), X[i:i + 1])[0]
     cap = LegParams().tau_max
-    assert traj.tau_h[i] == np.clip(tau_h, -cap, cap)
-    assert traj.tau_k[i] == np.clip(tau_k, -cap, cap)
+    assert traj.tau_h[i] == np.clip(tau_h[0], -cap, cap)
+    assert traj.tau_k[i] == np.clip(tau_k[0], -cap, cap)
 
 
 def test_model_driven_rollout_matches_one_model_forwards(fixture_pair):
@@ -311,7 +312,8 @@ def test_model_driven_rollout_matches_one_model_forwards(fixture_pair):
     cap = LegParams().tau_max
     for name, mdl, applied in (("hip", hip, traj.tau_h), ("knee", knee, traj.tau_k)):
         one = grp.LearnStack([mdl])
-        rows = [grp.forward(one, x)[0] for x in X]
+        # each row alone, as a (1, 8) block
+        rows = [[a[0] for a in grp.forward(one, x[None])[0]] for x in X]
         trace = traj.traces[name]
         assert same_bits(trace.G, np.array([G for G, _, _ in rows]))
         assert same_bits(trace.pi, np.array([pi for _, pi, _ in rows]))

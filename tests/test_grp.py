@@ -32,6 +32,11 @@ def sample_x(seed=0):
     return mulnet.split_input(raw)
 
 
+def forward_one(stack, x):
+    """forward at one input as a (1, 8) block: (G, pi, tau) per model, row 0."""
+    return [(G[0], pi[0], tau[0]) for G, pi, tau in forward(stack, np.asarray(x)[None])]
+
+
 # ------------------------------------------------------------------- config
 
 
@@ -160,7 +165,7 @@ def test_forward_zero_generators():
     model = init(GrpConfig(m=3, seed=2))
     for k in range(3):
         model.W[k] = np.zeros_like(model.W[k])
-    G, pi, tau = forward(LearnStack([model]), sample_x())[0]
+    G, pi, tau = forward_one(LearnStack([model]), sample_x())[0]
     assert np.all(G == 0.0) and tau == 0.0
     assert np.all((0.0 < pi) & (pi < 1.0))
 
@@ -171,7 +176,7 @@ def test_forward_single_layer_saturated_gate():
     R[2, 2] = 10.0  # large gain on phi_h drives the head to saturation
     model.R[0] = R
     x = sample_x(1)
-    G, pi, tau = forward(LearnStack([model]), x)[0]
+    G, pi, tau = forward_one(LearnStack([model]), x)[0]
     assert pi[0] > 1.0 - 1e-12
     assert math.isclose(tau, G[0], rel_tol=1e-9)
 
@@ -179,7 +184,7 @@ def test_forward_single_layer_saturated_gate():
 def test_forward_matches_per_layer_recomputation():
     model = init(GrpConfig(m=3, seed=5))
     x = sample_x(2)
-    G, pi, tau = forward(LearnStack([model]), x)[0]
+    G, pi, tau = forward_one(LearnStack([model]), x)[0]
     manual = 0.0
     for k in range(3):
         gk = mulnet.net_forward(model.W[k], x)
@@ -209,10 +214,10 @@ def test_forward_joint_stack_matches_one_model_stacks():
     for seed in range(6):
         x = sample_x(seed)
         mulnet.reset_exp_clamp_count()
-        together = forward(joint, x)
+        together = forward_one(joint, x)
         clamps = mulnet.exp_clamp_count()
         mulnet.reset_exp_clamp_count()
-        alone = [forward(LearnStack([mdl]), x)[0] for mdl in models]
+        alone = [forward_one(LearnStack([mdl]), x)[0] for mdl in models]
         assert clamps > 0 and mulnet.exp_clamp_count() == clamps
         for mdl, (G, pi, tau), (G1, pi1, tau1) in zip(models, together, alone):
             assert G.shape == pi.shape == (mdl.m,)
@@ -223,7 +228,8 @@ def test_forward_joint_stack_matches_one_model_stacks():
 @pytest.mark.parametrize("m", range(1, 9))
 def test_forward_block_matches_per_row_forward(m):
     """forward on an (N, 8) block gives, row by row, the bits of forward
-    on that row alone: G, pi and tau per model, and the exponent clamps."""
+    on that row alone as a (1, 8) block: G, pi and tau per model, and the
+    exponent clamps."""
     models = [init(GrpConfig(m=1, seed=60)), init(GrpConfig(m=m, w_gain=1.5, seed=61))]
     models[1].W *= 300.0  # large enough that exponent clamps fire
     stack = LearnStack(models)
@@ -232,7 +238,7 @@ def test_forward_block_matches_per_row_forward(m):
     block = forward(stack, X)
     clamps = mulnet.exp_clamp_count()
     mulnet.reset_exp_clamp_count()
-    rows = [forward(stack, x) for x in X]
+    rows = [forward_one(stack, x) for x in X]
     assert clamps > 0 and mulnet.exp_clamp_count() == clamps
     for k, (mdl, (G, pi, tau)) in enumerate(zip(models, block)):
         assert G.shape == pi.shape == (7, mdl.m) and tau.shape == (7,)
@@ -241,11 +247,11 @@ def test_forward_block_matches_per_row_forward(m):
         assert same_bits(tau, [row[k][2] for row in rows])
 
 
-@pytest.mark.parametrize("shape", [(), (7,), (9,), (3, 5), (3, 16), (2, 3, 8)],
-                         ids=["0-d", "7", "9", "3x5", "3x16", "2x3x8"])
+@pytest.mark.parametrize("shape", [(), (7,), (8,), (9,), (3, 5), (3, 16), (2, 3, 8)],
+                         ids=["0-d", "7", "8", "9", "3x5", "3x16", "2x3x8"])
 def test_forward_rejects_inputs_other_than_8_wide_rows(shape):
-    """forward takes one (8,) input or an (N, 8) block; anything else is
-    refused with its shape named."""
+    """forward takes an (N, 8) block; anything else, a single (8,) input
+    included, is refused with its shape named."""
     stack = LearnStack([init(GrpConfig(m=1, seed=25)), init(GrpConfig(m=3, seed=26))])
     with pytest.raises(ValueError, match=re.escape(f"got shape {shape}")):
         forward(stack, np.ones(shape))
@@ -257,12 +263,12 @@ def test_forward_reads_the_live_stack():
     hip, knee = init(GrpConfig(m=1, seed=23)), init(GrpConfig(m=3, seed=24))
     stack = LearnStack([hip, knee])
     x = sample_x(8)
-    before = forward(stack, x)
+    before = forward_one(stack, x)
     learn_step_joint(stack, x, [3.0, -1.0, -1.0, -1.0])
-    after = forward(stack, x)
+    after = forward_one(stack, x)
     copies = [dataclasses.replace(mdl, W=mdl.W.copy(), R=mdl.R.copy())
               for mdl in (hip, knee)]
-    fresh = forward(LearnStack(copies), x)
+    fresh = forward_one(LearnStack(copies), x)
     assert not same_bits(after[1][0], before[1][0])
     for (G, pi, tau), (G1, pi1, tau1) in zip(after, fresh):
         assert same_bits(G, G1) and same_bits(pi, pi1) and same_bits(tau, tau1)
@@ -310,7 +316,7 @@ def test_learn_step_gating_freezes_nonresponsible_generator():
     model = init(GrpConfig(m=2, seed=11))
     model.gamma = 1e9  # one-hot reference: loser's Generator rate is exactly 0
     x = sample_x(5)
-    G, _, _ = forward(LearnStack([model]), x)[0]
+    G, _, _ = forward_one(LearnStack([model]), x)[0]
     r_G = G[0] + 1e-3  # layer 0 nearly exact, layer 1 clearly off
     before = [W.copy() for W in model.W]
     before_R = [R.copy() for R in model.R]
@@ -327,9 +333,9 @@ def test_learn_step_descends_generator_error():
     model = init(GrpConfig(m=1, mu=1e-3, lam=0.0, seed=12))
     x = sample_x(6)
     r_G = 5.0
-    e0 = abs(r_G - forward(LearnStack([model]), x)[0][0][0])
+    e0 = abs(r_G - forward_one(LearnStack([model]), x)[0][0][0])
     learn_step_joint(LearnStack([model]), x, [r_G])
-    e1 = abs(r_G - forward(LearnStack([model]), x)[0][0][0])
+    e1 = abs(r_G - forward_one(LearnStack([model]), x)[0][0][0])
     assert e1 < e0
 
 
@@ -337,10 +343,10 @@ def test_learn_step_descends_responsible_layer_with_m3():
     model = init(GrpConfig(m=3, mu=1e-3, lam=0.0, seed=14))
     x = sample_x(7)
     r_G = -4.0
-    G, _, _ = forward(LearnStack([model]), x)[0]
+    G, _, _ = forward_one(LearnStack([model]), x)[0]
     k = int(np.abs(r_G - G).argmin())
     learn_step_joint(LearnStack([model]), x, [r_G] * 3)
-    G1, _, _ = forward(LearnStack([model]), x)[0]
+    G1, _, _ = forward_one(LearnStack([model]), x)[0]
     assert abs(r_G - G1[k]) < abs(r_G - G[k])
 
 
