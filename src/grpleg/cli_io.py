@@ -27,6 +27,7 @@ import numpy as np
 from . import NonFiniteError, grp, mulnet
 from .dynamics import LegParams
 from .experiment import (
+    ACTIVE_PI,
     EvalReport,
     ModelTrace,
     SampleRanges,
@@ -403,8 +404,18 @@ def report_from_dict(data: dict) -> EvalReport:
                              ("timeout_count", int(timed_out.sum()), _int)):
         if parse(data[key], key) != want:
             raise ValueError(f"{key} is {data[key]!r} but the trajectories give {want!r}")
-    generators = _object(data["active_generators"], None, "active_generators.")
-    peaks = _object(data["peak_pi"], None, "peak_pi.")
+    peak_pi = {k: np.array([_float(p, f"peak_pi.{k}") for p in _list(v, f"peak_pi.{k}")])
+               for k, v in _object(data["peak_pi"], None, "peak_pi.").items()}
+    # evaluate counts a model's active generators from its peaks, so the
+    # counts name the same models and agree with them
+    generators = _record(data["active_generators"], list(peak_pi), "active_generators.")
+    active = {}
+    for k, peaks in peak_pi.items():
+        active[k] = _int(generators[k], f"active_generators.{k}")
+        want = int((peaks > ACTIVE_PI).sum())
+        if active[k] != want:
+            raise ValueError(f"active_generators.{k} is {active[k]} but peak_pi.{k} "
+                             f"gives {want} (peaks above {ACTIVE_PI})")
     return EvalReport(
         alpha_tgt_deg=alpha_tgt,
         alpha_end_deg=alpha_end,
@@ -412,11 +423,8 @@ def report_from_dict(data: dict) -> EvalReport:
         timed_out=timed_out,
         avg_error_deg=avg,
         max_error_deg=top,
-        active_generators={k: _int(v, f"active_generators.{k}")
-                           for k, v in generators.items()},
-        peak_pi={k: np.array([_float(p, f"peak_pi.{k}")
-                              for p in _list(v, f"peak_pi.{k}")])
-                 for k, v in peaks.items()},
+        active_generators=active,
+        peak_pi=peak_pi,
     )
 
 
@@ -607,6 +615,14 @@ def cli(argv=None) -> int:
         return args.func(args)
     except (ValueError, OSError, NonFiniteError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except RuntimeError as exc:
+        if type(exc) is not RuntimeError:  # RecursionError and the like are bugs
+            raise
+        # the plant's singular mass matrix, which only a config's LegParams
+        # can bring about
+        where = f"{args.config}: " if getattr(args, "config", None) else ""
+        print(f"error: {where}{exc}", file=sys.stderr)
         return 1
 
 

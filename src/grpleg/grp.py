@@ -12,9 +12,14 @@ Every layer of every model sees the same input, so several models evaluate
 and learn together over one LearnStack: one (2M, 8, 8) array holding every
 model's W stack, then every R stack, with each model's W and R views into
 it. `forward` reads it with one network call and one sigmoid-head call at a
-block of inputs, one row per swing in a lockstep rollout;
-`learn_step_joint` updates it in place with one network-and-gradient call
-and one sigmoid-head call per step. The stack also owns every array a step
+block of inputs, one row per swing in a lockstep rollout.
+`learn_step_joint` updates it in place in two halves. The network half is
+numpy on the whole stack: one network-and-gradient call, then the update,
+its finiteness check and the commit. The per-row half between them (the
+sigmoid head, e_G, each model's responsibility softmax, e_RP and the
+update gains) handles one number per stack row, so it runs on Python
+floats, where numpy's per-call cost would outweigh its arithmetic; it
+gives the array form's bits. The stack also owns every array a step
 writes (network output, pi, e_G, r_RP, e_RP, gradient and update work) and
 one StepRecord of views into them per model; each step returns those same
 records, overwritten. A single model is a one-model stack.
@@ -40,7 +45,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import NonFiniteError
-from .mulnet import NET_DIM, forward_and_gradient, net_forward, sigmoid_head
+from .mulnet import (
+    NET_DIM,
+    P_CEIL,
+    P_FLOOR,
+    forward_and_gradient,
+    net_forward,
+    sigmoid_head,
+)
 
 
 @dataclass(frozen=True)
@@ -183,25 +195,24 @@ class LearnStack:
             mdl.W = self.S[sl]
             mdl.R = self.S[total + sl.start : total + sl.stop]
 
-        def per_row(values):
-            return np.repeat(np.array(values, dtype=float), sizes)
-
         self.row_model = np.repeat(np.arange(len(models)), sizes)
-        self.mu = per_row([mdl.config.mu for mdl in models])
-        self.lam = per_row([mdl.config.lam for mdl in models])
-        self.rp_rate = per_row([mdl.config.rp_rate for mdl in models])
-        self.w_gain = per_row([mdl.config.w_gain for mdl in models])
+        # each row's (mu, lam, RP rate, sigmoid gain) as Python floats for
+        # the step's per-row half, and the RP decay rows, which never change
+        self._row_consts = [
+            (float(cfg.mu), float(cfg.lam), float(cfg.rp_rate), float(cfg.w_gain))
+            for cfg in (mdl.config for mdl in models) for _ in range(cfg.m)
+        ]
+        self._decay_RP = [rp_rate * lam for _, lam, rp_rate, _ in self._row_consts]
+        self.w_gain = np.array([w_gain for *_, w_gain in self._row_consts])
 
         # what a step writes: the network output (every Generator output G,
-        # then every RP pre-activation), the per-row pi, e_G, r_RP and e_RP,
-        # and the gradient; one StepRecord of views per model
+        # then every RP pre-activation), the per-row pi, e_G, r_RP and e_RP
+        # (one buffer, so one write), and the gradient; one StepRecord of
+        # views per model
         self._out = np.empty(2 * total)
         self.G = self._out[:total]
-        self._b = self._out[total:]
-        self.pi = np.empty(total)
-        self.e_G = np.zeros(total)
-        self.r_RP = np.empty(total)
-        self.e_RP = np.empty(total)
+        self._rows = np.zeros(4 * total)
+        self.pi, self.e_G, self.r_RP, self.e_RP = self._rows.reshape(4, total)
         self._grad = np.empty_like(self.S)
         self.records = [
             StepRecord(G=self.G[sl], pi=self.pi[sl], e_G=self.e_G[sl],
@@ -209,16 +220,11 @@ class LearnStack:
             for sl in self.slices
         ]
 
-        # work buffers: one per-row scratch, the per-row gain and decay of
-        # the update as (2M, 1, 1) columns with 1-D views of their halves
-        # (the RP decay rows never change), the new stack and its decay term
-        self._row_work = np.empty(total)
-        self._gain = np.empty((2 * total, 1, 1))
-        self._gain_G = self._gain[:total, 0, 0]
-        self._gain_RP = self._gain[total:, 0, 0]
-        self._decay = np.empty((2 * total, 1, 1))
-        self._decay_G = self._decay[:total, 0, 0]
-        self._decay[total:, 0, 0] = self.rp_rate * self.lam
+        # work buffers: the per-row gain and decay of the update as (2M, 1, 1)
+        # columns, both in one buffer so one write fills them, then the new
+        # stack and its decay term
+        self._coef = np.empty(4 * total)
+        self._gain, self._decay = self._coef.reshape(2, 2 * total, 1, 1)
         self._new = np.empty_like(self.S)
         self._decay_term = np.empty_like(self.S)
 
@@ -271,9 +277,10 @@ def learn_step_joint(stack: LearnStack, x, r_G) -> list[StepRecord]:
 
     Generator k moves down its squared-error gradient at the gated rate
     r_RP^k * mu; its RP regresses onto the reference responsibility at the
-    RP rate, through the sigmoid head. The whole stack rides one network
-    evaluation and one sigmoid head; only the responsibility softmax runs
-    per model. Every op is row-local, so the result is bit-identical to
+    RP rate, through the sigmoid head. The network half (the
+    network-and-gradient call, then the update) is numpy on the whole
+    (2M, 8, 8) stack; the per-row half between them is `_row_half`, on
+    Python floats. Every op is row-local, so the result is bit-identical to
     updating each model on its own. The new weights are checked before
     they replace the old, so a non-finite update changes nothing.
 
@@ -290,24 +297,9 @@ def learn_step_joint(stack: LearnStack, x, r_G) -> list[StepRecord]:
         )
     S, dS = stack.S, stack._grad
     forward_and_gradient(S, x, stack._out, dS)
-    pi = sigmoid_head(stack._b, stack.w_gain, stack.pi)
-    G, e_G, r_RP, e_RP = stack.G, stack.e_G, stack.r_RP, stack.e_RP
-    np.subtract(r_G, G, out=e_G)
-    for mdl, rec in zip(stack.models, stack.records):
-        responsibility_reference(rec.e_G, mdl.gamma, rec.r_RP)
-    np.subtract(r_RP, pi, out=e_RP)
+    _row_half(stack, r_G.tolist())
 
-    # Generator rate is gated by the reference responsibility, decay
-    # included, so a non-responsible layer is bit-exactly unchanged; RP
-    # updates chain through the sigmoid at the ungated RP rate.
-    mu_k = np.multiply(r_RP, stack.mu, out=stack._row_work)
-    np.multiply(mu_k, e_G, out=stack._gain_G)
-    np.multiply(mu_k, stack.lam, out=stack._decay_G)
-    rp_gain = np.multiply(stack.rp_rate, e_RP, out=stack._gain_RP)
-    rp_gain *= stack.w_gain
-    rp_gain *= pi
-    rp_gain *= np.subtract(1.0, pi, out=mu_k)  # mu_k is spent
-
+    # S + gain * dS - decay * S, each row with its own gain and decay
     new = np.multiply(stack._gain, dS, out=stack._new)
     new += S
     new -= np.multiply(stack._decay, S, out=stack._decay_term)
@@ -322,6 +314,69 @@ def learn_step_joint(stack: LearnStack, x, r_G) -> list[StepRecord]:
         )
     np.copyto(S, new)
     return stack.records
+
+
+def _row_half(stack: LearnStack, r_G: list[float]) -> None:
+    """The learn step's per-row half on Python floats, from the network
+    output in `stack._out`: pi, e_G, r_RP and e_RP into the stack's row
+    buffers, the update gain and decay into its (2M, 1, 1) columns.
+
+    Each value has the bits that `sigmoid_head`, `responsibility_reference`
+    and the update's array ops give: the same operations in the same order,
+    with every exponential taken in one np.exp call (math.exp is not
+    numpy's exp). The sigmoid needs only exp(-|z|), because its numerator
+    exp(min(z, 0)) is that same value for z < 0 and 1 otherwise. A
+    softmax row of 7 or fewer is summed left to right, which is numpy's
+    order there; a longer row is summed by np.add.reduce, whose pairwise
+    tree a plain loop would not reproduce.
+    """
+    total = len(r_G)
+    out = stack._out.tolist()
+    G = out[:total]
+    e_G = [r - g for r, g in zip(r_G, G)]
+    z = [b * w_gain for b, (_, _, _, w_gain) in zip(out[total:], stack._row_consts)]
+    soft_args = []
+    for mdl, sl in zip(stack.models, stack.slices):
+        neg_gamma = -mdl.gamma
+        a = [abs(e) * neg_gamma for e in e_G[sl]]
+        top = max(a)
+        soft_args += [v - top for v in a]
+    exps = np.exp([-abs(v) for v in z] + soft_args)
+    ex = exps.tolist()
+
+    pi = []
+    for zk, ek in zip(z, ex):
+        p = (ek if zk < 0.0 else 1.0) / (ek + 1.0)
+        if p < P_FLOOR:
+            p = P_FLOOR
+        elif p > P_CEIL:
+            p = P_CEIL
+        pi.append(p)
+    r_RP = []
+    soft, soft_array = ex[total:], exps[total:]
+    for sl in stack.slices:
+        row = soft[sl]
+        if len(row) < 8:
+            s = row[0]
+            for v in row[1:]:
+                s += v
+        else:
+            s = np.add.reduce(soft_array[sl]).item()
+        r_RP += [v / s for v in row]
+
+    # Generator rate is gated by the reference responsibility, decay
+    # included, so a non-responsible layer is bit-exactly unchanged; RP
+    # updates chain through the sigmoid at the ungated RP rate.
+    e_RP, gain_G, decay_G, gain_RP = [], [], [], []
+    for p, e, r, (mu, lam, rp_rate, w_gain) in zip(pi, e_G, r_RP, stack._row_consts):
+        mu_k = r * mu
+        gain_G.append(mu_k * e)
+        decay_G.append(mu_k * lam)
+        d = r - p
+        e_RP.append(d)
+        gain_RP.append(rp_rate * d * w_gain * p * (1.0 - p))
+    stack._rows[:] = pi + e_G + r_RP + e_RP
+    stack._coef[:] = gain_G + gain_RP + decay_G + stack._decay_RP
 
 
 def end_episode(model: GrpModel) -> GrpModel:

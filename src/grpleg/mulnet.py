@@ -38,8 +38,9 @@ RAW_DIM = 5  # (alpha - alpha_tgt), phi_h, phi_h_dot, phi_k, phi_k_dot
 NET_DIM = 8
 EXP_CLAMP = 50.0
 
-_P_FLOOR = np.finfo(float).tiny
-_P_CEIL = np.nextafter(1.0, 0.0)
+# the open interval a sigmoid head's pi is pinned to, as Python floats
+P_FLOOR = float(np.finfo(float).tiny)
+P_CEIL = float(np.nextafter(1.0, 0.0))
 
 # split_input's layout: source channel, sign and floor of each output entry
 _SPLIT_SRC = np.array([0, 0, 1, 2, 2, 3, 4, 4])
@@ -137,8 +138,8 @@ def sigmoid_head(b, w_gain: float = 1.0, out=None):
     np.minimum(z, 0.0, out=z)
     np.exp(z, out=z)
     z /= e
-    np.maximum(z, _P_FLOOR, out=z)
-    return np.minimum(z, _P_CEIL, out=z)[()]
+    np.maximum(z, P_FLOOR, out=z)
+    return np.minimum(z, P_CEIL, out=z)[()]
 
 
 def finite_difference_check(W, x, h: float = 1e-6) -> float:

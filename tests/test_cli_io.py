@@ -591,11 +591,28 @@ def test_report_round_trip(tmp_path):
         (lambda d: d["trajectories"][0].update(timed_out=True),
          "timeout_count is 1 but the trajectories give 2"),
         (lambda d: d.update(trajectories=[]), "trajectories must not be empty"),
+        # active generators are counted from peak_pi, one count per model
+        (lambda d: d["active_generators"].update(knee=3),
+         "active_generators.knee is 3 but peak_pi.knee gives 2 \\(peaks above 0.1\\)"),
+        (lambda d: d["active_generators"].update(hip=0),
+         "active_generators.hip is 0 but peak_pi.hip gives 1 \\(peaks above 0.1\\)"),
+        (lambda d: d["peak_pi"].update(knee=[0.8, 0.1, 0.01]),
+         "active_generators.knee is 2 but peak_pi.knee gives 1 \\(peaks above 0.1\\)"),
+        (lambda d: d["active_generators"].update(ankle=0),
+         "unknown config key 'active_generators.ankle'"),
+        (lambda d: d["active_generators"].pop("knee"),
+         "active_generators missing key 'knee'"),
+        (lambda d: d.update(active_generators={"hip": 9, "knee": 0, "ankle": 4}),
+         "unknown config key 'active_generators.ankle'"),
+        (lambda d: d["active_generators"].update(knee=True),
+         "active_generators.knee must be an integer, got True"),
     ],
     ids=["avg-str", "max-bool", "active-float", "trajectories-int", "error-str",
          "timed_out-int", "alpha_end-missing", "peak_pi-missing", "peak-nan",
          "timeout_count-off", "timeout_count-bool", "avg-off-by-one-ulp", "max-off",
-         "swing-error-changed", "swing-timed_out-changed", "trajectories-empty"],
+         "swing-error-changed", "swing-timed_out-changed", "trajectories-empty",
+         "active-off", "active-hip-zero", "peak-at-threshold", "active-extra-model",
+         "active-missing-model", "active-contradicting", "active-bool"],
 )
 def test_report_rejects_malformed(mangle, message):
     data = report_to_dict(report_fixture())
@@ -701,12 +718,15 @@ OVERFLOWING_PARAMS = ("LegParams l_t, l_s, m_t, m_s and g give a mass matrix "
      "phi_h_dot0 range (-1e+308, 1e+308) is wider than a float holds"),
     ('{"params": {"m_s": 1e308}}', OVERFLOWING_PARAMS),
     ('{"params": {"l_t": 1e200}}', OVERFLOWING_PARAMS),
+    ('{"params": {"l_s": 1e-200}}', "singular mass matrix (det=0.0)"),
 ])
 def test_cli_rejects_values_the_rollout_cannot_use(tmp_path, capsys, config, message):
     """A zero alpha_dot_max would divide by zero in the stopping torque, a
     range wider than a float holds would overflow the task sampler, and
     masses or lengths whose mass matrix overflows would reach the plant as
-    a NaN determinant."""
+    a NaN determinant. A shank so short that the mass-matrix determinant
+    underflows to 0 passes the config checks and stops the first roll-out
+    step."""
     path = tmp_path / "cfg.json"
     path.write_text(config)
     rc = cli_io.cli(["demo", "--config", str(path), "--out", str(tmp_path)])

@@ -18,6 +18,7 @@ from grpleg.grp import (
     responsibility_reference,
     total_output_identity,
 )
+from grpleg.mulnet import NET_DIM
 
 
 def sample_x(seed=0):
@@ -516,6 +517,197 @@ def test_learn_stack_matches_reference_step():
     for a, b in zip(live, ref):
         assert same_bits(a.W, b.W) and same_bits(a.R, b.R)
         assert a.gamma == b.gamma and a.episode_count == b.episode_count == 6
+
+
+class ArrayFormStep:
+    """The learn step as it was before its per-row half moved to Python
+    floats: every per-row quantity is a numpy op over the stack's rows,
+    through `sigmoid_head` and one `responsibility_reference` call per
+    model. It keeps its own buffers beside a LearnStack of its own models
+    and steps that stack's weights in place."""
+
+    def __init__(self, models):
+        self.stack = stack = LearnStack(models)
+        sizes = [mdl.m for mdl in models]
+        total = sum(sizes)
+
+        def per_row(values):
+            return np.repeat(np.array(values, dtype=float), sizes)
+
+        self.mu = per_row([mdl.config.mu for mdl in models])
+        self.lam = per_row([mdl.config.lam for mdl in models])
+        self.rp_rate = per_row([mdl.config.rp_rate for mdl in models])
+        self.w_gain = per_row([mdl.config.w_gain for mdl in models])
+        self._out = np.empty(2 * total)
+        self.G = self._out[:total]
+        self._b = self._out[total:]
+        self.pi = np.empty(total)
+        self.e_G = np.zeros(total)
+        self.r_RP = np.empty(total)
+        self.e_RP = np.empty(total)
+        self._grad = np.empty_like(stack.S)
+        self.records = [
+            grp.StepRecord(G=self.G[sl], pi=self.pi[sl], e_G=self.e_G[sl],
+                           r_RP=self.r_RP[sl], e_RP=self.e_RP[sl])
+            for sl in stack.slices
+        ]
+        self._row_work = np.empty(total)
+        self._gain = np.empty((2 * total, 1, 1))
+        self._gain_G = self._gain[:total, 0, 0]
+        self._gain_RP = self._gain[total:, 0, 0]
+        self._decay = np.empty((2 * total, 1, 1))
+        self._decay_G = self._decay[:total, 0, 0]
+        self._decay[total:, 0, 0] = self.rp_rate * self.lam
+        self._new = np.empty_like(stack.S)
+        self._decay_term = np.empty_like(stack.S)
+
+    def step(self, x, r_G):
+        r_G = np.asarray(r_G, dtype=float)
+        assert r_G.shape == self.pi.shape
+        S, dS = self.stack.S, self._grad
+        mulnet.forward_and_gradient(S, x, self._out, dS)
+        pi = mulnet.sigmoid_head(self._b, self.w_gain, self.pi)
+        G, e_G, r_RP, e_RP = self.G, self.e_G, self.r_RP, self.e_RP
+        np.subtract(r_G, G, out=e_G)
+        for mdl, rec in zip(self.stack.models, self.records):
+            responsibility_reference(rec.e_G, mdl.gamma, rec.r_RP)
+        np.subtract(r_RP, pi, out=e_RP)
+
+        mu_k = np.multiply(r_RP, self.mu, out=self._row_work)
+        np.multiply(mu_k, e_G, out=self._gain_G)
+        np.multiply(mu_k, self.lam, out=self._decay_G)
+        rp_gain = np.multiply(self.rp_rate, e_RP, out=self._gain_RP)
+        rp_gain *= self.w_gain
+        rp_gain *= pi
+        rp_gain *= np.subtract(1.0, pi, out=mu_k)
+
+        new = np.multiply(self._gain, dS, out=self._new)
+        new += S
+        new -= np.multiply(self._decay, S, out=self._decay_term)
+        if not np.isfinite(new).all():
+            worst = [np.abs(rec.e_G).max() for rec in self.records]
+            k = worst.index(max(worst))
+            raise NonFiniteError(
+                "non-finite weight update: "
+                f"max|S|={np.abs(S).max():g} r_G={float(r_G[self.stack.slices[k].start]):g} "
+                f"max|e_G|={worst[k]:g} "
+                f"episodes={[mdl.episode_count for mdl in self.stack.models]}"
+            )
+        np.copyto(S, new)
+        return self.records
+
+
+STEP_FIELDS = ("G", "pi", "e_G", "r_RP", "e_RP")
+
+
+def assert_steps_agree(stack, ref, records, ref_records, clamps, ref_clamps):
+    assert clamps == ref_clamps
+    assert same_bits(stack.S, ref.stack.S)
+    for name in STEP_FIELDS:
+        assert same_bits(getattr(stack, name), getattr(ref, name)), name
+    assert len(records) == len(ref_records)
+    for rec, want in zip(records, ref_records):
+        for name in STEP_FIELDS:
+            assert same_bits(getattr(rec, name), getattr(want, name)), name
+
+
+def run_both(make_models, steps, seed, scale_refs=5.0):
+    """Steps a LearnStack and an ArrayFormStep of the same models through
+    the same ticks, annealing every 25, and checks every buffer, record,
+    weight and clamp count after each step. Returns the clamp total."""
+    live = make_models()
+    stack, ref = LearnStack(live), ArrayFormStep(make_models())
+    rng = np.random.default_rng(seed)
+    total_clamps = 0
+    for t in range(steps):
+        x = sample_x(1000 * seed + t)
+        r_G = rng.uniform(-scale_refs, scale_refs, len(live))[stack.row_model]
+        mulnet.reset_exp_clamp_count()
+        records = learn_step_joint(stack, x, r_G)
+        clamps = mulnet.exp_clamp_count()
+        mulnet.reset_exp_clamp_count()
+        ref_records = ref.step(x, r_G)
+        assert_steps_agree(stack, ref, records, ref_records, clamps, mulnet.exp_clamp_count())
+        total_clamps += clamps
+        if t % 25 == 24:
+            for mdl in live + ref.stack.models:
+                end_episode(mdl)
+    return total_clamps
+
+
+def default_pair():
+    return [init(GrpConfig(m=1, mu=2e-3, mu_rp=5e-2, seed=1)),
+            init(GrpConfig(m=3, mu=2e-3, mu_rp=5e-2, seed=2))]
+
+
+def hip_and_three_knees():
+    return [init(GrpConfig(m=1, mu=1e-3, mu_rp=1e-2, w_gain=0.5, seed=70)),
+            init(GrpConfig(m=3, mu=2e-3, lam=1e-3, w_gain=1.5, beta=1.1, seed=71)),
+            init(GrpConfig(m=5, mu=1.5e-3, gamma0=3.0, beta=1.2, seed=72)),
+            init(GrpConfig(m=7, mu=2e-3, lam=5e-4, gamma0=0.5, beta=1.3, seed=73))]
+
+
+def test_learn_step_matches_array_form_on_the_default_pair():
+    run_both(default_pair, 300, seed=80)
+
+
+def test_learn_step_matches_array_form_on_hip_and_three_knees():
+    run_both(hip_and_three_knees, 300, seed=81)
+
+
+@pytest.mark.parametrize("m", [7, 8, 9, 16])
+def test_learn_step_matches_array_form_across_the_pairwise_sum_boundary(m):
+    """A softmax row of 7 is summed left to right, rows of 8 and more by
+    numpy's pairwise tree; both forms must agree on either side."""
+    def one_model():
+        return [init(GrpConfig(m=m, mu=2e-3, gamma0=0.2, beta=1.1, seed=90 + m))]
+
+    # small references keep many layers' e_G close, so the softmax rows
+    # spread their mass and every term of the sum counts
+    run_both(one_model, 200, seed=82 + m, scale_refs=0.5)
+
+
+def test_learn_step_matches_array_form_where_the_guards_fire():
+    """Generator weights pushed until their off-diagonal exponent
+    arguments pass -EXP_CLAMP, and RP gains scaled until the sigmoid heads
+    sit on their floor and ceiling: clamp counts and pinned pi agree too."""
+    def pushed():
+        models = default_pair()
+        for mdl in models:
+            mdl.W -= 20.0
+        diag = np.arange(NET_DIM)
+        models[1].R[0, diag, diag] = 300.0   # pi pinned at its ceiling
+        models[1].R[1, diag, diag] = -300.0  # and at its floor
+        return models
+
+    live = pushed()
+    stack = LearnStack(live)
+    learn_step_joint(stack, sample_x(0), np.ones(4))
+    assert stack.pi[1] == mulnet.P_CEIL and stack.pi[2] == mulnet.P_FLOOR
+    assert run_both(pushed, 200, seed=83) > 0
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
+def test_learn_step_matches_array_form_on_a_nonfinite_reference(bad):
+    """A non-finite reference torque fails both forms with the same
+    message and the same per-row buffers, NaN bits included, and leaves
+    every weight as it was."""
+    stack, ref = LearnStack(default_pair()), ArrayFormStep(default_pair())
+    for t in range(20):
+        x, r_G = sample_x(t), np.repeat([1.5, -2.0], [1, 3])
+        learn_step_joint(stack, x, r_G)
+        ref.step(x, r_G)
+    before = stack.S.copy()
+    r_G = np.array([1.5, bad, bad, bad])
+    with np.errstate(invalid="ignore"):
+        with pytest.raises(NonFiniteError) as live_err:
+            learn_step_joint(stack, sample_x(20), r_G)
+        with pytest.raises(NonFiniteError) as ref_err:
+            ref.step(sample_x(20), r_G)
+    assert str(live_err.value) == str(ref_err.value)
+    assert same_bits(stack.S, before) and same_bits(ref.stack.S, before)
+    for name in STEP_FIELDS:
+        assert same_bits(getattr(stack, name), getattr(ref, name)), name
 
 
 def test_learn_step_records_are_stack_views():
