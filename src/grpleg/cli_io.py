@@ -31,7 +31,6 @@ from .experiment import (
     EvalReport,
     ModelTrace,
     SampleRanges,
-    TrainLog,
     Trajectory,
     evaluate,
     run_demo_episode,
@@ -94,20 +93,20 @@ class RunConfig:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
 
 
-def _object(data, allowed, where: str) -> dict:
+def _object(data, allowed, where: str, noun: str) -> dict:
     """`data`, if it is a JSON object with no key outside `allowed` (any
-    key when `allowed` is None)."""
+    key when `allowed` is None); an unknown key is named an unknown `noun`."""
     if not isinstance(data, dict):
         raise ValueError(f"{where[:-1] or 'top level'} must be an object, got {data!r}")
     unknown = [] if allowed is None else sorted(set(data) - set(allowed))
     if unknown:
-        raise ValueError(f"unknown config key '{where}{unknown[0]}'")
+        raise ValueError(f"unknown {noun} '{where}{unknown[0]}'")
     return data
 
 
 def _record(data, keys, where: str) -> dict:
     """`data`, if it is a JSON object with exactly the keys `keys`."""
-    _object(data, keys, where)
+    _object(data, keys, where, "key")
     for key in keys:
         if key not in data:
             raise ValueError(f"{where[:-1] or 'top level'} missing key '{key}'")
@@ -176,7 +175,7 @@ def _from_json(cls, data, where: str = "", base=None):
     its field's type. Keys not present keep `base`'s value (or the field
     default); every error names the dotted key."""
     fields = _fields(cls)
-    _object(data, [key for _, key, _, _ in fields], where)
+    _object(data, [key for _, key, _, _ in fields], where, "config key")
     kwargs = {}
     for name, key, tp, default in fields:
         current = default if base is None else getattr(base, name)
@@ -405,7 +404,7 @@ def report_from_dict(data: dict) -> EvalReport:
         if parse(data[key], key) != want:
             raise ValueError(f"{key} is {data[key]!r} but the trajectories give {want!r}")
     peak_pi = {k: np.array([_float(p, f"peak_pi.{k}") for p in _list(v, f"peak_pi.{k}")])
-               for k, v in _object(data["peak_pi"], None, "peak_pi.").items()}
+               for k, v in _object(data["peak_pi"], None, "peak_pi.", "key").items()}
     # evaluate counts a model's active generators from its peaks, so the
     # counts name the same models and agree with them
     generators = _record(data["active_generators"], list(peak_pi), "active_generators.")
@@ -436,11 +435,9 @@ def read_report(path) -> EvalReport:
     return _parse_file(report_from_dict, path)
 
 
-def train_log_to_dict(log: TrainLog) -> dict:
-    return {
-        "hip_mean_abs_e": log.hip_mean_abs_e.tolist(),
-        "knee_mean_abs_e": log.knee_mean_abs_e.tolist(),
-    }
+def train_log_to_dict(hip_log: np.ndarray, knee_log: np.ndarray) -> dict:
+    """The hip and knee blocks `train` returns, as `train_log.json` holds them."""
+    return {"hip_mean_abs_e": hip_log.tolist(), "knee_mean_abs_e": knee_log.tolist()}
 
 
 # --- command line -----------------------------------------------------------
@@ -504,15 +501,14 @@ def _cmd_train(args) -> int:
     demos = [run_demo_episode(task, init, config.gains, config.params,
                               config.dt, config.timeout)
              for task, init in tasks]
-    hip = grp.init(config.hip)
-    knee = grp.init(config.knee)
-    log = train(hip, knee, demos, config.episodes)
+    hip, knee = grp.init(config.hip), grp.init(config.knee)
+    hip_log, knee_log = train([(hip, "tau_h"), (knee, "tau_k")], demos, config.episodes)
     save_model(out / "hip.json", hip)
     save_model(out / "knee.json", knee)
-    _dump_json(out / "train_log.json", train_log_to_dict(log))
+    _dump_json(out / "train_log.json", train_log_to_dict(hip_log, knee_log))
     print(f"trained {config.episodes} episodes on {len(demos)} demonstrations; "
-          f"final mean |e_G| hip {log.hip_mean_abs_e[-1].min():.3f}, "
-          f"knee {log.knee_mean_abs_e[-1].min():.3f}")
+          f"final mean |e_G| hip {hip_log[-1].min():.3f}, "
+          f"knee {knee_log[-1].min():.3f}")
     return 0
 
 

@@ -3,15 +3,15 @@
 The protocol has three stages. First, swing tasks are sampled (target leg
 angle and initial joint rates random, initial posture fixed) and rolled out
 under the target controller to produce demonstration trajectories. Second,
-hip and knee GRP models train online against those demonstrations: the
-plant input during training equals the reference torque (the stack's
-combined output with feedback errors folded in collapses to r_G exactly),
-so the training-time trajectory IS the demonstration trajectory and
-training replays its (sensor, torque) rows in order, one learn step per
-control tick. Third, trained models drive the plant alone through the same
-swing tasks; the target controller's phase/latch machine still runs
-alongside as a shadow monitor, but only to decide ground contact, never to
-produce torque.
+GRP models, each learning one joint's torque, train online together against
+those demonstrations: the plant input during training equals the reference
+torque (the stack's combined output with feedback errors folded in
+collapses to r_G exactly), so the training-time trajectory IS the
+demonstration trajectory and training replays its (sensor, torque) rows in
+order, one learn step per control tick. Third, trained models drive the
+plant alone through the same swing tasks; the target controller's
+phase/latch machine still runs alongside as a shadow monitor, but only to
+decide ground contact, never to produce torque.
 
 Every rollout advances its swings in lockstep: one loop ticks all active
 swings, and a swing that lands or times out leaves the active set. Each
@@ -134,14 +134,6 @@ class EvalReport:
     max_error_deg: float
     active_generators: dict[str, int]
     peak_pi: dict[str, np.ndarray]
-
-
-@dataclass
-class TrainLog:
-    """Per-episode mean |e_G| per layer, one row per episode."""
-
-    hip_mean_abs_e: np.ndarray
-    knee_mean_abs_e: np.ndarray
 
 
 def sample_tasks(
@@ -276,41 +268,44 @@ def run_demo_episode(
 
 
 def train(
-    hip_model: GrpModel,
-    knee_model: GrpModel,
+    models: list[tuple[GrpModel, str]],
     demos: list[Trajectory],
     episodes: int,
-) -> TrainLog:
-    """Online training: cycle over the demonstrations, one learn step per
-    recorded control tick, sharpness annealed after every episode.
-
-    The plant never re-integrates here: driving it with the stack's
-    feedback-completed output is identical to driving it with the recorded
-    reference torques, so each episode replays a demonstration's
-    (sensor, torque) rows in order.
+) -> list[np.ndarray]:
+    """Online training of (model, joint) pairs, each model learning the
+    Trajectory torque column `joint`, "tau_h" or "tau_k". The models form
+    one LearnStack and take one learn step per recorded control tick,
+    cycling over the demos, with every sharpness annealed after each
+    episode; the step is row-local, so each model gets the bits of training
+    it alone. The plant never re-integrates: driving it with the stack's
+    feedback-completed output equals driving it with the recorded reference
+    torques, so an episode replays a demo's (sensor, torque) rows in order.
+    Returns the (episodes, m) per-episode mean |e_G| of each model's
+    layers, in input order.
     """
     if episodes < 1:
         raise ValueError(f"episodes must be >= 1, got {episodes}")
     if not demos:
         raise ValueError("no demonstrations to train on")
-    cache = [(sensor_matrix(d), d.tau_h, d.tau_k) for d in demos]
-    stack = grp.LearnStack([hip_model, knee_model])
-    log = np.empty((episodes, hip_model.m + knee_model.m))
+    joints = [joint for _, joint in models]
+    if not joints or not set(joints) <= {"tau_h", "tau_k"}:
+        raise ValueError(f"train takes (model, 'tau_h' or 'tau_k') pairs, got joints {joints}")
+    stack = grp.LearnStack([mdl for mdl, _ in models])
+    cache = [(sensor_matrix(d), [getattr(d, joint) for joint in joints]) for d in demos]
+    log = np.empty((episodes, stack.row_model.size))
     for ep in range(episodes):
-        X, r_h, r_k = cache[ep % len(cache)]
+        X, torques = cache[ep % len(cache)]
         # one reference torque per stack row, gathered once per episode
-        refs = np.stack((r_h, r_k), axis=1)[:, stack.row_model]
+        refs = np.stack(torques, axis=1)[:, stack.row_model]
         e_G = np.empty((X.shape[0], log.shape[1]))
         for i in range(X.shape[0]):
             grp.learn_step_joint(stack, X[i], refs[i])
             e_G[i] = stack.e_G
         # summed in tick order, as a running sum over the episode would be
         log[ep] = np.add.accumulate(np.abs(e_G, out=e_G))[-1] / X.shape[0]
-        grp.end_episode(hip_model)
-        grp.end_episode(knee_model)
-    return TrainLog(
-        hip_mean_abs_e=log[:, : hip_model.m], knee_mean_abs_e=log[:, hip_model.m :]
-    )
+        for mdl in stack.models:
+            grp.end_episode(mdl)
+    return [log[:, sl] for sl in stack.slices]
 
 
 def evaluate(

@@ -380,7 +380,12 @@ def _row_half(stack: LearnStack, r_G: list[float]) -> None:
 
 
 def end_episode(model: GrpModel) -> GrpModel:
-    """Anneal the responsibility sharpness: gamma <- beta * gamma."""
-    model.gamma *= model.config.beta
+    """Anneal the responsibility sharpness: gamma <- beta * gamma. A gamma
+    that would overflow raises NonFiniteError and leaves the model as it was."""
+    gamma = model.gamma * model.config.beta
+    if not math.isfinite(gamma):
+        raise NonFiniteError(f"gamma {model.gamma:g} * beta {model.config.beta:g} "
+                             f"overflows after episode {model.episode_count + 1}")
+    model.gamma = gamma
     model.episode_count += 1
     return model

@@ -109,9 +109,12 @@ def forward_and_gradient(W, x, out=None, grad=None):
     The exact partials: entry (i, i) is x_i * prod_{j != i} exp(W_ij * x_j);
     entry (i, j) for j != i is term_i * x_j, where term_i is row i's
     contribution to G. Both vanish wherever x_i = 0 resp. x_j = 0. G is
-    identical to net_forward's. The training loop calls this once per step
-    on a whole weight stack. `out` and `grad`, when given, receive G and
-    dG/dW: a C-ordered array of W's leading shape and one of W's shape.
+    net_forward's sum rounded another way: this forms W_ii (x_i p_i) where
+    net_forward forms (W_ii x_i) p_i, p_i row i's product, so the two agree
+    to rounding of the terms, not bit for bit. The training loop calls this
+    once per step on a whole weight stack. `out` and `grad`, when given,
+    receive G and dG/dW: a C-ordered array of W's leading shape and one of
+    W's shape.
     """
     W = np.asarray(W, dtype=float)
     x = np.asarray(x, dtype=float)

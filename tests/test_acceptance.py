@@ -1,22 +1,35 @@
 """End-to-end gate: one test per release criterion, tolerances inline.
 
-The heavy fixtures (demonstration corpus, default training run, the 5- and
-7-layer knee runs) are module-scoped and dominate the runtime; everything
-else is seconds. Criteria on landing error use the shipped defaults from
+The heavy fixtures (demonstration corpus, one training pass of the default
+hip with the 3-, 5- and 7-layer knees, evaluation) are module-scoped and
+dominate the runtime; everything else is seconds. The learn step is
+row-local, so each (hip, knee) pair of that pass has the bits of training
+the pair alone. Criteria on landing error use the shipped defaults from
 cli_io.RunConfig, so this file checks exactly what a fresh `train` +
-`eval` invocation would produce.
+`eval` invocation would produce; test_default_pair_is_the_cli_training
+pins that to the fixture's recorded bytes.
 """
 
+import hashlib
+import json
 import math
 import time
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import test_dynamics as dyn
 from grpleg import grp, mulnet
-from grpleg.cli_io import RunConfig, cli, save_run_config
+from grpleg.cli_io import (
+    RunConfig,
+    _dump_json,
+    cli,
+    save_model,
+    save_run_config,
+    train_log_to_dict,
+)
 from grpleg.dynamics import (
     JointTorques,
     LegParams,
@@ -34,6 +47,10 @@ from grpleg.experiment import (
 from grpleg.grp import GrpConfig
 
 CFG = RunConfig()
+FIXTURE = Path(__file__).resolve().parent.parent / "perfbench" / "fixture" / "fixture.json"
+# sha256 of the default `train`'s train_log.json
+TRAIN_LOG_SHA256 = "9f09d6d1c5816046749ed576ba8a9a92a249649c93f2f4cf5422a84b1afc4f9b"
+KNEE_SIZES = (3, 5, 7)
 
 
 @pytest.fixture(scope="module")
@@ -49,22 +66,31 @@ def demo_corpus():
 
 @pytest.fixture(scope="module")
 def trained(demo_corpus):
+    """The default hip and a knee per KNEE_SIZES, trained in one pass, as
+    (hip, {m: (knee, knee log block)}, hip log block, seconds)."""
     demos, _ = demo_corpus
     t0 = time.perf_counter()
     hip = grp.init(CFG.hip)
-    knee = grp.init(CFG.knee)
-    train(hip, knee, demos, CFG.episodes)
-    return hip, knee, time.perf_counter() - t0
+    knees = [grp.init(replace(CFG.knee, m=m)) for m in KNEE_SIZES]
+    hip_log, *knee_logs = train(
+        [(hip, "tau_h")] + [(knee, "tau_k") for knee in knees], demos, CFG.episodes)
+    return (hip, dict(zip(KNEE_SIZES, zip(knees, knee_logs))), hip_log,
+            time.perf_counter() - t0)
+
+
+def evaluate_pair(hip, knee):
+    """The fixture's 20 evaluation swings driven by (hip, knee)."""
+    tasks = sample_tasks(CFG.ranges, CFG.eval_count, CFG.eval_seed,
+                         CFG.gains, CFG.params)
+    return evaluate(hip, knee, tasks, CFG.gains, CFG.params,
+                    CFG.dt, CFG.timeout)
 
 
 @pytest.fixture(scope="module")
 def evaluated(trained):
-    hip, knee, _ = trained
+    hip, knees, _, _ = trained
     t0 = time.perf_counter()
-    tasks = sample_tasks(CFG.ranges, CFG.eval_count, CFG.eval_seed,
-                         CFG.gains, CFG.params)
-    report, trajs = evaluate(hip, knee, tasks, CFG.gains, CFG.params,
-                             CFG.dt, CFG.timeout)
+    report, trajs = evaluate_pair(hip, knees[CFG.knee.m][0])
     return report, trajs, time.perf_counter() - t0
 
 
@@ -93,7 +119,7 @@ def test_criterion_02_learned_model_fidelity(demo_corpus, trained, evaluated):
     fresh tasks: avg error <= 7 deg, max <= 12 deg, whole pipeline under
     15 min."""
     _, demo_s = demo_corpus
-    _, _, train_s = trained
+    *_, train_s = trained
     report, _, eval_s = evaluated
     total = demo_s + train_s + eval_s
     print(f"\ncriterion 2: learned landing error avg "
@@ -127,17 +153,11 @@ def test_criterion_04_knee_switching(evaluated):
 
 
 @pytest.mark.parametrize("m", [5, 7])
-def test_criterion_05_automatic_selection_report(demo_corpus, m):
+def test_criterion_05_automatic_selection_report(trained, m):
     """Knee m=5 and m=7 runs: report the active-generator count (threshold
     0.1) and per-layer peak responsibilities. Reported, not asserted."""
-    demos, _ = demo_corpus
-    hip = grp.init(CFG.hip)
-    knee = grp.init(replace(CFG.knee, m=m))
-    train(hip, knee, demos, CFG.episodes)
-    tasks = sample_tasks(CFG.ranges, CFG.eval_count, CFG.eval_seed,
-                         CFG.gains, CFG.params)
-    report, _ = evaluate(hip, knee, tasks, CFG.gains, CFG.params,
-                         CFG.dt, CFG.timeout)
+    hip, knees, _, _ = trained
+    report, _ = evaluate_pair(hip, knees[m][0])
     assert "knee" in report.active_generators
     assert report.peak_pi["knee"].shape == (m,)
     print(f"\ncriterion 5 (m={m}): active generators "
@@ -263,3 +283,17 @@ def test_criterion_10_byte_identical_determinism(tmp_path):
         assert a == b, f"{fname} differs between identical runs"
     print(f"\ncriterion 10: {len(files)} artifact files byte-identical "
           "across repeated runs")
+
+
+def test_default_pair_is_the_cli_training(trained, tmp_path):
+    """The one-pass fixture's hip and m=3 knee, and their log blocks, are
+    the bytes the default `grpleg train` writes, as the fixture records."""
+    hip, knees, hip_log, _ = trained
+    knee, knee_log = knees[CFG.knee.m]
+    save_model(tmp_path / "hip.json", hip)
+    save_model(tmp_path / "knee.json", knee)
+    _dump_json(tmp_path / "train_log.json", train_log_to_dict(hip_log, knee_log))
+    want = {**json.loads(FIXTURE.read_text())["sha256"], "train_log.json": TRAIN_LOG_SHA256}
+    got = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+           for name in want}
+    assert got == want

@@ -301,7 +301,7 @@ def test_model_loaded_forward_matches(tmp_path):
     "mangle, message",
     [
         (lambda d: d.update(format=99), "unsupported model format"),
-        (lambda d: d.update(extra=1), "unknown config key 'extra'"),
+        (lambda d: d.update(extra=1), "unknown key 'extra'"),
         (lambda d: d.pop("gamma"), "missing key 'gamma'"),
         (lambda d: d.update(gamma=0.0), "gamma must be positive"),
         (lambda d: d.update(episode_count=-1), "episode_count"),
@@ -334,6 +334,9 @@ def test_model_loaded_forward_matches(tmp_path):
         (lambda d: d["layers"].__setitem__(0, 5), "layers\\[0\\] must be an object, got 5"),
         (lambda d: d["layers"][2].update(W={"0": [0.0] * 8}),
          "layers\\[2\\].W must have shape"),
+        # the model's config is a config: its keys keep the config wording
+        (lambda d: d["config"].update(momentum=0.9),
+         "unknown config key 'config.momentum'"),
     ],
 )
 def test_model_file_rejects_malformed(mangle, message):
@@ -599,11 +602,11 @@ def test_report_round_trip(tmp_path):
         (lambda d: d["peak_pi"].update(knee=[0.8, 0.1, 0.01]),
          "active_generators.knee is 2 but peak_pi.knee gives 1 \\(peaks above 0.1\\)"),
         (lambda d: d["active_generators"].update(ankle=0),
-         "unknown config key 'active_generators.ankle'"),
+         "unknown key 'active_generators.ankle'"),
         (lambda d: d["active_generators"].pop("knee"),
          "active_generators missing key 'knee'"),
         (lambda d: d.update(active_generators={"hip": 9, "knee": 0, "ankle": 4}),
-         "unknown config key 'active_generators.ankle'"),
+         "unknown key 'active_generators.ankle'"),
         (lambda d: d["active_generators"].update(knee=True),
          "active_generators.knee must be an integer, got True"),
     ],
@@ -794,6 +797,17 @@ def test_cli_train_reports_diverging_update(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.count("\n") == 1
     assert err.startswith("error: non-finite weight update: ")
+    assert not (tmp_path / "knee.json").exists()
+
+
+def test_cli_train_reports_overflowing_gamma(tmp_path, capsys):
+    (tmp_path / "cfg.json").write_text(
+        '{"episodes": 3, "demo_count": 2, "knee": {"beta": 1e200}}')
+    rc = cli_io.cli(["train", "--config", str(tmp_path / "cfg.json"),
+                     "--out", str(tmp_path)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err == "error: gamma 1e+200 * beta 1e+200 overflows after episode 2\n"
     assert not (tmp_path / "knee.json").exists()
 
 

@@ -211,11 +211,11 @@ def test_train_log_shape_and_decrease():
     hip = grp.init(GrpConfig(m=1))
     knee = grp.init(GrpConfig(m=2))
     demos = [synthetic_demo(seed=777), synthetic_demo(seed=778)]
-    log = train(hip, knee, demos, episodes=300)
-    assert log.hip_mean_abs_e.shape == (300, 1)
-    assert log.knee_mean_abs_e.shape == (300, 2)
-    assert log.hip_mean_abs_e[-1].min() < 0.2 * log.hip_mean_abs_e[0].min()
-    assert log.knee_mean_abs_e[-1].min() < 0.2 * log.knee_mean_abs_e[0].min()
+    hip_log, knee_log = train([(hip, "tau_h"), (knee, "tau_k")], demos, episodes=300)
+    assert hip_log.shape == (300, 1)
+    assert knee_log.shape == (300, 2)
+    assert hip_log[-1].min() < 0.2 * hip_log[0].min()
+    assert knee_log[-1].min() < 0.2 * knee_log[0].min()
     assert hip.episode_count == 300
     assert hip.gamma == pytest.approx(hip.config.gamma0 * hip.config.beta**300)
 
@@ -227,19 +227,45 @@ def test_train_cycles_demos_in_order():
     demos = [synthetic_demo(seed=777), synthetic_demo(seed=778)]
     a_hip, a_knee = grp.init(GrpConfig(m=1)), grp.init(GrpConfig(m=2))
     b_hip, b_knee = grp.init(GrpConfig(m=1)), grp.init(GrpConfig(m=2))
-    log_a = train(a_hip, a_knee, demos, episodes=1)
-    log_b = train(b_hip, b_knee, demos[:1], episodes=1)
-    assert np.array_equal(log_a.hip_mean_abs_e[0], log_b.hip_mean_abs_e[0])
+    a_hip_log, _ = train([(a_hip, "tau_h"), (a_knee, "tau_k")], demos, episodes=1)
+    b_hip_log, _ = train([(b_hip, "tau_h"), (b_knee, "tau_k")], demos[:1], episodes=1)
+    assert np.array_equal(a_hip_log[0], b_hip_log[0])
     assert np.array_equal(a_hip.W[0], b_hip.W[0])
     assert np.array_equal(a_knee.R[1], b_knee.R[1])
+
+
+def test_train_list_gives_each_model_its_solo_bits():
+    """Training a list of models in one stack gives each model the weights,
+    gamma and log block of training it alone, in input order, whatever it
+    shares the stack with; m=8 crosses numpy's pairwise-sum boundary."""
+    demos = [synthetic_demo(seed=777), synthetic_demo(seed=778)]
+    sizes = [("tau_h", 1), ("tau_k", 3), ("tau_k", 8), ("tau_h", 2)]
+
+    def fresh(k, joint, m):
+        return grp.init(GrpConfig(m=m, mu=0.05, beta=1.3, seed=k)), joint
+
+    together = [fresh(k, joint, m) for k, (joint, m) in enumerate(sizes)]
+    logs = train(together, demos, episodes=3)
+    assert [log.shape for log in logs] == [(3, m) for _, m in sizes]
+    for k, ((mdl, joint), log) in enumerate(zip(together, logs)):
+        alone, _ = pair = fresh(k, joint, sizes[k][1])
+        (solo_log,) = train([pair], demos, episodes=3)
+        assert np.array_equal(log, solo_log)
+        assert np.array_equal(mdl.W, alone.W) and np.array_equal(mdl.R, alone.R)
+        assert (mdl.gamma, mdl.episode_count) == (alone.gamma, alone.episode_count)
 
 
 def test_train_validation():
     hip, knee = fresh_pair()
     with pytest.raises(ValueError, match="episodes"):
-        train(hip, knee, [synthetic_demo()], episodes=0)
+        train([(hip, "tau_h"), (knee, "tau_k")], [synthetic_demo()], episodes=0)
     with pytest.raises(ValueError, match="no demonstrations"):
-        train(hip, knee, [], episodes=1)
+        train([(hip, "tau_h"), (knee, "tau_k")], [], episodes=1)
+    with pytest.raises(ValueError, match=r"got joints \['tau_h', 'phi_k'\]"):
+        train([(hip, "tau_h"), (knee, "phi_k")], [synthetic_demo()], episodes=1)
+    with pytest.raises(ValueError, match=r"got joints \[\]"):
+        train([], [synthetic_demo()], episodes=1)
+    assert hip.episode_count == knee.episode_count == 0
 
 
 # --------------------------------------------------------------- evaluation

@@ -804,3 +804,13 @@ def test_end_episode_geometric_growth():
         end_episode(model)
     assert math.isclose(model.gamma, cfg.gamma0 * cfg.beta**500, rel_tol=1e-9)
     assert model.episode_count == 500
+
+
+def test_end_episode_overflowing_gamma_raises_and_changes_nothing():
+    model = init(GrpConfig(m=2, gamma0=1.0, beta=1e200))
+    end_episode(model)
+    with pytest.raises(NonFiniteError) as excinfo:
+        end_episode(model)
+    assert str(excinfo.value) == "gamma 1e+200 * beta 1e+200 overflows after episode 2"
+    assert model.gamma == 1e200
+    assert model.episode_count == 1

@@ -256,6 +256,25 @@ def test_gradient_batched_matches_single():
         assert np.array_equal(g[k], forward_and_gradient(stack[k], x)[1])
 
 
+def test_gradient_pass_g_matches_net_forward_to_rounding():
+    """forward_and_gradient forms W_ii (x_i p_i), net_forward (W_ii x_i) p_i:
+    the bits differ, the values agree to 1e-14 of sum_i |W_ii x_i p_i|,
+    the scale of the sum (G itself can cancel to far below it)."""
+    rng = np.random.default_rng(43)
+    differ = 0
+    for _ in range(2000):
+        W = rng.uniform(-0.2, 0.2, (8, NET_DIM, NET_DIM))
+        x = split_input(draw_raw(rng))
+        G, grad = forward_and_gradient(W, x)
+        G_ref = net_forward(W, x)
+        # the diagonal partials are x_i p_i, so W_ii times them are the terms
+        scale = np.abs(W.diagonal(0, -2, -1) * grad.diagonal(0, -2, -1)).sum(-1)
+        assert np.all(np.abs(G - G_ref) <= 1e-14 * scale)
+        differ += not np.array_equal(G, G_ref)
+    # the two roundings are not interchangeable
+    assert differ > 1000
+
+
 # -------------------------------------------------------------sigmoid head
 
 
