@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import grp
+from . import NonFiniteError, grp
 from .dynamics import (
     JointTorques,
     LegParams,
@@ -44,7 +44,7 @@ from .dynamics import (
     saturate,
 )
 from .grp import GrpModel
-from .mulnet import split_input
+from .mulnet import split_input, split_row
 from .target_controller import (
     ControllerGains,
     ControllerState,
@@ -185,10 +185,11 @@ def _rollout(
 
     Without a stack the plant receives the saturated target-controller
     torque. With the stack of the (hip, knee) models it receives their
-    saturated combined torques, from one split_input and one grp.forward
-    call per tick on the active swings' (k, 5) sensor block, and the
-    controller state machine runs purely as a contact/phase monitor on the
-    kinematics it observes.
+    saturated combined torques, and the controller state machine runs
+    purely as a contact/phase monitor on the kinematics it observes. Each
+    tick, every active swing's five sensor floats are split into its 8-wide
+    input row on Python floats (split_row, split_input's bits), and the
+    list of rows takes one grp.forward call.
     """
     tasks = [task for task, _ in swings]
     states = [init for _, init in swings]
@@ -207,9 +208,9 @@ def _rollout(
             kins.append(kin)
             torques.append(demo_tq)
         if stack is not None:
-            raw = [_sensor_channels(kin.alpha, states[i], tasks[i].alpha_tgt)
-                   for i, kin in zip(active, kins)]
-            (_, _, tau_h), (_, _, tau_k) = outs = grp.forward(stack, split_input(raw))
+            rows = [split_row(*_sensor_channels(kin.alpha, states[i], tasks[i].alpha_tgt))
+                    for i, kin in zip(active, kins)]
+            (_, _, tau_h), (_, _, tau_k) = outs = grp.forward(stack, rows)
             blocks.append((active, outs))
             torques = map(JointTorques, tau_h.tolist(), tau_k.tolist())
 
@@ -281,7 +282,9 @@ def train(
     feedback-completed output equals driving it with the recorded reference
     torques, so an episode replays a demo's (sensor, torque) rows in order.
     Returns the (episodes, m) per-episode mean |e_G| of each model's
-    layers, in input order.
+    layers, in input order. A sharpness that overflows raises
+    NonFiniteError naming the model's place in the list, from 1, and its
+    joint.
     """
     if episodes < 1:
         raise ValueError(f"episodes must be >= 1, got {episodes}")
@@ -303,8 +306,11 @@ def train(
             e_G[i] = stack.e_G
         # summed in tick order, as a running sum over the episode would be
         log[ep] = np.add.accumulate(np.abs(e_G, out=e_G))[-1] / X.shape[0]
-        for mdl in stack.models:
-            grp.end_episode(mdl)
+        for k, (mdl, joint) in enumerate(models, 1):
+            try:
+                grp.end_episode(mdl)
+            except NonFiniteError as err:
+                raise NonFiniteError(f"model {k} ({joint}): {err}") from None
     return [log[:, sl] for sl in stack.slices]
 
 

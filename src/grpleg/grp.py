@@ -233,12 +233,14 @@ def forward(stack: LearnStack, x) -> list[tuple]:
     """(G, pi, tau_out) per model of the stack at an (N, 8) block of inputs,
     from one network call and one sigmoid head over its current weights:
     the (N, m) Generator outputs G^k, the (N, m) RP responsibilities pi^k
-    and the (N,) combined torques sum_k G^k pi^k. Row n holds the bits that
-    input n alone, as a (1, 8) block, gives, so the lockstep rollout
-    evaluates every active swing in one call, one row per swing. forward
-    raises nothing on non-finite values; the rollout's torque and plant
-    checks do, in tick order. The arrays are new, not the stack's step
-    buffers.
+    and the (N,) combined torques sum_k G^k pi^k. x may be an array or a
+    list of N rows of eight floats. Row n holds the bits that input n
+    alone, as a (1, 8) block, gives, so the lockstep rollout evaluates every
+    active swing in one call, one row per swing. Each model's torques are
+    one np.vecdot over its columns, which gives each row the bits of the
+    1-D G @ pi. forward raises nothing on non-finite values; the rollout's
+    torque and plant checks do, in tick order. The arrays are new, not the
+    stack's step buffers.
     """
     x = np.asarray(x, dtype=float)
     if x.ndim != 2 or x.shape[1] != NET_DIM:
@@ -250,10 +252,8 @@ def forward(stack: LearnStack, x) -> list[tuple]:
     out = net_forward(stack.S, x[..., None, :])
     G = out[..., :total]
     pis = sigmoid_head(out[..., total:], stack.w_gain)
-    # per-row dot products with the bits of the 1-D G @ pi; an index with
-    # `...` costs less to build than the same one with `:`
-    return [(G[..., sl], pis[..., sl],
-             np.matmul(G[..., None, sl], pis[..., sl, None])[..., 0, 0]) for sl in stack.slices]
+    return [(G[..., sl], pis[..., sl], np.vecdot(G[..., sl], pis[..., sl]))
+            for sl in stack.slices]
 
 
 def total_output_identity(model: GrpModel, x, r_G: float) -> float:

@@ -12,7 +12,8 @@ Signed sensor channels are split into (positive, negative) half-wave pairs
 before entering the network, so every x_j >= 0 and exactly one of each pair
 is active. `split_input` does this as one signed gather of the raw channels
 followed by one maximum against a floor row (0 for split channels, -inf for
-the joint angles, which pass through). A consequence worth keeping in mind:
+the joint angles, which pass through); `split_row` does it for one row of
+Python floats, with the same bits. A consequence worth keeping in mind:
 if x_j = 0 then every exp(W_ij * x_j) = 1 and the output is independent of
 W_ij entirely.
 
@@ -78,6 +79,26 @@ def split_input(raw):
     out = np.empty(raw.shape[:-1] + (NET_DIM,))
     np.multiply(raw[..., _SPLIT_SRC], _SPLIT_SIGN, out=out)
     return np.maximum(out, _SPLIT_FLOOR, out=out)
+
+
+def split_row(e: float, phi_h: float, phi_h_dot: float, phi_k: float,
+              phi_k_dot: float) -> list[float]:
+    """split_input for one row of five Python floats, as a list of eight.
+
+    A rollout tick builds one input row per active swing; on a handful of
+    rows numpy's per-call cost outweighs the split itself, so this does it
+    with comparisons. The bits are split_input's: a split channel's
+    positive half is v above 0 and +0.0 otherwise (-0.0 included), its
+    negative half -v below 0 and +0.0 otherwise, and NaN passes into both
+    halves, as through np.maximum.
+    """
+    return [
+        0.0 if e <= 0.0 else e, 0.0 if e >= 0.0 else -e,
+        phi_h,
+        0.0 if phi_h_dot <= 0.0 else phi_h_dot, 0.0 if phi_h_dot >= 0.0 else -phi_h_dot,
+        phi_k,
+        0.0 if phi_k_dot <= 0.0 else phi_k_dot, 0.0 if phi_k_dot >= 0.0 else -phi_k_dot,
+    ]
 
 
 def _row_products(W, x):

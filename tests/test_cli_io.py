@@ -807,7 +807,8 @@ def test_cli_train_reports_overflowing_gamma(tmp_path, capsys):
                      "--out", str(tmp_path)])
     assert rc == 1
     err = capsys.readouterr().err
-    assert err == "error: gamma 1e+200 * beta 1e+200 overflows after episode 2\n"
+    assert err == ("error: model 2 (tau_k): "
+                   "gamma 1e+200 * beta 1e+200 overflows after episode 2\n")
     assert not (tmp_path / "knee.json").exists()
 
 

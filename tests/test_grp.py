@@ -226,26 +226,30 @@ def test_forward_joint_stack_matches_one_model_stacks():
             assert same_bits(G, G1) and same_bits(pi, pi1) and same_bits(tau, tau1)
 
 
-@pytest.mark.parametrize("m", range(1, 9))
+@pytest.mark.parametrize("m", range(1, 10))
 def test_forward_block_matches_per_row_forward(m):
-    """forward on an (N, 8) block gives, row by row, the bits of forward
-    on that row alone as a (1, 8) block: G, pi and tau per model, and the
-    exponent clamps."""
+    """forward on an (N, 8) block, N = 1, 2, 7 and 20, gives row by row the
+    bits of forward on that row alone as a (1, 8) block: G, pi and tau per
+    model, and the exponent clamps. Each tau has the bits of the 1-D
+    G @ pi of its row, from m = 1 up to 9, past the 8 at which numpy's
+    reductions change their summation order."""
     models = [init(GrpConfig(m=1, seed=60)), init(GrpConfig(m=m, w_gain=1.5, seed=61))]
     models[1].W *= 300.0  # large enough that exponent clamps fire
     stack = LearnStack(models)
-    X = np.stack([sample_x(seed) for seed in range(7)])
-    mulnet.reset_exp_clamp_count()
-    block = forward(stack, X)
-    clamps = mulnet.exp_clamp_count()
-    mulnet.reset_exp_clamp_count()
-    rows = [forward_one(stack, x) for x in X]
-    assert clamps > 0 and mulnet.exp_clamp_count() == clamps
-    for k, (mdl, (G, pi, tau)) in enumerate(zip(models, block)):
-        assert G.shape == pi.shape == (7, mdl.m) and tau.shape == (7,)
-        assert same_bits(G, [row[k][0] for row in rows])
-        assert same_bits(pi, [row[k][1] for row in rows])
-        assert same_bits(tau, [row[k][2] for row in rows])
+    for n in (1, 2, 7, 20):
+        X = np.stack([sample_x(seed) for seed in range(n)])
+        mulnet.reset_exp_clamp_count()
+        block = forward(stack, X)
+        clamps = mulnet.exp_clamp_count()
+        mulnet.reset_exp_clamp_count()
+        rows = [forward_one(stack, x) for x in X]
+        assert clamps > 0 and mulnet.exp_clamp_count() == clamps
+        for k, (mdl, (G, pi, tau)) in enumerate(zip(models, block)):
+            assert G.shape == pi.shape == (n, mdl.m) and tau.shape == (n,)
+            assert same_bits(G, [row[k][0] for row in rows])
+            assert same_bits(pi, [row[k][1] for row in rows])
+            assert same_bits(tau, [row[k][2] for row in rows])
+            assert same_bits(tau, [np.array(G_n) @ np.array(pi_n) for G_n, pi_n in zip(G, pi)])
 
 
 @pytest.mark.parametrize("shape", [(), (7,), (8,), (9,), (3, 5), (3, 16), (2, 3, 8)],

@@ -16,6 +16,7 @@ from grpleg.mulnet import (
     reset_exp_clamp_count,
     sigmoid_head,
     split_input,
+    split_row,
 )
 
 
@@ -128,6 +129,35 @@ def test_split_matches_reference_bits(lead):
         want = split_reference(raw)
         assert got.shape == lead + (NET_DIM,)
         assert got.flags["C_CONTIGUOUS"]
+        nan = np.isnan(want)
+        assert np.array_equal(np.isnan(got), nan)
+        assert np.array_equal(got.view(np.int64)[~nan], want.view(np.int64)[~nan])
+
+
+def test_split_row_matches_split_input_bits():
+    """split_row on five Python floats gives split_input's bits, row for
+    row: on random rows, with each split channel at +0.0 and at -0.0, on
+    the edge values of the reference test (NaN compared as NaN only), and
+    with the angles passing through as they are."""
+    rng = np.random.default_rng(19)
+    rows = [draw_raw(rng) for _ in range(500)]
+    for k in (0, 2, 4):  # the split channels
+        for zero in (0.0, -0.0):
+            raw = draw_raw(rng)
+            raw[k] = zero
+            rows.append(raw)
+    rows.append(np.array([0.0, -0.0, 0.0, -0.0, -0.0]))
+    pool = np.array([0.0, -0.0, math.inf, -math.inf, 5e-324, -5e-324, 1.5, -2.25,
+                     1e308, -1e308, math.nan])
+    rows += list(rng.choice(pool, size=(200, 5)))
+    raws = np.stack(rows)
+    for raw, want in zip(raws, split_input(raws)):
+        args = raw.tolist()
+        got = split_row(*args)
+        assert len(got) == NET_DIM and all(type(v) is float for v in got)
+        # the angles are the very floats passed in
+        assert got[2] is args[1] and got[5] is args[3]
+        got = np.array(got)
         nan = np.isnan(want)
         assert np.array_equal(np.isnan(got), nan)
         assert np.array_equal(got.view(np.int64)[~nan], want.view(np.int64)[~nan])
