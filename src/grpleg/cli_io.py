@@ -294,9 +294,9 @@ def load_model(path) -> GrpModel:
 
 
 def trace_columns(model_name: str, m: int) -> list[str]:
-    """The trace columns of one model with m layers, in file order: G, pi
-    and r of layer 1, then of layer 2, up to layer m."""
-    return [f"{model_name}_{f}_{k}" for k in range(1, m + 1) for f in ("G", "pi", "r")]
+    """The trace columns of one model with m layers, in file order: G and
+    pi of layer 1, then of layer 2, up to layer m."""
+    return [f"{model_name}_{f}_{k}" for k in range(1, m + 1) for f in ("G", "pi")]
 
 
 def write_trajectory(path, traj: Trajectory) -> None:
@@ -305,7 +305,7 @@ def write_trajectory(path, traj: Trajectory) -> None:
     for model_name, trace in traj.traces.items():
         m = trace.G.shape[1]
         names += trace_columns(model_name, m)
-        cols += [a[:, k] for k in range(m) for a in (trace.G, trace.pi, trace.r)]
+        cols += [a[:, k] for k in range(m) for a in (trace.G, trace.pi)]
     # '%.17g' % x is f"{x:.17g}" for every double, nan, inf and -0 included
     row = ",".join(["%.17g"] * 10 + ["%d", "%d"] + ["%.17g"] * (len(cols) - 12)) + "\n"
     with open(path, "w", newline="\n") as fh:
@@ -324,7 +324,7 @@ def read_trajectory(path) -> Trajectory:
     header = lines[0].split(",")
     # (name, m) per model in the order of first appearance, word-character names only
     names = [col.rsplit("_", 2)[0] for col in header[len(FIXED_COLUMNS):]]
-    models = {name: n // 3 for name, n in collections.Counter(names).items()
+    models = {name: n // 2 for name, n in collections.Counter(names).items()
               if re.fullmatch(r"\w+", name)}
     expected = [*FIXED_COLUMNS, *(c for n, m in models.items() for c in trace_columns(n, m))]
     if header != expected:
@@ -346,6 +346,12 @@ def read_trajectory(path) -> Trajectory:
     if not rows:
         raise ValueError(f"{path}: no data rows")
     data = np.array(rows)
+    # plant values are finite when written; a trace's G may overflow to inf
+    bad = np.argwhere(~np.isfinite(data[:, :10]))
+    if bad.size:
+        i, j = bad[0]
+        raise ValueError(f"{path} line {i + 2}: {FIXED_COLUMNS[j]} must be finite, "
+                         f"got {data[i, j]:g}")
     fixed = dict(zip(FIXED_COLUMNS, data[:, :len(FIXED_COLUMNS)].T))
     for name, allowed in (("phase", (1, 2, 3)), ("contact", (0, 1))):
         bad = np.flatnonzero(~np.isin(fixed[name], allowed))
@@ -357,10 +363,10 @@ def read_trajectory(path) -> Trajectory:
     traces: dict[str, ModelTrace] = {}
     col = len(FIXED_COLUMNS)
     for name, m in models.items():
-        # (T, m, 3) with G, pi, r on the last axis, which moved first unpacks
-        block = data[:, col:col + 3 * m].reshape(len(rows), m, 3)
+        # (T, m, 2) with G, pi on the last axis, which moved first unpacks
+        block = data[:, col:col + 2 * m].reshape(len(rows), m, 2)
         traces[name] = ModelTrace(*np.moveaxis(block, 2, 0).copy())
-        col += 3 * m
+        col += 2 * m
     return Trajectory(**fixed, timed_out=not bool(fixed["contact"][-1]),
                       traces=traces)
 

@@ -83,15 +83,11 @@ class SampleRanges:
 
 @dataclass
 class ModelTrace:
-    """Per-step layer activity of one GRP model along a trajectory.
-
-    r holds reference responsibilities where a reference torque existed
-    (demonstration / training); evaluation runs record NaN there.
-    """
+    """Per-step layer activity of one GRP model along a model-driven swing:
+    each layer's Generator torque G and responsibility pi, shape (T, m)."""
 
     G: np.ndarray
     pi: np.ndarray
-    r: np.ndarray
 
 
 @dataclass
@@ -240,8 +236,7 @@ def _rollout(
                 for j in (0, 1)
             )
             for tr, G_i, pi_i in zip(traces, G, pi):
-                # no reference torque exists when models drive: r is all NaN
-                tr[name] = ModelTrace(G=G_i, pi=pi_i, r=np.full(G_i.shape, np.nan))
+                tr[name] = ModelTrace(G=G_i, pi=pi_i)
     trajs = []
     for rows, task, ctrl, tr in zip(ticks, tasks, ctrls, traces):
         *floats, phases, contacts = zip(*rows)

@@ -146,17 +146,15 @@ def init(config: GrpConfig) -> GrpModel:
     return GrpModel(W=W, R=R, gamma=config.gamma0, config=config)
 
 
-def responsibility_reference(errors, gamma: float, out=None) -> np.ndarray:
+def responsibility_reference(errors, gamma: float) -> np.ndarray:
     """Softmax of -gamma |e_G| over layers, the last axis; broadcasts over
-    leading axes. `out`, when given, receives the result.
+    leading axes.
 
     Max-shifted before exponentiation, so arbitrarily sharp gamma degrades
     gracefully to one-hot on the smallest |e_G| instead of underflowing to
     0/0.
     """
-    if out is None:
-        errors = np.asarray(errors, dtype=float)
-    z = np.abs(errors, out=out)
+    z = np.abs(np.asarray(errors, dtype=float))
     z *= -gamma
     # ufunc reductions called directly, as in mulnet
     z -= np.maximum.reduce(z, -1, keepdims=True)

@@ -147,16 +147,16 @@ def forward_and_gradient(W, x, out=None, grad=None):
     return np.add.reduce(terms, -1, out=out), grad
 
 
-def sigmoid_head(b, w_gain: float = 1.0, out=None):
+def sigmoid_head(b, w_gain: float = 1.0):
     """Responsibility head pi = 1 / (1 + exp(-w_gain * b)).
 
     Evaluated overflow-free with e = exp(-|z|): the numerator exp(min(z, 0))
     is 1 for z >= 0 and e below, so one division gives 1 / (1 + e) or
     e / (1 + e). The result is pinned to the open interval (0, 1) so a
     saturated head never reports exactly 0 or 1. w_gain is a scalar or
-    broadcasts against b (one gain per row). `out`, when given, receives pi.
+    broadcasts against b (one gain per row).
     """
-    z = np.asarray(np.multiply(b, w_gain, out=out, dtype=float))  # 0-d stays an array
+    z = np.asarray(np.multiply(b, w_gain, dtype=float))  # 0-d stays an array
     e = np.exp(-np.abs(z))
     e += 1.0
     np.minimum(z, 0.0, out=z)

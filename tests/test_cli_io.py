@@ -31,6 +31,7 @@ from grpleg.cli_io import (
     run_config_to_dict,
     save_model,
     save_run_config,
+    trace_columns,
     write_report,
     write_trajectory,
 )
@@ -70,11 +71,10 @@ def trained_pair(steps=40):
 
 def with_traces(traj, seed=9):
     """A copy of a trajectory carrying hip (m=1) and knee (m=3) traces of
-    seeded finite G, pi and r."""
+    seeded finite G and pi."""
     rng = np.random.default_rng(seed)
     traces = {name: ModelTrace(G=rng.uniform(-60.0, 60.0, (len(traj), m)),
-                               pi=rng.uniform(0.0, 1.0, (len(traj), m)),
-                               r=rng.uniform(0.0, 1.0, (len(traj), m)))
+                               pi=rng.uniform(0.0, 1.0, (len(traj), m)))
               for name, m in (("hip", 1), ("knee", 3))}
     return dataclasses.replace(traj, traces=traces)
 
@@ -357,13 +357,14 @@ def test_demo_csv_has_twelve_fixed_columns(tmp_path, demo_traj):
     assert len(header) == 12
 
 
-def test_knee_trace_adds_nine_columns(tmp_path, demo_traj):
+def test_knee_trace_adds_six_columns(tmp_path, demo_traj):
     traj = with_traces(demo_traj)
     traj.traces.pop("hip")
     write_trajectory(tmp_path / "k.csv", traj)
     header = (tmp_path / "k.csv").read_text().splitlines()[0].split(",")
-    assert len(header) == 12 + 9
-    assert header[12:15] == ["knee_G_1", "knee_pi_1", "knee_r_1"]
+    assert len(header) == 12 + 6
+    assert header[12:] == ["knee_G_1", "knee_pi_1", "knee_G_2", "knee_pi_2",
+                           "knee_G_3", "knee_pi_3"]
 
 
 def reference_csv(traj) -> bytes:
@@ -373,8 +374,8 @@ def reference_csv(traj) -> bytes:
     cols = [getattr(traj, name) for name in FIXED_COLUMNS[:10]]
     for model_name, trace in traj.traces.items():
         for k in range(trace.G.shape[1]):
-            names += [f"{model_name}_{f}_{k + 1}" for f in ("G", "pi", "r")]
-            cols += [trace.G[:, k], trace.pi[:, k], trace.r[:, k]]
+            names += [f"{model_name}_{f}_{k + 1}" for f in ("G", "pi")]
+            cols += [trace.G[:, k], trace.pi[:, k]]
     lines = [",".join(names)]
     for i in range(len(traj)):
         fields = [f"{c[i]:.17g}" for c in cols[:10]]
@@ -392,10 +393,10 @@ def with_special_doubles(traj):
     column, and whose contact column alternates."""
     n = len(SPECIAL_DOUBLES)
     fixed = {name: getattr(traj, name).copy() for name in FIXED_COLUMNS[:10]}
-    traces = {name: ModelTrace(G=t.G.copy(), pi=t.pi.copy(), r=t.r.copy())
+    traces = {name: ModelTrace(G=t.G.copy(), pi=t.pi.copy())
               for name, t in traj.traces.items()}
     cols = list(fixed.values()) + [
-        a.T for t in traces.values() for a in (t.G, t.pi, t.r)]
+        a.T for t in traces.values() for a in (t.G, t.pi)]
     for j, col in enumerate(cols):
         col[..., :n] = np.roll(SPECIAL_DOUBLES, j)
     contact = np.arange(len(traj)) % 2 == 0
@@ -410,7 +411,7 @@ def test_trajectory_bytes_match_per_value_format(tmp_path, demo_traj, driven_by)
         hip, knee = trained_pair()
         tasks = sample_tasks(SampleRanges(), 1, seed=5)
         traj = evaluate(hip, knee, tasks)[1][0]
-        assert np.isnan(traj.traces["knee"].r).all()
+        assert list(traj.traces) == ["hip", "knee"]
     for case in (traj, with_special_doubles(traj)):
         write_trajectory(tmp_path / "t.csv", case)
         assert (tmp_path / "t.csv").read_bytes() == reference_csv(case)
@@ -429,20 +430,19 @@ def test_trajectory_round_trip_value_exact(tmp_path, demo_traj):
     assert back.timed_out == traj.timed_out
     for model_name, trace in traj.traces.items():
         got = back.traces[model_name]
-        for fname in ("G", "pi", "r"):
+        for fname in ("G", "pi"):
             assert np.array_equal(getattr(trace, fname), getattr(got, fname))
 
 
-def test_trajectory_nan_responsibilities_round_trip(tmp_path, demo_traj):
+def test_trajectory_nan_generator_torques_round_trip(tmp_path, demo_traj):
     n = len(demo_traj)
-    demo_traj.traces["knee"] = ModelTrace(
-        G=np.zeros((n, 2)), pi=np.full((n, 2), 0.5), r=np.full((n, 2), np.nan))
+    demo_traj.traces["knee"] = ModelTrace(G=np.full((n, 2), np.nan), pi=np.full((n, 2), 0.5))
     try:
         write_trajectory(tmp_path / "n.csv", demo_traj)
         back = read_trajectory(tmp_path / "n.csv")
     finally:
         demo_traj.traces.clear()
-    assert np.all(np.isnan(back.traces["knee"].r))
+    assert np.all(np.isnan(back.traces["knee"].G))
     assert np.array_equal(back.traces["knee"].pi, np.full((n, 2), 0.5))
 
 
@@ -476,7 +476,11 @@ def test_trajectory_read_errors_name_lines(tmp_path, demo_traj):
                                 (10, "9", "phase must be one of"),
                                 (10, "nan", "phase must be one of .*, got nan"),
                                 (11, "0.5", "contact must be one of \\(0, 1\\), got 0.5"),
-                                (11, "-3", "contact must be one of .*, got -3")]:
+                                (11, "-3", "contact must be one of .*, got -3"),
+                                (0, "nan", "t must be finite, got nan"),
+                                (4, "inf", "phi_k_dot must be finite, got inf"),
+                                (7, "-inf", "l must be finite, got -inf"),
+                                (9, "nan", "tau_k must be finite, got nan")]:
         parts = lines[3].split(",")
         parts[col] = value
         (tmp_path / "int.csv").write_text("\n".join(lines[:3] + [",".join(parts)]) + "\n")
@@ -486,28 +490,25 @@ def test_trajectory_read_errors_name_lines(tmp_path, demo_traj):
 
 TRACE_HEADER_CASES = [
     # (trace columns, what is wrong, where the error says they go wrong)
-    ("hip_G_1,hip_pi_1", "triples", "column 13: got 'hip_G_1,hip_pi_1', expected ''"),
-    ("hip_G_1,hip_pi_1,hip_q_1", "bad trace column",
-     "column 15: got 'hip_q_1', expected 'hip_r_1'"),
-    ("hip_G_1,hip_pi_2,hip_r_1", "mismatched trace triple",
-     "column 14: got 'hip_pi_2,hip_r_1', expected 'hip_pi_1,hip_r_1'"),
-    ("hip_G_2,hip_pi_2,hip_r_2", "out of order",
-     "column 13: got 'hip_G_2,.*', expected 'hip_G_1,"),
-    ("hip_G_1,hip_pi_1,hip_r_1,hip_G_3,hip_pi_3,hip_r_3", "index jump",
-     "column 16: got 'hip_G_3,.*', expected 'hip_G_2,"),
+    ("hip_G_1", "lone column", "column 13: got 'hip_G_1', expected ''"),
+    ("hip_G_1,hip_q_1", "bad trace column", "column 14: got 'hip_q_1', expected 'hip_pi_1'"),
+    ("hip_G_1,hip_pi_2", "mismatched trace pair",
+     "column 14: got 'hip_pi_2', expected 'hip_pi_1'"),
+    ("hip_G_2,hip_pi_2", "out of order", "column 13: got 'hip_G_2,.*', expected 'hip_G_1,"),
+    ("hip_G_1,hip_pi_1,hip_G_3,hip_pi_3", "index jump",
+     "column 15: got 'hip_G_3,.*', expected 'hip_G_2,"),
     # a model name is one or more word characters, a layer index has no
     # leading zero, and each model's columns form one block
-    ("_G_1,_pi_1,_r_1", "empty model name", "column 13: got '_G_1,_pi_1,_r_1', expected ''"),
-    ("hip x_G_1,hip x_pi_1,hip x_r_1", "space in model name", "column 13: got 'hip x_G_1,"),
-    ("hip_G_01,hip_pi_01,hip_r_01", "leading zero",
-     "column 13: got 'hip_G_01,.*', expected 'hip_G_1,"),
-    ("hip_G_1,hip_pi_1,hip_r_1,knee_G_1,knee_pi_1,knee_r_1,hip_G_2,hip_pi_2,hip_r_2",
-     "split block", "column 16: got 'knee_G_1,.*', expected 'hip_G_2,"),
+    ("_G_1,_pi_1", "empty model name", "column 13: got '_G_1,_pi_1', expected ''"),
+    ("hip x_G_1,hip x_pi_1", "space in model name", "column 13: got 'hip x_G_1,"),
+    ("hip_G_01,hip_pi_01", "leading zero", "column 13: got 'hip_G_01,.*', expected 'hip_G_1,"),
+    ("hip_G_1,hip_pi_1,knee_G_1,knee_pi_1,hip_G_2,hip_pi_2",
+     "split block", "column 15: got 'knee_G_1,.*', expected 'hip_G_2,"),
 ]
 
 
 @pytest.mark.parametrize("extra, case, message", TRACE_HEADER_CASES,
-                         ids=[f"{extra}-{case}" for extra, case, _ in TRACE_HEADER_CASES])
+                         ids=[case for _, case, _ in TRACE_HEADER_CASES])
 def test_trajectory_trace_header_validation(tmp_path, extra, case, message):
     header = ",".join(FIXED_COLUMNS) + "," + extra
     width = len(header.split(","))
@@ -667,7 +668,10 @@ def test_cli_train_then_eval_then_dump(tmp_path, capsys):
     assert (tmp_path / "eval_001.csv").exists()
     traj = read_trajectory(tmp_path / "eval_001.csv")
     assert set(traj.traces) == {"hip", "knee"}
-    assert np.all(np.isnan(traj.traces["hip"].r))
+    header = (tmp_path / "eval_001.csv").read_text().split("\n", 1)[0].split(",")
+    assert header == [*FIXED_COLUMNS, "hip_G_1", "hip_pi_1", "knee_G_1", "knee_pi_1",
+                      "knee_G_2", "knee_pi_2", "knee_G_3", "knee_pi_3"]
+    assert header[12:] == trace_columns("hip", 1) + trace_columns("knee", 3)
 
     assert cli_io.cli(["dump-weights", "--out", str(tmp_path)]) == 0
     weights = json.loads((tmp_path / "weights.json").read_text())

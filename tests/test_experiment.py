@@ -285,7 +285,6 @@ def test_evaluate_report_consistency():
     for tr in trajs:
         assert tr.timed_out == (not tr.contact[-1])
         for trace in tr.traces.values():
-            assert np.all(np.isnan(trace.r))
             assert np.all((trace.pi > 0) & (trace.pi < 1))
 
 
@@ -345,7 +344,6 @@ def test_model_driven_rollout_matches_one_model_forwards(fixture_pair):
         assert same_bits(trace.pi, np.array([pi for _, pi, _ in rows]))
         tau = np.array([tau for _, _, tau in rows])
         assert same_bits(applied, np.clip(tau, -cap, cap))
-        assert trace.r.shape == (len(traj), mdl.m) and np.isnan(trace.r).all()
     assert clamps > 0
     assert mulnet.exp_clamp_count() == clamps
 
@@ -389,7 +387,7 @@ def test_lockstep_swings_match_solo_evaluations(timeouts, fixture_pair):
             assert same_bits(getattr(traj, name), getattr(alone, name)), name
         assert list(traj.traces) == list(alone.traces) == ["hip", "knee"]
         for name, trace in traj.traces.items():
-            for field in ("G", "pi", "r"):
+            for field in ("G", "pi"):
                 assert same_bits(getattr(trace, field), getattr(alone.traces[name], field))
         for field in ("alpha_tgt_deg", "alpha_end_deg", "error_deg", "timed_out"):
             assert getattr(report, field)[n] == getattr(alone_report, field)[0]

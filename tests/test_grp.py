@@ -570,11 +570,11 @@ class ArrayFormStep:
         assert r_G.shape == self.pi.shape
         S, dS = self.stack.S, self._grad
         mulnet.forward_and_gradient(S, x, self._out, dS)
-        pi = mulnet.sigmoid_head(self._b, self.w_gain, self.pi)
-        G, e_G, r_RP, e_RP = self.G, self.e_G, self.r_RP, self.e_RP
+        self.pi[:] = mulnet.sigmoid_head(self._b, self.w_gain)
+        G, pi, e_G, r_RP, e_RP = self.G, self.pi, self.e_G, self.r_RP, self.e_RP
         np.subtract(r_G, G, out=e_G)
         for mdl, rec in zip(self.stack.models, self.records):
-            responsibility_reference(rec.e_G, mdl.gamma, rec.r_RP)
+            rec.r_RP[:] = responsibility_reference(rec.e_G, mdl.gamma)
         np.subtract(r_RP, pi, out=e_RP)
 
         mu_k = np.multiply(r_RP, self.mu, out=self._row_work)
