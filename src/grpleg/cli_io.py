@@ -28,6 +28,7 @@ from . import NonFiniteError, grp, mulnet
 from .dynamics import LegParams
 from .experiment import (
     ACTIVE_PI,
+    DEG,
     EvalReport,
     ModelTrace,
     SampleRanges,
@@ -367,8 +368,7 @@ def read_trajectory(path) -> Trajectory:
         block = data[:, col:col + 2 * m].reshape(len(rows), m, 2)
         traces[name] = ModelTrace(*np.moveaxis(block, 2, 0).copy())
         col += 2 * m
-    return Trajectory(**fixed, timed_out=not bool(fixed["contact"][-1]),
-                      traces=traces)
+    return Trajectory(**fixed, traces=traces)
 
 
 _REPORT_KEYS = ("trajectories", "avg_error_deg", "max_error_deg",
@@ -383,8 +383,8 @@ def report_to_dict(report: EvalReport) -> dict:
         "trajectories": [dict(zip(_SWING_KEYS, swing)) for swing in columns],
         "avg_error_deg": report.avg_error_deg,
         "max_error_deg": report.max_error_deg,
-        "timeout_count": int(report.timed_out.sum()),
-        "active_generators": dict(report.active_generators),
+        "timeout_count": report.timeout_count,
+        "active_generators": report.active_generators,
         "peak_pi": {name: [float(x) for x in peaks]
                     for name, peaks in report.peak_pi.items()},
     }
@@ -396,41 +396,34 @@ def report_from_dict(data: dict) -> EvalReport:
               for i, entry in enumerate(_list(data["trajectories"], "trajectories"))]
 
     def column(key, parse=_float):
-        return [parse(entry[key], f"trajectories[{i}].{key}")
-                for i, entry in enumerate(swings)]
+        return np.array([parse(entry[key], f"trajectories[{i}].{key}")
+                         for i, entry in enumerate(swings)])
 
-    alpha_tgt, alpha_end, error_deg = (np.array(column(key)) for key in _SWING_KEYS[:3])
-    timed_out = np.array(column("timed_out", _bool), dtype=bool)
+    alpha_tgt, alpha_end, error_deg = (column(key) for key in _SWING_KEYS[:3])
+    timed_out = column("timed_out", _bool)
     if not swings:
         raise ValueError("trajectories must not be empty")
-    avg, top = float(error_deg.mean()), float(error_deg.max())
-    # the writer derives these from the same doubles, so they match exactly
-    for key, want, parse in (("avg_error_deg", avg, _float), ("max_error_deg", top, _float),
-                             ("timeout_count", int(timed_out.sum()), _int)):
-        if parse(data[key], key) != want:
-            raise ValueError(f"{key} is {data[key]!r} but the trajectories give {want!r}")
     peak_pi = {k: np.array([_float(p, f"peak_pi.{k}") for p in _list(v, f"peak_pi.{k}")])
                for k, v in _object(data["peak_pi"], None, "peak_pi.", "key").items()}
-    # evaluate counts a model's active generators from its peaks, so the
-    # counts name the same models and agree with them
+    report = EvalReport(alpha_tgt, alpha_end, timed_out, peak_pi)
+    # the writer derives every other value from the same doubles, so each matches exactly
+    for i, (got, want) in enumerate(zip(error_deg.tolist(), report.error_deg.tolist())):
+        if got != want:
+            raise ValueError(f"trajectories[{i}].error_deg is {got!r} "
+                             f"but its angles give {want!r}")
+    for key, parse in (("avg_error_deg", _float), ("max_error_deg", _float),
+                       ("timeout_count", _int)):
+        if parse(data[key], key) != getattr(report, key):
+            raise ValueError(f"{key} is {data[key]!r} but the trajectories "
+                             f"give {getattr(report, key)!r}")
+    # one count per model of peak_pi, each the one its peaks give
     generators = _record(data["active_generators"], list(peak_pi), "active_generators.")
-    active = {}
-    for k, peaks in peak_pi.items():
-        active[k] = _int(generators[k], f"active_generators.{k}")
-        want = int((peaks > ACTIVE_PI).sum())
-        if active[k] != want:
-            raise ValueError(f"active_generators.{k} is {active[k]} but peak_pi.{k} "
+    for k, want in report.active_generators.items():
+        got = _int(generators[k], f"active_generators.{k}")
+        if got != want:
+            raise ValueError(f"active_generators.{k} is {got} but peak_pi.{k} "
                              f"gives {want} (peaks above {ACTIVE_PI})")
-    return EvalReport(
-        alpha_tgt_deg=alpha_tgt,
-        alpha_end_deg=alpha_end,
-        error_deg=error_deg,
-        timed_out=timed_out,
-        avg_error_deg=avg,
-        max_error_deg=top,
-        active_generators=active,
-        peak_pi=peak_pi,
-    )
+    return report
 
 
 def write_report(path, report: EvalReport) -> None:
@@ -470,28 +463,28 @@ def _cmd_demo(args) -> int:
     seed = args.seed if args.seed is not None else config.demo_seed
     out = _out_dir(args)
     tasks = sample_tasks(config.ranges, n, seed, config.gains, config.params)
-    files, tgts, ends = [], [], []
+    files, swings = [], []
     for i, (task, init) in enumerate(tasks, start=1):
         traj = run_demo_episode(task, init, config.gains, config.params,
                                 config.dt, config.timeout)
         name = f"demo_{i:03d}.csv"
         write_trajectory(out / name, traj)
         files.append(name)
-        tgts.append(task.alpha_tgt)
-        ends.append(traj.alpha_end)
-    err = np.degrees(np.abs(np.array(tgts) - np.array(ends)))
+        swings.append((task.alpha_tgt, traj.alpha_end, traj.timed_out))
+    tgt, end, timed_out = map(np.array, zip(*swings))
+    report = EvalReport(tgt / DEG, end / DEG, timed_out, peak_pi={})
     _dump_json(out / "manifest.json", {
         "count": n,
         "seed": seed,
         "files": files,
-        "alpha_tgt_deg": [math.degrees(v) for v in tgts],
-        "alpha_end_deg": [math.degrees(v) for v in ends],
-        "error_deg": err.tolist(),
-        "avg_error_deg": float(err.mean()),
-        "max_error_deg": float(err.max()),
+        "alpha_tgt_deg": report.alpha_tgt_deg.tolist(),
+        "alpha_end_deg": report.alpha_end_deg.tolist(),
+        "error_deg": report.error_deg.tolist(),
+        "avg_error_deg": report.avg_error_deg,
+        "max_error_deg": report.max_error_deg,
     })
     print(f"wrote {n} demonstrations to {out}: landing error "
-          f"avg {err.mean():.2f} deg, max {err.max():.2f} deg")
+          f"avg {report.avg_error_deg:.2f} deg, max {report.max_error_deg:.2f} deg")
     return 0
 
 
@@ -537,10 +530,9 @@ def _cmd_eval(args) -> int:
     for i, traj in enumerate(trajs, start=1):
         write_trajectory(out / f"eval_{i:03d}.csv", traj)
     write_report(out / "report.json", report)
-    timeouts = int(report.timed_out.sum())
     print(f"evaluated {n} swings: landing error avg "
           f"{report.avg_error_deg:.2f} deg, max {report.max_error_deg:.2f} deg, "
-          f"{timeouts} timeouts")
+          f"{report.timeout_count} timeouts")
     return 0
 
 
@@ -617,14 +609,6 @@ def cli(argv=None) -> int:
         return args.func(args)
     except (ValueError, OSError, NonFiniteError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except RuntimeError as exc:
-        if type(exc) is not RuntimeError:  # RecursionError and the like are bugs
-            raise
-        # the plant's singular mass matrix, which only a config's LegParams
-        # can bring about
-        where = f"{args.config}: " if getattr(args, "config", None) else ""
-        print(f"error: {where}{exc}", file=sys.stderr)
         return 1
 
 

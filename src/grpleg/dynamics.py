@@ -58,10 +58,13 @@ class LegParams:
         for name in ("knee_stop_stiffness", "knee_stop_damping"):
             if getattr(self, name) < 0.0:
                 raise ValueError(f"LegParams.{name} must be non-negative")
-        a, b, *_ = coefficients = self._mass_coefficients  # a * b: largest term of det
+        a, b, c, *_ = coefficients = self._mass_coefficients  # a * b: largest term of det
         if not all(map(math.isfinite, (*coefficients, a * b))):
             raise ValueError("LegParams l_t, l_s, m_t, m_s and g give a mass matrix "
                              "or gravity term that overflows a float")
+        # det(M) = a*b - (c*cos(delta))^2 rounds to no less than a*b - c*c
+        if not a * b - c * c > 1e-12:
+            raise ValueError("singular mass matrix: LegParams l_t, l_s, m_t, m_s give det <= 1e-12")
 
     @property
     def l_0(self) -> float:
@@ -196,11 +199,8 @@ def _accel_generalized(
 
     m12 = c * cd
     det = a * b - m12 * m12
-    if not det > 1e-12:
-        if det != det:  # a NaN angle; only NaN is unequal to itself
-            raise ValueError("NaN joint angle in the mass matrix")
-        # cannot happen for positive masses/lengths (det >= a*b - c^2 > 0)
-        raise RuntimeError(f"singular mass matrix (det={det})")
+    if not det > 1e-12:  # only a NaN angle: LegParams keeps det above 1e-12
+        raise ValueError("NaN joint angle in the mass matrix")
 
     tt_dd = (b * rhs_t - m12 * rhs_s) / det
     ts_dd = (a * rhs_s - m12 * rhs_t) / det

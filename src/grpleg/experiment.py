@@ -30,7 +30,7 @@ to the plant; Generators therefore learn the delivered torque, bounded by
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -92,7 +92,8 @@ class ModelTrace:
 
 @dataclass
 class Trajectory:
-    """One swing at 1 kHz, column-major. Torques are post-saturation."""
+    """One swing at 1 kHz, column-major. Torques are post-saturation. A
+    swing that ends without ground contact timed out."""
 
     t: np.ndarray
     phi_h: np.ndarray
@@ -107,7 +108,6 @@ class Trajectory:
     phase: np.ndarray
     contact: np.ndarray
     task: SwingTask | None = None
-    timed_out: bool = False
     traces: dict[str, ModelTrace] = field(default_factory=dict)
 
     def __len__(self) -> int:
@@ -117,19 +117,41 @@ class Trajectory:
     def alpha_end(self) -> float:
         return float(self.alpha[-1])
 
+    @property
+    def timed_out(self) -> bool:
+        return not self.contact[-1]
+
 
 @dataclass
 class EvalReport:
-    """Reference-free evaluation summary; angles in degrees."""
+    """What a set of swings measured: target and landing leg angles in
+    degrees, timeouts, and each model's per-layer peak pi (none when no
+    model drove). Every summary of them is derived here and only here."""
 
     alpha_tgt_deg: np.ndarray
     alpha_end_deg: np.ndarray
-    error_deg: np.ndarray
     timed_out: np.ndarray
-    avg_error_deg: float
-    max_error_deg: float
-    active_generators: dict[str, int]
     peak_pi: dict[str, np.ndarray]
+
+    @property
+    def error_deg(self) -> np.ndarray:
+        return np.abs(self.alpha_tgt_deg - self.alpha_end_deg)
+
+    @property
+    def avg_error_deg(self) -> float:
+        return float(self.error_deg.mean())
+
+    @property
+    def max_error_deg(self) -> float:
+        return float(self.error_deg.max())
+
+    @property
+    def timeout_count(self) -> int:
+        return int(self.timed_out.sum())
+
+    @property
+    def active_generators(self) -> dict[str, int]:
+        return {name: int((peak > ACTIVE_PI).sum()) for name, peak in self.peak_pi.items()}
 
 
 def sample_tasks(
@@ -238,14 +260,13 @@ def _rollout(
             for tr, G_i, pi_i in zip(traces, G, pi):
                 tr[name] = ModelTrace(G=G_i, pi=pi_i)
     trajs = []
-    for rows, task, ctrl, tr in zip(ticks, tasks, ctrls, traces):
+    for rows, task, tr in zip(ticks, tasks, traces):
         *floats, phases, contacts = zip(*rows)
         trajs.append(Trajectory(
             *map(np.array, floats),
             phase=np.array(phases, dtype=int),
             contact=np.array(contacts, dtype=bool),
             task=task,
-            timed_out=not ctrl.contact,
             traces=tr,
         ))
     return trajs
@@ -319,11 +340,11 @@ def evaluate(
     timeout: float = 2.0,
 ) -> tuple[EvalReport, list[Trajectory]]:
     """Reference-free evaluation: the models alone drive the plant through
-    each task; landing error is |alpha_tgt - alpha at contact| in degrees.
-    peak_pi is each layer's largest pi over every tick of every swing, and
-    a layer is an active generator when its peak exceeds ACTIVE_PI. The
-    models join one LearnStack for the call, which reads their weights and
-    never writes them."""
+    each task, and the report holds each swing's target and landing angle
+    in degrees, whether it timed out, and peak_pi, each layer's largest pi
+    over every tick of every swing. The models' copies join one LearnStack
+    for the call, so the models themselves, and any live stack they belong
+    to, are left as they were."""
     for name, mdl in (("hip", hip_model), ("knee", knee_model)):
         if not isinstance(mdl, GrpModel):
             raise ValueError(
@@ -331,26 +352,16 @@ def evaluate(
             )
     if not tasks:
         raise ValueError("no tasks to evaluate")
-    stack = grp.LearnStack([hip_model, knee_model])
+    stack = grp.LearnStack([replace(hip_model), replace(knee_model)])
     trajs = _rollout(tasks, gains, params, dt, timeout, stack)
-    tgt = np.array([task.alpha_tgt for task, _ in tasks]) / DEG
-    end = np.array([tr.alpha_end for tr in trajs]) / DEG
-    err = np.abs(tgt - end)
-    peak_pi = {
-        name: np.concatenate([tr.traces[name].pi for tr in trajs]).max(axis=0)
-        for name in ("hip", "knee")
-    }
     report = EvalReport(
-        alpha_tgt_deg=tgt,
-        alpha_end_deg=end,
-        error_deg=err,
+        alpha_tgt_deg=np.array([task.alpha_tgt for task, _ in tasks]) / DEG,
+        alpha_end_deg=np.array([tr.alpha_end for tr in trajs]) / DEG,
         timed_out=np.array([tr.timed_out for tr in trajs], dtype=bool),
-        avg_error_deg=float(err.mean()),
-        max_error_deg=float(err.max()),
-        active_generators={
-            name: int((peak > ACTIVE_PI).sum()) for name, peak in peak_pi.items()
+        peak_pi={
+            name: np.concatenate([tr.traces[name].pi for tr in trajs]).max(axis=0)
+            for name in ("hip", "knee")
         },
-        peak_pi=peak_pi,
     )
     return report, trajs
 

@@ -40,7 +40,7 @@ predicted pi^k are free sigmoids in (0, 1).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -258,8 +258,9 @@ def total_output_identity(model: GrpModel, x, r_G: float) -> float:
     """Combined output with feedback errors added to both factors:
     sum_k (G^k + e_G^k)(pi^k + e_RP^k). Collapses algebraically to
     r_G * sum_k r_RP^k = r_G, which is why the plant can be driven by the
-    reference torque while the stack is still untrained."""
-    (G, pi, _), = forward(LearnStack([model]), np.asarray(x, dtype=float)[None])
+    reference torque while the stack is still untrained. The model's copy
+    forms the stack, so the model stays in any live stack it belongs to."""
+    (G, pi, _), = forward(LearnStack([replace(model)]), np.asarray(x, dtype=float)[None])
     G, pi = G[0], pi[0]
     e_G = r_G - G
     r_RP = responsibility_reference(e_G, model.gamma)

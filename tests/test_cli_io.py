@@ -545,11 +545,7 @@ def report_fixture():
     return EvalReport(
         alpha_tgt_deg=np.array([60.0, 70.0]),
         alpha_end_deg=np.array([62.0, 66.0]),
-        error_deg=np.array([2.0, 4.0]),
         timed_out=np.array([False, True]),
-        avg_error_deg=3.0,
-        max_error_deg=4.0,
-        active_generators={"hip": 1, "knee": 2},
         peak_pi={"hip": np.array([0.97]), "knee": np.array([0.8, 0.6, 0.01])},
     )
 
@@ -591,7 +587,11 @@ def test_report_round_trip(tmp_path):
         (lambda d: d.update(max_error_deg=2.0),
          "max_error_deg is 2.0 but the trajectories give 4.0"),
         (lambda d: d["trajectories"][0].update(error_deg=2.5),
-         "avg_error_deg is 3.0 but the trajectories give 3.25"),
+         "trajectories\\[0\\].error_deg is 2.5 but its angles give 2.0"),
+        # each swing's error is its own angles' difference: swapped errors
+        # keep the average and maximum but are refused
+        (lambda d: [s.update(error_deg=e) for s, e in zip(d["trajectories"], (4.0, 2.0))],
+         "trajectories\\[0\\].error_deg is 4.0 but its angles give 2.0"),
         (lambda d: d["trajectories"][0].update(timed_out=True),
          "timeout_count is 1 but the trajectories give 2"),
         (lambda d: d.update(trajectories=[]), "trajectories must not be empty"),
@@ -614,7 +614,8 @@ def test_report_round_trip(tmp_path):
     ids=["avg-str", "max-bool", "active-float", "trajectories-int", "error-str",
          "timed_out-int", "alpha_end-missing", "peak_pi-missing", "peak-nan",
          "timeout_count-off", "timeout_count-bool", "avg-off-by-one-ulp", "max-off",
-         "swing-error-changed", "swing-timed_out-changed", "trajectories-empty",
+         "swing-error-changed", "swing-errors-swapped", "swing-timed_out-changed",
+         "trajectories-empty",
          "active-off", "active-hip-zero", "peak-at-threshold", "active-extra-model",
          "active-missing-model", "active-contradicting", "active-bool"],
 )
@@ -645,8 +646,12 @@ def test_cli_demo_writes_files_and_manifest(tmp_path, capsys):
     manifest = json.loads((tmp_path / "manifest.json").read_text())
     assert manifest["files"] == ["demo_001.csv", "demo_002.csv"]
     assert all((tmp_path / f).exists() for f in manifest["files"])
-    assert manifest["avg_error_deg"] == pytest.approx(
-        np.mean(manifest["error_deg"]))
+    # one landing-error formula, in the report: each error is its angles'
+    # difference and the average their mean, exactly
+    tgt, end, err = (np.array(manifest[key])
+                     for key in ("alpha_tgt_deg", "alpha_end_deg", "error_deg"))
+    assert err.tolist() == np.abs(tgt - end).tolist()
+    assert manifest["avg_error_deg"] == np.mean(err)
     assert "avg" in capsys.readouterr().out
 
 
@@ -716,6 +721,7 @@ def test_cli_bad_config_names_key(tmp_path, capsys):
 
 OVERFLOWING_PARAMS = ("LegParams l_t, l_s, m_t, m_s and g give a mass matrix "
                       "or gravity term that overflows a float")
+SINGULAR_PARAMS = "singular mass matrix: LegParams l_t, l_s, m_t, m_s give det <= 1e-12"
 
 
 @pytest.mark.parametrize("config, message", [
@@ -725,15 +731,16 @@ OVERFLOWING_PARAMS = ("LegParams l_t, l_s, m_t, m_s and g give a mass matrix "
      "phi_h_dot0 range (-1e+308, 1e+308) is wider than a float holds"),
     ('{"params": {"m_s": 1e308}}', OVERFLOWING_PARAMS),
     ('{"params": {"l_t": 1e200}}', OVERFLOWING_PARAMS),
-    ('{"params": {"l_s": 1e-200}}', "singular mass matrix (det=0.0)"),
+    ('{"params": {"l_s": 1e-200}}', SINGULAR_PARAMS),
+    ('{"params": {"m_t": 1e-20}}', SINGULAR_PARAMS),
 ])
 def test_cli_rejects_values_the_rollout_cannot_use(tmp_path, capsys, config, message):
     """A zero alpha_dot_max would divide by zero in the stopping torque, a
     range wider than a float holds would overflow the task sampler, and
     masses or lengths whose mass matrix overflows would reach the plant as
     a NaN determinant. A shank so short that the mass-matrix determinant
-    underflows to 0 passes the config checks and stops the first roll-out
-    step."""
+    underflows to 0, or a thigh so light that it rounds to 0 with the leg
+    straight, is refused with the config."""
     path = tmp_path / "cfg.json"
     path.write_text(config)
     rc = cli_io.cli(["demo", "--config", str(path), "--out", str(tmp_path)])

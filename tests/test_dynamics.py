@@ -232,13 +232,11 @@ def test_plant_divergence_raises_nonfinite_error(state, torques, dt):
         integrate_step(state, torques, P, dt)
 
 
-def test_singular_mass_matrix_stays_a_runtime_error():
+def test_singular_mass_matrix_refused_by_leg_params():
     # a vanishing thigh mass makes det(M) = 0 up to rounding with the leg
-    # straight; that is a bad plant, not a diverging state
-    params = LegParams(m_t=1e-20)
-    with pytest.raises(RuntimeError, match="singular mass matrix") as excinfo:
-        integrate_step(LegState(3.8, math.pi, 0.0, 0.0), JointTorques(), params, 1e-3)
-    assert excinfo.type is RuntimeError
+    # straight; that is a bad plant, refused before any roll-out starts
+    with pytest.raises(ValueError, match="singular mass matrix: LegParams l_t, l_s, m_t, m_s"):
+        LegParams(m_t=1e-20)
 
 
 def reference_rk4(state, torques, params, dt):

@@ -310,6 +310,27 @@ def test_evaluate_never_mutates_weights():
     assert (hip.gamma, knee.gamma) == gamma
 
 
+@pytest.mark.parametrize("read", ["evaluate", "total_output_identity"])
+def test_reading_models_leaves_them_in_their_live_stack(read, demo):
+    """evaluate and grp.total_output_identity stack copies of the models,
+    so a model in a live stack stays in it: its weights are still views of
+    the stack, and the stack's next learn step moves them."""
+    hip, knee = fresh_pair()
+    stack = grp.LearnStack([hip, knee])
+    x = sensor_matrix(demo)[0]
+    if read == "evaluate":
+        evaluate(hip, knee, sample_tasks(SampleRanges(), 1, seed=12))
+    else:
+        grp.total_output_identity(hip, x, 1.0)
+        grp.total_output_identity(knee, x, 1.0)
+    for mdl in (hip, knee):
+        assert np.shares_memory(mdl.W, stack.S) and np.shares_memory(mdl.R, stack.S)
+    before = [mdl.W.copy() for mdl in (hip, knee)]
+    grp.learn_step_joint(stack, x, np.array([1.0, -1.0, -1.0, -1.0]))
+    for mdl, W in zip((hip, knee), before):
+        assert not np.array_equal(mdl.W, W)
+
+
 def test_evaluate_torques_match_model_output():
     """Applied torque equals the saturated combined model output."""
     hip, knee = fresh_pair()
