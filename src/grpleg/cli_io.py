@@ -89,9 +89,10 @@ class RunConfig:
         if self.timeout / self.dt > MAX_SWING_STEPS:
             raise ValueError(f"timeout {self.timeout} is more than "
                              f"{MAX_SWING_STEPS} steps of dt {self.dt}")
-        for name in ("episodes", "demo_count", "eval_count"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        for name, low in (("episodes", 1), ("demo_count", 1), ("eval_count", 1),
+                          ("demo_seed", 0), ("eval_seed", 0)):
+            if getattr(self, name) < low:
+                raise ValueError(f"{name} must be >= {low}, got {getattr(self, name)}")
 
 
 def _object(data, allowed, where: str, noun: str) -> dict:
@@ -571,10 +572,15 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Swing-leg demonstrations, GRP training, and evaluation.")
     sub = parser.add_subparsers(dest="command", required=True)
 
+    def seed(text: str) -> int:  # every --seed flag's type, so argparse names the flag
+        if int(text) < 0:
+            raise argparse.ArgumentTypeError(f"must be >= 0, got {text}")
+        return int(text)
+
     def common(p, n_help=None):
         p.add_argument("--config", help="JSON run configuration")
         p.add_argument("--out", default="out", help="output directory")
-        p.add_argument("--seed", type=int, help="override the relevant seed")
+        p.add_argument("--seed", type=seed, help="override the relevant seed")
         if n_help:
             p.add_argument("--n", type=int, help=n_help)
 
@@ -594,7 +600,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gradcheck",
                        help="network gradients vs central differences")
-    p.add_argument("--seed", type=int, help="instance RNG seed")
+    p.add_argument("--seed", type=seed, help="instance RNG seed")
     p.set_defaults(func=_cmd_gradcheck)
 
     p = sub.add_parser("dump-weights", help="per-layer weight summary")

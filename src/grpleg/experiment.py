@@ -207,15 +207,16 @@ def _rollout(
     purely as a contact/phase monitor on the kinematics it observes. Each
     tick, every active swing's five sensor floats are split into its 8-wide
     input row on Python floats (split_row, split_input's bits), and the
-    list of rows takes one grp.forward call.
+    list of rows takes one grp.forward call. Each swing's rows become one
+    table, whose columns the Trajectory and its ModelTraces view.
     """
     tasks = [task for task, _ in swings]
     states = [init for _, init in swings]
     ctrls = [ControllerState()] * len(swings)
-    # per swing and tick: Trajectory's first ten fields in order, then
-    # phase, contact
+    # per swing and tick: Trajectory's first ten fields in order, phase,
+    # contact, then with a stack each model's G and pi, m columns each
     ticks = [[] for _ in swings]
-    blocks = []  # per tick with a stack: (active swings, grp.forward output)
+    widths = [] if stack is None else [mdl.m for mdl in stack.models for _ in (0, 1)]
     active = list(range(len(swings)))
 
     while active:
@@ -225,49 +226,39 @@ def _rollout(
             demo_tq, ctrls[i] = control_step(kin, ctrls[i], tasks[i], gains)
             kins.append(kin)
             torques.append(demo_tq)
+        traces = [()] * len(active)
         if stack is not None:
             rows = [split_row(*_sensor_channels(kin.alpha, states[i], tasks[i].alpha_tgt))
                     for i, kin in zip(active, kins)]
-            (_, _, tau_h), (_, _, tau_k) = outs = grp.forward(stack, rows)
-            blocks.append((active, outs))
+            (G_h, pi_h, tau_h), (G_k, pi_k, tau_k) = grp.forward(stack, rows)
+            traces = map(tuple, np.concatenate((G_h, pi_h, G_k, pi_k), axis=1).tolist())
             torques = map(JointTorques, tau_h.tolist(), tau_k.tolist())
 
         still = []
-        for i, kin, tq in zip(active, kins, torques):
+        for i, kin, tq, trace in zip(active, kins, torques, traces):
             state, ctrl = states[i], ctrls[i]
             applied = saturate(tq, params)
             ticks[i].append((
                 state.t, state.phi_h, state.phi_k, state.phi_h_dot, state.phi_k_dot,
                 kin.alpha, kin.alpha_dot, kin.l, applied.tau_h, applied.tau_k,
                 ctrl.phase, ctrl.contact,
-            ))
+            ) + trace)
             if not (ctrl.contact or state.t >= timeout):
                 states[i] = integrate_step(state, applied, params, dt)
                 still.append(i)
         active = still
 
-    traces = [{} for _ in swings]
-    if stack is not None:
-        # forward rows run tick-major; a stable sort by swing makes each
-        # swing's rows one contiguous run, in tick order
-        order = np.argsort([i for act, _ in blocks for i in act], kind="stable")
-        cuts = np.cumsum([len(rows) for rows in ticks])[:-1]
-        for k, name in enumerate(("hip", "knee")):
-            G, pi = (
-                np.split(np.concatenate([outs[k][j] for _, outs in blocks])[order], cuts)
-                for j in (0, 1)
-            )
-            for tr, G_i, pi_i in zip(traces, G, pi):
-                tr[name] = ModelTrace(G=G_i, pi=pi_i)
     trajs = []
-    for rows, task, tr in zip(ticks, tasks, traces):
-        *floats, phases, contacts = zip(*rows)
+    for rows, task in zip(ticks, tasks):
+        table = np.array(rows, dtype=float)
+        G_pi = np.split(table[:, 12:], np.cumsum(widths)[:-1], axis=1)
         trajs.append(Trajectory(
-            *map(np.array, floats),
-            phase=np.array(phases, dtype=int),
-            contact=np.array(contacts, dtype=bool),
+            *table.T[:10],
+            phase=table[:, 10].astype(int),
+            contact=table[:, 11] == 1.0,
             task=task,
-            traces=tr,
+            traces={name: ModelTrace(G, pi)
+                    for name, G, pi in zip(("hip", "knee"), G_pi[::2], G_pi[1::2])},
         ))
     return trajs
 

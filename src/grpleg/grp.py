@@ -194,13 +194,11 @@ class LearnStack:
             mdl.R = self.S[total + sl.start : total + sl.stop]
 
         self.row_model = np.repeat(np.arange(len(models)), sizes)
-        # each row's (mu, lam, RP rate, sigmoid gain) as Python floats for
-        # the step's per-row half, and the RP decay rows, which never change
+        # each row's (mu, lam, RP rate, sigmoid gain), Python floats for the per-row half
         self._row_consts = [
             (float(cfg.mu), float(cfg.lam), float(cfg.rp_rate), float(cfg.w_gain))
             for cfg in (mdl.config for mdl in models) for _ in range(cfg.m)
         ]
-        self._decay_RP = [rp_rate * lam for _, lam, rp_rate, _ in self._row_consts]
         self.w_gain = np.array([w_gain for *_, w_gain in self._row_consts])
 
         # what a step writes: the network output (every Generator output G,
@@ -219,11 +217,11 @@ class LearnStack:
         ]
 
         # work buffers: the per-row gain and decay of the update as (2M, 1, 1)
-        # columns, both in one buffer so one write fills them, then the new
-        # stack and its decay term
+        # columns in one buffer, whose RP decay rows never change and are
+        # written here once, then the decay term
         self._coef = np.empty(4 * total)
         self._gain, self._decay = self._coef.reshape(2, 2 * total, 1, 1)
-        self._new = np.empty_like(self.S)
+        self._coef[3 * total:] = [rp_rate * lam for _, lam, rp_rate, _ in self._row_consts]
         self._decay_term = np.empty_like(self.S)
 
 
@@ -298,8 +296,8 @@ def learn_step_joint(stack: LearnStack, x, r_G) -> list[StepRecord]:
     forward_and_gradient(S, x, stack._out, dS)
     _row_half(stack, r_G.tolist())
 
-    # S + gain * dS - decay * S, each row with its own gain and decay
-    new = np.multiply(stack._gain, dS, out=stack._new)
+    # gain * dS + S - decay * S per row, formed in the gradient's buffer
+    new = np.multiply(stack._gain, dS, out=dS)
     new += S
     new -= np.multiply(stack._decay, S, out=stack._decay_term)
     if not np.isfinite(new).all():
@@ -318,7 +316,7 @@ def learn_step_joint(stack: LearnStack, x, r_G) -> list[StepRecord]:
 def _row_half(stack: LearnStack, r_G: list[float]) -> None:
     """The learn step's per-row half on Python floats, from the network
     output in `stack._out`: pi, e_G, r_RP and e_RP into the stack's row
-    buffers, the update gain and decay into its (2M, 1, 1) columns.
+    buffers, the gains and Generator decays into its (2M, 1, 1) columns.
 
     Each value has the bits that `sigmoid_head`, `responsibility_reference`
     and the update's array ops give: the same operations in the same order,
@@ -375,7 +373,7 @@ def _row_half(stack: LearnStack, r_G: list[float]) -> None:
         e_RP.append(d)
         gain_RP.append(rp_rate * d * w_gain * p * (1.0 - p))
     stack._rows[:] = pi + e_G + r_RP + e_RP
-    stack._coef[:] = gain_G + gain_RP + decay_G + stack._decay_RP
+    stack._coef[:3 * total] = gain_G + gain_RP + decay_G
 
 
 def end_episode(model: GrpModel) -> GrpModel:

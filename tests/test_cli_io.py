@@ -1,6 +1,7 @@
 """File formats and command line: strict configs, exact round-trips."""
 
 import dataclasses
+import hashlib
 import json
 import math
 import os
@@ -538,6 +539,48 @@ def test_cli_trajectory_files_round_trip_byte_for_byte(tmp_path, capsys):
         assert (tmp_path / "again.csv").read_bytes() == (tmp_path / name).read_bytes(), name
 
 
+def sha256_of(directory: Path, names: list[str]) -> str:
+    """One sha256 over the named files' bytes, in order."""
+    digest = hashlib.sha256()
+    for name in names:
+        digest.update((directory / name).read_bytes())
+    return digest.hexdigest()
+
+
+def test_cli_demo_and_fixture_eval_write_the_recorded_bytes(tmp_path, capsys):
+    """The default demo and the fixture models' default eval write the
+    bytes that the CI steps after tier-1 also pin; a re-record updates
+    both. A one-swing eval writes the 20-swing eval's first CSV byte for
+    byte: a lone swing's (1, 8) forward block gives each row its bits."""
+    demo, ev, ev1 = tmp_path / "demo", tmp_path / "ev", tmp_path / "ev1"
+    assert cli_io.cli(["demo", "--out", str(demo)]) == 0
+    names = [f"demo_{i:03d}.csv" for i in range(1, 41)] + ["manifest.json"]
+    assert sha256_of(demo, names) == (
+        "b605e72902488a1189b51f99764d2311efed238cebbbcb181becfb8518c41b4d")
+
+    for out in (ev, ev1):
+        out.mkdir()
+        for name in ("hip.json", "knee.json"):
+            (out / name).write_bytes((FIXTURE_DIR / name).read_bytes())
+    assert cli_io.cli(["eval", "--out", str(ev)]) == 0
+    assert cli_io.cli(["eval", "--n", "1", "--out", str(ev1)]) == 0
+    capsys.readouterr()
+    report = json.loads((ev / "report.json").read_text())
+    assert {key: report[key] for key in ("avg_error_deg", "max_error_deg", "timeout_count",
+                                         "active_generators", "peak_pi")} == {
+        "avg_error_deg": 5.927464218625038,
+        "max_error_deg": 9.803905966050408,
+        "timeout_count": 0,
+        "active_generators": {"hip": 1, "knee": 3},
+        "peak_pi": {"hip": [0.9999999999994058],
+                    "knee": [0.9999999999999999, 0.534315838093038, 0.49998614864984764]},
+    }
+    names = [f"eval_{i:03d}.csv" for i in range(1, 21)] + ["report.json"]
+    assert sha256_of(ev, names) == (
+        "e60605e2a0d8f924e23cd10fa94b0e472fb822e7d0ba77095216bc38035daaa8")
+    assert (ev1 / "eval_001.csv").read_bytes() == (ev / "eval_001.csv").read_bytes()
+
+
 # ------------------------------------------------------------------ reports
 
 
@@ -733,6 +776,8 @@ SINGULAR_PARAMS = "singular mass matrix: LegParams l_t, l_s, m_t, m_s give det <
     ('{"params": {"l_t": 1e200}}', OVERFLOWING_PARAMS),
     ('{"params": {"l_s": 1e-200}}', SINGULAR_PARAMS),
     ('{"params": {"m_t": 1e-20}}', SINGULAR_PARAMS),
+    ('{"demo_seed": -3}', "demo_seed must be >= 0, got -3"),
+    ('{"eval_seed": -1}', "eval_seed must be >= 0, got -1"),
 ])
 def test_cli_rejects_values_the_rollout_cannot_use(tmp_path, capsys, config, message):
     """A zero alpha_dot_max would divide by zero in the stopping torque, a
@@ -740,7 +785,8 @@ def test_cli_rejects_values_the_rollout_cannot_use(tmp_path, capsys, config, mes
     masses or lengths whose mass matrix overflows would reach the plant as
     a NaN determinant. A shank so short that the mass-matrix determinant
     underflows to 0, or a thigh so light that it rounds to 0 with the leg
-    straight, is refused with the config."""
+    straight, is refused with the config. A negative seed would reach
+    numpy's seeding, whose error names no key."""
     path = tmp_path / "cfg.json"
     path.write_text(config)
     rc = cli_io.cli(["demo", "--config", str(path), "--out", str(tmp_path)])
@@ -748,6 +794,19 @@ def test_cli_rejects_values_the_rollout_cannot_use(tmp_path, capsys, config, mes
     err = capsys.readouterr().err
     assert err == f"error: {path}: {message}\n"
     assert not (tmp_path / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("command", ["demo", "train", "eval", "gradcheck"])
+def test_cli_rejects_a_negative_seed_naming_the_flag(tmp_path, monkeypatch, capsys, command):
+    """Every command's argparse refuses a negative --seed before any work,
+    naming the flag; numpy's seeding would refuse it naming nothing."""
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        cli_io.cli([command, "--seed", "-1"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.endswith(
+        f"grpleg {command}: error: argument --seed: must be >= 0, got -1\n")
+    assert not list(tmp_path.iterdir())
 
 
 def test_cli_bad_json_names_file(tmp_path, capsys):
