@@ -28,9 +28,7 @@ from . import NonFiniteError, grp, mulnet
 from .dynamics import LegParams
 from .experiment import (
     ACTIVE_PI,
-    DEG,
     EvalReport,
-    ModelTrace,
     SampleRanges,
     Trajectory,
     evaluate,
@@ -302,9 +300,18 @@ def trace_columns(model_name: str, m: int) -> list[str]:
 
 
 def write_trajectory(path, traj: Trajectory) -> None:
+    """`traj` as a CSV of len(traj) rows; a column or trace of another
+    length, or a trace whose G and pi differ in shape, is refused before
+    the file is opened."""
     names = list(FIXED_COLUMNS)
     cols = [getattr(traj, name) for name in FIXED_COLUMNS]
+    for name, col in zip(names, cols):
+        if len(col) != len(traj):
+            raise ValueError(f"column {name} has {len(col)} rows, the trajectory {len(traj)}")
     for model_name, trace in traj.traces.items():
+        if trace.G.shape != trace.pi.shape or len(trace.G) != len(traj):
+            raise ValueError(f"model {model_name}'s trace has G of shape {trace.G.shape} and "
+                             f"pi of shape {trace.pi.shape}, for a trajectory of {len(traj)} rows")
         m = trace.G.shape[1]
         names += trace_columns(model_name, m)
         cols += [a[:, k] for k in range(m) for a in (trace.G, trace.pi)]
@@ -354,22 +361,12 @@ def read_trajectory(path) -> Trajectory:
         i, j = bad[0]
         raise ValueError(f"{path} line {i + 2}: {FIXED_COLUMNS[j]} must be finite, "
                          f"got {data[i, j]:g}")
-    fixed = dict(zip(FIXED_COLUMNS, data[:, :len(FIXED_COLUMNS)].T))
-    for name, allowed in (("phase", (1, 2, 3)), ("contact", (0, 1))):
-        bad = np.flatnonzero(~np.isin(fixed[name], allowed))
+    for j, allowed in ((10, (1, 2, 3)), (11, (0, 1))):
+        bad = np.flatnonzero(~np.isin(data[:, j], allowed))
         if bad.size:
-            raise ValueError(f"{path} line {bad[0] + 2}: {name} must be one of "
-                             f"{allowed}, got {fixed[name][bad[0]]:g}")
-    fixed["phase"] = fixed["phase"].astype(int)
-    fixed["contact"] = fixed["contact"] == 1.0
-    traces: dict[str, ModelTrace] = {}
-    col = len(FIXED_COLUMNS)
-    for name, m in models.items():
-        # (T, m, 2) with G, pi on the last axis, which moved first unpacks
-        block = data[:, col:col + 2 * m].reshape(len(rows), m, 2)
-        traces[name] = ModelTrace(*np.moveaxis(block, 2, 0).copy())
-        col += 2 * m
-    return Trajectory(**fixed, traces=traces)
+            raise ValueError(f"{path} line {bad[0] + 2}: {FIXED_COLUMNS[j]} must be one of "
+                             f"{allowed}, got {data[bad[0], j]:g}")
+    return Trajectory.from_table(data, models.items())
 
 
 _REPORT_KEYS = ("trajectories", "avg_error_deg", "max_error_deg",
@@ -464,16 +461,13 @@ def _cmd_demo(args) -> int:
     seed = args.seed if args.seed is not None else config.demo_seed
     out = _out_dir(args)
     tasks = sample_tasks(config.ranges, n, seed, config.gains, config.params)
-    files, swings = [], []
+    files, trajs = [], []
     for i, (task, init) in enumerate(tasks, start=1):
-        traj = run_demo_episode(task, init, config.gains, config.params,
-                                config.dt, config.timeout)
-        name = f"demo_{i:03d}.csv"
-        write_trajectory(out / name, traj)
-        files.append(name)
-        swings.append((task.alpha_tgt, traj.alpha_end, traj.timed_out))
-    tgt, end, timed_out = map(np.array, zip(*swings))
-    report = EvalReport(tgt / DEG, end / DEG, timed_out, peak_pi={})
+        trajs.append(run_demo_episode(task, init, config.gains, config.params,
+                                      config.dt, config.timeout))
+        files.append(f"demo_{i:03d}.csv")
+        write_trajectory(out / files[-1], trajs[-1])
+    report = EvalReport.from_swings(trajs)
     _dump_json(out / "manifest.json", {
         "count": n,
         "seed": seed,
@@ -572,17 +566,22 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Swing-leg demonstrations, GRP training, and evaluation.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def seed(text: str) -> int:  # every --seed flag's type, so argparse names the flag
-        if int(text) < 0:
-            raise argparse.ArgumentTypeError(f"must be >= 0, got {text}")
-        return int(text)
+    def at_least(low: int):
+        """An integer flag's type refusing values below `low`, so argparse names the flag."""
+        def integer(text: str) -> int:
+            if int(text) < low:
+                raise argparse.ArgumentTypeError(f"must be >= {low}, got {text}")
+            return int(text)
+        return integer
+
+    seed, count = at_least(0), at_least(1)
 
     def common(p, n_help=None):
         p.add_argument("--config", help="JSON run configuration")
         p.add_argument("--out", default="out", help="output directory")
         p.add_argument("--seed", type=seed, help="override the relevant seed")
         if n_help:
-            p.add_argument("--n", type=int, help=n_help)
+            p.add_argument("--n", type=count, help=n_help)
 
     p = sub.add_parser("demo", help="generate demonstration trajectories")
     common(p, "number of demonstrations")
@@ -590,8 +589,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", help="train hip and knee GRP models")
     common(p)
-    p.add_argument("--layers", type=int, help="knee layer count (hip stays 1)")
-    p.add_argument("--episodes", type=int, help="training episodes")
+    p.add_argument("--layers", type=count, help="knee layer count (hip stays 1)")
+    p.add_argument("--episodes", type=count, help="training episodes")
     p.set_defaults(func=_cmd_train)
 
     p = sub.add_parser("eval", help="run trained models without references")

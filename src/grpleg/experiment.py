@@ -121,6 +121,20 @@ class Trajectory:
     def timed_out(self) -> bool:
         return not self.contact[-1]
 
+    @classmethod
+    def from_table(cls, table: np.ndarray, models, task=None) -> Trajectory:
+        """A swing from its table, laid out as its trajectory file's rows:
+        the ten plant floats, phase, contact, then for each (name, m) of
+        `models` in turn G and pi of layer 1, then of layer 2, up to layer
+        m. The float columns and the traces are views of the table."""
+        traces, col = {}, 12
+        for name, m in models:
+            block = table[:, col:col + 2 * m]
+            traces[name] = ModelTrace(block[:, 0::2], block[:, 1::2])
+            col += 2 * m
+        return cls(*table.T[:10], phase=table[:, 10].astype(int),
+                   contact=table[:, 11] == 1.0, task=task, traces=traces)
+
 
 @dataclass
 class EvalReport:
@@ -152,6 +166,18 @@ class EvalReport:
     @property
     def active_generators(self) -> dict[str, int]:
         return {name: int((peak > ACTIVE_PI).sum()) for name, peak in self.peak_pi.items()}
+
+    @classmethod
+    def from_swings(cls, trajs: list[Trajectory]) -> EvalReport:
+        """The report of rolled-out swings, each carrying its task; peak_pi
+        covers each model whose traces they carry."""
+        return cls(
+            alpha_tgt_deg=np.array([tr.task.alpha_tgt for tr in trajs]) / DEG,
+            alpha_end_deg=np.array([tr.alpha_end for tr in trajs]) / DEG,
+            timed_out=np.array([tr.timed_out for tr in trajs], dtype=bool),
+            peak_pi={name: np.concatenate([tr.traces[name].pi for tr in trajs]).max(axis=0)
+                     for name in trajs[0].traces},
+        )
 
 
 def sample_tasks(
@@ -208,15 +234,18 @@ def _rollout(
     tick, every active swing's five sensor floats are split into its 8-wide
     input row on Python floats (split_row, split_input's bits), and the
     list of rows takes one grp.forward call. Each swing's rows become one
-    table, whose columns the Trajectory and its ModelTraces view.
+    table, permuted once into file order, that Trajectory.from_table views.
     """
     tasks = [task for task, _ in swings]
     states = [init for _, init in swings]
     ctrls = [ControllerState()] * len(swings)
-    # per swing and tick: Trajectory's first ten fields in order, phase,
-    # contact, then with a stack each model's G and pi, m columns each
+    # per swing and tick: the file row's plant columns, then with a stack each
+    # model's G block and pi block as forward gives them, put in file order by `order`
     ticks = [[] for _ in swings]
-    widths = [] if stack is None else [mdl.m for mdl in stack.models for _ in (0, 1)]
+    models = [] if stack is None else [("hip", stack.models[0].m), ("knee", stack.models[1].m)]
+    order = list(range(12))
+    for _, m in models:
+        order += [c + j for c in range(len(order), len(order) + m) for j in (0, m)]
     active = list(range(len(swings)))
 
     while active:
@@ -248,19 +277,8 @@ def _rollout(
                 still.append(i)
         active = still
 
-    trajs = []
-    for rows, task in zip(ticks, tasks):
-        table = np.array(rows, dtype=float)
-        G_pi = np.split(table[:, 12:], np.cumsum(widths)[:-1], axis=1)
-        trajs.append(Trajectory(
-            *table.T[:10],
-            phase=table[:, 10].astype(int),
-            contact=table[:, 11] == 1.0,
-            task=task,
-            traces={name: ModelTrace(G, pi)
-                    for name, G, pi in zip(("hip", "knee"), G_pi[::2], G_pi[1::2])},
-        ))
-    return trajs
+    return [Trajectory.from_table(np.array(rows, dtype=float)[:, order], models, task)
+            for rows, task in zip(ticks, tasks)]
 
 
 def run_demo_episode(
@@ -345,16 +363,7 @@ def evaluate(
         raise ValueError("no tasks to evaluate")
     stack = grp.LearnStack([replace(hip_model), replace(knee_model)])
     trajs = _rollout(tasks, gains, params, dt, timeout, stack)
-    report = EvalReport(
-        alpha_tgt_deg=np.array([task.alpha_tgt for task, _ in tasks]) / DEG,
-        alpha_end_deg=np.array([tr.alpha_end for tr in trajs]) / DEG,
-        timed_out=np.array([tr.timed_out for tr in trajs], dtype=bool),
-        peak_pi={
-            name: np.concatenate([tr.traces[name].pi for tr in trajs]).max(axis=0)
-            for name in ("hip", "knee")
-        },
-    )
-    return report, trajs
+    return EvalReport.from_swings(trajs), trajs
 
 
 def weight_summary(model: GrpModel) -> dict:

@@ -41,6 +41,7 @@ from grpleg.experiment import (
     EvalReport,
     ModelTrace,
     SampleRanges,
+    Trajectory,
     evaluate,
     run_demo_episode,
     sample_tasks,
@@ -453,6 +454,80 @@ def test_trajectory_bytes_deterministic(tmp_path, demo_traj):
     assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 
 
+def test_trajectory_table_layout_is_the_file_row(tmp_path):
+    """A swing's table is laid out as its file's rows, for any models:
+    Trajectory.from_table takes its columns as they stand, and
+    write_trajectory writes row i of the table as row i of the file, under
+    trace_columns' header."""
+    rng = np.random.default_rng(3)
+    models = [("a", 2), ("b_c", 8)]
+    T = 7
+    table = np.column_stack([rng.uniform(-5.0, 5.0, (T, 10)), rng.integers(1, 4, T),
+                             rng.integers(0, 2, T), rng.uniform(-60.0, 60.0, (T, 20))])
+    traj = Trajectory.from_table(table, models)
+    for j, name in enumerate(FIXED_COLUMNS[:10]):
+        assert np.array_equal(getattr(traj, name), table[:, j]), name
+        assert np.shares_memory(getattr(traj, name), table), name
+    assert traj.phase.tolist() == table[:, 10].astype(int).tolist()
+    assert traj.contact.tolist() == (table[:, 11] == 1.0).tolist()
+    assert list(traj.traces) == ["a", "b_c"]
+    col = 12
+    for name, m in models:
+        trace = traj.traces[name]
+        assert trace.G.shape == trace.pi.shape == (T, m)
+        for k in range(m):
+            assert np.array_equal(trace.G[:, k], table[:, col + 2 * k]), (name, k)
+            assert np.array_equal(trace.pi[:, k], table[:, col + 2 * k + 1]), (name, k)
+        assert np.shares_memory(trace.G, table) and np.shares_memory(trace.pi, table)
+        col += 2 * m
+
+    write_trajectory(tmp_path / "t.csv", traj)
+    header, *rows = (tmp_path / "t.csv").read_text().splitlines()
+    assert header.split(",") == [*FIXED_COLUMNS, *trace_columns("a", 2),
+                                 *trace_columns("b_c", 8)]
+    assert [[float(v) for v in row.split(",")] for row in rows] == table.tolist()
+
+
+def resized(a: np.ndarray, by: int) -> np.ndarray:
+    """`a` with `by` rows more, or -by fewer, its values repeated to fill."""
+    return np.resize(a, (len(a) + by, *a.shape[1:]))
+
+
+def retraced(traj, name, G, pi) -> dict:
+    """The `traces` field of `traj` with model `name`'s trace made (G, pi)."""
+    return {"traces": {**traj.traces, name: ModelTrace(G, pi)}}
+
+
+WRITER_LENGTH_CASES = [
+    # (change to a trajectory with hip (m=1) and knee (m=3) traces, what the error names)
+    (lambda tr: retraced(tr, "knee", resized(tr.traces["knee"].G, -5),
+                         resized(tr.traces["knee"].pi, -5)), "knee"),
+    (lambda tr: retraced(tr, "knee", resized(tr.traces["knee"].G, 5),
+                         resized(tr.traces["knee"].pi, 5)), "knee"),
+    (lambda tr: retraced(tr, "hip", tr.traces["hip"].G, resized(tr.traces["hip"].pi, -1)),
+     "hip"),
+    (lambda tr: retraced(tr, "knee", tr.traces["knee"].G, tr.traces["knee"].pi[:, :2]),
+     "knee"),
+    (lambda tr: {"tau_k": resized(tr.tau_k, -5)}, "tau_k"),
+    (lambda tr: {"contact": resized(tr.contact, 5)}, "contact"),
+]
+
+
+@pytest.mark.parametrize("change, name", WRITER_LENGTH_CASES, ids=[
+    "knee-5-short", "knee-5-long", "hip-pi-short", "knee-pi-narrow", "tau_k-short",
+    "contact-long"])
+def test_trajectory_writer_refuses_columns_of_another_length(tmp_path, demo_traj,
+                                                             change, name):
+    """A column or a trace whose rows are not the trajectory's, or a trace
+    whose G and pi differ in shape, is refused, naming it, before the file
+    is opened; zipping the columns would drop rows silently."""
+    traj = with_traces(demo_traj)
+    bad = dataclasses.replace(traj, **change(traj))
+    with pytest.raises(ValueError, match=rf"\b{name}\b"):
+        write_trajectory(tmp_path / "t.csv", bad)
+    assert not (tmp_path / "t.csv").exists()
+
+
 def test_trajectory_read_errors_name_lines(tmp_path, demo_traj):
     write_trajectory(tmp_path / "t.csv", demo_traj)
     lines = (tmp_path / "t.csv").read_text().splitlines()
@@ -796,16 +871,30 @@ def test_cli_rejects_values_the_rollout_cannot_use(tmp_path, capsys, config, mes
     assert not (tmp_path / "manifest.json").exists()
 
 
-@pytest.mark.parametrize("command", ["demo", "train", "eval", "gradcheck"])
-def test_cli_rejects_a_negative_seed_naming_the_flag(tmp_path, monkeypatch, capsys, command):
-    """Every command's argparse refuses a negative --seed before any work,
-    naming the flag; numpy's seeding would refuse it naming nothing."""
+FLAG_FLOOR_CASES = [
+    # (command, flag, value, floor)
+    *[pytest.param(command, "--seed", "-1", 0, id=command)
+      for command in ("demo", "train", "eval", "gradcheck")],
+    pytest.param("demo", "--n", "0", 1, id="demo-n"),
+    pytest.param("eval", "--n", "-2", 1, id="eval-n"),
+    pytest.param("train", "--episodes", "0", 1, id="train-episodes"),
+    pytest.param("train", "--layers", "0", 1, id="train-layers"),
+]
+
+
+@pytest.mark.parametrize("command, flag, value, floor", FLAG_FLOOR_CASES)
+def test_cli_rejects_a_negative_seed_naming_the_flag(tmp_path, monkeypatch, capsys,
+                                                      command, flag, value, floor):
+    """Every command's argparse refuses a negative --seed, and a count
+    flag (--n, --episodes, --layers) below 1, before any work, naming the
+    flag; numpy's seeding names nothing, and the library's own checks name
+    their parameter (`m must be >= 1` for --layers 0), not the flag."""
     monkeypatch.chdir(tmp_path)
     with pytest.raises(SystemExit) as exc:
-        cli_io.cli([command, "--seed", "-1"])
+        cli_io.cli([command, flag, value])
     assert exc.value.code == 2
     assert capsys.readouterr().err.endswith(
-        f"grpleg {command}: error: argument --seed: must be >= 0, got -1\n")
+        f"grpleg {command}: error: argument {flag}: must be >= {floor}, got {value}\n")
     assert not list(tmp_path.iterdir())
 
 
