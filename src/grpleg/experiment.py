@@ -307,9 +307,9 @@ def train(
     feedback-completed output equals driving it with the recorded reference
     torques, so an episode replays a demo's (sensor, torque) rows in order.
     Returns the (episodes, m) per-episode mean |e_G| of each model's
-    layers, in input order. A sharpness that overflows raises
-    NonFiniteError naming the model's place in the list, from 1, and its
-    joint.
+    layers, in input order. A learn step that diverges, or a sharpness
+    that overflows, raises NonFiniteError naming each model's place in the
+    list, from 1, and its joint.
     """
     if episodes < 1:
         raise ValueError(f"episodes must be >= 1, got {episodes}")
@@ -326,9 +326,13 @@ def train(
         # one reference torque per stack row, gathered once per episode
         refs = np.stack(torques, axis=1)[:, stack.row_model]
         e_G = np.empty((X.shape[0], log.shape[1]))
-        for i in range(X.shape[0]):
-            grp.learn_step_joint(stack, X[i], refs[i])
-            e_G[i] = stack.e_G
+        try:
+            for i in range(X.shape[0]):
+                grp.learn_step_joint(stack, X[i], refs[i])
+                e_G[i] = stack.e_G
+        except NonFiniteError as err:
+            names = ", ".join(f"model {k} ({joints[k - 1]})" for k in err.models)
+            raise NonFiniteError(f"{names}: {err}") from None
         # summed in tick order, as a running sum over the episode would be
         log[ep] = np.add.accumulate(np.abs(e_G, out=e_G))[-1] / X.shape[0]
         for k, (mdl, joint) in enumerate(models, 1):

@@ -20,9 +20,11 @@ sigmoid head, e_G, each model's responsibility softmax, e_RP and the
 update gains) handles one number per stack row, so it runs on Python
 floats, where numpy's per-call cost would outweigh its arithmetic; it
 gives the array form's bits. The stack also owns every array a step
-writes (network output, pi, e_G, r_RP, e_RP, gradient and update work) and
-one StepRecord of views into them per model; each step returns those same
-records, overwritten. A single model is a one-model stack.
+writes (network output, pi, e_G, r_RP, e_RP, gradient and update work),
+the network half's work arrays with their persistent diagonal views (one
+mulnet.NetBuffers, built once), and one StepRecord of views into them per
+model; each step returns those same records, overwritten. A single model
+is a one-model stack.
 
 Learning is supervised by a reference torque r_G at every control step. The
 reference responsibility r_RP is a softmax of -gamma |e_G| over layers
@@ -49,6 +51,7 @@ from .mulnet import (
     NET_DIM,
     P_CEIL,
     P_FLOOR,
+    NetBuffers,
     forward_and_gradient,
     net_forward,
     sigmoid_head,
@@ -172,12 +175,18 @@ class LearnStack:
     rate and decay, RP rate, sigmoid gain and RP decay come from the
     configs once. G, pi, e_G, r_RP and e_RP hold the last step's per-row
     values, and `records` holds one StepRecord of views into them per
-    model; the step writes these and its work buffers in place. A model
-    belongs to one live stack at a time; rebinding its W or R detaches it.
+    model; the step writes these and its work buffers in place. The stack
+    also owns the network half's work: one mulnet.NetBuffers for S, with
+    the argument, clip, compare, row-product and term buffers and the
+    flat-diagonal views of the argument buffer, the gradient and S, built
+    here once. A stack takes at least one model. A model belongs to one
+    live stack at a time; rebinding its W or R detaches it.
     """
 
     def __init__(self, models: list[GrpModel]):
         models = list(models)
+        if not models:
+            raise ValueError("a learn stack takes at least one model, got none")
         if len({id(mdl) for mdl in models}) < len(models):
             raise ValueError(
                 "the same model appears twice in a learn stack; "
@@ -210,6 +219,9 @@ class LearnStack:
         self._rows = np.zeros(4 * total)
         self.pi, self.e_G, self.r_RP, self.e_RP = self._rows.reshape(4, total)
         self._grad = np.empty_like(self.S)
+        # the network half's work arrays and persistent views, G and the
+        # gradient landing in the buffers above
+        self._net = NetBuffers(self.S, self._out, self._grad)
         self.records = [
             StepRecord(G=self.G[sl], pi=self.pi[sl], e_G=self.e_G[sl],
                        r_RP=self.r_RP[sl], e_RP=self.e_RP[sl])
@@ -267,10 +279,10 @@ def total_output_identity(model: GrpModel, x, r_G: float) -> float:
 
 
 def learn_step_joint(stack: LearnStack, x, r_G) -> list[StepRecord]:
-    """One online update of every model in a live stack from a shared input
-    and one reference torque per stack row, an array of shape (rows,); any
-    other shape raises ValueError before the step does any work. Returns
-    one record per model.
+    """One online update of every model in a live stack from one shared
+    input row x, shape (8,), and one reference torque per stack row, an
+    array of shape (rows,); any other shape of either raises ValueError
+    naming it before the step does any work. Returns one record per model.
 
     Generator k moves down its squared-error gradient at the gated rate
     r_RP^k * mu; its RP regresses onto the reference responsibility at the
@@ -279,7 +291,8 @@ def learn_step_joint(stack: LearnStack, x, r_G) -> list[StepRecord]:
     (2M, 8, 8) stack; the per-row half between them is `_row_half`, on
     Python floats. Every op is row-local, so the result is bit-identical to
     updating each model on its own. The new weights are checked before
-    they replace the old, so a non-finite update changes nothing.
+    they replace the old, so a non-finite update changes nothing; its
+    NonFiniteError names the models whose rows diverged.
 
     Every array the step writes belongs to the stack, and so do the
     records: they are `stack.records`, views of the stack's buffers, the
@@ -293,7 +306,7 @@ def learn_step_joint(stack: LearnStack, x, r_G) -> list[StepRecord]:
             f"got shape {r_G.shape}"
         )
     S, dS = stack.S, stack._grad
-    forward_and_gradient(S, x, stack._out, dS)
+    forward_and_gradient(S, x, stack._net)
     _row_half(stack, r_G.tolist())
 
     # gain * dS + S - decay * S per row, formed in the gradient's buffer
@@ -303,12 +316,20 @@ def learn_step_joint(stack: LearnStack, x, r_G) -> list[StepRecord]:
     if not np.isfinite(new).all():
         worst = [np.abs(rec.e_G).max() for rec in stack.records]
         k = worst.index(max(worst))
-        raise NonFiniteError(
+        # the models whose W or R rows went non-finite, by place from 1
+        rows_ok = np.isfinite(new).reshape(2, stack.row_model.size, -1).all((0, 2))
+        places = (np.unique(stack.row_model[~rows_ok]) + 1).tolist()
+        err = NonFiniteError(
             "non-finite weight update: "
             f"max|S|={np.abs(S).max():g} r_G={float(r_G[stack.slices[k].start]):g} "
             f"max|e_G|={worst[k]:g} "
-            f"episodes={[mdl.episode_count for mdl in stack.models]}"
+            f"episodes={[mdl.episode_count for mdl in stack.models]}; "
+            f"non-finite rows in stack models {places}; "
+            f"input row {'finite' if np.isfinite(x).all() else 'non-finite'}, "
+            f"references {'finite' if np.isfinite(r_G).all() else 'non-finite'}"
         )
+        err.models = tuple(places)
+        raise err
     np.copyto(S, new)
     return stack.records
 

@@ -24,8 +24,12 @@ guard ever fired. `forward_and_gradient` returns G with the exact partials
 of the unclamped sum-product, evaluated with the same clamped row products
 as the forward pass.
 
-All array ops broadcast over leading axes, so a stack of weight matrices
-shaped (m, 8, 8) evaluates m networks in one call. On arrays this small
+Weights broadcast over leading axes, so a stack of weight matrices shaped
+(m, 8, 8) evaluates m networks in one call. `net_forward` also takes a
+block of input rows; `forward_and_gradient` takes exactly one input row,
+and a learn stack hands it a `NetBuffers` bundle built once for its
+weights, so each tick writes every intermediate in place through views
+made once. Both share one clamped row-product path. On arrays this small
 the per-call overhead outweighs the arithmetic, so sums call
 `np.add.reduce` directly rather than through the ndarray method's Python
 layer (the same reduction, so the same bits).
@@ -101,19 +105,25 @@ def split_row(e: float, phi_h: float, phi_h_dot: float, phi_k: float,
     ]
 
 
-def _row_products(W, x):
-    """prod_{j != i} exp(W_ij * x_j) per row, with per-argument clamping."""
+def _row_products(W, xr, args=None, args_diag=None, clip=None, hit=None, prod=None):
+    """prod_{j != i} exp(W_ij * x_j) per row, with per-argument clamping.
+    xr broadcasts against W's rows; each intermediate lands in its buffer
+    when given (args_diag: args' flat diagonal) and in a new array if not."""
     global _clamp_events
-    args = np.multiply(W, x[..., None, :], order="C")
+    args = np.multiply(W, xr, out=args, order="C")
     # the diagonal argument W_ii * x_i is the linear gain, never
     # exponentiated: zero it so the row sums run over off-diagonal entries
     # (C order makes the flat reshape a view, so the write lands in args)
-    args.reshape(-1, NET_DIM * NET_DIM)[:, :: NET_DIM + 1] = 0.0
-    clipped = np.minimum(np.maximum(args, -EXP_CLAMP), EXP_CLAMP)
-    hits = int(np.count_nonzero(clipped != args))
+    if args_diag is None:
+        args_diag = args.reshape(-1, NET_DIM * NET_DIM)[:, :: NET_DIM + 1]
+    args_diag.fill(0.0)
+    clip = np.maximum(args, -EXP_CLAMP, out=clip)
+    np.minimum(clip, EXP_CLAMP, out=clip)
+    hits = int(np.count_nonzero(np.not_equal(clip, args, out=hit)))
     if hits:
         _clamp_events += hits
-    return np.exp(np.add.reduce(clipped, -1))
+    prod = np.add.reduce(clip, -1, out=prod)
+    return np.exp(prod, out=prod)
 
 
 def net_forward(W, x):
@@ -121,11 +131,37 @@ def net_forward(W, x):
     shape for stacked weights."""
     W = np.asarray(W, dtype=float)
     x = np.asarray(x, dtype=float)
-    return np.add.reduce(W.diagonal(0, -2, -1) * x * _row_products(W, x), -1)
+    return np.add.reduce(W.diagonal(0, -2, -1) * x * _row_products(W, x[..., None, :]), -1)
 
 
-def forward_and_gradient(W, x, out=None, grad=None):
-    """(G, dG/dW) in one pass, sharing the row products.
+class NetBuffers:
+    """forward_and_gradient's work arrays for one weight stack W, built
+    once: argument, clip, compare, row-product and term buffers,
+    G (`out`) and dG/dW (`grad`, C-ordered; either may be the caller's),
+    and persistent views: the flat diagonals of args and grad, W's
+    diagonal and the terms as a column."""
+
+    def __init__(self, W, out=None, grad=None):
+        self.W = W
+        lead = W.shape[:-2]
+        self.W_diag = W.diagonal(0, -2, -1)
+        self.args = np.empty(W.shape)
+        self.args_diag = self.args.reshape(-1, NET_DIM * NET_DIM)[:, :: NET_DIM + 1]
+        self.clip = np.empty(W.shape)
+        self.hit = np.empty(W.shape, dtype=bool)
+        self.prod = np.empty(lead + (NET_DIM,))
+        self.terms = np.empty(lead + (NET_DIM,))
+        self.terms_col = self.terms[..., None]
+        self.out = np.empty(lead) if out is None else out
+        self.grad = np.empty(W.shape) if grad is None else grad
+        # split back into W's leading axes, still a view of C-ordered grad
+        flat = self.grad.reshape(-1, NET_DIM * NET_DIM)[:, :: NET_DIM + 1]
+        self.grad_diag = flat.reshape(lead + (NET_DIM,))
+
+
+def forward_and_gradient(W, x, buffers=None):
+    """(G, dG/dW) in one pass at one input row x of shape (8,), sharing the
+    row products; x of any other shape raises ValueError naming it.
 
     The exact partials: entry (i, i) is x_i * prod_{j != i} exp(W_ij * x_j);
     entry (i, j) for j != i is term_i * x_j, where term_i is row i's
@@ -133,18 +169,29 @@ def forward_and_gradient(W, x, out=None, grad=None):
     net_forward's sum rounded another way: this forms W_ii (x_i p_i) where
     net_forward forms (W_ii x_i) p_i, p_i row i's product, so the two agree
     to rounding of the terms, not bit for bit. The training loop calls this
-    once per step on a whole weight stack. `out` and `grad`, when given,
-    receive G and dG/dW: a C-ordered array of W's leading shape and one of
-    W's shape.
+    once per step on a whole weight stack with the NetBuffers its stack
+    built for W, so every intermediate is written in place and G and
+    dG/dW are the bundle's `out` and `grad`, overwritten by the next call.
+    Without a bundle the call builds one, so the arrays returned are new.
     """
-    W = np.asarray(W, dtype=float)
     x = np.asarray(x, dtype=float)
-    d_diag = x * _row_products(W, x)
-    terms = W.diagonal(0, -2, -1) * d_diag
-    grad = np.multiply(terms[..., :, None], x[..., None, :], out=grad, order="C")
+    if x.shape != (NET_DIM,):
+        raise ValueError(
+            f"forward_and_gradient takes one input row, shape ({NET_DIM},), "
+            f"got shape {x.shape}"
+        )
+    if buffers is None:
+        buffers = NetBuffers(np.asarray(W, dtype=float))
+    elif buffers.W is not W:
+        raise ValueError("these NetBuffers were built for another weight stack")
+    b = buffers
+    p = _row_products(b.W, x, b.args, b.args_diag, b.clip, b.hit, b.prod)
+    d_diag = np.multiply(x, p, out=p)
+    terms = np.multiply(b.W_diag, d_diag, out=b.terms)
+    grad = np.multiply(b.terms_col, x, out=b.grad)
     # overwrite the (i, i) slots with the exact diagonal partials
-    grad.reshape(-1, NET_DIM * NET_DIM)[:, :: NET_DIM + 1] = d_diag.reshape(-1, NET_DIM)
-    return np.add.reduce(terms, -1, out=out), grad
+    np.copyto(b.grad_diag, d_diag)
+    return np.add.reduce(terms, -1, out=b.out), grad
 
 
 def sigmoid_head(b, w_gain: float = 1.0):

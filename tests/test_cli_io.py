@@ -955,8 +955,27 @@ def test_cli_train_reports_diverging_update(tmp_path, capsys):
     assert rc == 1
     err = capsys.readouterr().err
     assert err.count("\n") == 1
-    assert err.startswith("error: non-finite weight update: ")
+    assert err.startswith("error: model 2 (tau_k): non-finite weight update: ")
+    assert err.endswith("; non-finite rows in stack models [2]; "
+                        "input row finite, references finite\n")
     assert not (tmp_path / "knee.json").exists()
+
+
+def test_cli_train_names_the_model_that_diverges_at_default_hyperparameters(tmp_path, capsys):
+    """Init seed 509009 makes the default hip diverge after 20 episodes;
+    the one error line names it, its joint and its stack row's place."""
+    (tmp_path / "cfg.json").write_text(
+        '{"episodes": 40, "hip": {"seed": 509009}, "knee": {"seed": 509009}}')
+    with np.errstate(over="ignore", invalid="ignore"):
+        rc = cli_io.cli(["train", "--config", str(tmp_path / "cfg.json"),
+                         "--out", str(tmp_path)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith("error: model 1 (tau_h): non-finite weight update: ")
+    assert err.endswith("episodes=[20, 20]; non-finite rows in stack models [1]; "
+                        "input row finite, references finite\n")
+    assert not (tmp_path / "hip.json").exists()
 
 
 def test_cli_train_reports_overflowing_gamma(tmp_path, capsys):

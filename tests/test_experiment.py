@@ -331,6 +331,39 @@ def test_reading_models_leaves_them_in_their_live_stack(read, demo):
         assert not np.array_equal(mdl.W, W)
 
 
+def test_learn_stacks_stepped_together_keep_their_solo_bits(demo):
+    """Two stacks stepped tick by tick in turn on demo rows, with an
+    evaluate of one stack's models mid-training, each keep the records and
+    weights they get when stepped alone, and the evaluate gives what it
+    gives on the solo stack's models: no stack's network buffers reach
+    another's."""
+    def stack_a():
+        return grp.LearnStack(list(fresh_pair()))
+
+    def stack_b():
+        models = [grp.init(GrpConfig(m=5, mu=2e-3, w_gain=1.5, seed=62))]
+        models[0].W -= 20.0  # exponent clamps fire in this stack only
+        return grp.LearnStack(models)
+
+    X = sensor_matrix(demo)[:160]
+    assert X.shape[0] == 160
+    tasks = sample_tasks(SampleRanges(), 1, seed=12)
+    a, b, solo_a, solo_b = stack_a(), stack_b(), stack_a(), stack_b()
+    for t, x in enumerate(X):
+        if t == 80:
+            report, _ = evaluate(*a.models, tasks)
+            want, _ = evaluate(*solo_a.models, tasks)
+            assert same_bits(report.alpha_end_deg, want.alpha_end_deg)
+        for live, solo in ((a, solo_a), (b, solo_b)):
+            for stack in (live, solo):
+                r_G = np.sin(0.1 * t + np.arange(stack.pi.size))
+                grp.learn_step_joint(stack, x, r_G)
+            for name in ("G", "pi", "e_G", "r_RP", "e_RP"):
+                assert same_bits(getattr(live, name), getattr(solo, name)), name
+    assert same_bits(a.S, solo_a.S) and same_bits(b.S, solo_b.S)
+    assert not same_bits(a.S, stack_a().S)
+
+
 def test_evaluate_torques_match_model_output():
     """Applied torque equals the saturated combined model output."""
     hip, knee = fresh_pair()

@@ -550,6 +550,7 @@ class ArrayFormStep:
         self.r_RP = np.empty(total)
         self.e_RP = np.empty(total)
         self._grad = np.empty_like(stack.S)
+        self._net = mulnet.NetBuffers(stack.S, self._out, self._grad)
         self.records = [
             grp.StepRecord(G=self.G[sl], pi=self.pi[sl], e_G=self.e_G[sl],
                            r_RP=self.r_RP[sl], e_RP=self.e_RP[sl])
@@ -569,7 +570,7 @@ class ArrayFormStep:
         r_G = np.asarray(r_G, dtype=float)
         assert r_G.shape == self.pi.shape
         S, dS = self.stack.S, self._grad
-        mulnet.forward_and_gradient(S, x, self._out, dS)
+        mulnet.forward_and_gradient(S, x, self._net)
         self.pi[:] = mulnet.sigmoid_head(self._b, self.w_gain)
         G, pi, e_G, r_RP, e_RP = self.G, self.pi, self.e_G, self.r_RP, self.e_RP
         np.subtract(r_G, G, out=e_G)
@@ -591,11 +592,18 @@ class ArrayFormStep:
         if not np.isfinite(new).all():
             worst = [np.abs(rec.e_G).max() for rec in self.records]
             k = worst.index(max(worst))
+            total = self.pi.size
+            row_ok = np.isfinite(new).reshape(2 * total, -1).all(1)
+            bad = [j + 1 for j, sl in enumerate(self.stack.slices)
+                   if not (row_ok[sl].all() and row_ok[total + sl.start:total + sl.stop].all())]
             raise NonFiniteError(
                 "non-finite weight update: "
                 f"max|S|={np.abs(S).max():g} r_G={float(r_G[self.stack.slices[k].start]):g} "
                 f"max|e_G|={worst[k]:g} "
-                f"episodes={[mdl.episode_count for mdl in self.stack.models]}"
+                f"episodes={[mdl.episode_count for mdl in self.stack.models]}; "
+                f"non-finite rows in stack models {bad}; "
+                f"input row {'finite' if np.isfinite(x).all() else 'non-finite'}, "
+                f"references {'finite' if np.isfinite(r_G).all() else 'non-finite'}"
             )
         np.copyto(S, new)
         return self.records
@@ -709,6 +717,9 @@ def test_learn_step_matches_array_form_on_a_nonfinite_reference(bad):
         with pytest.raises(NonFiniteError) as ref_err:
             ref.step(sample_x(20), r_G)
     assert str(live_err.value) == str(ref_err.value)
+    assert str(live_err.value).endswith(
+        "; non-finite rows in stack models [2]; input row finite, references non-finite")
+    assert live_err.value.models == (2,)
     assert same_bits(stack.S, before) and same_bits(ref.stack.S, before)
     for name in STEP_FIELDS:
         assert same_bits(getattr(stack, name), getattr(ref, name)), name
@@ -778,10 +789,52 @@ def test_learn_stack_nonfinite_update_changes_nothing():
     knee.W[2][2, 2] = 1e308  # the hip-angle gain overflows the forward pass
     before = [(mdl.W.copy(), mdl.R.copy()) for mdl in (hip, knee)]
     with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(NonFiniteError, match="non-finite weight update"):
+        with pytest.raises(NonFiniteError, match="non-finite weight update") as err:
             learn_step_joint(stack, sample_x(12), [1.0, -1.0, -1.0, -1.0])
     for mdl, (W, R) in zip((hip, knee), before):
         assert same_bits(mdl.W, W) and same_bits(mdl.R, R)
+    # the knee's rows diverge, the hip's do not
+    assert str(err.value).endswith(
+        "; non-finite rows in stack models [2]; input row finite, references finite")
+    assert err.value.models == (2,)
+
+
+def test_learn_stack_nonfinite_input_row_names_every_model():
+    """A NaN input row makes every model's rows non-finite: the failure
+    path names them all and says the input row was non-finite."""
+    stack = LearnStack([init(GrpConfig(m=1, seed=56)), init(GrpConfig(m=3, seed=57))])
+    x = sample_x(18)
+    learn_step_joint(stack, x, [1.0, -1.0, -1.0, -1.0])
+    x[2] = math.nan
+    before = stack.S.copy()
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NonFiniteError) as err:
+            learn_step_joint(stack, x, [1.0, -1.0, -1.0, -1.0])
+    assert str(err.value).startswith("non-finite weight update: max|S|=")
+    assert str(err.value).endswith("episodes=[0, 0]; non-finite rows in stack models "
+                                   "[1, 2]; input row non-finite, references finite")
+    assert err.value.models == (1, 2)
+    assert same_bits(stack.S, before)
+
+
+@pytest.mark.parametrize("shape", [(2, 8), (1, 8), (5,), (9,), ()],
+                         ids=["2x8", "1x8", "5", "9", "0-d"])
+def test_learn_step_takes_one_8_wide_input_row(shape):
+    """A block of inputs is not paired row by row with the stack's nets,
+    nor is a raw 5-channel row broadcast: any x but one (8,) row is
+    refused with its shape named, before the step writes anything."""
+    stack = LearnStack([init(GrpConfig(m=1, seed=58))])
+    learn_step_joint(stack, sample_x(19), [1.0])
+    before = [stack.S.copy()] + [getattr(stack, name).copy() for name in STEP_FIELDS]
+    with pytest.raises(ValueError, match=re.escape(f"one input row, shape (8,), got shape {shape}")):
+        learn_step_joint(stack, np.ones(shape), [1.0])
+    after = [stack.S] + [getattr(stack, name) for name in STEP_FIELDS]
+    assert all(same_bits(a, b) for a, b in zip(after, before))
+
+
+def test_learn_stack_rejects_no_models():
+    with pytest.raises(ValueError, match="at least one model, got none"):
+        LearnStack([])
 
 
 def test_learn_stack_rejects_repeated_model():

@@ -1,11 +1,13 @@
 """Multiplicative network: forward/gradient oracles and input splitting."""
 
 import math
+import re
 
 import numpy as np
 import pytest
 
 from grpleg import mulnet
+from grpleg.experiment import SampleRanges, run_demo_episode, sample_tasks, sensor_matrix
 from grpleg.mulnet import (
     EXP_CLAMP,
     NET_DIM,
@@ -398,3 +400,160 @@ def test_no_clamp_in_normal_regime():
     for seed in range(50):
         net_forward(*draw_instance(seed))
     assert exp_clamp_count() == 0
+
+
+# ------------------------------------------- allocation-based gradient oracle
+#
+# The network half as it was before forward_and_gradient wrote into a stack's
+# NetBuffers: every intermediate a new array, x viewed as x[..., None, :] on
+# each call. Copied verbatim but for the clamp counter, which is the oracle's
+# own, so the two paths' clamp counts can be compared.
+
+_oracle_clamp_events = 0
+
+
+def _oracle_row_products(W, x):
+    """prod_{j != i} exp(W_ij * x_j) per row, with per-argument clamping."""
+    global _oracle_clamp_events
+    args = np.multiply(W, x[..., None, :], order="C")
+    # the diagonal argument W_ii * x_i is the linear gain, never
+    # exponentiated: zero it so the row sums run over off-diagonal entries
+    # (C order makes the flat reshape a view, so the write lands in args)
+    args.reshape(-1, NET_DIM * NET_DIM)[:, :: NET_DIM + 1] = 0.0
+    clipped = np.minimum(np.maximum(args, -EXP_CLAMP), EXP_CLAMP)
+    hits = int(np.count_nonzero(clipped != args))
+    if hits:
+        _oracle_clamp_events += hits
+    return np.exp(np.add.reduce(clipped, -1))
+
+
+def oracle_forward_and_gradient(W, x, out=None, grad=None):
+    W = np.asarray(W, dtype=float)
+    x = np.asarray(x, dtype=float)
+    d_diag = x * _oracle_row_products(W, x)
+    terms = W.diagonal(0, -2, -1) * d_diag
+    grad = np.multiply(terms[..., :, None], x[..., None, :], out=grad, order="C")
+    # overwrite the (i, i) slots with the exact diagonal partials
+    grad.reshape(-1, NET_DIM * NET_DIM)[:, :: NET_DIM + 1] = d_diag.reshape(-1, NET_DIM)
+    return np.add.reduce(terms, -1, out=out), grad
+
+
+def same_bits(a, b):
+    a = np.ascontiguousarray(a, dtype=float)
+    b = np.ascontiguousarray(b, dtype=float)
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+@pytest.fixture(scope="module")
+def demo_rows():
+    """Network input rows of five default demonstration swings."""
+    swings = [run_demo_episode(task, init)
+              for task, init in sample_tasks(SampleRanges(), 5, seed=5)]
+    rows = np.concatenate([sensor_matrix(traj) for traj in swings])
+    assert rows.shape[0] >= 1000
+    return rows
+
+
+def weight_stacks(nets, seed):
+    """Stacks of `nets` networks: ordinary weights, weights large enough
+    that exponent clamps fire, and weights holding NaN and +-inf."""
+    rng = np.random.default_rng(seed)
+    plain = rng.uniform(-0.2, 0.2, (nets, NET_DIM, NET_DIM))
+    clamped = plain * 100.0
+    bad = plain.copy()
+    picks = rng.integers(0, [nets, NET_DIM, NET_DIM], size=(3, 3))
+    for (k, i, j), v in zip(picks, (math.nan, math.inf, -math.inf)):
+        bad[k, i, j] = v
+    return {"plain": plain, "clamped": clamped, "nonfinite": bad}
+
+
+def oracle_call(W, x):
+    global _oracle_clamp_events
+    _oracle_clamp_events = 0
+    G, grad = oracle_forward_and_gradient(W, x)
+    return G, grad, _oracle_clamp_events
+
+
+def live_call(W, x, buffers=None):
+    reset_exp_clamp_count()
+    G, grad = forward_and_gradient(W, x, buffers)
+    return G, grad, exp_clamp_count()
+
+
+@pytest.mark.parametrize("nets", [1, 4, 8, 16])
+def test_forward_and_gradient_matches_allocating_oracle_bits(nets, demo_rows):
+    """On every real demo row, G, dG/dW and the clamp count equal the
+    allocating oracle's bit for bit, NaN bits included: through one
+    NetBuffers bundle reused for every row (so no call keeps state for the
+    next) and through a call without one, on ordinary, clamping and
+    non-finite weight stacks."""
+    with np.errstate(all="ignore"):
+        for kind, W in weight_stacks(nets, seed=nets).items():
+            buffers = mulnet.NetBuffers(W)
+            clamps = 0
+            for x in demo_rows:
+                want = oracle_call(W, x)
+                for got in (live_call(W, x, buffers), live_call(W, x)):
+                    assert same_bits(got[0], want[0]), kind
+                    assert same_bits(got[1], want[1]), kind
+                    assert got[2] == want[2], kind
+                clamps += want[2]
+            if kind != "plain":
+                assert clamps > 0, kind
+
+
+def test_forward_and_gradient_bundle_keeps_no_stale_state(demo_rows):
+    """A bundle first driven through clamping, NaN and inf rows, then
+    through ordinary rows in reverse order, gives each row the bits a fresh
+    call gives it."""
+    W = weight_stacks(8, seed=3)["plain"]
+    buffers = mulnet.NetBuffers(W)
+    poison = np.array([math.nan, math.inf, 3.0, -math.inf, 1e300, 2.0, 0.0, 1.0])
+    with np.errstate(all="ignore"):
+        forward_and_gradient(W, poison, buffers)
+        forward_and_gradient(W, np.full(NET_DIM, 1e3), buffers)
+    for x in demo_rows[::-7]:
+        G, grad = forward_and_gradient(W, x, buffers)
+        G1, grad1 = forward_and_gradient(W, x)
+        want_G, want_grad = oracle_forward_and_gradient(W, x)
+        assert same_bits(G, want_G) and same_bits(grad, want_grad)
+        assert same_bits(G1, want_G) and same_bits(grad1, want_grad)
+
+
+def test_forward_and_gradient_with_buffers_writes_them_in_place():
+    rng = np.random.default_rng(51)
+    W = rng.uniform(-0.2, 0.2, (4, NET_DIM, NET_DIM))
+    out, grad = np.empty(4), np.empty_like(W)
+    buffers = mulnet.NetBuffers(W, out, grad)
+    G, dG = forward_and_gradient(W, split_input(draw_raw(rng)), buffers)
+    assert G is out and dG is grad
+
+
+def test_forward_and_gradient_without_buffers_returns_new_arrays():
+    """Two calls without a bundle share no memory with each other or W."""
+    W, x = draw_instance(52)
+    W = np.stack([W, W.T])
+    G1, grad1 = forward_and_gradient(W, x)
+    G2, grad2 = forward_and_gradient(W, x)
+    assert same_bits(G1, G2) and same_bits(grad1, grad2)
+    for a in (G1, grad1):
+        for b in (G2, grad2, W):
+            assert not np.shares_memory(a, b)
+
+
+@pytest.mark.parametrize("shape", [(), (5,), (7,), (9,), (1, 8), (2, 8), (8, 1)],
+                         ids=["0-d", "5", "7", "9", "1x8", "2x8", "8x1"])
+def test_forward_and_gradient_takes_one_8_wide_row(shape):
+    """Any x but one (8,) row is refused with its shape named, a (2, 8)
+    block included, which would otherwise pair input k with net k."""
+    W = np.zeros((2, NET_DIM, NET_DIM))
+    with pytest.raises(ValueError, match=re.escape(f"got shape {shape}")):
+        forward_and_gradient(W, np.ones(shape))
+    with pytest.raises(ValueError, match=re.escape(f"got shape {shape}")):
+        forward_and_gradient(W, np.ones(shape), mulnet.NetBuffers(W))
+
+
+def test_forward_and_gradient_refuses_another_stacks_buffers():
+    W, x = draw_instance(53)
+    with pytest.raises(ValueError, match="another weight stack"):
+        forward_and_gradient(W.copy(), x, mulnet.NetBuffers(W))
