@@ -208,22 +208,16 @@ def _dump_json(path, data) -> None:
         fh.write("\n")
 
 
-def _load_json(path) -> dict:
+def _parse_file(parse, path):
+    """`parse` applied to the JSON value in the file at `path`; a
+    ValueError it raises, a top level that is not an object included,
+    names the file."""
     with open(path) as fh:
         try:
             data = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ValueError(f"{path} line {exc.lineno} column {exc.colno}: "
                              f"{exc.msg}") from None
-    if not isinstance(data, dict):
-        raise ValueError(f"{path}: expected a JSON object at top level")
-    return data
-
-
-def _parse_file(parse, path):
-    """`parse` applied to the JSON object in the file at `path`; a
-    ValueError it raises names the file."""
-    data = _load_json(path)
     try:
         return parse(data)
     except ValueError as exc:

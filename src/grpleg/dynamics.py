@@ -99,10 +99,7 @@ class KinematicSnapshot(NamedTuple):
     alpha: float
     alpha_dot: float
     l: float
-    foot_x: float
     foot_y: float
-    knee_x: float
-    knee_y: float
     # knee joint rate, carried along for the knee policies
     phi_k_dot: float = 0.0
 
@@ -113,21 +110,17 @@ def _segment_angles(phi_h: float, phi_k: float) -> tuple[float, float]:
 
 
 def kinematics(state: LegState, params: LegParams) -> KinematicSnapshot:
-    """Leg angle/length and knee/foot positions for the current state."""
+    """Leg angle, rate and length and the foot's height for the current state."""
     phi_h, phi_k, phi_h_dot, phi_k_dot, _ = state
     lt, ls = params.l_t, params.l_s
     theta_t, theta_s = _segment_angles(phi_h, phi_k)
-    knee_x = lt * math.cos(theta_t)
     knee_y = -lt * math.sin(theta_t)
     # positional: keyword arguments cost a NamedTuple more than the arithmetic
     return KinematicSnapshot(
         phi_h - 0.5 * phi_k,                # alpha
         phi_h_dot - 0.5 * phi_k_dot,        # alpha_dot
         2.0 * lt * math.sin(0.5 * phi_k),   # l
-        knee_x + ls * math.cos(theta_s),    # foot_x
         knee_y - ls * math.sin(theta_s),    # foot_y
-        knee_x,
-        knee_y,
         phi_k_dot,
     )
 

@@ -293,6 +293,9 @@ def run_demo_episode(
     return _rollout([(task, init_state)], gains, params, dt, timeout)[0]
 
 
+# entered once per call, not per step: a diverging update is reported by
+# its NonFiniteError alone, not after numpy's overflow warning
+@np.errstate(over="ignore", invalid="ignore")
 def train(
     models: list[tuple[GrpModel, str]],
     demos: list[Trajectory],
@@ -309,7 +312,7 @@ def train(
     Returns the (episodes, m) per-episode mean |e_G| of each model's
     layers, in input order. A learn step that diverges, or a sharpness
     that overflows, raises NonFiniteError naming each model's place in the
-    list, from 1, and its joint.
+    list, from 1, and its joint; numpy warns of nothing on the way.
     """
     if episodes < 1:
         raise ValueError(f"episodes must be >= 1, got {episodes}")

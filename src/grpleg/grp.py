@@ -176,11 +176,11 @@ class LearnStack:
     configs once. G, pi, e_G, r_RP and e_RP hold the last step's per-row
     values, and `records` holds one StepRecord of views into them per
     model; the step writes these and its work buffers in place. The stack
-    also owns the network half's work: one mulnet.NetBuffers for S, with
-    the argument, clip, compare, row-product and term buffers and the
-    flat-diagonal views of the argument buffer, the gradient and S, built
-    here once. A stack takes at least one model. A model belongs to one
-    live stack at a time; rebinding its W or R detaches it.
+    also owns the network half's work: one mulnet.NetBuffers for S, built
+    here once, whose `out` holds the network output (G is its first half)
+    and whose `grad` holds the gradient, then the update. A stack takes at
+    least one model. A model belongs to one live stack at a time;
+    rebinding its W or R detaches it.
     """
 
     def __init__(self, models: list[GrpModel]):
@@ -210,18 +210,14 @@ class LearnStack:
         ]
         self.w_gain = np.array([w_gain for *_, w_gain in self._row_consts])
 
-        # what a step writes: the network output (every Generator output G,
-        # then every RP pre-activation), the per-row pi, e_G, r_RP and e_RP
-        # (one buffer, so one write), and the gradient; one StepRecord of
-        # views per model
-        self._out = np.empty(2 * total)
-        self.G = self._out[:total]
+        # what a step writes: the network half's work arrays, its output
+        # (every Generator output G, then every RP pre-activation) and the
+        # gradient among them, the per-row pi, e_G, r_RP and e_RP (one
+        # buffer, so one write); one StepRecord of views per model
+        self._net = NetBuffers(self.S)
+        self.G = self._net.out[:total]
         self._rows = np.zeros(4 * total)
         self.pi, self.e_G, self.r_RP, self.e_RP = self._rows.reshape(4, total)
-        self._grad = np.empty_like(self.S)
-        # the network half's work arrays and persistent views, G and the
-        # gradient landing in the buffers above
-        self._net = NetBuffers(self.S, self._out, self._grad)
         self.records = [
             StepRecord(G=self.G[sl], pi=self.pi[sl], e_G=self.e_G[sl],
                        r_RP=self.r_RP[sl], e_RP=self.e_RP[sl])
@@ -305,7 +301,7 @@ def learn_step_joint(stack: LearnStack, x, r_G) -> list[StepRecord]:
             f"learn step takes one reference per stack row, shape {stack.pi.shape}, "
             f"got shape {r_G.shape}"
         )
-    S, dS = stack.S, stack._grad
+    S, dS = stack.S, stack._net.grad
     forward_and_gradient(S, x, stack._net)
     _row_half(stack, r_G.tolist())
 
@@ -336,7 +332,7 @@ def learn_step_joint(stack: LearnStack, x, r_G) -> list[StepRecord]:
 
 def _row_half(stack: LearnStack, r_G: list[float]) -> None:
     """The learn step's per-row half on Python floats, from the network
-    output in `stack._out`: pi, e_G, r_RP and e_RP into the stack's row
+    output in `stack._net.out`: pi, e_G, r_RP and e_RP into the stack's row
     buffers, the gains and Generator decays into its (2M, 1, 1) columns.
 
     Each value has the bits that `sigmoid_head`, `responsibility_reference`
@@ -349,7 +345,7 @@ def _row_half(stack: LearnStack, r_G: list[float]) -> None:
     tree a plain loop would not reproduce.
     """
     total = len(r_G)
-    out = stack._out.tolist()
+    out = stack._net.out.tolist()
     G = out[:total]
     e_G = [r - g for r, g in zip(r_G, G)]
     z = [b * w_gain for b, (_, _, _, w_gain) in zip(out[total:], stack._row_consts)]

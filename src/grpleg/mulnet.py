@@ -136,12 +136,11 @@ def net_forward(W, x):
 
 class NetBuffers:
     """forward_and_gradient's work arrays for one weight stack W, built
-    once: argument, clip, compare, row-product and term buffers,
-    G (`out`) and dG/dW (`grad`, C-ordered; either may be the caller's),
-    and persistent views: the flat diagonals of args and grad, W's
-    diagonal and the terms as a column."""
+    once: argument, clip, compare, row-product and term buffers, G (`out`)
+    and dG/dW (`grad`), and persistent views: the flat diagonals of args
+    and grad, W's diagonal and the terms as a column."""
 
-    def __init__(self, W, out=None, grad=None):
+    def __init__(self, W):
         self.W = W
         lead = W.shape[:-2]
         self.W_diag = W.diagonal(0, -2, -1)
@@ -152,9 +151,9 @@ class NetBuffers:
         self.prod = np.empty(lead + (NET_DIM,))
         self.terms = np.empty(lead + (NET_DIM,))
         self.terms_col = self.terms[..., None]
-        self.out = np.empty(lead) if out is None else out
-        self.grad = np.empty(W.shape) if grad is None else grad
-        # split back into W's leading axes, still a view of C-ordered grad
+        self.out = np.empty(lead)
+        self.grad = np.empty(W.shape)
+        # split back into W's leading axes, still a view of grad
         flat = self.grad.reshape(-1, NET_DIM * NET_DIM)[:, :: NET_DIM + 1]
         self.grad_diag = flat.reshape(lead + (NET_DIM,))
 

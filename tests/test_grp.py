@@ -542,15 +542,13 @@ class ArrayFormStep:
         self.lam = per_row([mdl.config.lam for mdl in models])
         self.rp_rate = per_row([mdl.config.rp_rate for mdl in models])
         self.w_gain = per_row([mdl.config.w_gain for mdl in models])
-        self._out = np.empty(2 * total)
-        self.G = self._out[:total]
-        self._b = self._out[total:]
+        self._net = mulnet.NetBuffers(stack.S)
+        self.G = self._net.out[:total]
+        self._b = self._net.out[total:]
         self.pi = np.empty(total)
         self.e_G = np.zeros(total)
         self.r_RP = np.empty(total)
         self.e_RP = np.empty(total)
-        self._grad = np.empty_like(stack.S)
-        self._net = mulnet.NetBuffers(stack.S, self._out, self._grad)
         self.records = [
             grp.StepRecord(G=self.G[sl], pi=self.pi[sl], e_G=self.e_G[sl],
                            r_RP=self.r_RP[sl], e_RP=self.e_RP[sl])
@@ -569,7 +567,7 @@ class ArrayFormStep:
     def step(self, x, r_G):
         r_G = np.asarray(r_G, dtype=float)
         assert r_G.shape == self.pi.shape
-        S, dS = self.stack.S, self._grad
+        S, dS = self.stack.S, self._net.grad
         mulnet.forward_and_gradient(S, x, self._net)
         self.pi[:] = mulnet.sigmoid_head(self._b, self.w_gain)
         G, pi, e_G, r_RP, e_RP = self.G, self.pi, self.e_G, self.r_RP, self.e_RP

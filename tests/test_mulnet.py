@@ -523,10 +523,10 @@ def test_forward_and_gradient_bundle_keeps_no_stale_state(demo_rows):
 def test_forward_and_gradient_with_buffers_writes_them_in_place():
     rng = np.random.default_rng(51)
     W = rng.uniform(-0.2, 0.2, (4, NET_DIM, NET_DIM))
-    out, grad = np.empty(4), np.empty_like(W)
-    buffers = mulnet.NetBuffers(W, out, grad)
+    buffers = mulnet.NetBuffers(W)
     G, dG = forward_and_gradient(W, split_input(draw_raw(rng)), buffers)
-    assert G is out and dG is grad
+    assert G is buffers.out and dG is buffers.grad
+    assert G.shape == (4,) and dG.shape == W.shape
 
 
 def test_forward_and_gradient_without_buffers_returns_new_arrays():

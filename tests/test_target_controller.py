@@ -39,11 +39,8 @@ INIT = (math.radians(220.0), math.radians(175.0))
 
 
 def snap(alpha=0.0, alpha_dot=0.0, l=1.0, phi_k_dot=0.0):
-    return KinematicSnapshot(
-        alpha=alpha, alpha_dot=alpha_dot, l=l,
-        foot_x=0.0, foot_y=0.0, knee_x=0.0, knee_y=0.0,
-        phi_k_dot=phi_k_dot,
-    )
+    return KinematicSnapshot(alpha=alpha, alpha_dot=alpha_dot, l=l, foot_y=0.0,
+                             phi_k_dot=phi_k_dot)
 
 
 def demo_task(alpha_tgt_deg=68.0, vh=-2.0, vk=-4.0):
