@@ -13,7 +13,6 @@ import argparse
 import collections
 import dataclasses
 import functools
-import itertools
 import json
 import math
 import re
@@ -28,6 +27,7 @@ from . import NonFiniteError, grp, mulnet
 from .dynamics import LegParams
 from .experiment import (
     ACTIVE_PI,
+    FIXED_COLUMNS,
     EvalReport,
     SampleRanges,
     Trajectory,
@@ -41,11 +41,6 @@ from .grp import GrpConfig, GrpModel
 from .target_controller import ControllerGains
 
 MODEL_FORMAT = 1
-
-# Trajectory's per-tick fields, the ones before `task`, are the fixed
-# columns of a trajectory file, in field order
-FIXED_COLUMNS = tuple(itertools.takewhile(
-    lambda name: name != "task", (f.name for f in dataclasses.fields(Trajectory))))
 
 # Learning rates here are swing-tuned, not the generic unit-scale module
 # defaults: reference torques reach +-60 N*m, so Generator steps must be
@@ -173,7 +168,8 @@ def _value(tp, value, key: str, base):
 def _from_json(cls, data, where: str = "", base=None):
     """A config dataclass from its JSON form, each value checked against
     its field's type. Keys not present keep `base`'s value (or the field
-    default); every error names the dotted key."""
+    default); every error names the dotted key, or for the dataclass's own
+    check, the section."""
     fields = _fields(cls)
     _object(data, [key for _, key, _, _ in fields], where, "config key")
     kwargs = {}
@@ -183,7 +179,12 @@ def _from_json(cls, data, where: str = "", base=None):
             kwargs[name] = _value(tp, data[key], where + key, current)
         elif current is dataclasses.MISSING:
             raise ValueError(f"missing config key '{where}{key}'")
-    return cls(**kwargs) if base is None else replace(base, **kwargs)
+    try:
+        return cls(**kwargs) if base is None else replace(base, **kwargs)
+    except ValueError as exc:
+        if not where:  # the dataclass's own check names a field, not its section
+            raise
+        raise ValueError(f"{where[:-1]}: {exc}") from None
 
 
 def _to_json(obj):
@@ -293,27 +294,19 @@ def trace_columns(model_name: str, m: int) -> list[str]:
     return [f"{model_name}_{f}_{k}" for k in range(1, m + 1) for f in ("G", "pi")]
 
 
+def _header(models) -> list[str]:
+    """A trajectory file's columns for the (name, m) pairs `models`."""
+    return [*FIXED_COLUMNS, *(c for name, m in models for c in trace_columns(name, m))]
+
+
 def write_trajectory(path, traj: Trajectory) -> None:
-    """`traj` as a CSV of len(traj) rows; a column or trace of another
-    length, or a trace whose G and pi differ in shape, is refused before
-    the file is opened."""
-    names = list(FIXED_COLUMNS)
-    cols = [getattr(traj, name) for name in FIXED_COLUMNS]
-    for name, col in zip(names, cols):
-        if len(col) != len(traj):
-            raise ValueError(f"column {name} has {len(col)} rows, the trajectory {len(traj)}")
-    for model_name, trace in traj.traces.items():
-        if trace.G.shape != trace.pi.shape or len(trace.G) != len(traj):
-            raise ValueError(f"model {model_name}'s trace has G of shape {trace.G.shape} and "
-                             f"pi of shape {trace.pi.shape}, for a trajectory of {len(traj)} rows")
-        m = trace.G.shape[1]
-        names += trace_columns(model_name, m)
-        cols += [a[:, k] for k in range(m) for a in (trace.G, trace.pi)]
+    """`traj`'s table as a CSV: its header, then one line per table row."""
+    header = _header(traj.models)
     # '%.17g' % x is f"{x:.17g}" for every double, nan, inf and -0 included
-    row = ",".join(["%.17g"] * 10 + ["%d", "%d"] + ["%.17g"] * (len(cols) - 12)) + "\n"
+    row = ",".join(["%.17g"] * 10 + ["%d", "%d"] + ["%.17g"] * (len(header) - 12)) + "\n"
     with open(path, "w", newline="\n") as fh:
-        fh.write(",".join(names) + "\n")
-        fh.write("".join([row % r for r in zip(*[c.tolist() for c in cols])]))
+        fh.write(",".join(header) + "\n")
+        fh.write("".join([row % tuple(r) for r in traj.table.tolist()]))
 
 
 def read_trajectory(path) -> Trajectory:
@@ -329,7 +322,7 @@ def read_trajectory(path) -> Trajectory:
     names = [col.rsplit("_", 2)[0] for col in header[len(FIXED_COLUMNS):]]
     models = {name: n // 2 for name, n in collections.Counter(names).items()
               if re.fullmatch(r"\w+", name)}
-    expected = [*FIXED_COLUMNS, *(c for n, m in models.items() for c in trace_columns(n, m))]
+    expected = _header(models.items())
     if header != expected:
         j = next(j for j, (a, b) in enumerate(zip(header + [None], expected + [None]))
                  if a != b)
@@ -360,7 +353,7 @@ def read_trajectory(path) -> Trajectory:
         if bad.size:
             raise ValueError(f"{path} line {bad[0] + 2}: {FIXED_COLUMNS[j]} must be one of "
                              f"{allowed}, got {data[bad[0], j]:g}")
-    return Trajectory.from_table(data, models.items())
+    return Trajectory(data, models.items())
 
 
 _REPORT_KEYS = ("trajectories", "avg_error_deg", "max_error_deg",
@@ -511,7 +504,7 @@ def _cmd_eval(args) -> int:
     config = _config_from_args(args)
     n = args.n if args.n is not None else config.eval_count
     seed = args.seed if args.seed is not None else config.eval_seed
-    out = _out_dir(args)
+    out = Path(args.out)
     hip, knee = _load_model_pair(out)
     tasks = sample_tasks(config.ranges, n, seed, config.gains, config.params)
     report, trajs = evaluate(hip, knee, tasks, config.gains, config.params,
@@ -526,8 +519,7 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_gradcheck(args) -> int:
-    seed = args.seed if args.seed is not None else 0
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(args.seed)
     worst = 0.0
     for _ in range(100):
         W = rng.uniform(-0.2, 0.2, size=(mulnet.NET_DIM, mulnet.NET_DIM))
@@ -542,7 +534,7 @@ def _cmd_gradcheck(args) -> int:
 
 
 def _cmd_dump_weights(args) -> int:
-    out = _out_dir(args)
+    out = Path(args.out)
     hip, knee = _load_model_pair(out)
     summary = {"hip": weight_summary(hip), "knee": weight_summary(knee)}
     _dump_json(out / "weights.json", summary)
@@ -593,7 +585,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gradcheck",
                        help="network gradients vs central differences")
-    p.add_argument("--seed", type=seed, help="instance RNG seed")
+    p.add_argument("--seed", type=seed, default=0, help="instance RNG seed")
     p.set_defaults(func=_cmd_gradcheck)
 
     p = sub.add_parser("dump-weights", help="per-layer weight summary")

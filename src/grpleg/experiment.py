@@ -29,8 +29,10 @@ to the plant; Generators therefore learn the delivered torque, bounded by
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, field, replace
+import types
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -81,7 +83,13 @@ class SampleRanges:
                 raise ValueError(f"{name} range ({lo}, {hi}) is wider than a float holds")
 
 
-@dataclass
+# The fixed columns of a trajectory file, in file order: the ten plant
+# floats, then the controller phase and the ground contact flag.
+FIXED_COLUMNS = ("t", "phi_h", "phi_k", "phi_h_dot", "phi_k_dot", "alpha",
+                 "alpha_dot", "l", "tau_h", "tau_k", "phase", "contact")
+
+
+@dataclass(frozen=True)
 class ModelTrace:
     """Per-step layer activity of one GRP model along a model-driven swing:
     each layer's Generator torque G and responsibility pi, shape (T, m)."""
@@ -90,28 +98,41 @@ class ModelTrace:
     pi: np.ndarray
 
 
-@dataclass
+@dataclass(frozen=True)
 class Trajectory:
-    """One swing at 1 kHz, column-major. Torques are post-saturation. A
-    swing that ends without ground contact timed out."""
+    """One swing at 1 kHz as its table, laid out as its trajectory file's
+    rows: FIXED_COLUMNS, then for each (name, m) of `models` in turn G and
+    pi of layer 1, then of layer 2, up to layer m. Torques are
+    post-saturation. The float columns (`t` ... `tau_k`) and each model's
+    `traces[name].G` and `.pi` are views of the table, and `phase` and
+    `contact` are columns 10 and 11 as ints and bools; a table of another
+    width is refused. A swing that ends without ground contact timed out."""
 
-    t: np.ndarray
-    phi_h: np.ndarray
-    phi_k: np.ndarray
-    phi_h_dot: np.ndarray
-    phi_k_dot: np.ndarray
-    alpha: np.ndarray
-    alpha_dot: np.ndarray
-    l: np.ndarray
-    tau_h: np.ndarray
-    tau_k: np.ndarray
-    phase: np.ndarray
-    contact: np.ndarray
+    table: np.ndarray
+    models: tuple[tuple[str, int], ...] = ()
     task: SwingTask | None = None
-    traces: dict[str, ModelTrace] = field(default_factory=dict)
+
+    def __post_init__(self):
+        models = tuple(self.models)
+        width = len(FIXED_COLUMNS) + 2 * sum(m for _, m in models)
+        if self.table.shape[1:] != (width,):
+            raise ValueError(f"a swing of models {models} is a table of {width} columns, "
+                             f"got shape {self.table.shape}")
+        bind = functools.partial(object.__setattr__, self)
+        bind("models", models)
+        for j, name in enumerate(FIXED_COLUMNS[:10]):
+            bind(name, self.table[:, j])
+        bind("phase", self.table[:, 10].astype(int))
+        bind("contact", self.table[:, 11] == 1.0)
+        traces, col = {}, 12
+        for name, m in models:
+            block = self.table[:, col:col + 2 * m]
+            traces[name] = ModelTrace(block[:, 0::2], block[:, 1::2])
+            col += 2 * m
+        bind("traces", types.MappingProxyType(traces))
 
     def __len__(self) -> int:
-        return self.t.size
+        return len(self.table)
 
     @property
     def alpha_end(self) -> float:
@@ -120,20 +141,6 @@ class Trajectory:
     @property
     def timed_out(self) -> bool:
         return not self.contact[-1]
-
-    @classmethod
-    def from_table(cls, table: np.ndarray, models, task=None) -> Trajectory:
-        """A swing from its table, laid out as its trajectory file's rows:
-        the ten plant floats, phase, contact, then for each (name, m) of
-        `models` in turn G and pi of layer 1, then of layer 2, up to layer
-        m. The float columns and the traces are views of the table."""
-        traces, col = {}, 12
-        for name, m in models:
-            block = table[:, col:col + 2 * m]
-            traces[name] = ModelTrace(block[:, 0::2], block[:, 1::2])
-            col += 2 * m
-        return cls(*table.T[:10], phase=table[:, 10].astype(int),
-                   contact=table[:, 11] == 1.0, task=task, traces=traces)
 
 
 @dataclass
@@ -234,7 +241,7 @@ def _rollout(
     tick, every active swing's five sensor floats are split into its 8-wide
     input row on Python floats (split_row, split_input's bits), and the
     list of rows takes one grp.forward call. Each swing's rows become one
-    table, permuted once into file order, that Trajectory.from_table views.
+    table, permuted once into file order: the swing's Trajectory.
     """
     tasks = [task for task, _ in swings]
     states = [init for _, init in swings]
@@ -242,7 +249,7 @@ def _rollout(
     # per swing and tick: the file row's plant columns, then with a stack each
     # model's G block and pi block as forward gives them, put in file order by `order`
     ticks = [[] for _ in swings]
-    models = [] if stack is None else [("hip", stack.models[0].m), ("knee", stack.models[1].m)]
+    models = () if stack is None else (("hip", stack.models[0].m), ("knee", stack.models[1].m))
     order = list(range(12))
     for _, m in models:
         order += [c + j for c in range(len(order), len(order) + m) for j in (0, m)]
@@ -277,7 +284,7 @@ def _rollout(
                 still.append(i)
         active = still
 
-    return [Trajectory.from_table(np.array(rows, dtype=float)[:, order], models, task)
+    return [Trajectory(np.array(rows, dtype=float)[:, order], models, task)
             for rows, task in zip(ticks, tasks)]
 
 

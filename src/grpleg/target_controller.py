@@ -66,13 +66,11 @@ def make_task(
     gains: ControllerGains,
     params: LegParams,
     init_state: LegState,
-    l_clr: float = 0.05,
 ) -> SwingTask:
     """Build a SwingTask; the ground is set at the initial foot height."""
     return SwingTask(
         alpha_tgt=alpha_tgt,
         alpha_thr=alpha_tgt + gains.delta_alpha_thr,
-        l_clr=l_clr,
         ground_y=kinematics(init_state, params).foot_y,
         l_0=params.l_0,
     )

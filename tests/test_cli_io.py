@@ -40,7 +40,6 @@ from grpleg.cli_io import (
 from grpleg.dynamics import LegParams
 from grpleg.experiment import (
     EvalReport,
-    ModelTrace,
     SampleRanges,
     Trajectory,
     evaluate,
@@ -72,14 +71,17 @@ def trained_pair(steps=40):
     return hip, knee
 
 
-def with_traces(traj, seed=9):
-    """A copy of a trajectory carrying hip (m=1) and knee (m=3) traces of
-    seeded finite G and pi."""
+def with_traces(traj, models=(("hip", 1), ("knee", 3)), seed=9):
+    """A trajectory of `traj`'s plant columns carrying traces of seeded
+    finite G and pi for `models`, hip (m=1) and knee (m=3) by default."""
     rng = np.random.default_rng(seed)
-    traces = {name: ModelTrace(G=rng.uniform(-60.0, 60.0, (len(traj), m)),
-                               pi=rng.uniform(0.0, 1.0, (len(traj), m)))
-              for name, m in (("hip", 1), ("knee", 3))}
-    return dataclasses.replace(traj, traces=traces)
+    blocks = [traj.table[:, :12]]
+    for _, m in models:
+        block = np.empty((len(traj), 2 * m))
+        block[:, 0::2] = rng.uniform(-60.0, 60.0, (len(traj), m))
+        block[:, 1::2] = rng.uniform(0.0, 1.0, (len(traj), m))
+        blocks.append(block)
+    return Trajectory(np.hstack(blocks), models, traj.task)
 
 
 # -------------------------------------------------------------- run config
@@ -340,6 +342,8 @@ def test_model_loaded_forward_matches(tmp_path):
         # the model's config is a config: its keys keep the config wording
         (lambda d: d["config"].update(momentum=0.9),
          "unknown config key 'config.momentum'"),
+        # and a value its own check refuses names the section
+        (lambda d: d["config"].update(beta=1.0), "^config: beta must be > 1, got 1.0$"),
     ],
 )
 def test_model_file_rejects_malformed(mangle, message):
@@ -361,8 +365,7 @@ def test_demo_csv_has_twelve_fixed_columns(tmp_path, demo_traj):
 
 
 def test_knee_trace_adds_six_columns(tmp_path, demo_traj):
-    traj = with_traces(demo_traj)
-    traj.traces.pop("hip")
+    traj = with_traces(demo_traj, (("knee", 3),))
     write_trajectory(tmp_path / "k.csv", traj)
     header = (tmp_path / "k.csv").read_text().splitlines()[0].split(",")
     assert len(header) == 12 + 6
@@ -394,16 +397,12 @@ SPECIAL_DOUBLES = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e308]
 def with_special_doubles(traj):
     """A copy whose float columns start with SPECIAL_DOUBLES, rotated per
     column, and whose contact column alternates."""
-    n = len(SPECIAL_DOUBLES)
-    fixed = {name: getattr(traj, name).copy() for name in FIXED_COLUMNS[:10]}
-    traces = {name: ModelTrace(G=t.G.copy(), pi=t.pi.copy())
-              for name, t in traj.traces.items()}
-    cols = list(fixed.values()) + [
-        a.T for t in traces.values() for a in (t.G, t.pi)]
-    for j, col in enumerate(cols):
-        col[..., :n] = np.roll(SPECIAL_DOUBLES, j)
-    contact = np.arange(len(traj)) % 2 == 0
-    return dataclasses.replace(traj, **fixed, contact=contact, traces=traces)
+    table = traj.table.copy()
+    floats = [j for j in range(table.shape[1]) if j not in (10, 11)]
+    for k, j in enumerate(floats):
+        table[:len(SPECIAL_DOUBLES), j] = np.roll(SPECIAL_DOUBLES, k)
+    table[:, 11] = np.arange(len(traj)) % 2 == 0
+    return Trajectory(table, traj.models, traj.task)
 
 
 @pytest.mark.parametrize("driven_by", ["controller", "models"])
@@ -439,12 +438,11 @@ def test_trajectory_round_trip_value_exact(tmp_path, demo_traj):
 
 def test_trajectory_nan_generator_torques_round_trip(tmp_path, demo_traj):
     n = len(demo_traj)
-    demo_traj.traces["knee"] = ModelTrace(G=np.full((n, 2), np.nan), pi=np.full((n, 2), 0.5))
-    try:
-        write_trajectory(tmp_path / "n.csv", demo_traj)
-        back = read_trajectory(tmp_path / "n.csv")
-    finally:
-        demo_traj.traces.clear()
+    # knee G and pi of 2 layers, interleaved as the file has them
+    knee = np.tile([np.nan, 0.5], (n, 2))
+    traj = Trajectory(np.hstack([demo_traj.table, knee]), (("knee", 2),))
+    write_trajectory(tmp_path / "n.csv", traj)
+    back = read_trajectory(tmp_path / "n.csv")
     assert np.all(np.isnan(back.traces["knee"].G))
     assert np.array_equal(back.traces["knee"].pi, np.full((n, 2), 0.5))
 
@@ -457,15 +455,15 @@ def test_trajectory_bytes_deterministic(tmp_path, demo_traj):
 
 def test_trajectory_table_layout_is_the_file_row(tmp_path):
     """A swing's table is laid out as its file's rows, for any models:
-    Trajectory.from_table takes its columns as they stand, and
-    write_trajectory writes row i of the table as row i of the file, under
-    trace_columns' header."""
+    Trajectory takes its columns as they stand, and write_trajectory
+    writes row i of the table as row i of the file, under trace_columns'
+    header."""
     rng = np.random.default_rng(3)
     models = [("a", 2), ("b_c", 8)]
     T = 7
     table = np.column_stack([rng.uniform(-5.0, 5.0, (T, 10)), rng.integers(1, 4, T),
                              rng.integers(0, 2, T), rng.uniform(-60.0, 60.0, (T, 20))])
-    traj = Trajectory.from_table(table, models)
+    traj = Trajectory(table, models)
     for j, name in enumerate(FIXED_COLUMNS[:10]):
         assert np.array_equal(getattr(traj, name), table[:, j]), name
         assert np.shares_memory(getattr(traj, name), table), name
@@ -489,44 +487,25 @@ def test_trajectory_table_layout_is_the_file_row(tmp_path):
     assert [[float(v) for v in row.split(",")] for row in rows] == table.tolist()
 
 
-def resized(a: np.ndarray, by: int) -> np.ndarray:
-    """`a` with `by` rows more, or -by fewer, its values repeated to fill."""
-    return np.resize(a, (len(a) + by, *a.shape[1:]))
-
-
-def retraced(traj, name, G, pi) -> dict:
-    """The `traces` field of `traj` with model `name`'s trace made (G, pi)."""
-    return {"traces": {**traj.traces, name: ModelTrace(G, pi)}}
-
-
-WRITER_LENGTH_CASES = [
-    # (change to a trajectory with hip (m=1) and knee (m=3) traces, what the error names)
-    (lambda tr: retraced(tr, "knee", resized(tr.traces["knee"].G, -5),
-                         resized(tr.traces["knee"].pi, -5)), "knee"),
-    (lambda tr: retraced(tr, "knee", resized(tr.traces["knee"].G, 5),
-                         resized(tr.traces["knee"].pi, 5)), "knee"),
-    (lambda tr: retraced(tr, "hip", tr.traces["hip"].G, resized(tr.traces["hip"].pi, -1)),
-     "hip"),
-    (lambda tr: retraced(tr, "knee", tr.traces["knee"].G, tr.traces["knee"].pi[:, :2]),
-     "knee"),
-    (lambda tr: {"tau_k": resized(tr.tau_k, -5)}, "tau_k"),
-    (lambda tr: {"contact": resized(tr.contact, 5)}, "contact"),
-]
-
-
-@pytest.mark.parametrize("change, name", WRITER_LENGTH_CASES, ids=[
-    "knee-5-short", "knee-5-long", "hip-pi-short", "knee-pi-narrow", "tau_k-short",
-    "contact-long"])
-def test_trajectory_writer_refuses_columns_of_another_length(tmp_path, demo_traj,
-                                                             change, name):
-    """A column or a trace whose rows are not the trajectory's, or a trace
-    whose G and pi differ in shape, is refused, naming it, before the file
-    is opened; zipping the columns would drop rows silently."""
-    traj = with_traces(demo_traj)
-    bad = dataclasses.replace(traj, **change(traj))
-    with pytest.raises(ValueError, match=rf"\b{name}\b"):
-        write_trajectory(tmp_path / "t.csv", bad)
-    assert not (tmp_path / "t.csv").exists()
+def test_trajectory_is_one_table_of_its_models_width(demo_traj):
+    """A Trajectory holds one table, 12 + 2 sum(m) columns wide for its
+    (name, m) models: a table one column too narrow or too wide, a
+    plant-only one, or a 1-D one, is refused, naming the models. Its
+    columns cannot be rebound and its traces not replaced, so no column
+    can disagree with another in length."""
+    models = (("hip", 1), ("knee", 3))
+    traj = with_traces(demo_traj, models)
+    table = traj.table
+    for bad in (table[:, :-1], np.hstack([table, table[:, :1]]), table[:, :12], table[:, 0]):
+        with pytest.raises(ValueError, match=re.escape(
+                f"a swing of models {models} is a table of 20 columns, got shape {bad.shape}")):
+            Trajectory(bad, models, traj.task)
+    for name in ("table", "tau_k", "contact", "traces", "models"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(traj, name, getattr(demo_traj, name))
+    with pytest.raises(TypeError):
+        traj.traces["knee"] = demo_traj.traces.get("knee")
+    assert len(traj) == len(traj.tau_k) == len(traj.traces["knee"].pi) == len(demo_traj)
 
 
 def test_trajectory_read_errors_name_lines(tmp_path, demo_traj):
@@ -827,6 +806,17 @@ def test_cli_eval_without_models_fails(tmp_path, capsys):
     assert "hip.json" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["eval", "dump-weights"])
+def test_cli_model_readers_leave_a_missing_directory_missing(tmp_path, capsys, command):
+    """eval and dump-weights read their models from --out: a directory
+    that does not exist is refused, not made."""
+    out = tmp_path / "nope"
+    assert cli_io.cli([command, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: no model file at {out / 'hip.json'} (run train first)\n")
+    assert not out.exists()
+
+
 def test_cli_bad_config_names_key(tmp_path, capsys):
     (tmp_path / "cfg.json").write_text('{"knee": {"layers": 3}}')
     rc = cli_io.cli(["demo", "--config", str(tmp_path / "cfg.json"),
@@ -859,6 +849,9 @@ SINGULAR_PARAMS = "singular mass matrix: LegParams l_t, l_s, m_t, m_s give det <
     ('{"params": {"l_t": 1e200}}', OVERFLOWING_PARAMS),
     ('{"params": {"l_s": 1e-200}}', SINGULAR_PARAMS),
     ('{"params": {"m_t": 1e-20}}', SINGULAR_PARAMS),
+    ('{"hip": {"m": 0}}', "m must be >= 1, got 0"),
+    ('{"knee": {"m": 0}}', "m must be >= 1, got 0"),
+    ('{"knee": {"beta": 1.0}}', "beta must be > 1, got 1.0"),
     ('{"demo_seed": -3}', "demo_seed must be >= 0, got -3"),
     ('{"eval_seed": -1}', "eval_seed must be >= 0, got -1"),
 ])
@@ -869,13 +862,16 @@ def test_cli_rejects_values_the_rollout_cannot_use(tmp_path, capsys, config, mes
     a NaN determinant. A shank so short that the mass-matrix determinant
     underflows to 0, or a thigh so light that it rounds to 0 with the leg
     straight, is refused with the config. A negative seed would reach
-    numpy's seeding, whose error names no key."""
+    numpy's seeding, whose error names no key. An error from a section's
+    own check is prefixed with the section, the config's one key."""
     path = tmp_path / "cfg.json"
     path.write_text(config)
     rc = cli_io.cli(["demo", "--config", str(path), "--out", str(tmp_path)])
     assert rc == 1
     err = capsys.readouterr().err
-    assert err == f"error: {path}: {message}\n"
+    ((key, value),) = json.loads(config).items()
+    section = f"{key}: " if isinstance(value, dict) else ""
+    assert err == f"error: {path}: {section}{message}\n"
     assert not (tmp_path / "manifest.json").exists()
 
 

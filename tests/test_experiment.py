@@ -192,19 +192,16 @@ def synthetic_demo(T=50, alpha_tgt=1.0, seed=777):
     phi_k = np.linspace(3.0, 2.4, T)
     task = make_task(alpha_tgt, ControllerGains(), LegParams(),
                      LegState(phi_h[0], phi_k[0], -1.0, -2.0))
-    traj = Trajectory(
-        t=t, phi_h=phi_h, phi_k=phi_k,
-        phi_h_dot=np.gradient(phi_h, t), phi_k_dot=np.gradient(phi_k, t),
-        alpha=phi_h - phi_k / 2, alpha_dot=np.full(T, -1.0),
-        l=2 * 0.5 * np.sin(phi_k / 2),
-        tau_h=np.zeros(T), tau_k=np.zeros(T),
-        phase=np.ones(T, dtype=int), contact=np.zeros(T, dtype=bool),
-        task=task)
+    # FIXED_COLUMNS in order: the torques, columns 8 and 9, are filled below
+    table = np.column_stack([
+        t, phi_h, phi_k, np.gradient(phi_h, t), np.gradient(phi_k, t),
+        phi_h - phi_k / 2, np.full(T, -1.0), 2 * 0.5 * np.sin(phi_k / 2),
+        np.zeros(T), np.zeros(T), np.ones(T), np.zeros(T)])
     rng = np.random.default_rng(seed)
-    X = sensor_matrix(traj)
-    traj.tau_h = mulnet.net_forward(rng.uniform(-0.1, 0.1, (8, 8)), X)
-    traj.tau_k = mulnet.net_forward(rng.uniform(-0.1, 0.1, (8, 8)), X)
-    return traj
+    X = sensor_matrix(Trajectory(table, task=task))
+    table[:, 8] = mulnet.net_forward(rng.uniform(-0.1, 0.1, (8, 8)), X)
+    table[:, 9] = mulnet.net_forward(rng.uniform(-0.1, 0.1, (8, 8)), X)
+    return Trajectory(table, task=task)
 
 
 def test_train_log_shape_and_decrease():
