@@ -75,11 +75,11 @@ class RunConfig:
     eval_seed: int = 2
 
     def __post_init__(self):
-        if self.dt <= 0.0:
+        if not self.dt > 0.0:
             raise ValueError(f"dt must be positive, got {self.dt}")
-        if self.timeout <= self.dt:
+        if not self.timeout > self.dt:
             raise ValueError(f"timeout {self.timeout} not beyond one step")
-        if self.timeout / self.dt > MAX_SWING_STEPS:
+        if not self.timeout / self.dt <= MAX_SWING_STEPS:
             raise ValueError(f"timeout {self.timeout} is more than "
                              f"{MAX_SWING_STEPS} steps of dt {self.dt}")
         for name, low in (("episodes", 1), ("demo_count", 1), ("eval_count", 1),
@@ -289,9 +289,9 @@ def load_model(path) -> GrpModel:
 
 
 def trace_columns(model_name: str, m: int) -> list[str]:
-    """The trace columns of one model with m layers, in file order: G and
-    pi of layer 1, then of layer 2, up to layer m."""
-    return [f"{model_name}_{f}_{k}" for k in range(1, m + 1) for f in ("G", "pi")]
+    """The trace columns of one model with m layers, in file order: G of
+    layers 1 to m, then pi of layers 1 to m, the blocks grp.forward gives."""
+    return [f"{model_name}_{f}_{k}" for f in ("G", "pi") for k in range(1, m + 1)]
 
 
 def _header(models) -> list[str]:
@@ -477,8 +477,9 @@ def _cmd_train(args) -> int:
                          hip=replace(config.hip, seed=args.seed),
                          knee=replace(config.knee, seed=args.seed))
     out = _out_dir(args)
-    tasks = sample_tasks(config.ranges, config.demo_count, config.demo_seed,
-                         config.gains, config.params)
+    # only the first `episodes` demos are trained on; sample_tasks' first k do not depend on n
+    tasks = sample_tasks(config.ranges, min(config.episodes, config.demo_count),
+                         config.demo_seed, config.gains, config.params)
     demos = [run_demo_episode(task, init, config.gains, config.params,
                               config.dt, config.timeout)
              for task, init in tasks]

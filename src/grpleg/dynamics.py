@@ -56,7 +56,7 @@ class LegParams:
             if not getattr(self, name) > 0.0:
                 raise ValueError(f"LegParams.{name} must be strictly positive")
         for name in ("knee_stop_stiffness", "knee_stop_damping"):
-            if getattr(self, name) < 0.0:
+            if not getattr(self, name) >= 0.0:
                 raise ValueError(f"LegParams.{name} must be non-negative")
         a, b, c, *_ = coefficients = self._mass_coefficients  # a * b: largest term of det
         if not all(map(math.isfinite, (*coefficients, a * b))):

@@ -101,8 +101,8 @@ class ModelTrace:
 @dataclass(frozen=True)
 class Trajectory:
     """One swing at 1 kHz as its table, laid out as its trajectory file's
-    rows: FIXED_COLUMNS, then for each (name, m) of `models` in turn G and
-    pi of layer 1, then of layer 2, up to layer m. Torques are
+    rows: FIXED_COLUMNS, then per (name, m) of `models` G of layers 1 to m,
+    then pi of layers 1 to m, the blocks grp.forward gives. Torques are
     post-saturation. The float columns (`t` ... `tau_k`) and each model's
     `traces[name].G` and `.pi` are views of the table, and `phase` and
     `contact` are columns 10 and 11 as ints and bools; a table of another
@@ -127,7 +127,7 @@ class Trajectory:
         traces, col = {}, 12
         for name, m in models:
             block = self.table[:, col:col + 2 * m]
-            traces[name] = ModelTrace(block[:, 0::2], block[:, 1::2])
+            traces[name] = ModelTrace(block[:, :m], block[:, m:])
             col += 2 * m
         bind("traces", types.MappingProxyType(traces))
 
@@ -240,19 +240,19 @@ def _rollout(
     purely as a contact/phase monitor on the kinematics it observes. Each
     tick, every active swing's five sensor floats are split into its 8-wide
     input row on Python floats (split_row, split_input's bits), and the
-    list of rows takes one grp.forward call. Each swing's rows become one
-    table, permuted once into file order: the swing's Trajectory.
+    list of rows takes one grp.forward call. A swing's rows, appended in
+    file layout with forward's G and pi blocks as they come, are its
+    Trajectory's table. A timeout that is not finite is refused at once.
     """
+    if not math.isfinite(timeout):
+        raise ValueError(f"timeout must be finite, got {timeout}")
     tasks = [task for task, _ in swings]
     states = [init for _, init in swings]
     ctrls = [ControllerState()] * len(swings)
     # per swing and tick: the file row's plant columns, then with a stack each
-    # model's G block and pi block as forward gives them, put in file order by `order`
+    # model's G block and pi block as forward gives them
     ticks = [[] for _ in swings]
     models = () if stack is None else (("hip", stack.models[0].m), ("knee", stack.models[1].m))
-    order = list(range(12))
-    for _, m in models:
-        order += [c + j for c in range(len(order), len(order) + m) for j in (0, m)]
     active = list(range(len(swings)))
 
     while active:
@@ -284,7 +284,7 @@ def _rollout(
                 still.append(i)
         active = still
 
-    return [Trajectory(np.array(rows, dtype=float)[:, order], models, task)
+    return [Trajectory(np.array(rows, dtype=float), models, task)
             for rows, task in zip(ticks, tasks)]
 
 
@@ -311,7 +311,7 @@ def train(
     """Online training of (model, joint) pairs, each model learning the
     Trajectory torque column `joint`, "tau_h" or "tau_k". The models form
     one LearnStack and take one learn step per recorded control tick,
-    cycling over the demos, with every sharpness annealed after each
+    episode e on demo e % len(demos), every sharpness annealed after each
     episode; the step is row-local, so each model gets the bits of training
     it alone. The plant never re-integrates: driving it with the stack's
     feedback-completed output equals driving it with the recorded reference
@@ -329,7 +329,7 @@ def train(
     if not joints or not set(joints) <= {"tau_h", "tau_k"}:
         raise ValueError(f"train takes (model, 'tau_h' or 'tau_k') pairs, got joints {joints}")
     stack = grp.LearnStack([mdl for mdl, _ in models])
-    cache = [(sensor_matrix(d), [getattr(d, joint) for joint in joints]) for d in demos]
+    cache = [(sensor_matrix(d), [getattr(d, j) for j in joints]) for d in demos[:episodes]]
     log = np.empty((episodes, stack.row_model.size))
     for ep in range(episodes):
         X, torques = cache[ep % len(cache)]

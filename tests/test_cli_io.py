@@ -77,10 +77,7 @@ def with_traces(traj, models=(("hip", 1), ("knee", 3)), seed=9):
     rng = np.random.default_rng(seed)
     blocks = [traj.table[:, :12]]
     for _, m in models:
-        block = np.empty((len(traj), 2 * m))
-        block[:, 0::2] = rng.uniform(-60.0, 60.0, (len(traj), m))
-        block[:, 1::2] = rng.uniform(0.0, 1.0, (len(traj), m))
-        blocks.append(block)
+        blocks += [rng.uniform(-60.0, 60.0, (len(traj), m)), rng.uniform(0.0, 1.0, (len(traj), m))]
     return Trajectory(np.hstack(blocks), models, traj.task)
 
 
@@ -145,6 +142,9 @@ def test_run_config_range_pair_arity():
         {"episodes": 0},
         {"demo_count": 0},
         {"eval_count": 0},
+        # NaN compares false to everything, and fails each check all the same
+        {"dt": math.nan},
+        {"timeout": math.nan},
     ],
 )
 def test_run_config_validation(kwargs):
@@ -369,8 +369,9 @@ def test_knee_trace_adds_six_columns(tmp_path, demo_traj):
     write_trajectory(tmp_path / "k.csv", traj)
     header = (tmp_path / "k.csv").read_text().splitlines()[0].split(",")
     assert len(header) == 12 + 6
-    assert header[12:] == ["knee_G_1", "knee_pi_1", "knee_G_2", "knee_pi_2",
-                           "knee_G_3", "knee_pi_3"]
+    assert header[12:] == ["knee_G_1", "knee_G_2", "knee_G_3",
+                           "knee_pi_1", "knee_pi_2", "knee_pi_3"]
+    assert header[12:] == trace_columns("knee", 3)
 
 
 def reference_csv(traj) -> bytes:
@@ -379,9 +380,9 @@ def reference_csv(traj) -> bytes:
     names = list(FIXED_COLUMNS)
     cols = [getattr(traj, name) for name in FIXED_COLUMNS[:10]]
     for model_name, trace in traj.traces.items():
-        for k in range(trace.G.shape[1]):
-            names += [f"{model_name}_{f}_{k + 1}" for f in ("G", "pi")]
-            cols += [trace.G[:, k], trace.pi[:, k]]
+        for f, block in (("G", trace.G), ("pi", trace.pi)):
+            names += [f"{model_name}_{f}_{k + 1}" for k in range(block.shape[1])]
+            cols += list(block.T)
     lines = [",".join(names)]
     for i in range(len(traj)):
         fields = [f"{c[i]:.17g}" for c in cols[:10]]
@@ -438,8 +439,8 @@ def test_trajectory_round_trip_value_exact(tmp_path, demo_traj):
 
 def test_trajectory_nan_generator_torques_round_trip(tmp_path, demo_traj):
     n = len(demo_traj)
-    # knee G and pi of 2 layers, interleaved as the file has them
-    knee = np.tile([np.nan, 0.5], (n, 2))
+    # knee G of 2 layers, then its pi of 2 layers, as the file has them
+    knee = np.repeat([[np.nan, np.nan, 0.5, 0.5]], n, axis=0)
     traj = Trajectory(np.hstack([demo_traj.table, knee]), (("knee", 2),))
     write_trajectory(tmp_path / "n.csv", traj)
     back = read_trajectory(tmp_path / "n.csv")
@@ -475,8 +476,8 @@ def test_trajectory_table_layout_is_the_file_row(tmp_path):
         trace = traj.traces[name]
         assert trace.G.shape == trace.pi.shape == (T, m)
         for k in range(m):
-            assert np.array_equal(trace.G[:, k], table[:, col + 2 * k]), (name, k)
-            assert np.array_equal(trace.pi[:, k], table[:, col + 2 * k + 1]), (name, k)
+            assert np.array_equal(trace.G[:, k], table[:, col + k]), (name, k)
+            assert np.array_equal(trace.pi[:, k], table[:, col + m + k]), (name, k)
         assert np.shares_memory(trace.G, table) and np.shares_memory(trace.pi, table)
         col += 2 * m
 
@@ -551,15 +552,18 @@ TRACE_HEADER_CASES = [
     ("hip_G_1,hip_pi_2", "mismatched trace pair",
      "column 14: got 'hip_pi_2', expected 'hip_pi_1'"),
     ("hip_G_2,hip_pi_2", "out of order", "column 13: got 'hip_G_2,.*', expected 'hip_G_1,"),
-    ("hip_G_1,hip_pi_1,hip_G_3,hip_pi_3", "index jump",
-     "column 15: got 'hip_G_3,.*', expected 'hip_G_2,"),
+    ("hip_G_1,hip_G_3,hip_pi_1,hip_pi_3", "index jump",
+     "column 14: got 'hip_G_3,.*', expected 'hip_G_2,"),
+    # each model's G block comes before its pi block: a G, pi pair per layer is refused
+    ("hip_G_1,hip_pi_1,hip_G_2,hip_pi_2", "interleaved",
+     "column 14: got 'hip_pi_1,.*', expected 'hip_G_2,"),
     # a model name is one or more word characters, a layer index has no
     # leading zero, and each model's columns form one block
     ("_G_1,_pi_1", "empty model name", "column 13: got '_G_1,_pi_1', expected ''"),
     ("hip x_G_1,hip x_pi_1", "space in model name", "column 13: got 'hip x_G_1,"),
     ("hip_G_01,hip_pi_01", "leading zero", "column 13: got 'hip_G_01,.*', expected 'hip_G_1,"),
-    ("hip_G_1,hip_pi_1,knee_G_1,knee_pi_1,hip_G_2,hip_pi_2",
-     "split block", "column 15: got 'knee_G_1,.*', expected 'hip_G_2,"),
+    ("hip_G_1,hip_G_2,knee_G_1,knee_pi_1,hip_pi_1,hip_pi_2",
+     "split block", "column 15: got 'knee_G_1,.*', expected 'hip_pi_1,"),
 ]
 
 
@@ -634,7 +638,7 @@ def test_cli_demo_and_fixture_eval_write_the_recorded_bytes(tmp_path, capsys):
     }
     eval_csvs = [f"eval_{i:03d}.csv" for i in range(1, 21)]
     assert sha256_of(ev, eval_csvs + ["report.json"]) == (
-        "e60605e2a0d8f924e23cd10fa94b0e472fb822e7d0ba77095216bc38035daaa8")
+        "4462adbecaa72f3aeb8a781ee9773eb26f26cdcff093df32dc1c48d0dffb993d")
     assert (ev1 / "eval_001.csv").read_bytes() == (ev / "eval_001.csv").read_bytes()
 
     again = tmp_path / "again.csv"
@@ -779,8 +783,8 @@ def test_cli_train_then_eval_then_dump(tmp_path, capsys):
     traj = read_trajectory(tmp_path / "eval_001.csv")
     assert set(traj.traces) == {"hip", "knee"}
     header = (tmp_path / "eval_001.csv").read_text().split("\n", 1)[0].split(",")
-    assert header == [*FIXED_COLUMNS, "hip_G_1", "hip_pi_1", "knee_G_1", "knee_pi_1",
-                      "knee_G_2", "knee_pi_2", "knee_G_3", "knee_pi_3"]
+    assert header == [*FIXED_COLUMNS, "hip_G_1", "hip_pi_1", "knee_G_1", "knee_G_2",
+                      "knee_G_3", "knee_pi_1", "knee_pi_2", "knee_pi_3"]
     assert header[12:] == trace_columns("hip", 1) + trace_columns("knee", 3)
 
     assert cli_io.cli(["dump-weights", "--out", str(tmp_path)]) == 0
@@ -788,6 +792,31 @@ def test_cli_train_then_eval_then_dump(tmp_path, capsys):
     assert weights["knee"]["m"] == 3
     assert len(weights["knee"]["layers"]) == 3
     capsys.readouterr()
+
+
+def test_cli_train_rolls_only_the_demos_its_episodes_use(tmp_path, monkeypatch, capsys):
+    """Episode e trains on demo e % demo_count, so a 3-episode run rolls 3
+    demonstrations of the default 40, and writes the bytes a run with
+    demo_count 3 writes."""
+    rolled = []
+
+    def counted(*args, **kwargs):
+        rolled.append(args[0])
+        return run_demo_episode(*args, **kwargs)
+
+    monkeypatch.setattr(cli_io, "run_demo_episode", counted)
+    outs = []
+    for data in ({"episodes": 3}, {"episodes": 3, "demo_count": 3}):
+        out = tmp_path / str(len(outs))
+        out.mkdir()
+        (out / "cfg.json").write_text(json.dumps(data))
+        rolled.clear()
+        assert cli_io.cli(["train", "--config", str(out / "cfg.json"), "--out", str(out)]) == 0
+        assert len(rolled) == 3
+        outs.append(out)
+    capsys.readouterr()
+    for name in ("hip.json", "knee.json", "train_log.json"):
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
 
 
 def test_cli_train_layers_override(tmp_path):

@@ -431,6 +431,9 @@ def test_params_reject_nonpositive():
         LegParams(knee_stop_stiffness=-1.0)
     with pytest.raises(ValueError):
         LegParams(tau_max=0.0)
+    for name in ("knee_stop_stiffness", "knee_stop_damping"):
+        with pytest.raises(ValueError, match=f"LegParams.{name} must be non-negative"):
+            LegParams(**{name: math.nan})
 
 
 @pytest.mark.parametrize("record, field", [

@@ -405,6 +405,24 @@ def test_evaluate_rejects_empty_task_list():
         evaluate(hip, knee, [])
 
 
+@pytest.mark.parametrize("timeout", [math.nan, math.inf])
+@pytest.mark.parametrize("rollout", ["evaluate", "run_demo_episode"])
+def test_rollouts_refuse_a_timeout_that_is_not_finite(rollout, timeout, monkeypatch):
+    """No swing reaches a NaN or infinite timeout, so one that never landed
+    would append rows without end: the rollout refuses it, naming
+    `timeout`, before any swing takes its first tick."""
+    def no_tick(*args):
+        raise AssertionError("a swing rolled")
+
+    monkeypatch.setattr(experiment, "kinematics", no_tick)
+    tasks = sample_tasks(SampleRanges(), 2, seed=5)
+    with pytest.raises(ValueError, match=f"timeout must be finite, got {timeout}"):
+        if rollout == "evaluate":
+            evaluate(*fresh_pair(), tasks, timeout=timeout)
+        else:
+            run_demo_episode(*tasks[0], timeout=timeout)
+
+
 def solo_evaluations(hip, knee, tasks, timeout):
     """Each task evaluated on its own: (report, trajectory) per task and
     the total exponent-clamp count."""
