@@ -133,12 +133,16 @@ def _bool(value, key: str) -> bool:
 
 
 def _float(value, key: str) -> float:
-    """A finite JSON number (not a bool or string) as a float."""
+    """A finite JSON number (not a bool, a string or a huge integer) as a float."""
     if not _is_number(value):
         raise ValueError(f"{key} must be a number, got {value!r}")
-    if not math.isfinite(value):
+    try:
+        v = float(value)
+    except OverflowError:
+        raise ValueError(f"{key} is an integer too large for a float") from None
+    if not math.isfinite(v):
         raise ValueError(f"{key} has non-finite value {value!r}")
-    return float(value)
+    return v
 
 
 @functools.cache
@@ -276,7 +280,7 @@ def model_from_dict(data: dict) -> GrpModel:
     episode_count = _int(data["episode_count"], "episode_count")
     if episode_count < 0:
         raise ValueError(f"episode_count must be >= 0, got {episode_count}")
-    return GrpModel(W=W, R=R, gamma=float(gamma), config=config,
+    return GrpModel(W=W, R=R, gamma=_float(gamma, "gamma"), config=config,
                     episode_count=episode_count)
 
 
@@ -536,8 +540,12 @@ def _cmd_gradcheck(args) -> int:
 
 def _cmd_dump_weights(args) -> int:
     out = Path(args.out)
-    hip, knee = _load_model_pair(out)
-    summary = {"hip": weight_summary(hip), "knee": weight_summary(knee)}
+    summary = {}
+    for name, model in zip(("hip", "knee"), _load_model_pair(out)):
+        try:
+            summary[name] = weight_summary(model)
+        except ValueError as exc:
+            raise ValueError(f"{name}: {exc}") from None
     _dump_json(out / "weights.json", summary)
     for name, entry in summary.items():
         norms = ", ".join(f"{ly['W_norm']:.3f}/{ly['R_norm']:.3f}"

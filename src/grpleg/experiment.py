@@ -380,17 +380,26 @@ def evaluate(
     return EvalReport.from_swings(trajs), trajs
 
 
+def _norm(M: np.ndarray, key: str) -> float:
+    """M's Frobenius norm, with no square to overflow (math.hypot); one
+    beyond the largest double raises ValueError naming `key`."""
+    norm = math.hypot(*M.ravel().tolist())
+    if norm == math.inf:
+        raise ValueError(f"{key} norm exceeds the largest double")
+    return norm
+
+
 def weight_summary(model: GrpModel) -> dict:
     """Per-layer weight dump with Frobenius norms, JSON-ready. Layers whose
     Generator norm sits near zero never produce torque: passive pairs."""
     layers = [
         {
-            "W_norm": float(np.linalg.norm(W)),
-            "R_norm": float(np.linalg.norm(R)),
+            "W_norm": _norm(W, f"layers[{k}].W"),
+            "R_norm": _norm(R, f"layers[{k}].R"),
             "W": W.tolist(),
             "R": R.tolist(),
         }
-        for W, R in zip(model.W, model.R)
+        for k, (W, R) in enumerate(zip(model.W, model.R))
     ]
     return {
         "m": model.m,

@@ -23,8 +23,9 @@ gives the array form's bits. The stack also owns every array a step
 writes (network output, pi, e_G, r_RP, e_RP, gradient and update work),
 the network half's work arrays with their persistent diagonal views (one
 mulnet.NetBuffers, built once), and one StepRecord of views into them per
-model; each step returns those same records, overwritten. A single model
-is a one-model stack.
+model; each step returns those same records, overwritten. `forward`
+likewise returns views of a block NetBuffers of the stack's. A single
+model is a one-model stack.
 
 Learning is supervised by a reference torque r_G at every control step. The
 reference responsibility r_RP is a softmax of -gamma |e_G| over layers
@@ -231,6 +232,7 @@ class LearnStack:
         self._gain, self._decay = self._coef.reshape(2, 2 * total, 1, 1)
         self._coef[3 * total:] = [rp_rate * lam for _, lam, rp_rate, _ in self._row_consts]
         self._decay_term = np.empty_like(self.S)
+        self._block = None  # forward's: NetBuffers, RP outputs, per-model views
 
 
 def forward(stack: LearnStack, x) -> list[tuple]:
@@ -243,21 +245,27 @@ def forward(stack: LearnStack, x) -> list[tuple]:
     active swing in one call, one row per swing. Each model's torques are
     one np.vecdot over its columns, which gives each row the bits of the
     1-D G @ pi. forward raises nothing on non-finite values; the rollout's
-    torque and plant checks do, in tick order. The arrays are new, not the
-    stack's step buffers.
+    torque and plant checks do, in tick order. The arrays are views of the
+    stack's block NetBuffers, rebuilt only when N changes, the same list
+    every call with N rows, and the next call overwrites them.
     """
     x = np.asarray(x, dtype=float)
     if x.ndim != 2 or x.shape[1] != NET_DIM:
         raise ValueError(
             f"forward takes an (N, {NET_DIM}) block of inputs, got shape {x.shape}"
         )
-    total = stack.w_gain.size
-    # the unit axis pairs every input row with every stack row
-    out = net_forward(stack.S, x[..., None, :])
-    G = out[..., :total]
-    pis = sigmoid_head(out[..., total:], stack.w_gain)
-    return [(G[..., sl], pis[..., sl], np.vecdot(G[..., sl], pis[..., sl]))
-            for sl in stack.slices]
+    if stack._block is None or len(stack._block[0].x) != len(x):
+        total = stack.w_gain.size
+        net = NetBuffers(stack.S, len(x), total)
+        G, taus = net.out[:, :total], np.empty((len(stack.slices), len(x)))
+        stack._block = net, net.out[:, total:], [
+            (G[:, sl], net.pi[:, sl], tau) for sl, tau in zip(stack.slices, taus)]
+    net, rp_out, views = stack._block
+    net_forward(stack.S, x, net)
+    sigmoid_head(rp_out, stack.w_gain, net)
+    for G, pi, tau in views:
+        np.vecdot(G, pi, out=tau)
+    return views
 
 
 def total_output_identity(model: GrpModel, x, r_G: float) -> float:

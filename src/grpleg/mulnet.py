@@ -25,11 +25,12 @@ of the unclamped sum-product, evaluated with the same clamped row products
 as the forward pass.
 
 Weights broadcast over leading axes, so a stack of weight matrices shaped
-(m, 8, 8) evaluates m networks in one call. `net_forward` also takes a
-block of input rows; `forward_and_gradient` takes exactly one input row,
-and a learn stack hands it a `NetBuffers` bundle built once for its
-weights, so each tick writes every intermediate in place through views
-made once. Both share one clamped row-product path. On arrays this small
+(m, 8, 8) evaluates m networks in one call. `net_forward` takes one input
+row or an (N, 8) block; `forward_and_gradient` takes exactly one row.
+Both, and `sigmoid_head`, write every intermediate in place into a
+`NetBuffers` bundle for one row or a block, built once for the weights
+with views made once (a call without one builds one), and share one
+clamped row-product path. On arrays this small
 the per-call overhead outweighs the arithmetic, so sums call
 `np.add.reduce` directly rather than through the ndarray method's Python
 layer (the same reduction, so the same bits).
@@ -105,57 +106,87 @@ def split_row(e: float, phi_h: float, phi_h_dot: float, phi_k: float,
     ]
 
 
-def _row_products(W, xr, args=None, args_diag=None, clip=None, hit=None, prod=None):
-    """prod_{j != i} exp(W_ij * x_j) per row, with per-argument clamping.
-    xr broadcasts against W's rows; each intermediate lands in its buffer
-    when given (args_diag: args' flat diagonal) and in a new array if not."""
+def _row_products(b, xr):
+    """prod_{j != i} exp(W_ij * x_j) per row, with per-argument clamping,
+    written into the NetBuffers `b`; xr broadcasts against W's rows."""
     global _clamp_events
-    args = np.multiply(W, xr, out=args, order="C")
+    args = np.multiply(b.W, xr, out=b.args)
     # the diagonal argument W_ii * x_i is the linear gain, never
     # exponentiated: zero it so the row sums run over off-diagonal entries
-    # (C order makes the flat reshape a view, so the write lands in args)
-    if args_diag is None:
-        args_diag = args.reshape(-1, NET_DIM * NET_DIM)[:, :: NET_DIM + 1]
-    args_diag.fill(0.0)
-    clip = np.maximum(args, -EXP_CLAMP, out=clip)
+    b.args_diag.fill(0.0)
+    clip = np.maximum(args, -EXP_CLAMP, out=b.clip)
     np.minimum(clip, EXP_CLAMP, out=clip)
-    hits = int(np.count_nonzero(np.not_equal(clip, args, out=hit)))
+    hits = int(np.count_nonzero(np.not_equal(clip, args, out=b.hit)))
     if hits:
         _clamp_events += hits
-    prod = np.add.reduce(clip, -1, out=prod)
+    prod = np.add.reduce(clip, -1, out=b.prod)
     return np.exp(prod, out=prod)
 
 
-def net_forward(W, x):
-    """Evaluate G(W, x). Scalar for an (8, 8) matrix, an array of leading
-    shape for stacked weights."""
-    W = np.asarray(W, dtype=float)
-    x = np.asarray(x, dtype=float)
-    return np.add.reduce(W.diagonal(0, -2, -1) * x * _row_products(W, x[..., None, :]), -1)
-
-
 class NetBuffers:
-    """forward_and_gradient's work arrays for one weight stack W, built
-    once: argument, clip, compare, row-product and term buffers, G (`out`)
-    and dG/dW (`grad`), and persistent views: the flat diagonals of args
-    and grad, W's diagonal and the terms as a column."""
+    """The work arrays of one weight stack W for one input row (`rows`
+    None) or a block of `rows` rows, built once: the input block (`x_rows`),
+    argument, clip, compare, row-product and term buffers, G (`out`), dG/dW
+    (`grad`), a contiguous sigmoid head `pi` (and its work `pi_den`) over
+    the outputs of W's last `heads` matrices, and persistent views: W's
+    diagonal, the flat diagonals of args and grad, the input shaped to
+    pair each row with every matrix, and the terms as a column."""
 
-    def __init__(self, W):
+    def __init__(self, W, rows: int | None = None, heads: int = 0):
         self.W = W
-        lead = W.shape[:-2]
+        block = () if rows is None else (rows,)
+        lead = block + W.shape[:-2]
         self.W_diag = W.diagonal(0, -2, -1)
-        self.args = np.empty(W.shape)
+        # the input block, each row repeated once per matrix row so that
+        # W * x_rows runs over whole contiguous matrices, with a unit axis per
+        # stacked axis of W; x and x_diag view the first repeat
+        self.x_rows = np.empty(block + (1,) * (W.ndim - 2) + (NET_DIM, NET_DIM))
+        self.x_grid = self.x_rows.reshape(block + (NET_DIM, NET_DIM))
+        self.x, self.x_diag = self.x_grid[..., 0, :], self.x_rows[..., 0, :]
+        self.args = np.empty(lead + (NET_DIM, NET_DIM))
+        # C order makes the flat reshape a view, so writes land in args
         self.args_diag = self.args.reshape(-1, NET_DIM * NET_DIM)[:, :: NET_DIM + 1]
-        self.clip = np.empty(W.shape)
-        self.hit = np.empty(W.shape, dtype=bool)
+        self.clip = np.empty(self.args.shape)
+        self.hit = np.empty(self.args.shape, dtype=bool)
         self.prod = np.empty(lead + (NET_DIM,))
         self.terms = np.empty(lead + (NET_DIM,))
         self.terms_col = self.terms[..., None]
         self.out = np.empty(lead)
+        self.pi, self.pi_den = np.empty((2,) + lead[:-1] + (heads,))
         self.grad = np.empty(W.shape)
         # split back into W's leading axes, still a view of grad
         flat = self.grad.reshape(-1, NET_DIM * NET_DIM)[:, :: NET_DIM + 1]
-        self.grad_diag = flat.reshape(lead + (NET_DIM,))
+        self.grad_diag = flat.reshape(W.shape[:-2] + (NET_DIM,))
+
+
+def _bundle_for(W, buffers, rows):
+    """`buffers`, refused unless built for W, or if None a new bundle."""
+    if buffers is None:
+        return NetBuffers(np.asarray(W, dtype=float), rows)
+    if buffers.W is not W:
+        raise ValueError("these NetBuffers were built for another weight stack")
+    return buffers
+
+
+def net_forward(W, x, buffers=None):
+    """G(W, x) at one input row x, shape (8,), or at an (N, 8) block, whose
+    row n pairs input n with every matrix of W: W's leading shape, preceded
+    for a block by N (a scalar for one matrix at one row). An x unlike the
+    bundle's input block raises ValueError naming its shape. Each term is
+    (W_ii x_i) p_i, p_i row i's product. With the NetBuffers built for W
+    and x's rows, G is a view of its `out`, overwritten by the next call;
+    without one the call builds one, so the array returned is new.
+    """
+    x = np.asarray(x, dtype=float)
+    b = _bundle_for(W, buffers, len(x) if x.ndim == 2 else None)
+    if x.shape != b.x.shape:
+        raise ValueError(f"net_forward takes an input of shape {b.x.shape}, "
+                         f"got shape {x.shape}")
+    np.copyto(b.x_grid, x[..., None, :])
+    p = _row_products(b, b.x_rows)
+    terms = np.multiply(b.W_diag, b.x_diag, out=b.terms)
+    terms *= p
+    return np.add.reduce(terms, -1, out=b.out)[()]
 
 
 def forward_and_gradient(W, x, buffers=None):
@@ -168,8 +199,8 @@ def forward_and_gradient(W, x, buffers=None):
     net_forward's sum rounded another way: this forms W_ii (x_i p_i) where
     net_forward forms (W_ii x_i) p_i, p_i row i's product, so the two agree
     to rounding of the terms, not bit for bit. The training loop calls this
-    once per step on a whole weight stack with the NetBuffers its stack
-    built for W, so every intermediate is written in place and G and
+    once per step on a whole weight stack with the one-row NetBuffers its
+    stack built for W, so every intermediate is written in place and G and
     dG/dW are the bundle's `out` and `grad`, overwritten by the next call.
     Without a bundle the call builds one, so the arrays returned are new.
     """
@@ -179,12 +210,8 @@ def forward_and_gradient(W, x, buffers=None):
             f"forward_and_gradient takes one input row, shape ({NET_DIM},), "
             f"got shape {x.shape}"
         )
-    if buffers is None:
-        buffers = NetBuffers(np.asarray(W, dtype=float))
-    elif buffers.W is not W:
-        raise ValueError("these NetBuffers were built for another weight stack")
-    b = buffers
-    p = _row_products(b.W, x, b.args, b.args_diag, b.clip, b.hit, b.prod)
+    b = _bundle_for(W, buffers, None)
+    p = _row_products(b, x)
     d_diag = np.multiply(x, p, out=p)
     terms = np.multiply(b.W_diag, d_diag, out=b.terms)
     grad = np.multiply(b.terms_col, x, out=b.grad)
@@ -193,17 +220,21 @@ def forward_and_gradient(W, x, buffers=None):
     return np.add.reduce(terms, -1, out=b.out), grad
 
 
-def sigmoid_head(b, w_gain: float = 1.0):
+def sigmoid_head(b, w_gain: float = 1.0, buffers=None):
     """Responsibility head pi = 1 / (1 + exp(-w_gain * b)).
 
     Evaluated overflow-free with e = exp(-|z|): the numerator exp(min(z, 0))
     is 1 for z >= 0 and e below, so one division gives 1 / (1 + e) or
     e / (1 + e). The result is pinned to the open interval (0, 1) so a
     saturated head never reports exactly 0 or 1. w_gain is a scalar or
-    broadcasts against b (one gain per row).
+    broadcasts against b (one gain per row). With a NetBuffers bundle the
+    result is a view of its `pi`; without one the arrays are new.
     """
-    z = np.asarray(np.multiply(b, w_gain, dtype=float))  # 0-d stays an array
-    e = np.exp(-np.abs(z))
+    out = None if buffers is None else buffers.pi
+    z = np.asarray(np.multiply(b, w_gain, out=out, dtype=float))  # 0-d stays an array
+    e = np.empty_like(z) if buffers is None else buffers.pi_den
+    np.negative(np.abs(z, out=e), out=e)
+    np.exp(e, out=e)
     e += 1.0
     np.minimum(z, 0.0, out=z)
     np.exp(z, out=z)

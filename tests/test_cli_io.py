@@ -183,12 +183,15 @@ def test_run_config_validation(kwargs):
         (run_config_from_dict, {"dt": None}, "dt must be a number, got None"),
         (grp_config_from_dict, {"mu": 1e-3}, "missing config key 'm'"),
         (run_config_from_dict, {"timeout": 1e300}, "timeout 1e\\+300 is more than"),
+        (run_config_from_dict, {"dt": 10 ** 400}, "^dt is an integer too large for a float$"),
+        (run_config_from_dict, {"params": {"l_t": -(10 ** 400)}},
+         "^params.l_t is an integer too large for a float$"),
     ],
     ids=["m-float", "episodes-float", "g-bool", "demo_seed-str", "knee.seed-str",
          "dt-str", "hip.m-bool", "knee.lambda-str", "alpha_tgt-str",
          "params-int", "timeout-nan", "timeout-inf", "k_i-nan", "l_t-inf", "phi_h0-nan",
          "alpha_tgt-inf", "ranges-list", "hip-str", "dt-null", "m-missing",
-         "timeout-huge"],
+         "timeout-huge", "dt-huge-int", "l_t-huge-int"],
 )
 def test_config_rejects_coercible_values(parse, data, key):
     with pytest.raises(ValueError, match=key):
@@ -322,6 +325,7 @@ def test_model_loaded_forward_matches(tmp_path):
          "gamma must be positive and finite, got nan"),
         (lambda d: d.update(gamma=math.inf),
          "gamma must be positive and finite, got inf"),
+        (lambda d: d.update(gamma=10 ** 400), "^gamma is an integer too large for a float$"),
         (lambda d: d.update(episode_count=1599.7),
          "episode_count must be an integer, got 1599.7"),
         (lambda d: d.update(episode_count=True),
@@ -844,6 +848,61 @@ def test_cli_model_readers_leave_a_missing_directory_missing(tmp_path, capsys, c
     assert capsys.readouterr().err == (
         f"error: no model file at {out / 'hip.json'} (run train first)\n")
     assert not out.exists()
+
+
+def write_model_pair(out, knee_weight=None):
+    """Save a fresh hip (m=1) and knee (m=3) to `out`, and return the knee;
+    knee_weight, if given, is the knee's layer-1 Generator weight W[0, 0]."""
+    hip, knee = grp.init(GrpConfig(m=1)), grp.init(GrpConfig(m=3))
+    if knee_weight is not None:
+        knee.W[1][0, 0] = knee_weight
+    save_model(out / "hip.json", hip)
+    save_model(out / "knee.json", knee)
+    return knee
+
+
+def test_cli_dump_weights_norms_a_huge_weight_without_overflow(tmp_path, capsys):
+    """A weight of 1e200 squares past the largest double; the layer's norm
+    is still reported, finite, with no numpy warning."""
+    knee = write_model_pair(tmp_path, 1e200)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli_io.cli(["dump-weights", "--out", str(tmp_path)]) == 0
+    assert capsys.readouterr().err == ""
+    weights = json.loads((tmp_path / "weights.json").read_text())
+    norm = weights["knee"]["layers"][1]["W_norm"]
+    assert math.isfinite(norm) and norm == pytest.approx(1e200, rel=1e-15)
+    assert weights["knee"]["layers"][1]["R_norm"] == pytest.approx(np.linalg.norm(knee.R[1]))
+
+
+def test_cli_dump_weights_names_a_norm_beyond_the_largest_double(tmp_path, capsys):
+    """Every knee layer-1 Generator weight at 1e308 gives a norm of 8e308,
+    which no double holds: the error names the model and the layer."""
+    knee = grp.init(GrpConfig(m=3))
+    knee.W[1][:] = 1e308
+    save_model(tmp_path / "hip.json", grp.init(GrpConfig(m=1)))
+    save_model(tmp_path / "knee.json", knee)
+    assert cli_io.cli(["dump-weights", "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err == (
+        "error: knee: layers[1].W norm exceeds the largest double\n")
+
+
+@pytest.mark.parametrize("command, file, text, key", [
+    ("demo", "cfg.json", '{"dt": 1%s}' % ("0" * 400), "dt"),
+    ("demo", "cfg.json", '{"params": {"l_t": 1%s}}' % ("0" * 400), "params.l_t"),
+    ("dump-weights", "knee.json", None, "gamma"),
+], ids=["dt", "params.l_t", "model-gamma"])
+def test_cli_refuses_an_integer_too_large_for_a_float(tmp_path, capsys, command, file, text, key):
+    """A JSON integer beyond a double's range, in a config or a model
+    file, ends in one error line naming the file and the key."""
+    path = tmp_path / file
+    if text is None:
+        write_model_pair(tmp_path)
+        text = path.read_text().replace('"gamma": 1.0', '"gamma": 1%s' % ("0" * 400))
+    path.write_text(text)
+    args = ["--config", str(path)] if command == "demo" else []
+    assert cli_io.cli([command, *args, "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err == f"error: {path}: {key} is an integer too large for a float\n"
 
 
 def test_cli_bad_config_names_key(tmp_path, capsys):

@@ -388,8 +388,8 @@ def test_model_driven_rollout_matches_one_model_forwards(fixture_pair):
     cap = LegParams().tau_max
     for name, mdl, applied in (("hip", hip, traj.tau_h), ("knee", knee, traj.tau_k)):
         one = grp.LearnStack([mdl])
-        # each row alone, as a (1, 8) block
-        rows = [[a[0] for a in grp.forward(one, x[None])[0]] for x in X]
+        # each row alone, as a (1, 8) block, copied before the next call overwrites it
+        rows = [[np.copy(a[0]) for a in grp.forward(one, x[None])[0]] for x in X]
         trace = traj.traces[name]
         assert same_bits(trace.G, np.array([G for G, _, _ in rows]))
         assert same_bits(trace.pi, np.array([pi for _, pi, _ in rows]))

@@ -3,11 +3,14 @@
 import dataclasses
 import math
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from grpleg import NonFiniteError, grp, mulnet
+from grpleg.cli_io import load_model
+from grpleg.experiment import SampleRanges, evaluate, sample_tasks, sensor_matrix
 from grpleg.grp import (
     GrpConfig,
     LearnStack,
@@ -34,8 +37,10 @@ def sample_x(seed=0):
 
 
 def forward_one(stack, x):
-    """forward at one input as a (1, 8) block: (G, pi, tau) per model, row 0."""
-    return [(G[0], pi[0], tau[0]) for G, pi, tau in forward(stack, np.asarray(x)[None])]
+    """forward at one input as a (1, 8) block: (G, pi, tau) per model, row 0,
+    copied out of the stack's forward buffers, which the next call overwrites."""
+    return [(G[0].copy(), pi[0].copy(), tau[0])
+            for G, pi, tau in forward(stack, np.asarray(x)[None])]
 
 
 # ------------------------------------------------------------------- config
@@ -239,7 +244,7 @@ def test_forward_block_matches_per_row_forward(m):
     for n in (1, 2, 7, 20):
         X = np.stack([sample_x(seed) for seed in range(n)])
         mulnet.reset_exp_clamp_count()
-        block = forward(stack, X)
+        block = [tuple(a.copy() for a in out) for out in forward(stack, X)]
         clamps = mulnet.exp_clamp_count()
         mulnet.reset_exp_clamp_count()
         rows = [forward_one(stack, x) for x in X]
@@ -303,6 +308,165 @@ def test_total_output_identity_fuzz():
         r_G = rng.uniform(-60.0, 60.0)
         out = total_output_identity(model, sample_x(trial), r_G)
         assert abs(out - r_G) < 1e-12
+
+
+# ---------------------------------------------- allocating forward oracle
+#
+# forward as it was before it wrote into the stack's block NetBuffers: the
+# network call, the sigmoid head and each model's torques new arrays on
+# every call, the inputs viewed as x[..., None, :]. Copied verbatim but for
+# the clamp counter, which is the oracle's own, so the two paths' clamp
+# counts can be compared.
+
+_oracle_clamp_events = 0
+
+
+def _oracle_row_products(W, xr):
+    """prod_{j != i} exp(W_ij * x_j) per row, with per-argument clamping."""
+    global _oracle_clamp_events
+    args = np.multiply(W, xr, order="C")
+    # the diagonal argument W_ii * x_i is the linear gain, never
+    # exponentiated: zero it so the row sums run over off-diagonal entries
+    # (C order makes the flat reshape a view, so the write lands in args)
+    args.reshape(-1, NET_DIM * NET_DIM)[:, :: NET_DIM + 1].fill(0.0)
+    clip = np.maximum(args, -mulnet.EXP_CLAMP)
+    np.minimum(clip, mulnet.EXP_CLAMP, out=clip)
+    hits = int(np.count_nonzero(np.not_equal(clip, args)))
+    if hits:
+        _oracle_clamp_events += hits
+    prod = np.add.reduce(clip, -1)
+    return np.exp(prod, out=prod)
+
+
+def oracle_net_forward(W, x):
+    W = np.asarray(W, dtype=float)
+    x = np.asarray(x, dtype=float)
+    return np.add.reduce(W.diagonal(0, -2, -1) * x * _oracle_row_products(W, x[..., None, :]), -1)
+
+
+def oracle_sigmoid_head(b, w_gain=1.0):
+    z = np.asarray(np.multiply(b, w_gain, dtype=float))  # 0-d stays an array
+    e = np.exp(-np.abs(z))
+    e += 1.0
+    np.minimum(z, 0.0, out=z)
+    np.exp(z, out=z)
+    z /= e
+    np.maximum(z, mulnet.P_FLOOR, out=z)
+    return np.minimum(z, mulnet.P_CEIL, out=z)[()]
+
+
+def oracle_forward(stack, x):
+    x = np.asarray(x, dtype=float)
+    total = stack.w_gain.size
+    # the unit axis pairs every input row with every stack row
+    out = oracle_net_forward(stack.S, x[..., None, :])
+    G = out[..., :total]
+    pis = oracle_sigmoid_head(out[..., total:], stack.w_gain)
+    return [(G[..., sl], pis[..., sl], np.vecdot(G[..., sl], pis[..., sl]))
+            for sl in stack.slices]
+
+
+def oracle_total_output_identity(model, x, r_G):
+    (G, pi, _), = oracle_forward(LearnStack([dataclasses.replace(model)]),
+                                 np.asarray(x, dtype=float)[None])
+    G, pi = G[0], pi[0]
+    e_G = r_G - G
+    r_RP = responsibility_reference(e_G, model.gamma)
+    e_RP = r_RP - pi
+    return float((G + e_G) @ (pi + e_RP))
+
+
+def assert_forward_matches_oracle(stack, X):
+    """forward and the oracle on the same stack and block: G, pi and tau
+    per model and the clamp count, bit for bit. Returns the clamp count."""
+    global _oracle_clamp_events
+    mulnet.reset_exp_clamp_count()
+    got = forward(stack, X)
+    clamps = mulnet.exp_clamp_count()
+    _oracle_clamp_events = 0
+    want = oracle_forward(stack, X)
+    assert clamps == _oracle_clamp_events
+    assert len(got) == len(want) == len(stack.models)
+    for mdl, (G, pi, tau), (G1, pi1, tau1) in zip(stack.models, got, want):
+        assert G.shape == pi.shape == (len(X), mdl.m) and tau.shape == (len(X),)
+        assert same_bits(G, G1) and same_bits(pi, pi1) and same_bits(tau, tau1)
+    return clamps
+
+
+FIXTURE_DIR = Path(__file__).resolve().parent.parent / "perfbench" / "fixture"
+
+
+@pytest.fixture(scope="module")
+def fixture_eval_rows():
+    """The committed default-trained hip and knee, and the network inputs
+    of two of their evaluation swings, on which knee RP 3 clamps."""
+    hip, knee = (load_model(FIXTURE_DIR / f"{name}.json") for name in ("hip", "knee"))
+    _, trajs = evaluate(hip, knee, sample_tasks(SampleRanges(), 2, seed=2))
+    return (hip, knee), np.concatenate([sensor_matrix(tr) for tr in trajs])
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 20])
+def test_forward_matches_allocating_oracle_bits(n, fixture_eval_rows):
+    """On blocks of n consecutive rows of the fixture pair's evaluation
+    inputs, forward through its reused block bundle gives the oracle's G,
+    pi, tau and clamp count, bit for bit; the knee alone, as a one-model
+    stack, does too."""
+    (hip, knee), X = fixture_eval_rows
+    clamps = 0
+    for stack in (LearnStack([dataclasses.replace(hip), dataclasses.replace(knee)]),
+                  LearnStack([dataclasses.replace(knee)])):
+        for lo in range(0, len(X) - n, 37):
+            clamps += assert_forward_matches_oracle(stack, X[lo:lo + n])
+    assert clamps > 0
+
+
+def test_forward_block_that_shrinks_and_grows_matches_oracle(fixture_eval_rows):
+    """A lockstep rollout's block shrinks as swings land. Whatever the
+    sequence of block sizes, each call gives the oracle's bits, the first
+    one after a block of NaN and infinite inputs included; a call with the
+    previous call's N returns the same list of views, and one with another
+    N a new one."""
+    (hip, knee), X = fixture_eval_rows
+    stack = LearnStack([dataclasses.replace(hip), dataclasses.replace(knee)])
+    poison = [math.nan, math.inf, 3.0, -math.inf, 1e300, 2.0, 0.0, 1.0]
+    with np.errstate(all="ignore"):
+        previous = forward(stack, np.tile(poison, (20, 1)))
+    clamps = 0
+    for i, n in enumerate((20, 20, 19, 7, 7, 3, 1, 1, 5, 20)):
+        block = X[13 * i:13 * i + n]
+        clamps += assert_forward_matches_oracle(stack, block)
+        views = forward(stack, block)
+        assert (views is previous) == (len(previous[0][2]) == n)
+        previous = views
+    assert clamps > 0
+
+
+def test_forward_reads_weights_the_learn_step_changed(fixture_eval_rows):
+    """The block bundle, built before a run of learn steps on the live
+    stack, reads the weights those steps wrote in place: each forward
+    after a step gives the oracle's bits on the stack as it then is."""
+    (hip, knee), X = fixture_eval_rows
+    stack = LearnStack([dataclasses.replace(hip, W=hip.W.copy(), R=hip.R.copy()),
+                        dataclasses.replace(knee, W=knee.W.copy(), R=knee.R.copy())])
+    block = X[:4]
+    first = [tuple(a.copy() for a in out) for out in forward(stack, block)]
+    rng = np.random.default_rng(31)
+    for t in range(20):
+        learn_step_joint(stack, X[5 + t], rng.uniform(-30.0, 30.0, 2)[stack.row_model])
+        assert_forward_matches_oracle(stack, block)
+    assert not same_bits(forward(stack, block)[1][0], first[1][0])
+
+
+def test_total_output_identity_matches_allocating_oracle_bits(fixture_eval_rows):
+    """total_output_identity's one-model stack gives the bits of the
+    oracle's, on fixture and fresh models."""
+    (hip, knee), X = fixture_eval_rows
+    models = [hip, knee, init(GrpConfig(m=5, seed=32))]
+    for i, x in enumerate(X[::97]):
+        for mdl in models:
+            r_G = 7.0 * math.sin(i)
+            assert same_bits(total_output_identity(mdl, x, r_G),
+                             oracle_total_output_identity(mdl, x, r_G))
 
 
 # --------------------------------------------------------- learn_step_joint

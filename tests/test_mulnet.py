@@ -557,3 +557,48 @@ def test_forward_and_gradient_refuses_another_stacks_buffers():
     W, x = draw_instance(53)
     with pytest.raises(ValueError, match="another weight stack"):
         forward_and_gradient(W.copy(), x, mulnet.NetBuffers(W))
+
+
+@pytest.mark.parametrize("rows", [None, 1, 3])
+def test_net_forward_bundle_writes_in_place_with_a_fresh_call_bits(rows, demo_rows):
+    """Through a bundle reused for every input (one row, or a block of
+    `rows`), net_forward and sigmoid_head write into it and give the bits
+    and clamp count of calls that build their own arrays, on clamping
+    weights; a block's row n pairs input n with every matrix."""
+    W = weight_stacks(4, seed=7)["clamped"]
+    buffers = mulnet.NetBuffers(W, rows, heads=2)
+    n = 1 if rows is None else rows
+    clamps = 0
+    for lo in range(0, 600, 11):
+        x = demo_rows[lo] if rows is None else demo_rows[lo:lo + n]
+        reset_exp_clamp_count()
+        G = net_forward(W, x, buffers)
+        pi = sigmoid_head(G[..., 2:], 1.5, buffers)
+        hits = exp_clamp_count()
+        reset_exp_clamp_count()
+        G1 = net_forward(W, x)
+        assert exp_clamp_count() == hits
+        assert np.shares_memory(G, buffers.out) and np.shares_memory(pi, buffers.pi)
+        assert same_bits(G, G1) and same_bits(pi, sigmoid_head(G1[..., 2:], 1.5))
+        if rows is not None:
+            for k in range(n):
+                assert same_bits(G[k], net_forward(W, x[k]))
+        clamps += hits
+    assert clamps > 0
+
+
+@pytest.mark.parametrize("rows, shape", [(None, (2, 8)), (None, (7,)), (3, (2, 8)),
+                                         (3, (8,)), (3, (3, 7))],
+                         ids=["row-2x8", "row-7", "block-2x8", "block-8", "block-3x7"])
+def test_net_forward_refuses_an_input_of_another_shape(rows, shape):
+    """An input that does not match the bundle's input block is refused
+    with its shape named, not broadcast into it."""
+    W = np.zeros((2, NET_DIM, NET_DIM))
+    with pytest.raises(ValueError, match=re.escape(f"got shape {shape}")):
+        net_forward(W, np.ones(shape), mulnet.NetBuffers(W, rows))
+
+
+def test_net_forward_refuses_another_stacks_buffers():
+    W, x = draw_instance(54)
+    with pytest.raises(ValueError, match="another weight stack"):
+        net_forward(W.copy(), x, mulnet.NetBuffers(W))
