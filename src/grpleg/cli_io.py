@@ -481,13 +481,20 @@ def _cmd_train(args) -> int:
                          hip=replace(config.hip, seed=args.seed),
                          knee=replace(config.knee, seed=args.seed))
     out = _out_dir(args)
+    models = []
+    for name in ("hip", "knee"):
+        cfg = getattr(config, name)
+        try:
+            models.append(grp.init(cfg))
+        except (MemoryError, ValueError) as exc:  # numpy's, for a size it cannot allocate
+            raise ValueError(f"{name}: m = {cfg.m} layers do not fit in memory ({exc})") from None
+    hip, knee = models
     # only the first `episodes` demos are trained on; sample_tasks' first k do not depend on n
     tasks = sample_tasks(config.ranges, min(config.episodes, config.demo_count),
                          config.demo_seed, config.gains, config.params)
     demos = [run_demo_episode(task, init, config.gains, config.params,
                               config.dt, config.timeout)
              for task, init in tasks]
-    hip, knee = grp.init(config.hip), grp.init(config.knee)
     hip_log, knee_log = train([(hip, "tau_h"), (knee, "tau_k")], demos, config.episodes)
     save_model(out / "hip.json", hip)
     save_model(out / "knee.json", knee)

@@ -308,18 +308,19 @@ def train(
     demos: list[Trajectory],
     episodes: int,
 ) -> list[np.ndarray]:
-    """Online training of (model, joint) pairs, each model learning the
-    Trajectory torque column `joint`, "tau_h" or "tau_k". The models form
-    one LearnStack and take one learn step per recorded control tick,
-    episode e on demo e % len(demos), every sharpness annealed after each
-    episode; the step is row-local, so each model gets the bits of training
-    it alone. The plant never re-integrates: driving it with the stack's
-    feedback-completed output equals driving it with the recorded reference
-    torques, so an episode replays a demo's (sensor, torque) rows in order.
-    Returns the (episodes, m) per-episode mean |e_G| of each model's
-    layers, in input order. A learn step that diverges, or a sharpness
-    that overflows, raises NonFiniteError naming each model's place in the
-    list, from 1, and its joint; numpy warns of nothing on the way.
+    """Online training of (model, joint) pairs: one reference torque per
+    model, its demos' Trajectory torque column `joint`, "tau_h" or "tau_k".
+    The models form one LearnStack and take one learn step per recorded
+    control tick, episode e on demo e % len(demos), every sharpness
+    annealed after each episode; the step is row-local, so each model gets
+    the bits of training it alone. The plant never re-integrates: driving
+    it with the stack's feedback-completed output equals driving it with
+    the recorded reference torques, so an episode replays a demo's (sensor,
+    torque) rows in order. Returns the (episodes, m) per-episode mean |e_G|
+    of each model's layers, in input order. A demo without a task is
+    refused. A learn step that diverges, or a sharpness that overflows,
+    raises NonFiniteError naming each model's place in the list, from 1,
+    and its joint; numpy warns of nothing on the way.
     """
     if episodes < 1:
         raise ValueError(f"episodes must be >= 1, got {episodes}")
@@ -328,13 +329,16 @@ def train(
     joints = [joint for _, joint in models]
     if not joints or not set(joints) <= {"tau_h", "tau_k"}:
         raise ValueError(f"train takes (model, 'tau_h' or 'tau_k') pairs, got joints {joints}")
+    for i, d in enumerate(demos[:episodes]):
+        if d.task is None:
+            raise ValueError(f"demos[{i}] carries no task, so its sensor rows have no target angle")
     stack = grp.LearnStack([mdl for mdl, _ in models])
-    cache = [(sensor_matrix(d), [getattr(d, j) for j in joints]) for d in demos[:episodes]]
-    log = np.empty((episodes, stack.row_model.size))
+    # each demo's (T, 8) inputs and (T, models) reference torques, built once
+    cache = [(sensor_matrix(d), np.stack([getattr(d, j) for j in joints], axis=1))
+             for d in demos[:episodes]]
+    log = np.empty((episodes, stack.pi.size))
     for ep in range(episodes):
-        X, torques = cache[ep % len(cache)]
-        # one reference torque per stack row, gathered once per episode
-        refs = np.stack(torques, axis=1)[:, stack.row_model]
+        X, refs = cache[ep % len(cache)]
         e_G = np.empty((X.shape[0], log.shape[1]))
         try:
             for i in range(X.shape[0]):

@@ -27,14 +27,15 @@ model; each step returns those same records, overwritten. `forward`
 likewise returns views of a block NetBuffers of the stack's. A single
 model is a one-model stack.
 
-Learning is supervised by a reference torque r_G at every control step. The
-reference responsibility r_RP is a softmax of -gamma |e_G| over layers
-(sharper gamma -> closer to winner-take-all on the smallest Generator
-error); gamma grows geometrically by beta after every episode. Generator
-updates are gated by r_RP: a layer that takes no responsibility for a
-sample learns nothing from it, decay term included. RP updates are never
-gated (each RP must also learn where it is NOT responsible) and run at
-their own ungated rate; see GrpConfig.mu_rp for why the rates are split.
+Learning is supervised by one reference torque r_G per model at every
+control step, which every layer of that model regresses onto. The reference
+responsibility r_RP is a softmax of -gamma |e_G| over layers (sharper gamma
+-> closer to winner-take-all on the smallest Generator error); gamma grows
+geometrically by beta after every episode. Generator updates are gated by
+r_RP: a layer that takes no responsibility for a sample learns nothing from
+it, decay term included. RP updates are never gated (each RP must also
+learn where it is NOT responsible) and run at their own ungated rate; see
+GrpConfig.mu_rp for why the rates are split.
 
 The sum-to-one constraint lives on the reference responsibilities only;
 predicted pi^k are free sigmoids in (0, 1).
@@ -203,8 +204,8 @@ class LearnStack:
             mdl.W = self.S[sl]
             mdl.R = self.S[total + sl.start : total + sl.stop]
 
-        self.row_model = np.repeat(np.arange(len(models)), sizes)
-        # each row's (mu, lam, RP rate, sigmoid gain), Python floats for the per-row half
+        # each row's model and (mu, lam, RP rate, sigmoid gain), for the per-row half
+        self._row_model = [k for k, size in enumerate(sizes) for _ in range(size)]
         self._row_consts = [
             (float(cfg.mu), float(cfg.lam), float(cfg.rp_rate), float(cfg.w_gain))
             for cfg in (mdl.config for mdl in models) for _ in range(cfg.m)
@@ -284,8 +285,8 @@ def total_output_identity(model: GrpModel, x, r_G: float) -> float:
 
 def learn_step_joint(stack: LearnStack, x, r_G) -> list[StepRecord]:
     """One online update of every model in a live stack from one shared
-    input row x, shape (8,), and one reference torque per stack row, an
-    array of shape (rows,); any other shape of either raises ValueError
+    input row x, shape (8,), and one reference torque per model, shape
+    (len(stack.models),); any other shape of either raises ValueError
     naming it before the step does any work. Returns one record per model.
 
     Generator k moves down its squared-error gradient at the gated rate
@@ -304,9 +305,9 @@ def learn_step_joint(stack: LearnStack, x, r_G) -> list[StepRecord]:
     must outlive the step.
     """
     r_G = np.asarray(r_G, dtype=float)
-    if r_G.shape != stack.pi.shape:
+    if r_G.shape != (len(stack.models),):
         raise ValueError(
-            f"learn step takes one reference per stack row, shape {stack.pi.shape}, "
+            f"learn step takes one reference per model, shape {(len(stack.models),)}, "
             f"got shape {r_G.shape}"
         )
     S, dS = stack.S, stack._net.grad
@@ -321,11 +322,11 @@ def learn_step_joint(stack: LearnStack, x, r_G) -> list[StepRecord]:
         worst = [np.abs(rec.e_G).max() for rec in stack.records]
         k = worst.index(max(worst))
         # the models whose W or R rows went non-finite, by place from 1
-        rows_ok = np.isfinite(new).reshape(2, stack.row_model.size, -1).all((0, 2))
-        places = (np.unique(stack.row_model[~rows_ok]) + 1).tolist()
+        rows_ok = np.isfinite(new).reshape(2, stack.pi.size, -1).all((0, 2))
+        places = [j for j, sl in enumerate(stack.slices, 1) if not rows_ok[sl].all()]
         err = NonFiniteError(
             "non-finite weight update: "
-            f"max|S|={np.abs(S).max():g} r_G={float(r_G[stack.slices[k].start]):g} "
+            f"max|S|={np.abs(S).max():g} r_G={float(r_G[k]):g} "
             f"max|e_G|={worst[k]:g} "
             f"episodes={[mdl.episode_count for mdl in stack.models]}; "
             f"non-finite rows in stack models {places}; "
@@ -352,10 +353,10 @@ def _row_half(stack: LearnStack, r_G: list[float]) -> None:
     order there; a longer row is summed by np.add.reduce, whose pairwise
     tree a plain loop would not reproduce.
     """
-    total = len(r_G)
+    total = len(stack._row_model)
     out = stack._net.out.tolist()
     G = out[:total]
-    e_G = [r - g for r, g in zip(r_G, G)]
+    e_G = [r_G[k] - g for k, g in zip(stack._row_model, G)]
     z = [b * w_gain for b, (_, _, _, w_gain) in zip(out[total:], stack._row_consts)]
     soft_args = []
     for mdl, sl in zip(stack.models, stack.slices):

@@ -65,7 +65,7 @@ def trained_pair(steps=40):
                rng.uniform(2, 3.9), rng.uniform(-2, 2)]
         x = mulnet.split_input(raw)
         r_h, r_k = rng.uniform(-60, 60, size=2)
-        grp.learn_step_joint(grp.LearnStack([hip, knee]), x, [r_h, r_k, r_k, r_k])
+        grp.learn_step_joint(grp.LearnStack([hip, knee]), x, [r_h, r_k])
     grp.end_episode(hip)
     grp.end_episode(knee)
     return hip, knee
@@ -988,6 +988,29 @@ def test_cli_rejects_a_negative_seed_naming_the_flag(tmp_path, monkeypatch, caps
     assert capsys.readouterr().err.endswith(
         f"grpleg {command}: error: argument {flag}: must be >= {floor}, got {value}\n")
     assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("flags, config, section, m", [
+    pytest.param(["--layers", "1000000000000"], None, "knee", 10**12, id="layers-flag"),
+    pytest.param([], '{"knee": {"m": 1000000000000}}', "knee", 10**12, id="knee-m"),
+    pytest.param([], '{"hip": {"m": 1%s}}' % ("0" * 399), "hip", 10**399, id="hip-m-400-digits"),
+])
+def test_train_refuses_a_layer_count_numpy_cannot_allocate(tmp_path, capsys,
+                                                           flags, config, section, m):
+    """A layer count whose weights numpy cannot allocate (466 TiB for
+    10**12 layers; more dimensions than it allows for 400 digits), from
+    --layers or a config section's m, exits 1 with one error line naming
+    the section and m, before any demo runs or file is written."""
+    if config is not None:
+        (tmp_path / "cfg.json").write_text(config)
+        flags = ["--config", str(tmp_path / "cfg.json")]
+    out = tmp_path / "out"
+    rc = cli_io.cli(["train", "--episodes", "1", "--out", str(out), *flags])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {section}: m = {m} layers do not fit in memory (")
+    assert err.count("\n") == 1
+    assert not list(out.iterdir())
 
 
 def test_cli_bad_json_names_file(tmp_path, capsys):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from grpleg import NonFiniteError, experiment, grp, mulnet
-from grpleg.cli_io import FIXED_COLUMNS, load_model
+from grpleg.cli_io import FIXED_COLUMNS, load_model, read_trajectory, write_trajectory
 from grpleg.dynamics import JointTorques, LegParams, LegState, integrate_step
 from grpleg.experiment import (
     ACTIVE_PI,
@@ -265,6 +265,20 @@ def test_train_validation():
     assert hip.episode_count == knee.episode_count == 0
 
 
+def test_train_refuses_a_demo_without_a_task(tmp_path, demo):
+    """A demo read back from its CSV carries no task, so no target angle
+    for its sensor rows: train refuses it, naming its index, before any
+    learn step or stack."""
+    write_trajectory(tmp_path / "demo.csv", demo)
+    read_back = read_trajectory(tmp_path / "demo.csv")
+    assert read_back.task is None
+    hip, knee = fresh_pair()
+    W = hip.W
+    with pytest.raises(ValueError, match=r"^demos\[1\] carries no task"):
+        train([(hip, "tau_h"), (knee, "tau_k")], [demo, read_back], episodes=2)
+    assert hip.W is W and hip.episode_count == knee.episode_count == 0
+
+
 # --------------------------------------------------------------- evaluation
 
 
@@ -323,7 +337,7 @@ def test_reading_models_leaves_them_in_their_live_stack(read, demo):
     for mdl in (hip, knee):
         assert np.shares_memory(mdl.W, stack.S) and np.shares_memory(mdl.R, stack.S)
     before = [mdl.W.copy() for mdl in (hip, knee)]
-    grp.learn_step_joint(stack, x, np.array([1.0, -1.0, -1.0, -1.0]))
+    grp.learn_step_joint(stack, x, np.array([1.0, -1.0]))
     for mdl, W in zip((hip, knee), before):
         assert not np.array_equal(mdl.W, W)
 
@@ -353,7 +367,7 @@ def test_learn_stacks_stepped_together_keep_their_solo_bits(demo):
             assert same_bits(report.alpha_end_deg, want.alpha_end_deg)
         for live, solo in ((a, solo_a), (b, solo_b)):
             for stack in (live, solo):
-                r_G = np.sin(0.1 * t + np.arange(stack.pi.size))
+                r_G = np.sin(0.1 * t + np.arange(len(stack.models)))
                 grp.learn_step_joint(stack, x, r_G)
             for name in ("G", "pi", "e_G", "r_RP", "e_RP"):
                 assert same_bits(getattr(live, name), getattr(solo, name)), name

@@ -274,7 +274,7 @@ def test_forward_reads_the_live_stack():
     stack = LearnStack([hip, knee])
     x = sample_x(8)
     before = forward_one(stack, x)
-    learn_step_joint(stack, x, [3.0, -1.0, -1.0, -1.0])
+    learn_step_joint(stack, x, [3.0, -1.0])
     after = forward_one(stack, x)
     copies = [dataclasses.replace(mdl, W=mdl.W.copy(), R=mdl.R.copy())
               for mdl in (hip, knee)]
@@ -452,7 +452,7 @@ def test_forward_reads_weights_the_learn_step_changed(fixture_eval_rows):
     first = [tuple(a.copy() for a in out) for out in forward(stack, block)]
     rng = np.random.default_rng(31)
     for t in range(20):
-        learn_step_joint(stack, X[5 + t], rng.uniform(-30.0, 30.0, 2)[stack.row_model])
+        learn_step_joint(stack, X[5 + t], rng.uniform(-30.0, 30.0, 2))
         assert_forward_matches_oracle(stack, block)
     assert not same_bits(forward(stack, block)[1][0], first[1][0])
 
@@ -475,7 +475,7 @@ def test_total_output_identity_matches_allocating_oracle_bits(fixture_eval_rows)
 def test_learn_step_record_fields():
     model = init(GrpConfig(m=3, seed=7))
     x = sample_x(4)
-    rec = learn_step_joint(LearnStack([model]), x, [2.0] * 3)[0]
+    rec = learn_step_joint(LearnStack([model]), x, [2.0])[0]
     assert abs(rec.r_RP.sum() - 1.0) < 1e-12
     assert np.array_equal(rec.e_G, 2.0 - rec.G)
     assert np.array_equal(rec.e_RP, rec.r_RP - rec.pi)
@@ -489,7 +489,7 @@ def test_learn_step_gating_freezes_nonresponsible_generator():
     r_G = G[0] + 1e-3  # layer 0 nearly exact, layer 1 clearly off
     before = [W.copy() for W in model.W]
     before_R = [R.copy() for R in model.R]
-    rec = learn_step_joint(LearnStack([model]), x, [r_G] * 2)[0]
+    rec = learn_step_joint(LearnStack([model]), x, [r_G])[0]
     assert rec.r_RP[0] == 1.0 and rec.r_RP[1] == 0.0
     assert not np.array_equal(model.W[0], before[0])
     assert np.array_equal(model.W[1], before[1])
@@ -514,7 +514,7 @@ def test_learn_step_descends_responsible_layer_with_m3():
     r_G = -4.0
     G, _, _ = forward_one(LearnStack([model]), x)[0]
     k = int(np.abs(r_G - G).argmin())
-    learn_step_joint(LearnStack([model]), x, [r_G] * 3)
+    learn_step_joint(LearnStack([model]), x, [r_G])
     G1, _, _ = forward_one(LearnStack([model]), x)[0]
     assert abs(r_G - G1[k]) < abs(r_G - G[k])
 
@@ -552,7 +552,7 @@ def test_learn_step_update_formula():
         )
         for k in range(2)
     ]
-    learn_step_joint(LearnStack([model]), x, [r_G] * 2)
+    learn_step_joint(LearnStack([model]), x, [r_G])
     for k in range(2):
         assert np.allclose(model.W[k], want_W[k], rtol=1e-13, atol=0.0)
         assert np.allclose(model.R[k], want_R[k], rtol=1e-13, atol=0.0)
@@ -562,7 +562,7 @@ def test_learn_step_deterministic_sequence():
     def run():
         model = init(GrpConfig(m=3, seed=21))
         for t in range(50):
-            learn_step_joint(LearnStack([model]), sample_x(t), [math.sin(0.1 * t)] * 3)
+            learn_step_joint(LearnStack([model]), sample_x(t), [math.sin(0.1 * t)])
             if t % 10 == 9:
                 end_episode(model)
         return model
@@ -587,9 +587,9 @@ def test_learn_step_joint_matches_solo_steps():
     for t in range(200):
         x = sample_x(t)
         r_Gs = rng.uniform(-5.0, 5.0, 2)
-        records = learn_step_joint(LearnStack(joint), x, np.repeat(r_Gs, [1, 3]))
+        records = learn_step_joint(LearnStack(joint), x, r_Gs)
         for mdl, r_G, rec in zip(solo, r_Gs, records):
-            alone = learn_step_joint(LearnStack([mdl]), x, [r_G] * mdl.m)[0]
+            alone = learn_step_joint(LearnStack([mdl]), x, [r_G])[0]
             for field in dataclasses.fields(rec):
                 assert np.array_equal(getattr(rec, field.name),
                                       getattr(alone, field.name))
@@ -669,7 +669,7 @@ def test_learn_stack_matches_reference_step():
         x = sample_x(t)
         r_Gs = rng.uniform(-5.0, 5.0, 3)
         mulnet.reset_exp_clamp_count()
-        records = learn_step_joint(stack, x, r_Gs[stack.row_model])
+        records = learn_step_joint(stack, x, r_Gs)
         live_clamps = mulnet.exp_clamp_count()
         mulnet.reset_exp_clamp_count()
         expected = reference_learn_step(ref, x, r_Gs)
@@ -696,7 +696,7 @@ class ArrayFormStep:
 
     def __init__(self, models):
         self.stack = stack = LearnStack(models)
-        sizes = [mdl.m for mdl in models]
+        self.sizes = sizes = [mdl.m for mdl in models]
         total = sum(sizes)
 
         def per_row(values):
@@ -730,7 +730,8 @@ class ArrayFormStep:
 
     def step(self, x, r_G):
         r_G = np.asarray(r_G, dtype=float)
-        assert r_G.shape == self.pi.shape
+        assert r_G.shape == (len(self.sizes),)
+        r_G = np.repeat(r_G, self.sizes)  # each model's reference on each of its rows
         S, dS = self.stack.S, self._net.grad
         mulnet.forward_and_gradient(S, x, self._net)
         self.pi[:] = mulnet.sigmoid_head(self._b, self.w_gain)
@@ -795,7 +796,7 @@ def run_both(make_models, steps, seed, scale_refs=5.0):
     total_clamps = 0
     for t in range(steps):
         x = sample_x(1000 * seed + t)
-        r_G = rng.uniform(-scale_refs, scale_refs, len(live))[stack.row_model]
+        r_G = rng.uniform(-scale_refs, scale_refs, len(live))
         mulnet.reset_exp_clamp_count()
         records = learn_step_joint(stack, x, r_G)
         clamps = mulnet.exp_clamp_count()
@@ -856,7 +857,7 @@ def test_learn_step_matches_array_form_where_the_guards_fire():
 
     live = pushed()
     stack = LearnStack(live)
-    learn_step_joint(stack, sample_x(0), np.ones(4))
+    learn_step_joint(stack, sample_x(0), np.ones(2))
     assert stack.pi[1] == mulnet.P_CEIL and stack.pi[2] == mulnet.P_FLOOR
     assert run_both(pushed, 200, seed=83) > 0
 
@@ -868,11 +869,11 @@ def test_learn_step_matches_array_form_on_a_nonfinite_reference(bad):
     every weight as it was."""
     stack, ref = LearnStack(default_pair()), ArrayFormStep(default_pair())
     for t in range(20):
-        x, r_G = sample_x(t), np.repeat([1.5, -2.0], [1, 3])
+        x, r_G = sample_x(t), np.array([1.5, -2.0])
         learn_step_joint(stack, x, r_G)
         ref.step(x, r_G)
     before = stack.S.copy()
-    r_G = np.array([1.5, bad, bad, bad])
+    r_G = np.array([1.5, bad])
     with np.errstate(invalid="ignore"):
         with pytest.raises(NonFiniteError) as live_err:
             learn_step_joint(stack, sample_x(20), r_G)
@@ -893,8 +894,8 @@ def test_learn_step_records_are_stack_views():
     one r_RP entry per layer of the stack."""
     hip, knee = init(GrpConfig(m=1, seed=50)), init(GrpConfig(m=3, seed=51))
     stack = LearnStack([hip, knee])
-    first = learn_step_joint(stack, sample_x(13), [1.0, -1.0, -1.0, -1.0])
-    second = learn_step_joint(stack, sample_x(14), [2.0, 0.5, 0.5, 0.5])
+    first = learn_step_joint(stack, sample_x(13), [1.0, -1.0])
+    second = learn_step_joint(stack, sample_x(14), [2.0, 0.5])
     assert all(a is b for a, b in zip(first, second)) and len(second) == 2
     for rec, r_G in zip(second, (2.0, 0.5)):
         for field in dataclasses.fields(rec):
@@ -903,40 +904,28 @@ def test_learn_step_records_are_stack_views():
     assert sum(rec.r_RP.size for rec in second) == stack.w_gain.size == 4
 
 
-def test_learn_step_rejects_one_reference_per_model():
-    """A learn step takes one reference per stack row; a reference per
-    model does not broadcast over a stack of m=1 and m=3 models, and the
-    weights stay as they were."""
-    stack = LearnStack([init(GrpConfig(m=1, seed=52)), init(GrpConfig(m=3, seed=53))])
-    before = stack.S.copy()
-    with pytest.raises(ValueError):
-        learn_step_joint(stack, sample_x(15), [1.5, -0.5])
-    assert same_bits(stack.S, before)
-
-
-@pytest.mark.parametrize("shape", [(1,), (2,), (4, 1)], ids=["1", "2", "4x1"])
-def test_learn_step_requires_one_reference_per_row(shape):
-    """A hip+knee stack has four rows: a reference of any other shape is
-    refused with both shapes named, before the step writes anything, even
-    where the update would be non-finite."""
+@pytest.mark.parametrize("shape", [(4,), (1,), (2, 1)], ids=["4", "1", "2x1"])
+def test_learn_step_requires_one_reference_per_model(shape):
+    """A hip+knee stack takes two references, one per model: one per stack
+    row, a single one or a column of two is refused with both shapes
+    named, before the step writes anything, even where the update would be
+    non-finite."""
     hip, knee = init(GrpConfig(m=1, seed=54)), init(GrpConfig(m=3, seed=55))
     stack = LearnStack([hip, knee])
-    learn_step_joint(stack, sample_x(16), [1.0, -1.0, -1.0, -1.0])
+    learn_step_joint(stack, sample_x(16), [1.0, -1.0])
     knee.W[2][2, 2] = 1e308  # the next update would be non-finite
-    before = [stack.S.copy()] + [getattr(stack, name).copy()
-                                 for name in ("G", "pi", "e_G", "r_RP", "e_RP")]
+    before = [stack.S.copy()] + [getattr(stack, name).copy() for name in STEP_FIELDS]
     with pytest.raises(ValueError, match=re.escape(
-            f"one reference per stack row, shape (4,), got shape {shape}")):
+            f"learn step takes one reference per model, shape (2,), got shape {shape}")):
         learn_step_joint(stack, sample_x(17), np.ones(shape))
-    after = [stack.S] + [getattr(stack, name)
-                         for name in ("G", "pi", "e_G", "r_RP", "e_RP")]
+    after = [stack.S] + [getattr(stack, name) for name in STEP_FIELDS]
     assert all(same_bits(a, b) for a, b in zip(after, before))
 
 
 def test_learn_stack_weights_are_views():
     hip, knee = init(GrpConfig(m=1, seed=44)), init(GrpConfig(m=3, seed=45))
     stack = LearnStack([hip, knee])
-    learn_step_joint(stack, sample_x(10), [1.0, -1.0, -1.0, -1.0])
+    learn_step_joint(stack, sample_x(10), [1.0, -1.0])
     assert stack.S.shape == (8, 8, 8)
     for mdl, lo, hi in ((hip, 0, 1), (knee, 1, 4)):
         assert mdl.W.base is stack.S and mdl.R.base is stack.S
@@ -947,12 +936,12 @@ def test_learn_stack_weights_are_views():
 def test_learn_stack_nonfinite_update_changes_nothing():
     hip, knee = init(GrpConfig(m=1, seed=46)), init(GrpConfig(m=3, seed=47))
     stack = LearnStack([hip, knee])
-    learn_step_joint(stack, sample_x(11), [1.0, -1.0, -1.0, -1.0])
+    learn_step_joint(stack, sample_x(11), [1.0, -1.0])
     knee.W[2][2, 2] = 1e308  # the hip-angle gain overflows the forward pass
     before = [(mdl.W.copy(), mdl.R.copy()) for mdl in (hip, knee)]
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(NonFiniteError, match="non-finite weight update") as err:
-            learn_step_joint(stack, sample_x(12), [1.0, -1.0, -1.0, -1.0])
+            learn_step_joint(stack, sample_x(12), [1.0, -1.0])
     for mdl, (W, R) in zip((hip, knee), before):
         assert same_bits(mdl.W, W) and same_bits(mdl.R, R)
     # the knee's rows diverge, the hip's do not
@@ -966,12 +955,12 @@ def test_learn_stack_nonfinite_input_row_names_every_model():
     path names them all and says the input row was non-finite."""
     stack = LearnStack([init(GrpConfig(m=1, seed=56)), init(GrpConfig(m=3, seed=57))])
     x = sample_x(18)
-    learn_step_joint(stack, x, [1.0, -1.0, -1.0, -1.0])
+    learn_step_joint(stack, x, [1.0, -1.0])
     x[2] = math.nan
     before = stack.S.copy()
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(NonFiniteError) as err:
-            learn_step_joint(stack, x, [1.0, -1.0, -1.0, -1.0])
+            learn_step_joint(stack, x, [1.0, -1.0])
     assert str(err.value).startswith("non-finite weight update: max|S|=")
     assert str(err.value).endswith("episodes=[0, 0]; non-finite rows in stack models "
                                    "[1, 2]; input row non-finite, references finite")
