@@ -490,16 +490,19 @@ def _cmd_train(args) -> int:
             raise ValueError(f"{name}: m = {cfg.m} layers do not fit in memory ({exc})") from None
     hip, knee = models
     # only the first `episodes` demos are trained on; sample_tasks' first k do not depend on n
-    tasks = sample_tasks(config.ranges, min(config.episodes, config.demo_count),
-                         config.demo_seed, config.gains, config.params)
-    demos = [run_demo_episode(task, init, config.gains, config.params,
-                              config.dt, config.timeout)
-             for task, init in tasks]
-    hip_log, knee_log = train([(hip, "tau_h"), (knee, "tau_k")], demos, config.episodes)
+    n = min(config.episodes, config.demo_count)
+
+    def demos():  # rolled one at a time as train reads them, after it allocates its log
+        for task, init in sample_tasks(config.ranges, n, config.demo_seed,
+                                       config.gains, config.params):
+            yield run_demo_episode(task, init, config.gains, config.params,
+                                   config.dt, config.timeout)
+
+    hip_log, knee_log = train([(hip, "tau_h"), (knee, "tau_k")], demos(), config.episodes)
     save_model(out / "hip.json", hip)
     save_model(out / "knee.json", knee)
     _dump_json(out / "train_log.json", train_log_to_dict(hip_log, knee_log))
-    print(f"trained {config.episodes} episodes on {len(demos)} demonstrations; "
+    print(f"trained {config.episodes} episodes on {n} demonstrations; "
           f"final mean |e_G| hip {hip_log[-1].min():.3f}, "
           f"knee {knee_log[-1].min():.3f}")
     return 0

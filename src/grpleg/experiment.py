@@ -30,8 +30,10 @@ to the plant; Generators therefore learn the delivered torque, bounded by
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import types
+from collections.abc import Iterable
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -81,6 +83,11 @@ class SampleRanges:
             # rng.uniform draws lo + (hi - lo) * u and refuses a width that overflows
             if not math.isfinite(hi - lo):
                 raise ValueError(f"{name} range ({lo}, {hi}) is wider than a float holds")
+        # a leg angle past one turn means nothing, and far past it overflows in degrees
+        lo, hi = self.alpha_tgt
+        if not max(-lo, hi) <= 2.0 * math.pi:
+            raise ValueError(f"alpha_tgt range ({lo}, {hi}) goes beyond one turn "
+                             "(|bound| > 2*pi rad)")
 
 
 # The fixed columns of a trajectory file, in file order: the ten plant
@@ -300,60 +307,76 @@ def run_demo_episode(
     return _rollout([(task, init_state)], gains, params, dt, timeout)[0]
 
 
-# entered once per call, not per step: a diverging update is reported by
-# its NonFiniteError alone, not after numpy's overflow warning
-@np.errstate(over="ignore", invalid="ignore")
 def train(
     models: list[tuple[GrpModel, str]],
-    demos: list[Trajectory],
+    demos: Iterable[Trajectory],
     episodes: int,
 ) -> list[np.ndarray]:
     """Online training of (model, joint) pairs: one reference torque per
     model, its demos' Trajectory torque column `joint`, "tau_h" or "tau_k".
     The models form one LearnStack and take one learn step per recorded
-    control tick, episode e on demo e % len(demos), every sharpness
-    annealed after each episode; the step is row-local, so each model gets
-    the bits of training it alone. The plant never re-integrates: driving
-    it with the stack's feedback-completed output equals driving it with
-    the recorded reference torques, so an episode replays a demo's (sensor,
-    torque) rows in order. Returns the (episodes, m) per-episode mean |e_G|
-    of each model's layers, in input order. A demo without a task is
-    refused. A learn step that diverges, or a sharpness that overflows,
+    control tick, episode e on demo e % n, every sharpness annealed after
+    each episode; the step is row-local, so each model gets the bits of
+    training it alone. The plant never re-integrates: driving it with the
+    stack's feedback-completed output equals driving it with the recorded
+    reference torques, so an episode replays a demo's (sensor, torque)
+    rows in order. Returns the (episodes, m) per-episode mean |e_G| of each
+    model's layers, in input order.
+
+    `demos` may be any iterable: a list, or a generator that rolls each
+    swing when asked. Before the first learn step, train reads the first
+    n of them, n at most `episodes`, each once, straight into its (T, 8)
+    inputs and (T, models) reference torques, and keeps no Trajectory; a
+    generator therefore rolls inside this call, under the caller's numpy
+    error settings. The joints are checked and the per-episode log allocated
+    before any demo is read; a log that does not fit in memory is refused
+    naming `episodes`. An empty corpus, or a demo without a task, named by
+    its index, is refused before any learn step and leaves the models
+    unchanged. A learn step that diverges, or a sharpness that overflows,
     raises NonFiniteError naming each model's place in the list, from 1,
     and its joint; numpy warns of nothing on the way.
     """
     if episodes < 1:
         raise ValueError(f"episodes must be >= 1, got {episodes}")
-    if not demos:
-        raise ValueError("no demonstrations to train on")
     joints = [joint for _, joint in models]
     if not joints or not set(joints) <= {"tau_h", "tau_k"}:
         raise ValueError(f"train takes (model, 'tau_h' or 'tau_k') pairs, got joints {joints}")
-    for i, d in enumerate(demos[:episodes]):
-        if d.task is None:
-            raise ValueError(f"demos[{i}] carries no task, so its sensor rows have no target angle")
+    rows = sum(mdl.m for mdl, _ in models)
+    try:
+        log = np.empty((episodes, rows))
+    except (MemoryError, ValueError) as exc:  # numpy's, for a size it cannot allocate
+        raise ValueError(f"episodes = {episodes}: a log of {rows} floats per episode "
+                         f"does not fit in memory ({exc})") from None
+    corpus = []
+    for demo in itertools.islice(demos, episodes):
+        if demo.task is None:
+            raise ValueError(f"demos[{len(corpus)}] carries no task, "
+                             "so its sensor rows have no target angle")
+        corpus.append((sensor_matrix(demo), np.stack([getattr(demo, j) for j in joints], axis=1)))
+        del demo  # not kept alive while the next one rolls
+    if not corpus:
+        raise ValueError("no demonstrations to train on")
     stack = grp.LearnStack([mdl for mdl, _ in models])
-    # each demo's (T, 8) inputs and (T, models) reference torques, built once
-    cache = [(sensor_matrix(d), np.stack([getattr(d, j) for j in joints], axis=1))
-             for d in demos[:episodes]]
-    log = np.empty((episodes, stack.pi.size))
-    for ep in range(episodes):
-        X, refs = cache[ep % len(cache)]
-        e_G = np.empty((X.shape[0], log.shape[1]))
-        try:
-            for i in range(X.shape[0]):
-                grp.learn_step_joint(stack, X[i], refs[i])
-                e_G[i] = stack.e_G
-        except NonFiniteError as err:
-            names = ", ".join(f"model {k} ({joints[k - 1]})" for k in err.models)
-            raise NonFiniteError(f"{names}: {err}") from None
-        # summed in tick order, as a running sum over the episode would be
-        log[ep] = np.add.accumulate(np.abs(e_G, out=e_G))[-1] / X.shape[0]
-        for k, (mdl, joint) in enumerate(models, 1):
+    # entered once per call, not per step: a diverging update is reported by
+    # its NonFiniteError alone, not after numpy's overflow warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        for ep in range(episodes):
+            X, refs = corpus[ep % len(corpus)]
+            e_G = np.empty((X.shape[0], rows))
             try:
-                grp.end_episode(mdl)
+                for i in range(X.shape[0]):
+                    grp.learn_step_joint(stack, X[i], refs[i])
+                    e_G[i] = stack.e_G
             except NonFiniteError as err:
-                raise NonFiniteError(f"model {k} ({joint}): {err}") from None
+                names = ", ".join(f"model {k} ({joints[k - 1]})" for k in err.models)
+                raise NonFiniteError(f"{names}: {err}") from None
+            # summed in tick order, as a running sum over the episode would be
+            log[ep] = np.add.accumulate(np.abs(e_G, out=e_G))[-1] / X.shape[0]
+            for k, (mdl, joint) in enumerate(models, 1):
+                try:
+                    grp.end_episode(mdl)
+                except NonFiniteError as err:
+                    raise NonFiniteError(f"model {k} ({joint}): {err}") from None
     return [log[:, sl] for sl in stack.slices]
 
 

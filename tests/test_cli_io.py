@@ -8,6 +8,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -45,6 +46,7 @@ from grpleg.experiment import (
     evaluate,
     run_demo_episode,
     sample_tasks,
+    train,
 )
 from grpleg.grp import GrpConfig
 from grpleg.target_controller import ControllerGains
@@ -823,6 +825,48 @@ def test_cli_train_rolls_only_the_demos_its_episodes_use(tmp_path, monkeypatch, 
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
 
 
+def test_cli_train_writes_the_bytes_of_library_training_on_a_list(tmp_path, capsys):
+    """`grpleg train` hands train a generator that rolls each demo as it is
+    read; its models and log are byte for byte those of training on the
+    list of the same demos, with more demos than episodes and cycling."""
+    for episodes, demo_count in ((2, 3), (5, 2)):
+        cfg = RunConfig(episodes=episodes, demo_count=demo_count)
+        cli_dir, lib_dir = tmp_path / f"cli{episodes}", tmp_path / f"lib{episodes}"
+        lib_dir.mkdir()
+        save_run_config(tmp_path / "cfg.json", cfg)
+        assert cli_io.cli(["train", "--config", str(tmp_path / "cfg.json"),
+                           "--out", str(cli_dir)]) == 0
+        demos = [run_demo_episode(task, init, cfg.gains, cfg.params, cfg.dt, cfg.timeout)
+                 for task, init in sample_tasks(cfg.ranges, demo_count, cfg.demo_seed,
+                                                cfg.gains, cfg.params)]
+        hip, knee = grp.init(cfg.hip), grp.init(cfg.knee)
+        logs = train([(hip, "tau_h"), (knee, "tau_k")], demos, episodes)
+        save_model(lib_dir / "hip.json", hip)
+        save_model(lib_dir / "knee.json", knee)
+        cli_io._dump_json(lib_dir / "train_log.json", cli_io.train_log_to_dict(*logs))
+        for name in ("hip.json", "knee.json", "train_log.json"):
+            assert (cli_dir / name).read_bytes() == (lib_dir / name).read_bytes(), name
+    capsys.readouterr()
+
+
+def test_cli_train_holds_the_corpus_once(tmp_path, capsys):
+    """A 40-episode train on the default 40-demo corpus keeps each demo
+    only as its input and reference rows, about 1.0 MB traced; holding
+    every swing table beside them as well peaked at 2.3 MB. The first call
+    warms every lazily built cache."""
+    (tmp_path / "cfg.json").write_text('{"episodes": 40}')
+    args = ["train", "--config", str(tmp_path / "cfg.json"), "--out", str(tmp_path)]
+    assert cli_io.cli(["train", "--episodes", "1", "--out", str(tmp_path)]) == 0
+    tracemalloc.start()
+    try:
+        assert cli_io.cli(args) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    capsys.readouterr()
+    assert peak < 1.5e6, f"traced peak {peak / 1e6:.2f} MB"
+
+
 def test_cli_train_layers_override(tmp_path):
     cfg = RunConfig(episodes=1, demo_count=1)
     save_run_config(tmp_path / "cfg.json", cfg)
@@ -1011,6 +1055,43 @@ def test_train_refuses_a_layer_count_numpy_cannot_allocate(tmp_path, capsys,
     assert err.startswith(f"error: {section}: m = {m} layers do not fit in memory (")
     assert err.count("\n") == 1
     assert not list(out.iterdir())
+
+
+@pytest.mark.parametrize("episodes", [10**13, 10**400], ids=["291-TiB", "400-digits"])
+def test_train_refuses_an_episode_count_numpy_cannot_allocate(tmp_path, monkeypatch, capsys,
+                                                               episodes):
+    """An --episodes count whose per-episode log numpy cannot allocate
+    (291 TiB for 10**13 episodes; more than a dimension holds for 400
+    digits) exits 1 with one error line naming episodes: train allocates
+    its log before it reads a demo, so none is rolled and no file written."""
+    rolled = []
+    monkeypatch.setattr(cli_io, "run_demo_episode", lambda *args, **kwargs: rolled.append(1))
+    out = tmp_path / "out"
+    rc = cli_io.cli(["train", "--episodes", str(episodes), "--out", str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: episodes = {episodes}: a log of 4 floats per episode "
+                          "does not fit in memory (")
+    assert err.count("\n") == 1
+    assert rolled == [] and not list(out.iterdir())
+
+
+@pytest.mark.parametrize("command", ["demo", "eval"])
+def test_cli_refuses_a_target_range_beyond_one_turn(tmp_path, capsys, command):
+    """A target bound of 1e308 rad overflows to inf in degrees, which
+    manifest.json and report.json cannot hold: the config is refused,
+    naming alpha_tgt, before a swing rolls or a file is written."""
+    path = tmp_path / "cfg.json"
+    path.write_text('{"ranges": {"alpha_tgt": [1.0, 1e308]}}')
+    out = tmp_path / "out"
+    out.mkdir()
+    for name in ("hip.json", "knee.json"):
+        (out / name).write_bytes((FIXTURE_DIR / name).read_bytes())
+    rc = cli_io.cli([command, "--n", "1", "--config", str(path), "--out", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err == (f"error: {path}: ranges: alpha_tgt range (1.0, 1e+308) "
+                                       "goes beyond one turn (|bound| > 2*pi rad)\n")
+    assert sorted(p.name for p in out.iterdir()) == ["hip.json", "knee.json"]
 
 
 def test_cli_bad_json_names_file(tmp_path, capsys):

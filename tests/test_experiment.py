@@ -1,5 +1,6 @@
 """Protocol plumbing: task sampling, rollouts, training loop, evaluation."""
 
+import dataclasses
 import math
 from pathlib import Path
 
@@ -101,6 +102,33 @@ def test_sample_tasks_rejects_empty():
 def test_ranges_must_be_ordered():
     with pytest.raises(ValueError, match="not ordered"):
         SampleRanges(alpha_tgt=(1.2, 0.9))
+
+
+@pytest.mark.parametrize("bounds", [(1.0, 1e308), (-7.0, 1.0),
+                                    (0.0, math.nextafter(2 * math.pi, 7))])
+def test_target_range_must_stay_within_one_turn(bounds):
+    """A target bound beyond 2*pi rad names no leg angle, and 1e308 rad
+    overflows to inf in degrees; the range is refused naming alpha_tgt.
+    One full turn either way is accepted."""
+    with pytest.raises(ValueError, match=r"^alpha_tgt range .* goes beyond one turn"):
+        SampleRanges(alpha_tgt=bounds)
+    assert SampleRanges(alpha_tgt=(-2 * math.pi, 2 * math.pi)).alpha_tgt[1] == 2 * math.pi
+
+
+def task_bits(tasks):
+    """Every float of a task list as its hex string, so equal means bit-equal."""
+    return [[v.hex() for v in (*dataclasses.astuple(task), *init)] for task, init in tasks]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 9])
+def test_sample_tasks_first_k_do_not_depend_on_n(seed):
+    """sample_tasks(r, k, s) is the first k tasks of sample_tasks(r, n, s),
+    bit for bit: `grpleg train` samples only the demos its episodes use."""
+    ranges = SampleRanges(alpha_tgt=(0.9, 1.4), phi_h_dot0=(-3.0, -0.5))
+    for r in (SampleRanges(), ranges):
+        full = task_bits(sample_tasks(r, 40, seed))
+        for k in (1, 2, 3, 17, 39, 40):
+            assert task_bits(sample_tasks(r, k, seed)) == full[:k], k
 
 
 # ----------------------------------------------------------------- rollouts
@@ -276,6 +304,45 @@ def test_train_refuses_a_demo_without_a_task(tmp_path, demo):
     W = hip.W
     with pytest.raises(ValueError, match=r"^demos\[1\] carries no task"):
         train([(hip, "tau_h"), (knee, "tau_k")], [demo, read_back], episodes=2)
+    assert hip.W is W and hip.episode_count == knee.episode_count == 0
+
+
+def pulled(demos, count):
+    """A generator over `demos` that appends to `count` each demo it yields."""
+    for d in demos:
+        count.append(d)
+        yield d
+
+
+@pytest.mark.parametrize("n_demos, episodes", [(3, 2), (2, 5), (1, 3)],
+                         ids=["more-demos-than-episodes", "cycling", "one-demo"])
+def test_train_reads_a_generator_as_it_reads_the_list(n_demos, episodes):
+    """A generator of demos trains to the weights, gamma and log the same
+    list gives, with more demos than episodes and cycling; train reads at
+    most `episodes` of them, each once."""
+    demos = [synthetic_demo(seed=777 + k) for k in range(n_demos)]
+    (a_hip, a_knee), (b_hip, b_knee) = fresh_pair(), fresh_pair()
+    count = []
+    a_logs = train([(a_hip, "tau_h"), (a_knee, "tau_k")], demos, episodes)
+    b_logs = train([(b_hip, "tau_h"), (b_knee, "tau_k")], pulled(demos, count), episodes)
+    assert len(count) == min(n_demos, episodes)
+    assert all(same_bits(a, b) for a, b in zip(a_logs, b_logs))
+    for a, b in ((a_hip, b_hip), (a_knee, b_knee)):
+        assert same_bits(a.W, b.W) and same_bits(a.R, b.R)
+        assert (a.gamma, a.episode_count) == (b.gamma, b.episode_count)
+
+
+def test_train_refuses_a_generator_demo_leaving_the_models_unchanged(tmp_path, demo):
+    """From a generator as from a list: an empty corpus, and a demo without
+    a task named by its index, are refused before any learn step."""
+    write_trajectory(tmp_path / "demo.csv", demo)
+    read_back = read_trajectory(tmp_path / "demo.csv")
+    hip, knee = fresh_pair()
+    W = hip.W
+    with pytest.raises(ValueError, match="^no demonstrations to train on$"):
+        train([(hip, "tau_h"), (knee, "tau_k")], iter([]), episodes=1)
+    with pytest.raises(ValueError, match=r"^demos\[2\] carries no task"):
+        train([(hip, "tau_h"), (knee, "tau_k")], iter([demo, demo, read_back]), episodes=5)
     assert hip.W is W and hip.episode_count == knee.episode_count == 0
 
 
