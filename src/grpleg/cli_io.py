@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import NonFiniteError, grp, mulnet
+from . import NonFiniteError, grp, mulnet, uniform_stream
 from .dynamics import LegParams
 from .experiment import (
     ACTIVE_PI,
@@ -208,9 +208,11 @@ run_config_from_dict = functools.partial(_from_json, RunConfig)
 
 
 def _dump_json(path, data) -> None:
+    """`data` as indented JSON, serialized whole before the file is opened, so
+    a value JSON refuses leaves no file and an existing one its bytes."""
+    text = json.dumps(data, indent=2, allow_nan=False) + "\n"
     with open(path, "w", newline="\n") as fh:
-        json.dump(data, fh, indent=2, allow_nan=False)
-        fh.write("\n")
+        fh.write(text)
 
 
 def _parse_file(parse, path):
@@ -534,15 +536,14 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_gradcheck(args) -> int:
-    rng = np.random.default_rng(args.seed)
+    draws = uniform_stream(args.seed)
+    n = mulnet.NET_DIM
     worst = 0.0
     for _ in range(100):
-        W = rng.uniform(-0.2, 0.2, size=(mulnet.NET_DIM, mulnet.NET_DIM))
-        raw = np.array([rng.uniform(-1.0, 1.0),
-                        rng.uniform(2.0, 3.9),
-                        rng.uniform(-2.0, 2.0),
-                        rng.uniform(2.0, 3.9),
-                        rng.uniform(-2.0, 2.0)])
+        # default_rng(seed).uniform's bits: an (n, n) block in C order, then five scalars
+        W = (-0.2 + 0.4 * np.fromiter(draws, float, n * n)).reshape(n, n)
+        raw = np.array([lo + (hi - lo) * next(draws) for lo, hi in
+                        ((-1.0, 1.0), (2.0, 3.9), (-2.0, 2.0), (2.0, 3.9), (-2.0, 2.0))])
         worst = max(worst, mulnet.finite_difference_check(W, mulnet.split_input(raw)))
     print(f"max relative error vs central differences: {worst:.3e}")
     return 0 if worst < 1e-6 else 1

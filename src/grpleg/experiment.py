@@ -38,7 +38,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import NonFiniteError, grp
+from . import NonFiniteError, grp, uniform_stream
 from .dynamics import (
     JointTorques,
     LegParams,
@@ -80,7 +80,7 @@ class SampleRanges:
             lo, hi = getattr(self, name)
             if not lo <= hi:
                 raise ValueError(f"{name} range ({lo}, {hi}) not ordered")
-            # rng.uniform draws lo + (hi - lo) * u and refuses a width that overflows
+            # a draw is lo + (hi - lo) * u, which a width that overflows makes inf
             if not math.isfinite(hi - lo):
                 raise ValueError(f"{name} range ({lo}, {hi}) is wider than a float holds")
         # a leg angle past one turn means nothing, and far past it overflows in degrees
@@ -88,6 +88,10 @@ class SampleRanges:
         if not max(-lo, hi) <= 2.0 * math.pi:
             raise ValueError(f"alpha_tgt range ({lo}, {hi}) goes beyond one turn "
                              "(|bound| > 2*pi rad)")
+        for name in ("phi_h0", "phi_k0"):
+            if not abs(getattr(self, name)) <= 2.0 * math.pi:
+                raise ValueError(f"{name} {getattr(self, name)!r} is not a finite angle "
+                                 "within one turn (|angle| <= 2*pi rad)")
 
 
 # The fixed columns of a trajectory file, in file order: the ten plant
@@ -202,15 +206,15 @@ def sample_tasks(
     params: LegParams = LegParams(),
 ) -> list[tuple[SwingTask, LegState]]:
     """n seeded swing tasks; per task the draws are alpha_tgt, then the hip
-    rate, then the knee rate, from one stream."""
+    rate, then the knee rate, from one stream, each lo + (hi - lo) * u as
+    default_rng(seed).uniform draws it."""
     if n < 1:
         raise ValueError(f"need at least one task, got n={n}")
-    rng = np.random.default_rng(seed)
+    draws = uniform_stream(seed)
     out = []
     for _ in range(n):
-        alpha_tgt = rng.uniform(*ranges.alpha_tgt)
-        vh = rng.uniform(*ranges.phi_h_dot0)
-        vk = rng.uniform(*ranges.phi_k_dot0)
+        alpha_tgt, vh, vk = (lo + (hi - lo) * next(draws) for lo, hi in
+                             (ranges.alpha_tgt, ranges.phi_h_dot0, ranges.phi_k_dot0))
         init = LegState(ranges.phi_h0, ranges.phi_k0, vh, vk)
         out.append((make_task(alpha_tgt, gains, params, init), init))
     return out

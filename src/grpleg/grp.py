@@ -48,7 +48,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import NonFiniteError
+from . import NonFiniteError, uniform_stream
 from .mulnet import (
     NET_DIM,
     P_CEIL,
@@ -100,6 +100,9 @@ class GrpConfig:
             raise ValueError(f"lam (lambda) must be >= 0, got {self.lam}")
         if not self.beta > 1.0:
             raise ValueError(f"beta must be > 1, got {self.beta}")
+        if not math.isfinite(2.0 * self.init_scale):
+            raise ValueError(f"init_scale {self.init_scale} gives a draw range "
+                             "2*init_scale wider than a float holds")
         if self.seed < 0:
             raise ValueError(f"seed must be a nonnegative integer, got {self.seed}")
 
@@ -144,10 +147,11 @@ def init(config: GrpConfig) -> GrpModel:
     """
     W = np.empty((config.m, NET_DIM, NET_DIM))
     R = np.empty_like(W)
+    lo, width = -config.init_scale, 2.0 * config.init_scale
     for k in range(config.m):
-        rng = np.random.default_rng([config.seed, k])
-        W[k] = rng.uniform(-config.init_scale, config.init_scale, W.shape[1:])
-        R[k] = rng.uniform(-config.init_scale, config.init_scale, R.shape[1:])
+        # W[k] then R[k] in C order, as default_rng([seed, k]).uniform draws them
+        u = np.fromiter(uniform_stream([config.seed, k]), float, 2 * NET_DIM**2)
+        W[k], R[k] = (lo + width * u).reshape(2, NET_DIM, NET_DIM)
     return GrpModel(W=W, R=R, gamma=config.gamma0, config=config)
 
 

@@ -986,15 +986,20 @@ SINGULAR_PARAMS = "singular mass matrix: LegParams l_t, l_s, m_t, m_s give det <
     ('{"knee": {"beta": 1.0}}', "beta must be > 1, got 1.0"),
     ('{"demo_seed": -3}', "demo_seed must be >= 0, got -3"),
     ('{"eval_seed": -1}', "eval_seed must be >= 0, got -1"),
+    ('{"ranges": {"phi_h0": 1e308}}',
+     "phi_h0 1e+308 is not a finite angle within one turn (|angle| <= 2*pi rad)"),
+    ('{"ranges": {"phi_k0": -1e6}}',
+     "phi_k0 -1000000.0 is not a finite angle within one turn (|angle| <= 2*pi rad)"),
 ])
 def test_cli_rejects_values_the_rollout_cannot_use(tmp_path, capsys, config, message):
     """A zero alpha_dot_max would divide by zero in the stopping torque, a
-    range wider than a float holds would overflow the task sampler, and
+    range wider than a float holds would overflow the task sampler,
     masses or lengths whose mass matrix overflows would reach the plant as
-    a NaN determinant. A shank so short that the mass-matrix determinant
-    underflows to 0, or a thigh so light that it rounds to 0 with the leg
+    a NaN determinant, and an initial joint angle far beyond one turn
+    would overflow the manifest's degrees. Nothing is written. A shank so
+    short that the mass-matrix determinant underflows to 0, or a thigh so light that it rounds to 0 with the leg
     straight, is refused with the config. A negative seed would reach
-    numpy's seeding, whose error names no key. An error from a section's
+    the seeded stream, whose error names no key. An error from a section's
     own check is prefixed with the section, the config's one key."""
     path = tmp_path / "cfg.json"
     path.write_text(config)
@@ -1004,7 +1009,7 @@ def test_cli_rejects_values_the_rollout_cannot_use(tmp_path, capsys, config, mes
     ((key, value),) = json.loads(config).items()
     section = f"{key}: " if isinstance(value, dict) else ""
     assert err == f"error: {path}: {section}{message}\n"
-    assert not (tmp_path / "manifest.json").exists()
+    assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
 
 
 FLAG_FLOOR_CASES = [
@@ -1023,7 +1028,7 @@ def test_cli_rejects_a_negative_seed_naming_the_flag(tmp_path, monkeypatch, caps
                                                       command, flag, value, floor):
     """Every command's argparse refuses a negative --seed, and a count
     flag (--n, --episodes, --layers) below 1, before any work, naming the
-    flag; numpy's seeding names nothing, and the library's own checks name
+    flag; the seeded stream names no flag, and the library's own checks name
     their parameter (`m must be >= 1` for --layers 0), not the flag."""
     monkeypatch.chdir(tmp_path)
     with pytest.raises(SystemExit) as exc:
@@ -1092,6 +1097,34 @@ def test_cli_refuses_a_target_range_beyond_one_turn(tmp_path, capsys, command):
     assert capsys.readouterr().err == (f"error: {path}: ranges: alpha_tgt range (1.0, 1e+308) "
                                        "goes beyond one turn (|bound| > 2*pi rad)\n")
     assert sorted(p.name for p in out.iterdir()) == ["hip.json", "knee.json"]
+
+
+def test_cli_train_refuses_an_init_scale_whose_draw_range_overflows(tmp_path, capsys):
+    """init_scale 1e308 is finite, but the draw range 2*init_scale is not:
+    one error line naming the knee and init_scale, before any demo rolls."""
+    path = tmp_path / "cfg.json"
+    path.write_text('{"knee": {"init_scale": 1e308}}')
+    out = tmp_path / "out"
+    rc = cli_io.cli(["train", "--episodes", "1", "--config", str(path), "--out", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err == (f"error: {path}: knee: init_scale 1e+308 gives a draw "
+                                       "range 2*init_scale wider than a float holds\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value", [math.inf, math.nan, {"x": [1.0, -math.inf]}, {1j: 0}])
+def test_dump_json_refuses_before_opening_its_target(tmp_path, value):
+    """A value JSON refuses leaves no file where there was none, and an
+    existing file keeps its bytes: nothing is opened before the whole
+    document is serialized."""
+    new, old = tmp_path / "new.json", tmp_path / "old.json"
+    cli_io._dump_json(old, {"kept": [1, 2.5]})
+    before = old.read_bytes()
+    for path in (new, old):
+        with pytest.raises((ValueError, TypeError)):
+            cli_io._dump_json(path, {"a": 1.0, "b": value})
+    assert not new.exists()
+    assert old.read_bytes() == before == b'{\n  "kept": [\n    1,\n    2.5\n  ]\n}\n'
 
 
 def test_cli_bad_json_names_file(tmp_path, capsys):

@@ -115,6 +115,18 @@ def test_target_range_must_stay_within_one_turn(bounds):
     assert SampleRanges(alpha_tgt=(-2 * math.pi, 2 * math.pi)).alpha_tgt[1] == 2 * math.pi
 
 
+@pytest.mark.parametrize("field", ["phi_h0", "phi_k0"])
+@pytest.mark.parametrize("value", [1e308, -1e6, math.nextafter(2 * math.pi, 7), math.inf,
+                                   -math.inf, math.nan])
+def test_initial_posture_must_be_a_finite_angle_within_one_turn(field, value):
+    """A fixed initial joint angle that is not finite or lies beyond 2*pi
+    rad is refused naming its field; one full turn either way is accepted."""
+    with pytest.raises(ValueError, match=rf"^{field} .* is not a finite angle within one turn"):
+        SampleRanges(**{field: value})
+    for turn in (-2 * math.pi, 2 * math.pi):
+        assert getattr(SampleRanges(**{field: turn}), field) == turn
+
+
 def task_bits(tasks):
     """Every float of a task list as its hex string, so equal means bit-equal."""
     return [[v.hex() for v in (*dataclasses.astuple(task), *init)] for task, init in tasks]

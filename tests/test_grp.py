@@ -88,6 +88,16 @@ def test_config_rejects_non_finite_fields(field, value, message):
         GrpConfig(m=1, **{field: value})
 
 
+def test_config_rejects_an_init_scale_whose_draw_range_overflows():
+    """init draws lo + 2*init_scale * u, so 2*init_scale must be finite;
+    the largest such init_scale is accepted."""
+    with pytest.raises(ValueError, match=r"^init_scale 1e\+308 gives a draw range 2\*init_scale"):
+        GrpConfig(m=1, init_scale=1e308)
+    largest = math.nextafter(math.inf, 0) / 2
+    model = init(GrpConfig(m=1, init_scale=largest))
+    assert np.isfinite(model.W).all() and np.isfinite(model.R).all()
+
+
 # --------------------------------------------------------------------- init
 
 
