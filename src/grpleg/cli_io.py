@@ -31,6 +31,7 @@ from .experiment import (
     EvalReport,
     SampleRanges,
     Trajectory,
+    check_swing_steps,
     evaluate,
     run_demo_episode,
     sample_tasks,
@@ -42,15 +43,8 @@ from .target_controller import ControllerGains
 
 MODEL_FORMAT = 1
 
-# Learning rates here are swing-tuned, not the generic unit-scale module
-# defaults: reference torques reach +-60 N*m, so Generator steps must be
-# ~1000x smaller than the RP steps that track responsibilities in [0, 1].
-DEFAULT_HIP = GrpConfig(m=1, mu=1e-6, mu_rp=1e-2, beta=1.01)
-DEFAULT_KNEE = GrpConfig(m=3, mu=1e-6, mu_rp=1e-2, beta=1.01)
-
-# Most plant steps one swing may take: a model-driven swing that never lands
-# runs until its timeout, one trajectory row per step.
-MAX_SWING_STEPS = 10**6
+DEFAULT_HIP = GrpConfig(m=1)
+DEFAULT_KNEE = GrpConfig(m=3)
 
 
 @dataclass(frozen=True)
@@ -75,13 +69,9 @@ class RunConfig:
     eval_seed: int = 2
 
     def __post_init__(self):
-        if not self.dt > 0.0:
-            raise ValueError(f"dt must be positive, got {self.dt}")
+        check_swing_steps(self.dt, self.timeout)
         if not self.timeout > self.dt:
             raise ValueError(f"timeout {self.timeout} not beyond one step")
-        if not self.timeout / self.dt <= MAX_SWING_STEPS:
-            raise ValueError(f"timeout {self.timeout} is more than "
-                             f"{MAX_SWING_STEPS} steps of dt {self.dt}")
         for name, low in (("episodes", 1), ("demo_count", 1), ("eval_count", 1),
                           ("demo_seed", 0), ("eval_seed", 0)):
             if getattr(self, name) < low:
@@ -160,8 +150,6 @@ def _value(tp, value, key: str, base):
         return _int(value, key)
     if tp is float:
         return _float(value, key)
-    if tp == float | None:
-        return None if value is None else _float(value, key)
     if tp == tuple[float, float]:
         if not isinstance(value, list) or len(value) != 2:
             raise ValueError(f"config key '{key}' must be a [lo, hi] pair")
@@ -267,6 +255,9 @@ def model_from_dict(data: dict) -> GrpModel:
     if _int(data["format"], "format") != MODEL_FORMAT:
         raise ValueError(f"unsupported model format {data['format']!r}")
     config = _from_json(GrpConfig, data["config"], "config.")
+    missing = [key for _, key, _, _ in _fields(GrpConfig) if key not in data["config"]]
+    if missing:  # a model's file spells the whole config it was trained with
+        raise ValueError(f"missing config key 'config.{missing[0]}'")
     layers = _list(data["layers"], "layers")
     if len(layers) != config.m:
         raise ValueError(f"model has {len(layers)} layers but config.m = {config.m}")

@@ -59,6 +59,10 @@ from .target_controller import (
 
 DEG = math.pi / 180.0
 
+# Most plant steps one swing may take: a model-driven swing that never lands
+# runs until its timeout, one trajectory row per step.
+MAX_SWING_STEPS = 10**6
+
 # Peak predicted pi above which a layer counts as an active generator in
 # the evaluation report.
 ACTIVE_PI = 0.1
@@ -234,6 +238,14 @@ def sensor_matrix(traj: Trajectory) -> np.ndarray:
     )
 
 
+def check_swing_steps(dt: float, timeout: float) -> None:
+    """Refuse a dt that is not positive, then a timeout of more than MAX_SWING_STEPS dt."""
+    if not dt > 0.0:
+        raise ValueError(f"dt must be positive, got {dt}")
+    if not timeout / dt <= MAX_SWING_STEPS:
+        raise ValueError(f"timeout {timeout} is more than {MAX_SWING_STEPS} steps of dt {dt}")
+
+
 def _rollout(
     swings: list[tuple[SwingTask, LegState]],
     gains: ControllerGains,
@@ -253,10 +265,9 @@ def _rollout(
     input row on Python floats (split_row, split_input's bits), and the
     list of rows takes one grp.forward call. A swing's rows, appended in
     file layout with forward's G and pi blocks as they come, are its
-    Trajectory's table. A timeout that is not finite is refused at once.
+    Trajectory's table. check_swing_steps refuses dt and timeout at once.
     """
-    if not math.isfinite(timeout):
-        raise ValueError(f"timeout must be finite, got {timeout}")
+    check_swing_steps(dt, timeout)
     tasks = [task for task, _ in swings]
     states = [init for _, init in swings]
     ctrls = [ControllerState()] * len(swings)

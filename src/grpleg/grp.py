@@ -62,40 +62,43 @@ from .mulnet import (
 
 @dataclass(frozen=True)
 class GrpConfig:
-    """Stack shape and learning hyperparameters.
+    """Stack shape and learning hyperparameters; the defaults are the
+    swing run's.
 
     `lam` is the L2 weight-decay coefficient (serialized as "lambda").
-    `mu_rp` is the RP learning rate; None means the RPs share the base mu.
-    The split exists because the two regression problems live on different
-    scales: Generator errors are torques (tens of N m), RP errors are
-    responsibilities (at most 1), and one rate cannot serve both.
+    `mu` is the Generator learning rate and `mu_rp` the RP rate. The rates
+    are split because the two regression problems live on different
+    scales: reference torques reach +-60 N*m, so Generator steps must be
+    ~1000x smaller than the RP steps that track responsibilities in [0, 1].
     """
 
     # Field order is the key order of config and model files.
     m: int
-    mu: float = 1e-3
-    mu_rp: float | None = None
+    mu: float = 1e-6
+    mu_rp: float = 1e-2
     lam: float = 1e-4
     gamma0: float = 1.0
-    beta: float = 1.05
+    beta: float = 1.01
     w_gain: float = 1.0
     init_scale: float = 0.1
     seed: int = 0
 
     def __post_init__(self):
-        if self.m < 1:
-            raise ValueError(f"m must be >= 1, got {self.m}")
-        for name in ("mu", "lam", "gamma0", "beta", "w_gain", "init_scale", "mu_rp"):
+        for name, low in (("m", 1), ("seed", 0)):
             v = getattr(self, name)
-            if v is not None and not math.isfinite(v):
+            if type(v) is not int:  # a bool or a float is refused, as in a file
+                raise ValueError(f"{name} must be an integer, got {v!r}")
+            if v < low:
+                raise ValueError(f"{name} must be >= {low}, got {v}")
+        for name in ("mu", "mu_rp", "lam", "gamma0", "beta", "w_gain", "init_scale"):
+            v = getattr(self, name)
+            if not math.isfinite(v):
                 label = "lam (lambda)" if name == "lam" else name
                 raise ValueError(f"{label} must be finite, got {v}")
-        for name in ("mu", "gamma0", "init_scale"):
+        for name in ("mu", "mu_rp", "gamma0", "init_scale"):
             v = getattr(self, name)
             if not v > 0.0:
                 raise ValueError(f"{name} must be > 0, got {v}")
-        if self.mu_rp is not None and not self.mu_rp > 0.0:
-            raise ValueError(f"mu_rp must be > 0 when set, got {self.mu_rp}")
         if self.lam < 0.0:
             raise ValueError(f"lam (lambda) must be >= 0, got {self.lam}")
         if not self.beta > 1.0:
@@ -103,12 +106,6 @@ class GrpConfig:
         if not math.isfinite(2.0 * self.init_scale):
             raise ValueError(f"init_scale {self.init_scale} gives a draw range "
                              "2*init_scale wider than a float holds")
-        if self.seed < 0:
-            raise ValueError(f"seed must be a nonnegative integer, got {self.seed}")
-
-    @property
-    def rp_rate(self) -> float:
-        return self.mu if self.mu_rp is None else self.mu_rp
 
 
 @dataclass
@@ -211,7 +208,7 @@ class LearnStack:
         # each row's model and (mu, lam, RP rate, sigmoid gain), for the per-row half
         self._row_model = [k for k, size in enumerate(sizes) for _ in range(size)]
         self._row_consts = [
-            (float(cfg.mu), float(cfg.lam), float(cfg.rp_rate), float(cfg.w_gain))
+            (float(cfg.mu), float(cfg.lam), float(cfg.mu_rp), float(cfg.w_gain))
             for cfg in (mdl.config for mdl in models) for _ in range(cfg.m)
         ]
         self.w_gain = np.array([w_gain for *_, w_gain in self._row_consts])
@@ -235,7 +232,7 @@ class LearnStack:
         # written here once, then the decay term
         self._coef = np.empty(4 * total)
         self._gain, self._decay = self._coef.reshape(2, 2 * total, 1, 1)
-        self._coef[3 * total:] = [rp_rate * lam for _, lam, rp_rate, _ in self._row_consts]
+        self._coef[3 * total:] = [mu_rp * lam for _, lam, mu_rp, _ in self._row_consts]
         self._decay_term = np.empty_like(self.S)
         self._block = None  # forward's: NetBuffers, RP outputs, per-model views
 
@@ -395,13 +392,13 @@ def _row_half(stack: LearnStack, r_G: list[float]) -> None:
     # included, so a non-responsible layer is bit-exactly unchanged; RP
     # updates chain through the sigmoid at the ungated RP rate.
     e_RP, gain_G, decay_G, gain_RP = [], [], [], []
-    for p, e, r, (mu, lam, rp_rate, w_gain) in zip(pi, e_G, r_RP, stack._row_consts):
+    for p, e, r, (mu, lam, mu_rp, w_gain) in zip(pi, e_G, r_RP, stack._row_consts):
         mu_k = r * mu
         gain_G.append(mu_k * e)
         decay_G.append(mu_k * lam)
         d = r - p
         e_RP.append(d)
-        gain_RP.append(rp_rate * d * w_gain * p * (1.0 - p))
+        gain_RP.append(mu_rp * d * w_gain * p * (1.0 - p))
     stack._rows[:] = pi + e_G + r_RP + e_RP
     stack._coef[:3 * total] = gain_G + gain_RP + decay_G
 

@@ -183,6 +183,8 @@ def test_run_config_validation(kwargs):
         (run_config_from_dict, {"ranges": [1, 2]}, "ranges must be an object, got \\[1, 2\\]"),
         (run_config_from_dict, {"hip": "x"}, "hip must be an object, got 'x'"),
         (run_config_from_dict, {"dt": None}, "dt must be a number, got None"),
+        (run_config_from_dict, {"knee": {"mu_rp": None}},
+         "knee.mu_rp must be a number, got None"),
         (grp_config_from_dict, {"mu": 1e-3}, "missing config key 'm'"),
         (run_config_from_dict, {"timeout": 1e300}, "timeout 1e\\+300 is more than"),
         (run_config_from_dict, {"dt": 10 ** 400}, "^dt is an integer too large for a float$"),
@@ -192,7 +194,7 @@ def test_run_config_validation(kwargs):
     ids=["m-float", "episodes-float", "g-bool", "demo_seed-str", "knee.seed-str",
          "dt-str", "hip.m-bool", "knee.lambda-str", "alpha_tgt-str",
          "params-int", "timeout-nan", "timeout-inf", "k_i-nan", "l_t-inf", "phi_h0-nan",
-         "alpha_tgt-inf", "ranges-list", "hip-str", "dt-null", "m-missing",
+         "alpha_tgt-inf", "ranges-list", "hip-str", "dt-null", "knee.mu_rp-null", "m-missing",
          "timeout-huge", "dt-huge-int", "l_t-huge-int"],
 )
 def test_config_rejects_coercible_values(parse, data, key):
@@ -201,9 +203,9 @@ def test_config_rejects_coercible_values(parse, data, key):
 
 
 def test_config_accepts_json_integers_for_floats():
-    cfg = run_config_from_dict({"dt": 1, "params": {"g": 10}, "hip": {"mu_rp": None}})
-    assert (cfg.dt, cfg.params.g, cfg.hip.mu_rp) == (1.0, 10.0, None)
-    assert type(cfg.dt) is float and type(cfg.params.g) is float
+    cfg = run_config_from_dict({"dt": 1, "params": {"g": 10}, "hip": {"mu_rp": 1}})
+    assert (cfg.dt, cfg.params.g, cfg.hip.mu_rp) == (1.0, 10.0, 1.0)
+    assert all(type(v) is float for v in (cfg.dt, cfg.params.g, cfg.hip.mu_rp))
 
 
 RUN_CONFIG_KEYS = ["params", "gains", "ranges", "hip", "knee", "dt", "timeout",
@@ -250,7 +252,7 @@ def off_default_config(hip_mu_rp) -> RunConfig:
         demo_seed=3, eval_seed=5)
 
 
-@pytest.mark.parametrize("hip_mu_rp", [3e-2, None])
+@pytest.mark.parametrize("hip_mu_rp", [3e-2])
 def test_run_config_off_default_round_trip(hip_mu_rp):
     cfg = off_default_config(hip_mu_rp)
     default = RunConfig()
@@ -265,12 +267,14 @@ def test_run_config_off_default_round_trip(hip_mu_rp):
 
 
 def test_grp_config_lambda_key_and_null_rp_rate():
-    cfg = GrpConfig(m=2, lam=3e-5, mu_rp=None)
+    """mu_rp is always a rate: a null one is refused, not read as mu."""
+    cfg = GrpConfig(m=2, lam=3e-5)
     data = grp_config_to_dict(cfg)
     assert data["lambda"] == 3e-5
-    assert data["mu_rp"] is None
     back = grp_config_from_dict(json.loads(json.dumps(data)))
     assert back == cfg
+    with pytest.raises(ValueError, match="^mu_rp must be a number, got None$"):
+        grp_config_from_dict({**data, "mu_rp": None})
 
 
 # ------------------------------------------------------------- model files
@@ -334,6 +338,8 @@ def test_model_loaded_forward_matches(tmp_path):
          "episode_count must be an integer, got True"),
         (lambda d: d.update(episode_count="3"), "episode_count must be an integer"),
         (lambda d: d["config"].pop("m"), "missing config key 'config.m'"),
+        # a model file spells its whole config: no key falls back to a default
+        (lambda d: d["config"].pop("mu"), "^missing config key 'config.mu'$"),
         (lambda d: d.update(format=True), "format must be an integer, got True"),
         (lambda d: d.update(format=1.0), "format must be an integer, got 1.0"),
         (lambda d: d["layers"][0].update(W=[[True] * 8] * 8),
@@ -585,6 +591,16 @@ def test_trajectory_trace_header_validation(tmp_path, extra, case, message):
 
 
 FIXTURE_DIR = Path(__file__).resolve().parent.parent / "perfbench" / "fixture"
+
+
+@pytest.mark.parametrize("name, m", [("hip", 1), ("knee", 3)])
+def test_grp_config_defaults_are_the_recorded_models(name, m):
+    """GrpConfig's defaults are the one set the run uses: with only m
+    given, they are the config block of the committed default-trained
+    model and the run's default for that joint."""
+    recorded = json.loads((FIXTURE_DIR / f"{name}.json").read_text())["config"]
+    assert grp_config_to_dict(GrpConfig(m=m)) == recorded
+    assert getattr(RunConfig(), name) == GrpConfig(m=m)
 
 
 def test_cli_trajectory_files_round_trip_byte_for_byte(tmp_path, capsys):
@@ -1238,7 +1254,8 @@ def test_cli_module_entry_point(tmp_path):
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (package_root, env.get("PYTHONPATH")) if p)
     proc = subprocess.run(
-        [sys.executable, "-m", "grpleg.cli_io", "gradcheck"],
+        [sys.executable, "-W", "error", "-m", "grpleg.cli_io", "gradcheck"],
         capture_output=True, text=True, cwd=tmp_path, env=env)
     assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
     assert "max relative error" in proc.stdout

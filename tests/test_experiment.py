@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -498,22 +499,27 @@ def test_evaluate_rejects_empty_task_list():
         evaluate(hip, knee, [])
 
 
-@pytest.mark.parametrize("timeout", [math.nan, math.inf])
+@pytest.mark.parametrize("timeout, dt", [(math.nan, 1e-3), (math.inf, 1e-3),
+                                         (1e300, 1e-3), (2.0, 1e-300)],
+                         ids=["nan", "inf", "huge", "dt-tiny"])
 @pytest.mark.parametrize("rollout", ["evaluate", "run_demo_episode"])
-def test_rollouts_refuse_a_timeout_that_is_not_finite(rollout, timeout, monkeypatch):
-    """No swing reaches a NaN or infinite timeout, so one that never landed
-    would append rows without end: the rollout refuses it, naming
-    `timeout`, before any swing takes its first tick."""
+def test_rollouts_refuse_a_timeout_that_is_not_finite(rollout, timeout, dt, monkeypatch):
+    """No swing reaches a NaN or infinite timeout, and a finite one may be
+    more plant steps than any swing should take, so one that never landed
+    would append rows without end: the rollout refuses a timeout of more
+    than MAX_SWING_STEPS steps of dt, as RunConfig does, before any swing
+    takes its first tick."""
     def no_tick(*args):
         raise AssertionError("a swing rolled")
 
     monkeypatch.setattr(experiment, "kinematics", no_tick)
     tasks = sample_tasks(SampleRanges(), 2, seed=5)
-    with pytest.raises(ValueError, match=f"timeout must be finite, got {timeout}"):
+    message = f"timeout {timeout} is more than {experiment.MAX_SWING_STEPS} steps of dt {dt}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         if rollout == "evaluate":
-            evaluate(*fresh_pair(), tasks, timeout=timeout)
+            evaluate(*fresh_pair(), tasks, dt=dt, timeout=timeout)
         else:
-            run_demo_episode(*tasks[0], timeout=timeout)
+            run_demo_episode(*tasks[0], dt=dt, timeout=timeout)
 
 
 def solo_evaluations(hip, knee, tasks, timeout):

@@ -54,13 +54,18 @@ def test_config_defaults_valid():
     "kwargs",
     [
         dict(m=0),
+        dict(m=2.5),
+        dict(m=True),
         dict(m=1, mu=0.0),
+        dict(m=1, mu_rp=0.0),
         dict(m=1, lam=-1e-6),
         dict(m=1, gamma0=0.0),
         dict(m=1, beta=1.0),
         dict(m=1, beta=0.9),
         dict(m=1, init_scale=0.0),
         dict(m=1, seed=-1),
+        dict(m=1, seed=1.5),
+        dict(m=1, seed=True),
     ],
 )
 def test_config_rejects_bad_fields(kwargs):
@@ -555,7 +560,7 @@ def test_learn_step_update_formula():
     ]
     want_R = [
         R[k]
-        + cfg.mu
+        + cfg.mu_rp
         * (
             e_RP[k] * cfg.w_gain * pi[k] * (1 - pi[k]) * mulnet.forward_and_gradient(R[k], x)[1]
             - cfg.lam * R[k]
@@ -640,7 +645,7 @@ def reference_learn_step(models, x, r_Gs):
         r_RP = responsibility_reference(e_G, mdl.gamma)
         e_RP = r_RP - pi
         mu_k = r_RP * cfg.mu
-        mu_rp = cfg.rp_rate
+        mu_rp = cfg.mu_rp
         gain[lo:hi] = mu_k * e_G
         gain[total + lo : total + hi] = mu_rp * e_RP * cfg.w_gain * pi * (1.0 - pi)
         decay[lo:hi] = mu_k * cfg.lam
@@ -714,7 +719,7 @@ class ArrayFormStep:
 
         self.mu = per_row([mdl.config.mu for mdl in models])
         self.lam = per_row([mdl.config.lam for mdl in models])
-        self.rp_rate = per_row([mdl.config.rp_rate for mdl in models])
+        self.mu_rp = per_row([mdl.config.mu_rp for mdl in models])
         self.w_gain = per_row([mdl.config.w_gain for mdl in models])
         self._net = mulnet.NetBuffers(stack.S)
         self.G = self._net.out[:total]
@@ -734,7 +739,7 @@ class ArrayFormStep:
         self._gain_RP = self._gain[total:, 0, 0]
         self._decay = np.empty((2 * total, 1, 1))
         self._decay_G = self._decay[:total, 0, 0]
-        self._decay[total:, 0, 0] = self.rp_rate * self.lam
+        self._decay[total:, 0, 0] = self.mu_rp * self.lam
         self._new = np.empty_like(stack.S)
         self._decay_term = np.empty_like(stack.S)
 
@@ -754,7 +759,7 @@ class ArrayFormStep:
         mu_k = np.multiply(r_RP, self.mu, out=self._row_work)
         np.multiply(mu_k, e_G, out=self._gain_G)
         np.multiply(mu_k, self.lam, out=self._decay_G)
-        rp_gain = np.multiply(self.rp_rate, e_RP, out=self._gain_RP)
+        rp_gain = np.multiply(self.mu_rp, e_RP, out=self._gain_RP)
         rp_gain *= self.w_gain
         rp_gain *= pi
         rp_gain *= np.subtract(1.0, pi, out=mu_k)

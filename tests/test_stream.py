@@ -53,7 +53,7 @@ def test_a_seed_that_is_not_a_nonnegative_integer_is_refused(seed):
 
 def test_cli_commands_never_import_numpy_random(tmp_path):
     """demo, a one-episode train on one demo, eval and gradcheck in one
-    fresh interpreter leave numpy.random unloaded."""
+    fresh interpreter leave numpy.random unloaded and warn of nothing."""
     package_root = str(Path(grpleg.__file__).resolve().parent.parent)
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (package_root, env.get("PYTHONPATH")) if p)
@@ -66,9 +66,10 @@ def test_cli_commands_never_import_numpy_random(tmp_path):
             assert cli(argv) == 0, argv
         assert "numpy.random" not in sys.modules, "numpy.random was imported"
     """)
-    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
-                          cwd=tmp_path, env=env)
+    proc = subprocess.run([sys.executable, "-W", "error", "-c", script], capture_output=True,
+                          text=True, cwd=tmp_path, env=env)
     assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
     assert sorted(p.name for p in (tmp_path / "out").iterdir()) == [
         "demo_001.csv", "eval_001.csv", "hip.json", "knee.json", "manifest.json",
         "report.json", "train_log.json"]
