@@ -18,6 +18,7 @@ import math
 import re
 import sys
 import typing
+from array import array
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -296,49 +297,67 @@ def _header(models) -> list[str]:
     return [*FIXED_COLUMNS, *(c for name, m in models for c in trace_columns(name, m))]
 
 
+# Rows write_trajectory formats per write, so no swing is held whole as text.
+WRITE_BLOCK_ROWS = 128
+
+
 def write_trajectory(path, traj: Trajectory) -> None:
-    """`traj`'s table as a CSV: its header, then one line per table row."""
+    """`traj`'s table as a CSV: its header, then one line per table row,
+    WRITE_BLOCK_ROWS rows per `%` and write, over a flat tuple of their values."""
     header = _header(traj.models)
     # '%.17g' % x is f"{x:.17g}" for every double, nan, inf and -0 included
     row = ",".join(["%.17g"] * 10 + ["%d", "%d"] + ["%.17g"] * (len(header) - 12)) + "\n"
+    table = traj.table
     with open(path, "w", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        fh.write("".join([row % tuple(r) for r in traj.table.tolist()]))
+        for start in range(0, len(table), WRITE_BLOCK_ROWS):
+            block = table[start:start + WRITE_BLOCK_ROWS]
+            fh.write((row * len(block)) % tuple(block.ravel().tolist()))
 
 
 def read_trajectory(path) -> Trajectory:
     """A trajectory file as write_trajectory writes it. The header must be
     FIXED_COLUMNS, then trace_columns(name, m) for each model in turn, each
-    name one or more word characters and used by one block only."""
+    name one or more word characters and used by one block only. The file
+    is read a line at a time, and each row's values are parsed straight
+    into one packed array('d'), of which the table is a view; lines may
+    end in \\n or \\r\\n, the last one in neither."""
     with open(path) as fh:
-        lines = fh.read().splitlines()
-    if not lines:
-        raise ValueError(f"{path}: empty trajectory file")
-    header = lines[0].split(",")
-    # (name, m) per model in the order of first appearance, word-character names only
-    names = [col.rsplit("_", 2)[0] for col in header[len(FIXED_COLUMNS):]]
-    models = {name: n // 2 for name, n in collections.Counter(names).items()
-              if re.fullmatch(r"\w+", name)}
-    expected = _header(models.items())
-    if header != expected:
-        j = next(j for j, (a, b) in enumerate(zip(header + [None], expected + [None]))
-                 if a != b)
-        raise ValueError(f"{path} line 1: bad trajectory header from column {j + 1}: "
-                         f"got {','.join(header[j:])!r}, expected {','.join(expected[j:])!r}")
-    width = len(header)
-    rows = []
-    for lineno, line in enumerate(lines[1:], start=2):
-        parts = line.split(",")
-        if len(parts) != width:
-            raise ValueError(f"{path} line {lineno}: expected {width} fields, "
-                             f"got {len(parts)}")
-        try:
-            rows.append([float(p) for p in parts])
-        except ValueError:
-            raise ValueError(f"{path} line {lineno}: unparseable value") from None
-    if not rows:
+        header = fh.readline()
+        if not header:
+            raise ValueError(f"{path}: empty trajectory file")
+        header = header.rstrip("\n").split(",")
+        # (name, m) per model in the order of first appearance, word-character names only
+        names = [col.rsplit("_", 2)[0] for col in header[len(FIXED_COLUMNS):]]
+        models = {name: n // 2 for name, n in collections.Counter(names).items()
+                  if re.fullmatch(r"\w+", name)}
+        expected = _header(models.items())
+        if header != expected:
+            j = next(j for j, (a, b) in enumerate(zip(header + [None], expected + [None]))
+                     if a != b)
+            raise ValueError(f"{path} line 1: bad trajectory header from column {j + 1}: "
+                             f"got {','.join(header[j:])!r}, "
+                             f"expected {','.join(expected[j:])!r}")
+        width = len(header)
+        buf = array("d")
+        for lineno, line in enumerate(fh, start=2):
+            row = line.rstrip("\n")
+            parts = row.split(",")
+            if len(parts) != width:
+                raise ValueError(f"{path} line {lineno}: expected {width} fields, "
+                                 f"got {len(parts)}")
+            # a form feed, say, breaks a line for str.splitlines but not for a
+            # file, and float() takes it at either end of a value as whitespace
+            if row.splitlines() != [row]:
+                brk = row[len(row.splitlines()[0])]
+                raise ValueError(f"{path} line {lineno}: line break {brk!r} inside a row")
+            try:
+                buf.extend(map(float, parts))
+            except ValueError:
+                raise ValueError(f"{path} line {lineno}: unparseable value") from None
+    if not buf:
         raise ValueError(f"{path}: no data rows")
-    data = np.array(rows)
+    data = np.frombuffer(buf).reshape(-1, width)
     # plant values are finite when written; a trace's G may overflow to inf
     bad = np.argwhere(~np.isfinite(data[:, :10]))
     if bad.size:

@@ -33,6 +33,7 @@ import functools
 import itertools
 import math
 import types
+from array import array
 from collections.abc import Iterable
 from dataclasses import dataclass, replace
 
@@ -239,9 +240,10 @@ def sensor_matrix(traj: Trajectory) -> np.ndarray:
 
 
 def check_swing_steps(dt: float, timeout: float) -> None:
-    """Refuse a dt that is not positive, then a timeout of more than MAX_SWING_STEPS dt."""
-    if not dt > 0.0:
-        raise ValueError(f"dt must be positive, got {dt}")
+    """Refuse a dt that is not finite and positive, then a timeout of more
+    than MAX_SWING_STEPS dt."""
+    if not 0.0 < dt < math.inf:
+        raise ValueError(f"dt must be finite and positive, got {dt}")
     if not timeout / dt <= MAX_SWING_STEPS:
         raise ValueError(f"timeout {timeout} is more than {MAX_SWING_STEPS} steps of dt {dt}")
 
@@ -263,17 +265,19 @@ def _rollout(
     purely as a contact/phase monitor on the kinematics it observes. Each
     tick, every active swing's five sensor floats are split into its 8-wide
     input row on Python floats (split_row, split_input's bits), and the
-    list of rows takes one grp.forward call. A swing's rows, appended in
-    file layout with forward's G and pi blocks as they come, are its
-    Trajectory's table. check_swing_steps refuses dt and timeout at once.
+    list of rows takes one grp.forward call. Each swing's rows are
+    appended in file layout, with forward's G and pi blocks as they come,
+    to one packed array('d') of that swing, with no Python float kept per
+    value; its Trajectory's table is a view of that array, a row per tick.
+    check_swing_steps refuses dt and timeout at once.
     """
     check_swing_steps(dt, timeout)
     tasks = [task for task, _ in swings]
     states = [init for _, init in swings]
     ctrls = [ControllerState()] * len(swings)
-    # per swing and tick: the file row's plant columns, then with a stack each
-    # model's G block and pi block as forward gives them
-    ticks = [[] for _ in swings]
+    # per swing, its rows' doubles in file order: each tick's plant columns,
+    # then with a stack each model's G block and pi block as forward gives them
+    bufs = [array("d") for _ in swings]
     models = () if stack is None else (("hip", stack.models[0].m), ("knee", stack.models[1].m))
     active = list(range(len(swings)))
 
@@ -289,25 +293,29 @@ def _rollout(
             rows = [split_row(*_sensor_channels(kin.alpha, states[i], tasks[i].alpha_tgt))
                     for i, kin in zip(active, kins)]
             (G_h, pi_h, tau_h), (G_k, pi_k, tau_k) = grp.forward(stack, rows)
-            traces = map(tuple, np.concatenate((G_h, pi_h, G_k, pi_k), axis=1).tolist())
+            traces = np.concatenate((G_h, pi_h, G_k, pi_k), axis=1).tolist()
             torques = map(JointTorques, tau_h.tolist(), tau_k.tolist())
 
         still = []
         for i, kin, tq, trace in zip(active, kins, torques, traces):
             state, ctrl = states[i], ctrls[i]
             applied = saturate(tq, params)
-            ticks[i].append((
+            bufs[i].extend((
                 state.t, state.phi_h, state.phi_k, state.phi_h_dot, state.phi_k_dot,
                 kin.alpha, kin.alpha_dot, kin.l, applied.tau_h, applied.tau_k,
                 ctrl.phase, ctrl.contact,
-            ) + trace)
+            ))
+            # not `+ trace`: CPython 3.11 keeps every freed 20-item tuple (a
+            # default eval row) in its free list, up to 2000, and reuses none
+            bufs[i].extend(trace)
             if not (ctrl.contact or state.t >= timeout):
                 states[i] = integrate_step(state, applied, params, dt)
                 still.append(i)
         active = still
 
-    return [Trajectory(np.array(rows, dtype=float), models, task)
-            for rows, task in zip(ticks, tasks)]
+    width = len(FIXED_COLUMNS) + 2 * sum(m for _, m in models)
+    return [Trajectory(np.frombuffer(buf).reshape(-1, width), models, task)
+            for buf, task in zip(bufs, tasks)]
 
 
 def run_demo_episode(

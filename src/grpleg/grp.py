@@ -92,8 +92,14 @@ class GrpConfig:
                 raise ValueError(f"{name} must be >= {low}, got {v}")
         for name in ("mu", "mu_rp", "lam", "gamma0", "beta", "w_gain", "init_scale"):
             v = getattr(self, name)
-            if not math.isfinite(v):
-                label = "lam (lambda)" if name == "lam" else name
+            label = "lam (lambda)" if name == "lam" else name
+            if not isinstance(v, (int, float)) or isinstance(v, bool):
+                raise ValueError(f"{label} must be a number, got {v!r}")
+            try:
+                finite = math.isfinite(v)
+            except OverflowError:
+                raise ValueError(f"{label} is an integer too large for a float") from None
+            if not finite:
                 raise ValueError(f"{label} must be finite, got {v}")
         for name in ("mu", "mu_rp", "gamma0", "init_scale"):
             v = getattr(self, name)

@@ -557,6 +557,40 @@ def test_trajectory_read_errors_name_lines(tmp_path, demo_traj):
             read_trajectory(tmp_path / "int.csv")
 
 
+@pytest.mark.parametrize("ending, last", [("\r\n", "\r\n"), ("\n", ""), ("\r\n", "")],
+                         ids=["crlf", "no-final-newline", "crlf-no-final-newline"])
+def test_trajectory_reads_other_line_ends(tmp_path, demo_traj, ending, last):
+    """A trajectory file whose lines end in \\r\\n, or whose last line has
+    no line end, reads back to the table's bits and its models."""
+    traj = with_traces(demo_traj)
+    write_trajectory(tmp_path / "t.csv", traj)
+    lines = (tmp_path / "t.csv").read_text().splitlines()
+    (tmp_path / "v.csv").write_bytes((ending.join(lines) + last).encode())
+    back = read_trajectory(tmp_path / "v.csv")
+    assert back.table.tobytes() == traj.table.tobytes()
+    assert back.models == traj.models
+
+
+@pytest.mark.parametrize("brk", ["\f", "\v", "\x1c", "\x85", "\u2028"],
+                         ids=["form-feed", "vertical-tab", "file-separator", "next-line",
+                              "line-separator"])
+@pytest.mark.parametrize("where", ["end", "inside"])
+def test_trajectory_refuses_a_line_break_inside_a_row(tmp_path, demo_traj, brk, where):
+    """str.splitlines breaks a line at a form feed and the like, a text
+    file's lines do not, and float() takes most of them at either end of a
+    value as whitespace: a row holding one is refused, naming its line,
+    not parsed."""
+    assert float("1.5\f") == float("\u2028 1.5") == 1.5
+    write_trajectory(tmp_path / "t.csv", demo_traj)
+    lines = (tmp_path / "t.csv").read_text().splitlines()
+    parts = lines[3].split(",")
+    parts[-1 if where == "end" else 4] += brk
+    (tmp_path / "b.csv").write_text("\n".join(lines[:3] + [",".join(parts)] + lines[4:]) + "\n",
+                                    encoding="utf-8")
+    with pytest.raises(ValueError, match=re.escape(f"line 4: line break {brk!r} inside a row")):
+        read_trajectory(tmp_path / "b.csv")
+
+
 TRACE_HEADER_CASES = [
     # (trace columns, what is wrong, where the error says they go wrong)
     ("hip_G_1", "lone column", "column 13: got 'hip_G_1', expected ''"),
@@ -881,6 +915,34 @@ def test_cli_train_holds_the_corpus_once(tmp_path, capsys):
         tracemalloc.stop()
     capsys.readouterr()
     assert peak < 1.5e6, f"traced peak {peak / 1e6:.2f} MB"
+
+
+def test_cli_eval_holds_each_swing_as_packed_doubles(tmp_path, capsys):
+    """A default 20-swing eval of the fixture models keeps each swing as
+    packed doubles from rollout to CSV, about 2.1 MB traced; a Python float
+    per value, in the rollout's per-tick row tuples and the writer's
+    whole-swing lists and text, peaked at 8.4 MB. Reading its 20 CSVs back
+    one at a time peaks 0.17 MB above what was held before, one swing's
+    packed table and a line; a list of float lists per file peaked at 0.88
+    MB. The first calls warm every lazily built cache."""
+    for name in ("hip.json", "knee.json"):
+        (tmp_path / name).write_bytes((FIXTURE_DIR / name).read_bytes())
+    assert cli_io.cli(["eval", "--n", "1", "--out", str(tmp_path)]) == 0
+    read_trajectory(tmp_path / "eval_001.csv")
+    tracemalloc.start()
+    try:
+        assert cli_io.cli(["eval", "--out", str(tmp_path)]) == 0
+        eval_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        held = tracemalloc.get_traced_memory()[0]
+        for i in range(1, 21):
+            read_trajectory(tmp_path / f"eval_{i:03d}.csv")
+        read_peak = tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+    capsys.readouterr()
+    assert eval_peak < 4e6, f"eval traced peak {eval_peak / 1e6:.2f} MB"
+    assert read_peak < 0.4e6, f"read traced peak {read_peak / 1e6:.2f} MB"
 
 
 def test_cli_train_layers_override(tmp_path):

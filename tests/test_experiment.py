@@ -500,21 +500,24 @@ def test_evaluate_rejects_empty_task_list():
 
 
 @pytest.mark.parametrize("timeout, dt", [(math.nan, 1e-3), (math.inf, 1e-3),
-                                         (1e300, 1e-3), (2.0, 1e-300)],
-                         ids=["nan", "inf", "huge", "dt-tiny"])
+                                         (1e300, 1e-3), (2.0, 1e-300), (2.0, math.inf)],
+                         ids=["nan", "inf", "huge", "dt-tiny", "dt-inf"])
 @pytest.mark.parametrize("rollout", ["evaluate", "run_demo_episode"])
 def test_rollouts_refuse_a_timeout_that_is_not_finite(rollout, timeout, dt, monkeypatch):
     """No swing reaches a NaN or infinite timeout, and a finite one may be
     more plant steps than any swing should take, so one that never landed
     would append rows without end: the rollout refuses a timeout of more
     than MAX_SWING_STEPS steps of dt, as RunConfig does, before any swing
-    takes its first tick."""
+    takes its first tick. An infinite dt would make that any timeout's
+    zero steps, and the first plant step fail; it is refused as dt."""
     def no_tick(*args):
         raise AssertionError("a swing rolled")
 
     monkeypatch.setattr(experiment, "kinematics", no_tick)
     tasks = sample_tasks(SampleRanges(), 2, seed=5)
     message = f"timeout {timeout} is more than {experiment.MAX_SWING_STEPS} steps of dt {dt}"
+    if dt == math.inf:
+        message = "dt must be finite and positive, got inf"
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         if rollout == "evaluate":
             evaluate(*fresh_pair(), tasks, dt=dt, timeout=timeout)

@@ -66,11 +66,35 @@ def test_config_defaults_valid():
         dict(m=1, seed=-1),
         dict(m=1, seed=1.5),
         dict(m=1, seed=True),
+        dict(m=1, mu_rp=None),
+        dict(m=1, mu="1e-6"),
+        dict(m=1, mu=10**400),
+        dict(m=1, mu=True),
+        dict(m=1, lam=False),
     ],
 )
 def test_config_rejects_bad_fields(kwargs):
-    with pytest.raises(ValueError):
+    """Each case's last field is the bad one, and the error names it."""
+    with pytest.raises(ValueError, match=f"^{list(kwargs)[-1]} "):
         GrpConfig(**kwargs)
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("mu_rp", None, "mu_rp must be a number, got None"),
+    ("mu", "1e-6", "mu must be a number, got '1e-6'"),
+    ("mu", True, "mu must be a number, got True"),
+    ("lam", False, "lam (lambda) must be a number, got False"),
+    ("mu", 10**400, "mu is an integer too large for a float"),
+    ("beta", -10**400, "beta is an integer too large for a float"),
+])
+def test_config_names_a_float_field_of_the_wrong_type(field, value, message):
+    """A float field takes an int or a float, as in a file: a bool, a
+    string or None is refused naming the field, and so is an integer too
+    large for a float, not by the finiteness check's TypeError or
+    OverflowError. A plain int stays accepted as it is."""
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        GrpConfig(m=1, **{field: value})
+    assert getattr(GrpConfig(m=1, **{field: 2}), field) == 2
 
 
 @pytest.mark.parametrize(
