@@ -2,9 +2,30 @@
 double-pendulum leg, and the modular generator/responsibility-predictor (GRP)
 model that learns it online from controller demonstrations."""
 
+import math
 import numbers
 
 __version__ = "0.1.0"
+
+
+def _int(value, key: str) -> int:
+    """An `int`, not a bool or a float, as JSON gives it; the error names `key`."""
+    if type(value) is not int:
+        raise ValueError(f"{key} must be an integer, got {value!r}")
+    return value
+
+
+def _float(value, key: str) -> float:
+    """A finite `int` or `float` (not a bool) as a float; the error names `key`."""
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        raise ValueError(f"{key} must be a number, got {value!r}")
+    try:
+        v = float(value)
+    except OverflowError:
+        raise ValueError(f"{key} is an integer too large for a float") from None
+    if not math.isfinite(v):
+        raise ValueError(f"{key} has non-finite value {value!r}")
+    return v
 
 
 class NonFiniteError(RuntimeError):

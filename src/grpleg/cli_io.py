@@ -14,7 +14,6 @@ import collections
 import dataclasses
 import functools
 import json
-import math
 import re
 import sys
 import typing
@@ -24,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import NonFiniteError, grp, mulnet, uniform_stream
+from . import NonFiniteError, _float, _int, grp, mulnet, uniform_stream
 from .dynamics import LegParams
 from .experiment import (
     ACTIVE_PI,
@@ -105,35 +104,11 @@ def _list(value, key: str) -> list:
     return value
 
 
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
-def _int(value, key: str) -> int:
-    """A JSON integer, not coerced; the error names the dotted `key`."""
-    if type(value) is not int:
-        raise ValueError(f"{key} must be an integer, got {value!r}")
-    return value
-
-
 def _bool(value, key: str) -> bool:
     """A JSON true or false, not coerced."""
     if type(value) is not bool:
         raise ValueError(f"{key} must be true or false, got {value!r}")
     return value
-
-
-def _float(value, key: str) -> float:
-    """A finite JSON number (not a bool, a string or a huge integer) as a float."""
-    if not _is_number(value):
-        raise ValueError(f"{key} must be a number, got {value!r}")
-    try:
-        v = float(value)
-    except OverflowError:
-        raise ValueError(f"{key} is an integer too large for a float") from None
-    if not math.isfinite(v):
-        raise ValueError(f"{key} has non-finite value {value!r}")
-    return v
 
 
 @functools.cache
@@ -268,13 +243,13 @@ def model_from_dict(data: dict) -> GrpModel:
         _record(entry, ("W", "R"), f"layers[{k}].")
         W[k] = _matrix(entry["W"], f"layers[{k}].W")
         R[k] = _matrix(entry["R"], f"layers[{k}].R")
-    gamma = data["gamma"]
-    if not (_is_number(gamma) and 0.0 < gamma < math.inf):
-        raise ValueError(f"gamma must be positive and finite, got {gamma!r}")
+    gamma = _float(data["gamma"], "gamma")
+    if not gamma > 0.0:
+        raise ValueError(f"gamma must be positive, got {gamma!r}")
     episode_count = _int(data["episode_count"], "episode_count")
     if episode_count < 0:
         raise ValueError(f"episode_count must be >= 0, got {episode_count}")
-    return GrpModel(W=W, R=R, gamma=_float(gamma, "gamma"), config=config,
+    return GrpModel(W=W, R=R, gamma=gamma, config=config,
                     episode_count=episode_count)
 
 
@@ -297,6 +272,41 @@ def _header(models) -> list[str]:
     return [*FIXED_COLUMNS, *(c for name, m in models for c in trace_columns(name, m))]
 
 
+# Per trajectory column: the format write_trajectory writes it in, the pattern of
+# the text it gives for the column's values (all read_trajectory reads there),
+# and those values. Plant values are finite when written; a trace's G may
+# overflow to inf. _FINITE is '%.17g' % x (f"{x:.17g}") of a finite double x.
+_FINITE = r"-?[0-9]+(?:\.[0-9]+)?(?:e[-+][0-9]{2,3})?"
+COLUMN_FORMATS = dict(zip(FIXED_COLUMNS, [("%.17g", _FINITE, "a finite double")] * 10
+                          + [("%d", "[123]", "1, 2 or 3"), ("%d", "[01]", "0 or 1")]))
+TRACE_FORMAT = ("%.17g", rf"{_FINITE}|-?inf|nan", "a double")
+
+
+def _row_formats(width: int) -> list[tuple[str, str, str]]:
+    """The (format, pattern, values) of each column of a `width`-column file."""
+    return [*COLUMN_FORMATS.values(), *[TRACE_FORMAT] * (width - len(COLUMN_FORMATS))]
+
+
+@functools.cache
+def _row_pattern(width: int) -> re.Pattern:
+    """The one pattern a row of a `width`-column file matches in full."""
+    return re.compile(",".join(f"(?:{pattern})" for _, pattern, _ in _row_formats(width)))
+
+
+def _row_error(path, lineno: int, row: str, header: list[str]) -> ValueError:
+    """Why `row`, line `lineno` of `path`, is no row of `header`'s file: its
+    field count, or else its first field whose text its column never holds."""
+    fields = row.split(",")
+    if len(fields) != len(header):
+        return ValueError(f"{path} line {lineno}: expected {len(header)} fields, "
+                          f"got {len(fields)}")
+    return next(ValueError(f"{path} line {lineno} column {j + 1} ({name}): got {text!r}, "
+                           f"expected {values} as {fmt!r} writes it")
+                for j, (name, text, (fmt, pattern, values))
+                in enumerate(zip(header, fields, _row_formats(len(header))))
+                if not re.fullmatch(pattern, text))
+
+
 # Rows write_trajectory formats per write, so no swing is held whole as text.
 WRITE_BLOCK_ROWS = 128
 
@@ -305,8 +315,7 @@ def write_trajectory(path, traj: Trajectory) -> None:
     """`traj`'s table as a CSV: its header, then one line per table row,
     WRITE_BLOCK_ROWS rows per `%` and write, over a flat tuple of their values."""
     header = _header(traj.models)
-    # '%.17g' % x is f"{x:.17g}" for every double, nan, inf and -0 included
-    row = ",".join(["%.17g"] * 10 + ["%d", "%d"] + ["%.17g"] * (len(header) - 12)) + "\n"
+    row = ",".join(fmt for fmt, _, _ in _row_formats(len(header))) + "\n"
     table = traj.table
     with open(path, "w", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
@@ -321,7 +330,8 @@ def read_trajectory(path) -> Trajectory:
     name one or more word characters and used by one block only. The file
     is read a line at a time, and each row's values are parsed straight
     into one packed array('d'), of which the table is a view; lines may
-    end in \\n or \\r\\n, the last one in neither."""
+    end in \\n or \\r\\n, the last one in neither. A field whose text is not
+    what COLUMN_FORMATS gives its column is refused, naming line and column."""
     with open(path) as fh:
         header = fh.readline()
         if not header:
@@ -338,38 +348,16 @@ def read_trajectory(path) -> Trajectory:
             raise ValueError(f"{path} line 1: bad trajectory header from column {j + 1}: "
                              f"got {','.join(header[j:])!r}, "
                              f"expected {','.join(expected[j:])!r}")
-        width = len(header)
+        match = _row_pattern(len(header)).fullmatch
         buf = array("d")
         for lineno, line in enumerate(fh, start=2):
             row = line.rstrip("\n")
-            parts = row.split(",")
-            if len(parts) != width:
-                raise ValueError(f"{path} line {lineno}: expected {width} fields, "
-                                 f"got {len(parts)}")
-            # a form feed, say, breaks a line for str.splitlines but not for a
-            # file, and float() takes it at either end of a value as whitespace
-            if row.splitlines() != [row]:
-                brk = row[len(row.splitlines()[0])]
-                raise ValueError(f"{path} line {lineno}: line break {brk!r} inside a row")
-            try:
-                buf.extend(map(float, parts))
-            except ValueError:
-                raise ValueError(f"{path} line {lineno}: unparseable value") from None
+            if match(row) is None:
+                raise _row_error(path, lineno, row, header)
+            buf.extend(map(float, row.split(",")))
     if not buf:
         raise ValueError(f"{path}: no data rows")
-    data = np.frombuffer(buf).reshape(-1, width)
-    # plant values are finite when written; a trace's G may overflow to inf
-    bad = np.argwhere(~np.isfinite(data[:, :10]))
-    if bad.size:
-        i, j = bad[0]
-        raise ValueError(f"{path} line {i + 2}: {FIXED_COLUMNS[j]} must be finite, "
-                         f"got {data[i, j]:g}")
-    for j, allowed in ((10, (1, 2, 3)), (11, (0, 1))):
-        bad = np.flatnonzero(~np.isin(data[:, j], allowed))
-        if bad.size:
-            raise ValueError(f"{path} line {bad[0] + 2}: {FIXED_COLUMNS[j]} must be one of "
-                             f"{allowed}, got {data[bad[0], j]:g}")
-    return Trajectory(data, models.items())
+    return Trajectory(np.frombuffer(buf).reshape(-1, len(header)), models.items())
 
 
 _REPORT_KEYS = ("trajectories", "avg_error_deg", "max_error_deg",

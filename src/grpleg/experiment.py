@@ -122,7 +122,7 @@ class Trajectory:
     post-saturation. The float columns (`t` ... `tau_k`) and each model's
     `traces[name].G` and `.pi` are views of the table, and `phase` and
     `contact` are columns 10 and 11 as ints and bools; a table of another
-    width is refused. A swing that ends without ground contact timed out."""
+    width or of no rows is refused. A swing ending off the ground timed out."""
 
     table: np.ndarray
     models: tuple[tuple[str, int], ...] = ()
@@ -131,9 +131,9 @@ class Trajectory:
     def __post_init__(self):
         models = tuple(self.models)
         width = len(FIXED_COLUMNS) + 2 * sum(m for _, m in models)
-        if self.table.shape[1:] != (width,):
-            raise ValueError(f"a swing of models {models} is a table of {width} columns, "
-                             f"got shape {self.table.shape}")
+        if self.table.shape[1:] != (width,) or not len(self.table):
+            raise ValueError(f"a swing of models {models} is a table of {width} columns "
+                             f"and one or more rows, got shape {self.table.shape}")
         bind = functools.partial(object.__setattr__, self)
         bind("models", models)
         for j, name in enumerate(FIXED_COLUMNS[:10]):

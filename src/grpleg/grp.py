@@ -48,7 +48,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import NonFiniteError, uniform_stream
+from . import NonFiniteError, _float, _int, uniform_stream
 from .mulnet import (
     NET_DIM,
     P_CEIL,
@@ -84,23 +84,12 @@ class GrpConfig:
     seed: int = 0
 
     def __post_init__(self):
+        # each value is checked as a file's is, so a bool or a float m is refused
         for name, low in (("m", 1), ("seed", 0)):
-            v = getattr(self, name)
-            if type(v) is not int:  # a bool or a float is refused, as in a file
-                raise ValueError(f"{name} must be an integer, got {v!r}")
-            if v < low:
+            if (v := _int(getattr(self, name), name)) < low:
                 raise ValueError(f"{name} must be >= {low}, got {v}")
         for name in ("mu", "mu_rp", "lam", "gamma0", "beta", "w_gain", "init_scale"):
-            v = getattr(self, name)
-            label = "lam (lambda)" if name == "lam" else name
-            if not isinstance(v, (int, float)) or isinstance(v, bool):
-                raise ValueError(f"{label} must be a number, got {v!r}")
-            try:
-                finite = math.isfinite(v)
-            except OverflowError:
-                raise ValueError(f"{label} is an integer too large for a float") from None
-            if not finite:
-                raise ValueError(f"{label} must be finite, got {v}")
+            _float(getattr(self, name), "lam (lambda)" if name == "lam" else name)
         for name in ("mu", "mu_rp", "gamma0", "init_scale"):
             v = getattr(self, name)
             if not v > 0.0:

@@ -18,7 +18,9 @@ import pytest
 import grpleg
 from grpleg import cli_io, grp, mulnet
 from grpleg.cli_io import (
+    COLUMN_FORMATS,
     FIXED_COLUMNS,
+    TRACE_FORMAT,
     RunConfig,
     grp_config_from_dict,
     grp_config_to_dict,
@@ -327,10 +329,8 @@ def test_model_loaded_forward_matches(tmp_path):
          "layers\\[2\\].R has non-finite"),
         (lambda d: d["layers"][0]["W"][0].__setitem__(0, -math.inf),
          "layers\\[0\\].W has non-finite"),
-        (lambda d: d.update(gamma=math.nan),
-         "gamma must be positive and finite, got nan"),
-        (lambda d: d.update(gamma=math.inf),
-         "gamma must be positive and finite, got inf"),
+        (lambda d: d.update(gamma=math.nan), "^gamma has non-finite value nan$"),
+        (lambda d: d.update(gamma=math.inf), "^gamma has non-finite value inf$"),
         (lambda d: d.update(gamma=10 ** 400), "^gamma is an integer too large for a float$"),
         (lambda d: d.update(episode_count=1599.7),
          "episode_count must be an integer, got 1599.7"),
@@ -434,6 +434,26 @@ def test_trajectory_bytes_match_per_value_format(tmp_path, demo_traj, driven_by)
     assert first == [b"nan", b"inf", b"-inf", b"-0", b"4.9406564584124654e-324", b"1e+308"]
 
 
+def test_trajectory_column_texts_are_the_writers_texts():
+    """Each column's format gives text its own pattern matches, for every
+    value the column holds, and the plant pattern matches no non-finite
+    double's text: over 10^5 seeded random 64-bit patterns viewed as
+    doubles, and the edge doubles."""
+    bits = np.random.default_rng(31).integers(0, 2**64, 10**5, dtype=np.uint64)
+    doubles = bits.view(np.float64).tolist() + [0.0, -0.0, math.inf, -math.inf, math.nan,
+                                                5e-324, sys.float_info.max]
+    plant_format, plant_text, _ = COLUMN_FORMATS["phi_h"]
+    trace_format, trace_text, _ = TRACE_FORMAT
+    plant, trace = re.compile(plant_text), re.compile(trace_text)
+    for x in doubles:
+        assert trace.fullmatch(trace_format % x), trace_format % x
+        assert bool(plant.fullmatch(plant_format % x)) == math.isfinite(x), plant_format % x
+    for name, values in (("phase", (1, 2, 3)), ("contact", (0, 1))):
+        fmt, text, _ = COLUMN_FORMATS[name]
+        assert [re.fullmatch(text, fmt % float(v)) is not None for v in range(-1, 5)] == [
+            v in values for v in range(-1, 5)]
+
+
 def test_trajectory_round_trip_value_exact(tmp_path, demo_traj):
     traj = with_traces(demo_traj)
     write_trajectory(tmp_path / "t.csv", traj)
@@ -503,15 +523,18 @@ def test_trajectory_table_layout_is_the_file_row(tmp_path):
 def test_trajectory_is_one_table_of_its_models_width(demo_traj):
     """A Trajectory holds one table, 12 + 2 sum(m) columns wide for its
     (name, m) models: a table one column too narrow or too wide, a
-    plant-only one, or a 1-D one, is refused, naming the models. Its
+    plant-only one, a 1-D one, or one of no rows, is refused, naming the
+    models. Its
     columns cannot be rebound and its traces not replaced, so no column
     can disagree with another in length."""
     models = (("hip", 1), ("knee", 3))
     traj = with_traces(demo_traj, models)
     table = traj.table
-    for bad in (table[:, :-1], np.hstack([table, table[:, :1]]), table[:, :12], table[:, 0]):
+    for bad in (table[:, :-1], np.hstack([table, table[:, :1]]), table[:, :12], table[:, 0],
+                table[:0]):
         with pytest.raises(ValueError, match=re.escape(
-                f"a swing of models {models} is a table of 20 columns, got shape {bad.shape}")):
+                f"a swing of models {models} is a table of 20 columns and one or more rows, "
+                f"got shape {bad.shape}")):
             Trajectory(bad, models, traj.task)
     for name in ("table", "tau_k", "contact", "traces", "models"):
         with pytest.raises(dataclasses.FrozenInstanceError):
@@ -522,39 +545,48 @@ def test_trajectory_is_one_table_of_its_models_width(demo_traj):
 
 
 def test_trajectory_read_errors_name_lines(tmp_path, demo_traj):
-    write_trajectory(tmp_path / "t.csv", demo_traj)
+    """A row is refused, naming its line, for its field count, or else for
+    the first field whose text is not what write_trajectory writes in that
+    column: COLUMN_FORMATS' text, not whatever float() takes."""
+    traj = with_traces(demo_traj)
+    write_trajectory(tmp_path / "t.csv", traj)
     lines = (tmp_path / "t.csv").read_text().splitlines()
+    header = lines[0].split(",")
 
     short = "\n".join(lines[:3] + [lines[3].rsplit(",", 1)[0]]) + "\n"
     (tmp_path / "short.csv").write_text(short)
-    with pytest.raises(ValueError, match="line 4: expected 12 fields, got 11"):
+    with pytest.raises(ValueError, match="line 4: expected 20 fields, got 19$"):
         read_trajectory(tmp_path / "short.csv")
-
-    parts = lines[2].split(",")
-    parts[4] = "not-a-number"
-    bad = "\n".join([lines[0], lines[1], ",".join(parts)]) + "\n"
-    (tmp_path / "bad.csv").write_text(bad)
-    with pytest.raises(ValueError, match="line 3: unparseable value"):
-        read_trajectory(tmp_path / "bad.csv")
 
     (tmp_path / "hdr.csv").write_text("t,phi_h,oops\n")
     with pytest.raises(ValueError, match="line 1: bad trajectory header"):
         read_trajectory(tmp_path / "hdr.csv")
 
-    for col, value, message in [(10, "2.7", "phase must be one of \\(1, 2, 3\\), got 2.7"),
-                                (10, "9", "phase must be one of"),
-                                (10, "nan", "phase must be one of .*, got nan"),
-                                (11, "0.5", "contact must be one of \\(0, 1\\), got 0.5"),
-                                (11, "-3", "contact must be one of .*, got -3"),
-                                (0, "nan", "t must be finite, got nan"),
-                                (4, "inf", "phi_k_dot must be finite, got inf"),
-                                (7, "-inf", "l must be finite, got -inf"),
-                                (9, "nan", "tau_k must be finite, got nan")]:
+    plant = "a finite double as '%.17g' writes it"
+    trace = "a double as '%.17g' writes it"
+    for col, value, expected in [(4, "not-a-number", plant),
+                                 (10, "2.7", "1, 2 or 3 as '%d' writes it"),
+                                 (10, "1.0", "1, 2 or 3 as '%d' writes it"),
+                                 (10, "9", "1, 2 or 3 as '%d' writes it"),
+                                 (10, "nan", "1, 2 or 3 as '%d' writes it"),
+                                 (11, "0.5", "0 or 1 as '%d' writes it"),
+                                 (11, "-3", "0 or 1 as '%d' writes it"),
+                                 (0, "nan", plant), (4, "inf", plant),
+                                 (7, "-inf", plant), (9, "nan", plant),
+                                 # what float() takes but '%.17g' never gives
+                                 (1, "1_0", plant), (2, " 2 ", plant), (3, "Infinity", plant),
+                                 (5, "+1e0", plant), (6, "1E+05", plant), (8, "\u0663", plant),
+                                 (12, "-nan", trace), (13, "Infinity", trace),
+                                 (14, "1_0", trace), (15, " 2 ", trace), (16, "+1e0", trace),
+                                 (17, "1E+05", trace), (19, "\u0663", trace)]:
         parts = lines[3].split(",")
         parts[col] = value
-        (tmp_path / "int.csv").write_text("\n".join(lines[:3] + [",".join(parts)]) + "\n")
-        with pytest.raises(ValueError, match="line 4: " + message):
+        (tmp_path / "int.csv").write_text("\n".join(lines[:3] + [",".join(parts)]) + "\n",
+                                          encoding="utf-8")
+        message = f"line 4 column {col + 1} ({header[col]}): got {value!r}, expected {expected}"
+        with pytest.raises(ValueError, match=re.escape(message) + "$"):
             read_trajectory(tmp_path / "int.csv")
+    assert float("1_0") == 10.0 and float("\u0663") == 3.0 and math.isnan(float("-nan"))
 
 
 @pytest.mark.parametrize("ending, last", [("\r\n", "\r\n"), ("\n", ""), ("\r\n", "")],
@@ -579,15 +611,17 @@ def test_trajectory_refuses_a_line_break_inside_a_row(tmp_path, demo_traj, brk, 
     """str.splitlines breaks a line at a form feed and the like, a text
     file's lines do not, and float() takes most of them at either end of a
     value as whitespace: a row holding one is refused, naming its line,
-    not parsed."""
+    its column and the field's text, not parsed."""
     assert float("1.5\f") == float("\u2028 1.5") == 1.5
     write_trajectory(tmp_path / "t.csv", demo_traj)
     lines = (tmp_path / "t.csv").read_text().splitlines()
     parts = lines[3].split(",")
-    parts[-1 if where == "end" else 4] += brk
+    col = 11 if where == "end" else 4
+    parts[col] += brk
     (tmp_path / "b.csv").write_text("\n".join(lines[:3] + [",".join(parts)] + lines[4:]) + "\n",
                                     encoding="utf-8")
-    with pytest.raises(ValueError, match=re.escape(f"line 4: line break {brk!r} inside a row")):
+    with pytest.raises(ValueError, match=re.escape(
+            f"line 4 column {col + 1} ({FIXED_COLUMNS[col]}): got {parts[col]!r}, expected ")):
         read_trajectory(tmp_path / "b.csv")
 
 
