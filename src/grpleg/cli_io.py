@@ -432,12 +432,14 @@ def train_log_to_dict(hip_log: np.ndarray, knee_log: np.ndarray) -> dict:
 
 
 def _config_from_args(args) -> RunConfig:
+    """--config's RunConfig, or the defaults, with each flag given set over the field
+    its argparse dest names; train's --seed is both models' seed, --layers (dest m) the knee's."""
     config = load_run_config(args.config) if args.config else RunConfig()
-    if getattr(args, "episodes", None) is not None:
-        config = replace(config, episodes=args.episodes)
-    if getattr(args, "layers", None) is not None:
-        config = replace(config, knee=replace(config.knee, m=args.layers))
-    return config
+    flags = {name: value for name, value in vars(args).items() if value is not None}
+    models = {name: replace(getattr(config, name), **{k: flags[k] for k in keys if k in flags})
+              for name, keys in (("hip", ("seed",)), ("knee", ("seed", "m")))}
+    return replace(config, **models,
+                   **{name: flags[name] for name, *_ in _fields(RunConfig) if name in flags})
 
 
 def _out_dir(args) -> Path:
@@ -446,22 +448,27 @@ def _out_dir(args) -> Path:
     return out
 
 
+def _demo_swings(config: RunConfig, n: int):
+    """The first n of `config`'s demonstration swings, each rolled as it is read:
+    train reads them after it allocates its log, demo writes each as it comes."""
+    for task, init in sample_tasks(config.ranges, n, config.demo_seed,
+                                   config.gains, config.params):
+        yield run_demo_episode(task, init, config.gains, config.params,
+                               config.dt, config.timeout)
+
+
 def _cmd_demo(args) -> int:
     config = _config_from_args(args)
-    n = args.n if args.n is not None else config.demo_count
-    seed = args.seed if args.seed is not None else config.demo_seed
     out = _out_dir(args)
-    tasks = sample_tasks(config.ranges, n, seed, config.gains, config.params)
     files, trajs = [], []
-    for i, (task, init) in enumerate(tasks, start=1):
-        trajs.append(run_demo_episode(task, init, config.gains, config.params,
-                                      config.dt, config.timeout))
+    for i, traj in enumerate(_demo_swings(config, config.demo_count), start=1):
+        trajs.append(traj)
         files.append(f"demo_{i:03d}.csv")
-        write_trajectory(out / files[-1], trajs[-1])
+        write_trajectory(out / files[-1], traj)
     report = EvalReport.from_swings(trajs)
     _dump_json(out / "manifest.json", {
-        "count": n,
-        "seed": seed,
+        "count": config.demo_count,
+        "seed": config.demo_seed,
         "files": files,
         "alpha_tgt_deg": report.alpha_tgt_deg.tolist(),
         "alpha_end_deg": report.alpha_end_deg.tolist(),
@@ -469,17 +476,13 @@ def _cmd_demo(args) -> int:
         "avg_error_deg": report.avg_error_deg,
         "max_error_deg": report.max_error_deg,
     })
-    print(f"wrote {n} demonstrations to {out}: landing error "
+    print(f"wrote {config.demo_count} demonstrations to {out}: landing error "
           f"avg {report.avg_error_deg:.2f} deg, max {report.max_error_deg:.2f} deg")
     return 0
 
 
 def _cmd_train(args) -> int:
     config = _config_from_args(args)
-    if args.seed is not None:
-        config = replace(config,
-                         hip=replace(config.hip, seed=args.seed),
-                         knee=replace(config.knee, seed=args.seed))
     out = _out_dir(args)
     models = []
     for name in ("hip", "knee"):
@@ -491,14 +494,8 @@ def _cmd_train(args) -> int:
     hip, knee = models
     # only the first `episodes` demos are trained on; sample_tasks' first k do not depend on n
     n = min(config.episodes, config.demo_count)
-
-    def demos():  # rolled one at a time as train reads them, after it allocates its log
-        for task, init in sample_tasks(config.ranges, n, config.demo_seed,
-                                       config.gains, config.params):
-            yield run_demo_episode(task, init, config.gains, config.params,
-                                   config.dt, config.timeout)
-
-    hip_log, knee_log = train([(hip, "tau_h"), (knee, "tau_k")], demos(), config.episodes)
+    hip_log, knee_log = train([(hip, "tau_h"), (knee, "tau_k")], _demo_swings(config, n),
+                              config.episodes)
     save_model(out / "hip.json", hip)
     save_model(out / "knee.json", knee)
     _dump_json(out / "train_log.json", train_log_to_dict(hip_log, knee_log))
@@ -517,17 +514,16 @@ def _load_model_pair(out: Path) -> tuple[GrpModel, GrpModel]:
 
 def _cmd_eval(args) -> int:
     config = _config_from_args(args)
-    n = args.n if args.n is not None else config.eval_count
-    seed = args.seed if args.seed is not None else config.eval_seed
     out = Path(args.out)
     hip, knee = _load_model_pair(out)
-    tasks = sample_tasks(config.ranges, n, seed, config.gains, config.params)
+    tasks = sample_tasks(config.ranges, config.eval_count, config.eval_seed,
+                         config.gains, config.params)
     report, trajs = evaluate(hip, knee, tasks, config.gains, config.params,
                              config.dt, config.timeout)
     for i, traj in enumerate(trajs, start=1):
         write_trajectory(out / f"eval_{i:03d}.csv", traj)
     write_report(out / "report.json", report)
-    print(f"evaluated {n} swings: landing error avg "
+    print(f"evaluated {config.eval_count} swings: landing error avg "
           f"{report.avg_error_deg:.2f} deg, max {report.max_error_deg:.2f} deg, "
           f"{report.timeout_count} timeouts")
     return 0
@@ -580,25 +576,28 @@ def _build_parser() -> argparse.ArgumentParser:
 
     seed, count = at_least(0), at_least(1)
 
-    def common(p, n_help=None):
+    def common(p, stage=None):  # each flag's dest is the RunConfig field it sets
         p.add_argument("--config", help="JSON run configuration")
         p.add_argument("--out", default="out", help="output directory")
-        p.add_argument("--seed", type=seed, help="override the relevant seed")
-        if n_help:
-            p.add_argument("--n", type=count, help=n_help)
+        if stage:
+            p.add_argument("--seed", type=seed, dest=f"{stage}_seed", metavar="SEED",
+                           help=f"sets {stage}_seed")
+            p.add_argument("--n", type=count, dest=f"{stage}_count", metavar="N",
+                           help=f"sets {stage}_count")
 
     p = sub.add_parser("demo", help="generate demonstration trajectories")
-    common(p, "number of demonstrations")
+    common(p, "demo")
     p.set_defaults(func=_cmd_demo)
 
     p = sub.add_parser("train", help="train hip and knee GRP models")
     common(p)
-    p.add_argument("--layers", type=count, help="knee layer count (hip stays 1)")
-    p.add_argument("--episodes", type=count, help="training episodes")
+    p.add_argument("--seed", type=seed, help="sets hip.seed and knee.seed")
+    p.add_argument("--layers", type=count, dest="m", metavar="LAYERS", help="sets knee.m")
+    p.add_argument("--episodes", type=count, help="sets episodes")
     p.set_defaults(func=_cmd_train)
 
     p = sub.add_parser("eval", help="run trained models without references")
-    common(p, "number of evaluation swings")
+    common(p, "eval")
     p.set_defaults(func=_cmd_eval)
 
     p = sub.add_parser("gradcheck",

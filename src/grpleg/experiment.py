@@ -122,7 +122,8 @@ class Trajectory:
     post-saturation. The float columns (`t` ... `tau_k`) and each model's
     `traces[name].G` and `.pi` are views of the table, and `phase` and
     `contact` are columns 10 and 11 as ints and bools; a table of another
-    width or of no rows is refused. A swing ending off the ground timed out."""
+    width or of no rows, or with a phase not 1, 2 or 3 or a contact not 0
+    or 1, is refused. A swing ending off the ground timed out."""
 
     table: np.ndarray
     models: tuple[tuple[str, int], ...] = ()
@@ -138,8 +139,16 @@ class Trajectory:
         bind("models", models)
         for j, name in enumerate(FIXED_COLUMNS[:10]):
             bind(name, self.table[:, j])
-        bind("phase", self.table[:, 10].astype(int))
-        bind("contact", self.table[:, 11] == 1.0)
+        # write_trajectory writes both with '%d', which would write a phase of 2.7 as 2;
+        # counted with scalar compares, which need no casting buffers
+        phase, contact = self.table[:, 10], self.table[:, 11]
+        for name, column, codes in (("phase", phase, (1, 2, 3)), ("contact", contact, (0, 1))):
+            if sum(np.count_nonzero(column == code) for code in codes) != len(column):
+                i, v = next((i, v) for i, v in enumerate(column.tolist()) if v not in codes)
+                raise ValueError(f"a swing's {name} is one of {codes} in every row, "
+                                 f"got {v!r} in row {i}")
+        bind("phase", phase.astype(int))
+        bind("contact", contact == 1.0)
         traces, col = {}, 12
         for name, m in models:
             block = self.table[:, col:col + 2 * m]

@@ -177,8 +177,8 @@ class LearnStack:
     also owns the network half's work: one mulnet.NetBuffers for S, built
     here once, whose `out` holds the network output (G is its first half)
     and whose `grad` holds the gradient, then the update. A stack takes at
-    least one model. A model belongs to one live stack at a time;
-    rebinding its W or R detaches it.
+    least one model, each with config.m layers of weights. A model belongs
+    to one live stack at a time; rebinding its W or R detaches it.
     """
 
     def __init__(self, models: list[GrpModel]):
@@ -191,6 +191,10 @@ class LearnStack:
                 "its weight views would alias"
             )
         sizes = [mdl.m for mdl in models]
+        for k, (mdl, size) in enumerate(zip(models, sizes), start=1):
+            if size != mdl.config.m:  # each row's rates come from its model's config
+                raise ValueError(f"model {k} of the learn stack has {size} layers of "
+                                 f"weights but config.m = {mdl.config.m}")
         total = sum(sizes)
         ends = np.cumsum(sizes).tolist()
         self.models = models
@@ -204,7 +208,7 @@ class LearnStack:
         self._row_model = [k for k, size in enumerate(sizes) for _ in range(size)]
         self._row_consts = [
             (float(cfg.mu), float(cfg.lam), float(cfg.mu_rp), float(cfg.w_gain))
-            for cfg in (mdl.config for mdl in models) for _ in range(cfg.m)
+            for cfg, size in zip((mdl.config for mdl in models), sizes) for _ in range(size)
         ]
         self.w_gain = np.array([w_gain for *_, w_gain in self._row_consts])
 

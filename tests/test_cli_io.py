@@ -524,7 +524,9 @@ def test_trajectory_is_one_table_of_its_models_width(demo_traj):
     """A Trajectory holds one table, 12 + 2 sum(m) columns wide for its
     (name, m) models: a table one column too narrow or too wide, a
     plant-only one, a 1-D one, or one of no rows, is refused, naming the
-    models. Its
+    models. A phase other than 1, 2 or 3 or a contact other than 0 or 1,
+    which write_trajectory's '%d' would truncate, is refused, naming the
+    column, the value and its row. Its
     columns cannot be rebound and its traces not replaced, so no column
     can disagree with another in length."""
     models = (("hip", 1), ("knee", 3))
@@ -536,6 +538,18 @@ def test_trajectory_is_one_table_of_its_models_width(demo_traj):
                 f"a swing of models {models} is a table of 20 columns and one or more rows, "
                 f"got shape {bad.shape}")):
             Trajectory(bad, models, traj.task)
+    found = np.zeros((2, 12))
+    found[:, 10], found[:, 11] = 2.7, 0.5
+    contact_only = found.copy()
+    contact_only[:, 10] = 2.0
+    nan_phase = table.copy()
+    nan_phase[5, 10] = np.nan
+    for bad, bad_models, message in [
+            (found, (), "phase is one of (1, 2, 3) in every row, got 2.7 in row 0"),
+            (contact_only, (), "contact is one of (0, 1) in every row, got 0.5 in row 0"),
+            (nan_phase, models, "phase is one of (1, 2, 3) in every row, got nan in row 5")]:
+        with pytest.raises(ValueError, match=re.escape(f"a swing's {message}") + "$"):
+            Trajectory(bad, bad_models)
     for name in ("table", "tau_k", "contact", "traces", "models"):
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(traj, name, getattr(demo_traj, name))
@@ -987,6 +1001,50 @@ def test_cli_train_layers_override(tmp_path):
     assert rc == 0
     assert load_model(tmp_path / "knee.json").m == 2
     assert load_model(tmp_path / "hip.json").m == 1
+
+
+TRAIN_FLAGS = ["--episodes", "1", "--seed", "5", "--layers", "2"]
+
+
+@pytest.mark.parametrize("command, flags, base, config", [
+    pytest.param("demo", ["--n", "2", "--seed", "3"], None,
+                 {"demo_count": 2, "demo_seed": 3}, id="demo"),
+    pytest.param("eval", ["--n", "1", "--seed", "7"], None,
+                 {"eval_count": 1, "eval_seed": 7}, id="eval"),
+    pytest.param("train", TRAIN_FLAGS, None,
+                 {"episodes": 1, "hip": {"seed": 5}, "knee": {"seed": 5, "m": 2}}, id="train"),
+    pytest.param("train", TRAIN_FLAGS,
+                 {"episodes": 3, "demo_count": 2, "hip": {"seed": 8},
+                  "knee": {"seed": 8, "m": 4, "mu": 2e-6}},
+                 {"episodes": 1, "demo_count": 2, "hip": {"seed": 5},
+                  "knee": {"seed": 5, "m": 2, "mu": 2e-6}}, id="train-flags-over-config"),
+])
+def test_cli_flag_gives_the_run_of_the_config_field_it_sets(tmp_path, capsys, command,
+                                                            flags, base, config):
+    """Each flag sets the RunConfig field it names, over --config's value
+    and leaving the file's other fields as they are: a run with the flags
+    (on `base`, when given) writes every file byte for byte, and prints
+    the line, of a run with `config` alone. demo's --n and --seed are
+    demo_count and demo_seed, eval's eval_count and eval_seed, and train's
+    --episodes, --seed and --layers episodes, both models' seed and knee.m."""
+    outs = []
+    for name, data, argv in (("flags", base, flags), ("config", config, [])):
+        out = tmp_path / name
+        out.mkdir()
+        if command == "eval":
+            for model in ("hip.json", "knee.json"):
+                (out / model).write_bytes((FIXTURE_DIR / model).read_bytes())
+        if data is not None:
+            (tmp_path / f"{name}.json").write_text(json.dumps(data))
+            argv = [*argv, "--config", str(tmp_path / f"{name}.json")]
+        assert cli_io.cli([command, "--out", str(out), *argv]) == 0
+        outs.append((out, capsys.readouterr().out.replace(str(out), "OUT")))
+    (flag_out, flag_line), (config_out, config_line) = outs
+    assert flag_line == config_line
+    names = sorted(path.name for path in flag_out.iterdir())
+    assert names == sorted(path.name for path in config_out.iterdir())
+    for name in names:
+        assert (flag_out / name).read_bytes() == (config_out / name).read_bytes(), name
 
 
 def test_cli_eval_without_models_fails(tmp_path, capsys):

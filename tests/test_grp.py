@@ -1034,6 +1034,21 @@ def test_learn_stack_rejects_repeated_model():
         LearnStack([model, model])
 
 
+def test_learn_stack_rejects_a_model_whose_weights_are_not_its_config_m():
+    """Each row's rates come from its model's config, so a model with 2
+    layers of weights and config m=1, stacked before one with 1 layer and
+    m=2, would give its second layer the other model's rate: refused,
+    naming the model's place from 1."""
+    a = dataclasses.replace(init(GrpConfig(m=2, seed=48)), config=GrpConfig(m=1, mu=1e-3))
+    b = dataclasses.replace(init(GrpConfig(m=1, seed=49)), config=GrpConfig(m=2, mu=1e-6))
+    with pytest.raises(ValueError, match=re.escape(
+            "model 1 of the learn stack has 2 layers of weights but config.m = 1")):
+        LearnStack([a, b])
+    with pytest.raises(ValueError, match=re.escape(
+            "model 2 of the learn stack has 1 layers of weights but config.m = 2")):
+        LearnStack([init(GrpConfig(m=1, seed=50)), b])
+
+
 # -------------------------------------------------------------- end_episode
 
 
