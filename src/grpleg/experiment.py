@@ -13,14 +13,15 @@ plant alone through the same swing tasks; the target controller's
 phase/latch machine still runs alongside as a shadow monitor, but only to
 decide ground contact, never to produce torque.
 
-Every rollout advances its swings in lockstep: one loop ticks all active
-swings, and a swing that lands or times out leaves the active set. Each
-swing keeps its own scalar plant and controller, so its values are the
-bits of rolling it alone. With models driving, a tick stacks the active
-swings' sensor rows into one block, so an evaluation makes one
-`grp.forward` call per tick for all of its active swings. If several
-swings fail (a NaN torque, a diverging state), the error raised is the
-first in tick order, and within one tick the lowest-numbered swing's.
+A demonstration swing rolls alone, in a loop of its own. The model-driven
+rollout of an evaluation advances its swings in lockstep: one loop ticks
+all active swings, and a swing that lands or times out leaves the active
+set. Each swing keeps its own scalar plant and controller, so its values
+are the bits of rolling it alone. A tick stacks the active swings' sensor
+rows into one block, so an evaluation makes one `grp.forward` call per
+tick for all of its active swings. If several swings fail (a NaN torque, a
+diverging state), the error raised is the first in tick order, and within
+one tick the lowest-numbered swing's.
 
 Torques recorded in trajectories are the saturated values actually applied
 to the plant; Generators therefore learn the delivered torque, bounded by
@@ -257,27 +258,57 @@ def check_swing_steps(dt: float, timeout: float) -> None:
         raise ValueError(f"timeout {timeout} is more than {MAX_SWING_STEPS} steps of dt {dt}")
 
 
+def run_demo_episode(
+    task: SwingTask,
+    init_state: LegState,
+    gains: ControllerGains = ControllerGains(),
+    params: LegParams = LegParams(),
+    dt: float = 1e-3,
+    timeout: float = 2.0,
+) -> Trajectory:
+    """One demonstration swing under the target controller, rolled alone:
+    each tick's FIXED_COLUMNS row goes to one packed array('d'), whose view
+    is the Trajectory's table, and the saturated torque drives the plant
+    until the swing lands or t reaches the timeout. check_swing_steps
+    refuses dt and timeout at once."""
+    check_swing_steps(dt, timeout)
+    state, ctrl = init_state, ControllerState()
+    buf = array("d")
+    while True:
+        kin = kinematics(state, params)
+        torques, ctrl = control_step(kin, ctrl, task, gains)
+        applied = saturate(torques, params)
+        buf.extend((
+            state.t, state.phi_h, state.phi_k, state.phi_h_dot, state.phi_k_dot,
+            kin.alpha, kin.alpha_dot, kin.l, applied.tau_h, applied.tau_k,
+            ctrl.phase, ctrl.contact,
+        ))
+        if ctrl.contact or state.t >= timeout:
+            break
+        state = integrate_step(state, applied, params, dt)
+    return Trajectory(np.frombuffer(buf).reshape(-1, len(FIXED_COLUMNS)), task=task)
+
+
 def _rollout(
     swings: list[tuple[SwingTask, LegState]],
     gains: ControllerGains,
     params: LegParams,
     dt: float,
     timeout: float,
-    stack: grp.LearnStack | None = None,
+    stack: grp.LearnStack,
 ) -> list[Trajectory]:
     """Roll every swing in lockstep (see the module docstring) until each
     lands or times out; a finished swing leaves the active set.
 
-    Without a stack the plant receives the saturated target-controller
-    torque. With the stack of the (hip, knee) models it receives their
-    saturated combined torques, and the controller state machine runs
-    purely as a contact/phase monitor on the kinematics it observes. Each
-    tick, every active swing's five sensor floats are split into its 8-wide
-    input row on Python floats (split_row, split_input's bits), and the
-    list of rows takes one grp.forward call. Each swing's rows are
-    appended in file layout, with forward's G and pi blocks as they come,
-    to one packed array('d') of that swing, with no Python float kept per
-    value; its Trajectory's table is a view of that array, a row per tick.
+    The plant receives the saturated combined torques of the stack's
+    (hip, knee) models, and the controller state machine runs purely as a
+    contact/phase monitor on the kinematics it observes. Each tick, every
+    active swing's five sensor floats are split into its 8-wide input row
+    on Python floats (split_row, split_input's bits), and the list of rows
+    takes one grp.forward call. Each swing's rows are appended in file
+    layout, with forward's G and pi blocks as they come, to one packed
+    array('d') of that swing, with no Python float kept per value; its
+    Trajectory's table is a view of that array, a row per tick.
     check_swing_steps refuses dt and timeout at once.
     """
     check_swing_steps(dt, timeout)
@@ -285,25 +316,22 @@ def _rollout(
     states = [init for _, init in swings]
     ctrls = [ControllerState()] * len(swings)
     # per swing, its rows' doubles in file order: each tick's plant columns,
-    # then with a stack each model's G block and pi block as forward gives them
+    # then each model's G block and pi block as forward gives them
     bufs = [array("d") for _ in swings]
-    models = () if stack is None else (("hip", stack.models[0].m), ("knee", stack.models[1].m))
+    models = (("hip", stack.models[0].m), ("knee", stack.models[1].m))
     active = list(range(len(swings)))
 
     while active:
-        kins, torques = [], []
+        kins = []
         for i in active:
             kin = kinematics(states[i], params)
-            demo_tq, ctrls[i] = control_step(kin, ctrls[i], tasks[i], gains)
+            _, ctrls[i] = control_step(kin, ctrls[i], tasks[i], gains)
             kins.append(kin)
-            torques.append(demo_tq)
-        traces = [()] * len(active)
-        if stack is not None:
-            rows = [split_row(*_sensor_channels(kin.alpha, states[i], tasks[i].alpha_tgt))
-                    for i, kin in zip(active, kins)]
-            (G_h, pi_h, tau_h), (G_k, pi_k, tau_k) = grp.forward(stack, rows)
-            traces = np.concatenate((G_h, pi_h, G_k, pi_k), axis=1).tolist()
-            torques = map(JointTorques, tau_h.tolist(), tau_k.tolist())
+        rows = [split_row(*_sensor_channels(kin.alpha, states[i], tasks[i].alpha_tgt))
+                for i, kin in zip(active, kins)]
+        (G_h, pi_h, tau_h), (G_k, pi_k, tau_k) = grp.forward(stack, rows)
+        traces = np.concatenate((G_h, pi_h, G_k, pi_k), axis=1).tolist()
+        torques = map(JointTorques, tau_h.tolist(), tau_k.tolist())
 
         still = []
         for i, kin, tq, trace in zip(active, kins, torques, traces):
@@ -325,18 +353,6 @@ def _rollout(
     width = len(FIXED_COLUMNS) + 2 * sum(m for _, m in models)
     return [Trajectory(np.frombuffer(buf).reshape(-1, width), models, task)
             for buf, task in zip(bufs, tasks)]
-
-
-def run_demo_episode(
-    task: SwingTask,
-    init_state: LegState,
-    gains: ControllerGains = ControllerGains(),
-    params: LegParams = LegParams(),
-    dt: float = 1e-3,
-    timeout: float = 2.0,
-) -> Trajectory:
-    """One demonstration swing under the target controller."""
-    return _rollout([(task, init_state)], gains, params, dt, timeout)[0]
 
 
 def train(

@@ -177,8 +177,9 @@ class LearnStack:
     also owns the network half's work: one mulnet.NetBuffers for S, built
     here once, whose `out` holds the network output (G is its first half)
     and whose `grad` holds the gradient, then the update. A stack takes at
-    least one model, each with config.m layers of weights. A model belongs
-    to one live stack at a time; rebinding its W or R detaches it.
+    least one model, each with config.m layers of W and as many of R. A
+    model belongs to one live stack at a time; rebinding its W or R
+    detaches it.
     """
 
     def __init__(self, models: list[GrpModel]):
@@ -195,6 +196,9 @@ class LearnStack:
             if size != mdl.config.m:  # each row's rates come from its model's config
                 raise ValueError(f"model {k} of the learn stack has {size} layers of "
                                  f"weights but config.m = {mdl.config.m}")
+            if len(mdl.R) != size:  # S's R half would shift into the next model's rows
+                raise ValueError(f"model {k} of the learn stack has {size} layers of W "
+                                 f"but {len(mdl.R)} of R")
         total = sum(sizes)
         ends = np.cumsum(sizes).tolist()
         self.models = models

@@ -3,19 +3,22 @@
 import dataclasses
 import math
 import re
+from array import array
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from grpleg import NonFiniteError, experiment, grp, mulnet
-from grpleg.cli_io import FIXED_COLUMNS, load_model, read_trajectory, write_trajectory
-from grpleg.dynamics import JointTorques, LegParams, LegState, integrate_step
+from grpleg.cli_io import FIXED_COLUMNS, RunConfig, load_model, read_trajectory, write_trajectory
+from grpleg.dynamics import JointTorques, LegParams, LegState, integrate_step, kinematics, saturate
 from grpleg.experiment import (
     ACTIVE_PI,
     DEG,
     SampleRanges,
     Trajectory,
+    _sensor_channels,
+    check_swing_steps,
     evaluate,
     run_demo_episode,
     sample_tasks,
@@ -24,7 +27,14 @@ from grpleg.experiment import (
     weight_summary,
 )
 from grpleg.grp import GrpConfig
-from grpleg.target_controller import ControllerGains, control_step, make_task
+from grpleg.mulnet import split_row
+from grpleg.target_controller import (
+    ControllerGains,
+    ControllerState,
+    SwingTask,
+    control_step,
+    make_task,
+)
 
 
 @pytest.fixture(scope="module")
@@ -173,6 +183,113 @@ def test_demo_rollout_deterministic(demo):
     again = run_demo_episode(task, init)
     for name in ("t", "phi_h", "phi_k", "tau_h", "tau_k"):
         assert np.array_equal(getattr(demo, name), getattr(again, name))
+
+
+# The lockstep rollout that rolled demonstrations before run_demo_episode
+# had its own loop, copied verbatim; run without a stack, it is the oracle
+# for every demo table.
+def lockstep_rollout(
+    swings: list[tuple[SwingTask, LegState]],
+    gains: ControllerGains,
+    params: LegParams,
+    dt: float,
+    timeout: float,
+    stack: grp.LearnStack | None = None,
+) -> list[Trajectory]:
+    """Roll every swing in lockstep (see the module docstring) until each
+    lands or times out; a finished swing leaves the active set.
+
+    Without a stack the plant receives the saturated target-controller
+    torque. With the stack of the (hip, knee) models it receives their
+    saturated combined torques, and the controller state machine runs
+    purely as a contact/phase monitor on the kinematics it observes. Each
+    tick, every active swing's five sensor floats are split into its 8-wide
+    input row on Python floats (split_row, split_input's bits), and the
+    list of rows takes one grp.forward call. Each swing's rows are
+    appended in file layout, with forward's G and pi blocks as they come,
+    to one packed array('d') of that swing, with no Python float kept per
+    value; its Trajectory's table is a view of that array, a row per tick.
+    check_swing_steps refuses dt and timeout at once.
+    """
+    check_swing_steps(dt, timeout)
+    tasks = [task for task, _ in swings]
+    states = [init for _, init in swings]
+    ctrls = [ControllerState()] * len(swings)
+    # per swing, its rows' doubles in file order: each tick's plant columns,
+    # then with a stack each model's G block and pi block as forward gives them
+    bufs = [array("d") for _ in swings]
+    models = () if stack is None else (("hip", stack.models[0].m), ("knee", stack.models[1].m))
+    active = list(range(len(swings)))
+
+    while active:
+        kins, torques = [], []
+        for i in active:
+            kin = kinematics(states[i], params)
+            demo_tq, ctrls[i] = control_step(kin, ctrls[i], tasks[i], gains)
+            kins.append(kin)
+            torques.append(demo_tq)
+        traces = [()] * len(active)
+        if stack is not None:
+            rows = [split_row(*_sensor_channels(kin.alpha, states[i], tasks[i].alpha_tgt))
+                    for i, kin in zip(active, kins)]
+            (G_h, pi_h, tau_h), (G_k, pi_k, tau_k) = grp.forward(stack, rows)
+            traces = np.concatenate((G_h, pi_h, G_k, pi_k), axis=1).tolist()
+            torques = map(JointTorques, tau_h.tolist(), tau_k.tolist())
+
+        still = []
+        for i, kin, tq, trace in zip(active, kins, torques, traces):
+            state, ctrl = states[i], ctrls[i]
+            applied = saturate(tq, params)
+            bufs[i].extend((
+                state.t, state.phi_h, state.phi_k, state.phi_h_dot, state.phi_k_dot,
+                kin.alpha, kin.alpha_dot, kin.l, applied.tau_h, applied.tau_k,
+                ctrl.phase, ctrl.contact,
+            ))
+            # not `+ trace`: CPython 3.11 keeps every freed 20-item tuple (a
+            # default eval row) in its free list, up to 2000, and reuses none
+            bufs[i].extend(trace)
+            if not (ctrl.contact or state.t >= timeout):
+                states[i] = integrate_step(state, applied, params, dt)
+                still.append(i)
+        active = still
+
+    width = len(FIXED_COLUMNS) + 2 * sum(m for _, m in models)
+    return [Trajectory(np.frombuffer(buf).reshape(-1, width), models, task)
+            for buf, task in zip(bufs, tasks)]
+
+
+def oracle_cases(cfg):
+    """Per kind of demonstration swing, its (swings, timeout) under cfg."""
+    default = sample_tasks(cfg.ranges, cfg.demo_count, cfg.demo_seed, cfg.gains, cfg.params)
+    # the time of row 50, which the swing reaches exactly and stops at
+    cut = 0.0
+    for _ in range(50):
+        cut += cfg.dt
+    # starts 3 degrees into the knee stop, extending
+    init = LegState(220.0 * DEG, 183.0 * DEG, -2.0, 2.0)
+    stop = [(make_task(70.0 * DEG, cfg.gains, cfg.params, init), init)]
+    return {"default-tasks": (default, cfg.timeout),
+            "short-timeout": (default[:1], cut),
+            "knee-stop": (stop, cfg.timeout)}
+
+
+@pytest.mark.parametrize("case", ["default-tasks", "short-timeout", "knee-stop"])
+def test_demo_episode_gives_the_lockstep_rollout_table(case):
+    """run_demo_episode's table is, bit for bit, the table the lockstep
+    rollout gives the same swing without a stack: over the 40 default
+    tasks, a swing cut by its timeout (the last row written without a
+    plant step after it) and one that runs into the knee stop."""
+    cfg = RunConfig()
+    swings, timeout = oracle_cases(cfg)[case]
+    want = lockstep_rollout(swings, cfg.gains, cfg.params, cfg.dt, timeout)
+    for (task, init), old in zip(swings, want):
+        new = run_demo_episode(task, init, cfg.gains, cfg.params, cfg.dt, timeout)
+        assert new.task == old.task and new.models == old.models == ()
+        assert same_bits(new.table, old.table)
+    if case == "short-timeout":
+        assert want[0].timed_out and len(want[0]) == 51 and want[0].t[-1] == timeout
+    if case == "knee-stop":
+        assert np.count_nonzero(want[0].phi_k > math.pi) > 0
 
 
 def test_recorded_torques_replay_to_recorded_states(demo):
@@ -523,6 +640,22 @@ def test_rollouts_refuse_a_timeout_that_is_not_finite(rollout, timeout, dt, monk
             evaluate(*fresh_pair(), tasks, dt=dt, timeout=timeout)
         else:
             run_demo_episode(*tasks[0], dt=dt, timeout=timeout)
+
+
+@pytest.mark.parametrize("rates, error, message", [
+    ({"phi_h_dot": math.nan}, ValueError, "tau_h torque is NaN; it cannot be saturated"),
+    ({"phi_h_dot": 1e200}, NonFiniteError,
+     "non-finite state or torque in integration step at t=0.0: math domain error"),
+    ({"phi_k_dot": math.inf}, NonFiniteError,
+     "non-finite state or torque in integration step at t=0.0: math domain error"),
+], ids=["nan-hip-rate", "huge-hip-rate", "inf-knee-rate"])
+def test_demo_refuses_a_bad_initial_state(rates, error, message):
+    """A NaN initial rate gives the controller a NaN torque, which saturate
+    refuses; a huge or infinite one fails the first plant step."""
+    task, init = sample_tasks(SampleRanges(), 1, seed=3)[0]
+    with pytest.raises(error, match=f"^{re.escape(message)}$") as raised:
+        run_demo_episode(task, init._replace(**rates))
+    assert type(raised.value) is error
 
 
 def solo_evaluations(hip, knee, tasks, timeout):

@@ -1049,6 +1049,17 @@ def test_learn_stack_rejects_a_model_whose_weights_are_not_its_config_m():
         LearnStack([init(GrpConfig(m=1, seed=50)), b])
 
 
+def test_learn_stack_rejects_a_model_whose_r_stack_is_not_its_w_stack():
+    """A model with 2 layers of W and 1 of R, stacked before a 1-layer
+    model, would take the next model's R as its second layer and leave that
+    model an empty R: refused, naming its place and both counts."""
+    a = init(GrpConfig(m=2, seed=1))
+    a.R = a.R[:1].copy()
+    with pytest.raises(ValueError, match="^" + re.escape(
+            "model 1 of the learn stack has 2 layers of W but 1 of R") + "$"):
+        LearnStack([a, init(GrpConfig(m=1, seed=2))])
+
+
 # -------------------------------------------------------------- end_episode
 
 
