@@ -179,16 +179,29 @@ def _dump_json(path, data) -> None:
         fh.write(text)
 
 
+def _unique_keys(pairs) -> dict:
+    """A JSON object's (key, value) pairs as a dict; a key given twice is refused."""
+    data = {}
+    for key, value in pairs:
+        if key in data:
+            raise ValueError(f"key {key!r} is given twice in one object")
+        data[key] = value
+    return data
+
+
 def _parse_file(parse, path):
-    """`parse` applied to the JSON value in the file at `path`; a
-    ValueError it raises, a top level that is not an object included,
-    names the file."""
-    with open(path) as fh:
+    """`parse` applied to the JSON value in the file at `path`. Text that
+    is not UTF-8 JSON, a key given twice in one object, nesting too deep to
+    parse, an integer too long to convert, and a ValueError `parse` raises,
+    a top level that is not an object included, name the file."""
+    with open(path, encoding="utf-8") as fh:
         try:
-            data = json.load(fh)
+            data = json.load(fh, object_pairs_hook=_unique_keys)
         except json.JSONDecodeError as exc:
             raise ValueError(f"{path} line {exc.lineno} column {exc.colno}: "
                              f"{exc.msg}") from None
+        except (ValueError, RecursionError) as exc:
+            raise ValueError(f"{path}: {exc}") from None
     try:
         return parse(data)
     except ValueError as exc:

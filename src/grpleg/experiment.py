@@ -13,15 +13,16 @@ plant alone through the same swing tasks; the target controller's
 phase/latch machine still runs alongside as a shadow monitor, but only to
 decide ground contact, never to produce torque.
 
-A demonstration swing rolls alone, in a loop of its own. The model-driven
-rollout of an evaluation advances its swings in lockstep: one loop ticks
-all active swings, and a swing that lands or times out leaves the active
-set. Each swing keeps its own scalar plant and controller, so its values
-are the bits of rolling it alone. A tick stacks the active swings' sensor
-rows into one block, so an evaluation makes one `grp.forward` call per
-tick for all of its active swings. If several swings fail (a NaN torque, a
-diverging state), the error raised is the first in tick order, and within
-one tick the lowest-numbered swing's.
+Demonstrations and evaluations roll a swing through one step function,
+_advance: it saturates a tick's torques, records the tick's row, and steps
+the plant unless the swing has landed or timed out. A demonstration rolls
+one swing at a time. Only evaluate batches its swings, in lockstep, for
+one grp.forward call per tick: one loop ticks all active swings, and a
+swing that lands or times out leaves the active set. Each swing keeps its
+own scalar plant and controller, so its values are the bits of rolling it
+alone. If several swings fail (a NaN torque, a diverging state), the error
+raised is the first in tick order, and within one tick the lowest-numbered
+swing's.
 
 Torques recorded in trajectories are the saturated values actually applied
 to the plant; Generators therefore learn the delivered torque, bounded by
@@ -258,6 +259,22 @@ def check_swing_steps(dt: float, timeout: float) -> None:
         raise ValueError(f"timeout {timeout} is more than {MAX_SWING_STEPS} steps of dt {dt}")
 
 
+def _advance(buf, state, kin, ctrl, torques, params, dt, timeout):
+    """One tick of a swing: saturate `torques` and append the tick's
+    FIXED_COLUMNS values to the packed `buf`, the torques recorded being the
+    saturated ones the plant receives. Returns None when the swing has
+    landed or t has reached the timeout, else integrate_step's next state."""
+    applied = saturate(torques, params)
+    buf.extend((
+        state.t, state.phi_h, state.phi_k, state.phi_h_dot, state.phi_k_dot,
+        kin.alpha, kin.alpha_dot, kin.l, applied.tau_h, applied.tau_k,
+        ctrl.phase, ctrl.contact,
+    ))
+    if ctrl.contact or state.t >= timeout:
+        return None
+    return integrate_step(state, applied, params, dt)
+
+
 def run_demo_episode(
     task: SwingTask,
     init_state: LegState,
@@ -266,93 +283,18 @@ def run_demo_episode(
     dt: float = 1e-3,
     timeout: float = 2.0,
 ) -> Trajectory:
-    """One demonstration swing under the target controller, rolled alone:
-    each tick's FIXED_COLUMNS row goes to one packed array('d'), whose view
-    is the Trajectory's table, and the saturated torque drives the plant
-    until the swing lands or t reaches the timeout. check_swing_steps
-    refuses dt and timeout at once."""
+    """One demonstration swing under the target controller, rolled alone,
+    a tick at a time through _advance, until it lands or t reaches the
+    timeout; its table is a view of the swing's packed array('d').
+    check_swing_steps refuses dt and timeout at once."""
     check_swing_steps(dt, timeout)
     state, ctrl = init_state, ControllerState()
     buf = array("d")
-    while True:
+    while state is not None:
         kin = kinematics(state, params)
         torques, ctrl = control_step(kin, ctrl, task, gains)
-        applied = saturate(torques, params)
-        buf.extend((
-            state.t, state.phi_h, state.phi_k, state.phi_h_dot, state.phi_k_dot,
-            kin.alpha, kin.alpha_dot, kin.l, applied.tau_h, applied.tau_k,
-            ctrl.phase, ctrl.contact,
-        ))
-        if ctrl.contact or state.t >= timeout:
-            break
-        state = integrate_step(state, applied, params, dt)
+        state = _advance(buf, state, kin, ctrl, torques, params, dt, timeout)
     return Trajectory(np.frombuffer(buf).reshape(-1, len(FIXED_COLUMNS)), task=task)
-
-
-def _rollout(
-    swings: list[tuple[SwingTask, LegState]],
-    gains: ControllerGains,
-    params: LegParams,
-    dt: float,
-    timeout: float,
-    stack: grp.LearnStack,
-) -> list[Trajectory]:
-    """Roll every swing in lockstep (see the module docstring) until each
-    lands or times out; a finished swing leaves the active set.
-
-    The plant receives the saturated combined torques of the stack's
-    (hip, knee) models, and the controller state machine runs purely as a
-    contact/phase monitor on the kinematics it observes. Each tick, every
-    active swing's five sensor floats are split into its 8-wide input row
-    on Python floats (split_row, split_input's bits), and the list of rows
-    takes one grp.forward call. Each swing's rows are appended in file
-    layout, with forward's G and pi blocks as they come, to one packed
-    array('d') of that swing, with no Python float kept per value; its
-    Trajectory's table is a view of that array, a row per tick.
-    check_swing_steps refuses dt and timeout at once.
-    """
-    check_swing_steps(dt, timeout)
-    tasks = [task for task, _ in swings]
-    states = [init for _, init in swings]
-    ctrls = [ControllerState()] * len(swings)
-    # per swing, its rows' doubles in file order: each tick's plant columns,
-    # then each model's G block and pi block as forward gives them
-    bufs = [array("d") for _ in swings]
-    models = (("hip", stack.models[0].m), ("knee", stack.models[1].m))
-    active = list(range(len(swings)))
-
-    while active:
-        kins = []
-        for i in active:
-            kin = kinematics(states[i], params)
-            _, ctrls[i] = control_step(kin, ctrls[i], tasks[i], gains)
-            kins.append(kin)
-        rows = [split_row(*_sensor_channels(kin.alpha, states[i], tasks[i].alpha_tgt))
-                for i, kin in zip(active, kins)]
-        (G_h, pi_h, tau_h), (G_k, pi_k, tau_k) = grp.forward(stack, rows)
-        traces = np.concatenate((G_h, pi_h, G_k, pi_k), axis=1).tolist()
-        torques = map(JointTorques, tau_h.tolist(), tau_k.tolist())
-
-        still = []
-        for i, kin, tq, trace in zip(active, kins, torques, traces):
-            state, ctrl = states[i], ctrls[i]
-            applied = saturate(tq, params)
-            bufs[i].extend((
-                state.t, state.phi_h, state.phi_k, state.phi_h_dot, state.phi_k_dot,
-                kin.alpha, kin.alpha_dot, kin.l, applied.tau_h, applied.tau_k,
-                ctrl.phase, ctrl.contact,
-            ))
-            # not `+ trace`: CPython 3.11 keeps every freed 20-item tuple (a
-            # default eval row) in its free list, up to 2000, and reuses none
-            bufs[i].extend(trace)
-            if not (ctrl.contact or state.t >= timeout):
-                states[i] = integrate_step(state, applied, params, dt)
-                still.append(i)
-        active = still
-
-    width = len(FIXED_COLUMNS) + 2 * sum(m for _, m in models)
-    return [Trajectory(np.frombuffer(buf).reshape(-1, width), models, task)
-            for buf, task in zip(bufs, tasks)]
 
 
 def train(
@@ -442,7 +384,16 @@ def evaluate(
     in degrees, whether it timed out, and peak_pi, each layer's largest pi
     over every tick of every swing. The models' copies join one LearnStack
     for the call, so the models themselves, and any live stack they belong
-    to, are left as they were."""
+    to, are left as they were; check_swing_steps refuses dt and timeout
+    once the stack is built.
+
+    The swings roll in lockstep (see the module docstring), the controller
+    state machine only a contact/phase monitor. Each tick, every active
+    swing's sensor floats are split into its input row on Python floats
+    (split_row, split_input's bits), and the rows take one grp.forward
+    call. Each swing's packed array('d') gets the tick's row from _advance,
+    then forward's G and pi blocks, and its table is a view of that array.
+    """
     for name, mdl in (("hip", hip_model), ("knee", knee_model)):
         if not isinstance(mdl, GrpModel):
             raise ValueError(
@@ -451,7 +402,41 @@ def evaluate(
     if not tasks:
         raise ValueError("no tasks to evaluate")
     stack = grp.LearnStack([replace(hip_model), replace(knee_model)])
-    trajs = _rollout(tasks, gains, params, dt, timeout, stack)
+    check_swing_steps(dt, timeout)
+    swing_tasks = [task for task, _ in tasks]
+    states = [init for _, init in tasks]
+    ctrls = [ControllerState()] * len(tasks)
+    # per swing, its rows' doubles in file order: each tick's plant columns,
+    # then each model's G block and pi block as forward gives them
+    bufs = [array("d") for _ in tasks]
+    models = (("hip", hip_model.m), ("knee", knee_model.m))
+    active = list(range(len(tasks)))
+
+    while active:
+        kins = []
+        for i in active:
+            kin = kinematics(states[i], params)
+            _, ctrls[i] = control_step(kin, ctrls[i], swing_tasks[i], gains)
+            kins.append(kin)
+        rows = [split_row(*_sensor_channels(kin.alpha, states[i], swing_tasks[i].alpha_tgt))
+                for i, kin in zip(active, kins)]
+        (G_h, pi_h, tau_h), (G_k, pi_k, tau_k) = grp.forward(stack, rows)
+        traces = np.concatenate((G_h, pi_h, G_k, pi_k), axis=1).tolist()
+        torques = map(JointTorques, tau_h.tolist(), tau_k.tolist())
+
+        still = []
+        for i, kin, tq, trace in zip(active, kins, torques, traces):
+            states[i] = _advance(bufs[i], states[i], kin, ctrls[i], tq, params, dt, timeout)
+            # not `+ trace`: CPython 3.11 keeps every freed 20-item tuple (a
+            # default eval row) in its free list, up to 2000, and reuses none
+            bufs[i].extend(trace)
+            if states[i] is not None:
+                still.append(i)
+        active = still
+
+    width = len(FIXED_COLUMNS) + 2 * sum(m for _, m in models)
+    trajs = [Trajectory(np.frombuffer(buf).reshape(-1, width), models, task)
+             for buf, task in zip(bufs, swing_tasks)]
     return EvalReport.from_swings(trajs), trajs
 
 

@@ -1307,6 +1307,24 @@ def test_cli_bad_json_names_file(tmp_path, capsys):
     assert f"{path} line 1 column 2" in err
 
 
+@pytest.mark.parametrize("data, message", [
+    (b"[" * 100_000 + b"]" * 100_000, "maximum recursion depth exceeded while decoding"),
+    (b'{"demo_count": %s}' % (b"1" * 5000), "Exceeds the limit (4300 digits) for integer"),
+    (b'{"demo_count": 1\xff}', "'utf-8' codec can't decode byte 0xff in position 16"),
+    (b'{"demo_count": 1, "demo_count": 2}', "key 'demo_count' is given twice in one object"),
+], ids=["deep-nesting", "5000-digit-integer", "0xff-byte", "repeated-key"])
+def test_cli_names_the_file_of_a_config_json_cannot_parse(tmp_path, capsys, data, message):
+    """A config nested too deep for the parser, with an integer too long to
+    convert, that is not UTF-8, or that repeats a key ends in one error line
+    naming the file, and no demo is rolled."""
+    path = tmp_path / "cfg.json"
+    path.write_bytes(data)
+    assert cli_io.cli(["demo", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: {message}") and err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+
 def test_cli_bad_model_names_file(tmp_path, capsys):
     """With hip.json and knee.json side by side, a bad value in one of
     them is reported with that file's path as well as the key."""
@@ -1328,6 +1346,11 @@ def test_cli_bad_model_names_file(tmp_path, capsys):
     (read_report, '{"trajectories": 5}', "missing key"),
     *[(reader, "[1, 2]", "top level must be an object, got [1, 2]")
       for reader in (load_run_config, load_model, read_report)],
+    # json.load would keep the last value of a repeated key
+    (load_run_config, '{"params": {"g": 9.81, "g": 1.0}}', "key 'g' is given twice"),
+    (load_model, '{"gamma": 1.0, "config": {}, "gamma": 2.0}', "key 'gamma' is given twice"),
+    (read_report, '{"avg_error_deg": 1.0, "avg_error_deg": 2.0}',
+     "key 'avg_error_deg' is given twice"),
 ])
 def test_file_readers_name_the_file(tmp_path, reader, text, message):
     path = tmp_path / "f.json"

@@ -292,6 +292,28 @@ def test_demo_episode_gives_the_lockstep_rollout_table(case):
         assert np.count_nonzero(want[0].phi_k > math.pi) > 0
 
 
+@pytest.mark.parametrize("cut", ["at-row-50", "between-rows-50-and-51"])
+@pytest.mark.parametrize("rollout", ["run_demo_episode", "evaluate"])
+def test_a_swing_cut_by_its_timeout_is_the_uncut_swing_cut_short(rollout, cut, fixture_pair):
+    """The stop rule both rollouts share: a swing whose timeout comes before
+    it lands is, bit for bit, the first rows of the same swing uncut, ending
+    at the first row whose t reaches the timeout, off the ground."""
+    task, init = sample_tasks(SampleRanges(), 1, seed=3)[0]
+
+    def roll(timeout):
+        if rollout == "run_demo_episode":
+            return run_demo_episode(task, init, timeout=timeout)
+        return evaluate(*fixture_pair, [(task, init)], timeout=timeout)[1][0]
+
+    uncut = roll(2.0)
+    assert not uncut.timed_out and len(uncut) > 52
+    t50, t51 = uncut.t[50], uncut.t[51]
+    timeout, rows = (t50, 51) if cut == "at-row-50" else (0.5 * (t50 + t51), 52)
+    swing = roll(timeout)
+    assert len(swing) == rows and swing.contact[-1] == 0
+    assert swing.models == uncut.models and same_bits(swing.table, uncut.table[:rows])
+
+
 def test_recorded_torques_replay_to_recorded_states(demo):
     """Re-integrating the plant under the recorded torques reproduces the
     recorded state columns exactly; this is what licenses training by
