@@ -576,6 +576,18 @@ def test_trajectory_read_errors_name_lines(tmp_path, demo_traj):
     with pytest.raises(ValueError, match="line 1: bad trajectory header"):
         read_trajectory(tmp_path / "hdr.csv")
 
+    # a byte that is not UTF-8 is text no column holds, refused by its line
+    raw = (tmp_path / "t.csv").read_bytes()
+    (tmp_path / "byte.csv").write_bytes(raw.replace(b"t,phi_h,", b"t,\xffhi_h,", 1))
+    with pytest.raises(ValueError, match="line 1: bad trajectory header from column 2: "):
+        read_trajectory(tmp_path / "byte.csv")
+    field = lines[1].split(",")[1]
+    (tmp_path / "byte.csv").write_bytes(raw.replace(
+        f",{field},".encode(), f",\udcff{field[1:]},".encode(errors="surrogateescape"), 1))
+    with pytest.raises(ValueError, match=re.escape(
+            f"line 2 column 2 (phi_h): got {chr(0xdcff) + field[1:]!r}, expected a finite")):
+        read_trajectory(tmp_path / "byte.csv")
+
     plant = "a finite double as '%.17g' writes it"
     trace = "a double as '%.17g' writes it"
     for col, value, expected in [(4, "not-a-number", plant),
@@ -777,13 +789,13 @@ def test_report_round_trip(tmp_path):
 @pytest.mark.parametrize(
     "mangle, message",
     [
-        (lambda d: d.update(avg_error_deg="3"), "avg_error_deg must be a number, got '3'"),
-        (lambda d: d.update(max_error_deg=True), "max_error_deg must be a number, got True"),
+        (lambda d: d.update(avg_error_deg="3"), "avg_error_deg must be a float, got '3'"),
+        (lambda d: d.update(max_error_deg=True), "max_error_deg must be a float, got True"),
         (lambda d: d["active_generators"].update(hip=1.7),
          "active_generators.hip must be an integer, got 1.7"),
         (lambda d: d.update(trajectories=5), "trajectories must be a list, got 5"),
         (lambda d: d["trajectories"][0].update(error_deg="2"),
-         "trajectories\\[0\\].error_deg must be a number"),
+         "trajectories\\[0\\].error_deg must be a float, got '2'"),
         (lambda d: d["trajectories"][1].update(timed_out=1),
          "trajectories\\[1\\].timed_out must be true or false, got 1"),
         (lambda d: d["trajectories"][1].pop("alpha_end_deg"),
@@ -793,28 +805,29 @@ def test_report_round_trip(tmp_path):
          "peak_pi.knee has non-finite value nan"),
         # aggregates are derived from the swings; one that disagrees would be
         # written back as the derived value, so it is refused
-        (lambda d: d.update(timeout_count=7), "timeout_count is 7 but the trajectories give 1"),
+        (lambda d: d.update(timeout_count=7),
+         "timeout_count is 7 but the trajectories and peak_pi give 1"),
         (lambda d: d.update(timeout_count=True), "timeout_count must be an integer, got True"),
         (lambda d: d.update(avg_error_deg=3.0000000000000004),
-         "avg_error_deg is 3.0000000000000004 but the trajectories give 3.0"),
+         "avg_error_deg is 3.0000000000000004 but the trajectories and peak_pi give 3.0"),
         (lambda d: d.update(max_error_deg=2.0),
-         "max_error_deg is 2.0 but the trajectories give 4.0"),
+         "max_error_deg is 2.0 but the trajectories and peak_pi give 4.0"),
         (lambda d: d["trajectories"][0].update(error_deg=2.5),
-         "trajectories\\[0\\].error_deg is 2.5 but its angles give 2.0"),
+         "trajectories\\[0\\].error_deg is 2.5 but the trajectories and peak_pi give 2.0"),
         # each swing's error is its own angles' difference: swapped errors
         # keep the average and maximum but are refused
         (lambda d: [s.update(error_deg=e) for s, e in zip(d["trajectories"], (4.0, 2.0))],
-         "trajectories\\[0\\].error_deg is 4.0 but its angles give 2.0"),
+         "trajectories\\[0\\].error_deg is 4.0 but the trajectories and peak_pi give 2.0"),
         (lambda d: d["trajectories"][0].update(timed_out=True),
-         "timeout_count is 1 but the trajectories give 2"),
+         "timeout_count is 1 but the trajectories and peak_pi give 2"),
         (lambda d: d.update(trajectories=[]), "trajectories must not be empty"),
         # active generators are counted from peak_pi, one count per model
         (lambda d: d["active_generators"].update(knee=3),
-         "active_generators.knee is 3 but peak_pi.knee gives 2 \\(peaks above 0.1\\)"),
+         "active_generators.knee is 3 but the trajectories and peak_pi give 2"),
         (lambda d: d["active_generators"].update(hip=0),
-         "active_generators.hip is 0 but peak_pi.hip gives 1 \\(peaks above 0.1\\)"),
+         "active_generators.hip is 0 but the trajectories and peak_pi give 1"),
         (lambda d: d["peak_pi"].update(knee=[0.8, 0.1, 0.01]),
-         "active_generators.knee is 2 but peak_pi.knee gives 1 \\(peaks above 0.1\\)"),
+         "active_generators.knee is 2 but the trajectories and peak_pi give 1"),
         (lambda d: d["active_generators"].update(ankle=0),
          "unknown key 'active_generators.ankle'"),
         (lambda d: d["active_generators"].pop("knee"),
@@ -823,6 +836,16 @@ def test_report_round_trip(tmp_path):
          "unknown key 'active_generators.ankle'"),
         (lambda d: d["active_generators"].update(knee=True),
          "active_generators.knee must be an integer, got True"),
+        # each number has the type the writer writes it in, and every key is the writer's
+        (lambda d: d.update(avg_error_deg=3), "avg_error_deg must be a float, got 3"),
+        (lambda d: d["peak_pi"].update(hip=[1]), "peak_pi.hip\\[0\\] must be a float, got 1"),
+        (lambda d: d["trajectories"][1].update(alpha_tgt_deg=70),
+         "trajectories\\[1\\].alpha_tgt_deg must be a float, got 70"),
+        (lambda d: d.update(timeout_count=1.0), "timeout_count must be an integer, got 1.0"),
+        (lambda d: d.update(median_error_deg=3.0), "unknown key 'median_error_deg'"),
+        (lambda d: d.pop("max_error_deg"), "top level missing key 'max_error_deg'"),
+        (lambda d: d.pop("trajectories"), "top level missing key 'trajectories'"),
+        (lambda d: d.update(avg_error_deg=math.nan), "avg_error_deg has non-finite value nan"),
     ],
     ids=["avg-str", "max-bool", "active-float", "trajectories-int", "error-str",
          "timed_out-int", "alpha_end-missing", "peak_pi-missing", "peak-nan",
@@ -830,12 +853,26 @@ def test_report_round_trip(tmp_path):
          "swing-error-changed", "swing-errors-swapped", "swing-timed_out-changed",
          "trajectories-empty",
          "active-off", "active-hip-zero", "peak-at-threshold", "active-extra-model",
-         "active-missing-model", "active-contradicting", "active-bool"],
+         "active-missing-model", "active-contradicting", "active-bool",
+         "avg-int", "peak-int", "alpha_tgt-int", "timeout_count-float", "top-unknown",
+         "max-missing", "trajectories-missing", "avg-nan"],
 )
 def test_report_rejects_malformed(mangle, message):
     data = report_to_dict(report_fixture())
     mangle(data)
     with pytest.raises(ValueError, match=message):
+        report_from_dict(data)
+
+
+def test_report_refuses_derived_values_the_writer_cannot_write():
+    """Finite angles whose difference overflows give an infinite error, which
+    write_report cannot write: the file that holds one is refused, and numpy
+    warns of nothing on the way."""
+    data = report_to_dict(report_fixture())
+    data["trajectories"][0].update(alpha_tgt_deg=1e308, alpha_end_deg=-1e308, error_deg=math.inf)
+    data.update(avg_error_deg=math.inf, max_error_deg=math.inf)
+    with pytest.raises(ValueError,
+                       match=re.escape("trajectories[0].error_deg has non-finite value inf")):
         report_from_dict(data)
 
 
@@ -1087,6 +1124,23 @@ def test_cli_dump_weights_norms_a_huge_weight_without_overflow(tmp_path, capsys)
     norm = weights["knee"]["layers"][1]["W_norm"]
     assert math.isfinite(norm) and norm == pytest.approx(1e200, rel=1e-15)
     assert weights["knee"]["layers"][1]["R_norm"] == pytest.approx(np.linalg.norm(knee.R[1]))
+
+
+def test_cli_dump_weights_writes_the_recorded_bytes(tmp_path, capsys):
+    """dump-weights on the fixture models writes the recorded weights.json, its
+    layers the model files' W and R after each layer's norms, and prints the
+    recorded summary."""
+    for name in ("hip.json", "knee.json"):
+        (tmp_path / name).write_bytes((FIXTURE_DIR / name).read_bytes())
+    assert cli_io.cli(["dump-weights", "--out", str(tmp_path)]) == 0
+    assert sha256_of(tmp_path, ["weights.json"]) == (
+        "8955db8e828374e7a7b24d3010cb1400b0f2f7ef1859fe69417cd41b7b4a1952")
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == (
+        "2944b8efaf419affdfc6bd50a53be553632025e19618698b7ebe7c73863ce476")
+    weights = json.loads((tmp_path / "weights.json").read_text())
+    for name in ("hip", "knee"):
+        layers = json.loads((tmp_path / f"{name}.json").read_text())["layers"]
+        assert [{"W": ly["W"], "R": ly["R"]} for ly in weights[name]["layers"]] == layers
 
 
 def test_cli_dump_weights_names_a_norm_beyond_the_largest_double(tmp_path, capsys):
@@ -1351,6 +1405,8 @@ def test_cli_bad_model_names_file(tmp_path, capsys):
     (load_model, '{"gamma": 1.0, "config": {}, "gamma": 2.0}', "key 'gamma' is given twice"),
     (read_report, '{"avg_error_deg": 1.0, "avg_error_deg": 2.0}',
      "key 'avg_error_deg' is given twice"),
+    (read_trajectory, "", "empty trajectory file"),
+    (read_trajectory, ",".join(FIXED_COLUMNS) + "\n", "no data rows"),
 ])
 def test_file_readers_name_the_file(tmp_path, reader, text, message):
     path = tmp_path / "f.json"

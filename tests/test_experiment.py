@@ -10,7 +10,14 @@ import numpy as np
 import pytest
 
 from grpleg import NonFiniteError, experiment, grp, mulnet
-from grpleg.cli_io import FIXED_COLUMNS, RunConfig, load_model, read_trajectory, write_trajectory
+from grpleg.cli_io import (
+    FIXED_COLUMNS,
+    RunConfig,
+    load_model,
+    read_trajectory,
+    weight_summary,
+    write_trajectory,
+)
 from grpleg.dynamics import JointTorques, LegParams, LegState, integrate_step, kinematics, saturate
 from grpleg.experiment import (
     ACTIVE_PI,
@@ -24,7 +31,6 @@ from grpleg.experiment import (
     sample_tasks,
     sensor_matrix,
     train,
-    weight_summary,
 )
 from grpleg.grp import GrpConfig
 from grpleg.mulnet import split_row
