@@ -1,11 +1,12 @@
-"""Command line surface, run configuration, and on-disk formats.
+"""Command line surface and on-disk formats.
 
 JSON carries configs, models, evaluation reports and weight summaries (whose
 layers are the model file's); trajectories go to CSV with 17 significant
-digits so every double survives a round trip. A report is refused unless its
-writer would write it back. Writers are deterministic (fixed key order, no
-timestamps): identical config and seeds give byte-identical files. Angles are
-radians everywhere except evaluation reports, which speak degrees.
+digits so every double survives a round trip. A model file or a report is
+refused unless its writer would write it back. Writers are deterministic
+(fixed key order, no timestamps, a float field always a float): identical
+config and seeds give byte-identical files. Angles are radians everywhere
+except evaluation reports, which speak degrees.
 """
 
 from __future__ import annotations
@@ -20,62 +21,28 @@ import re
 import sys
 import typing
 from array import array
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
 from . import NonFiniteError, _float, _int, grp, mulnet, uniform_stream
-from .dynamics import LegParams
 from .experiment import (
+    DEFAULT_HIP,  # this and DEFAULT_KNEE are unused here: perfbench reads them as cli_io's
+    DEFAULT_KNEE,
     FIXED_COLUMNS,
+    MODEL_NAME,
     EvalReport,
-    SampleRanges,
+    RunConfig,
     Trajectory,
-    check_swing_steps,
+    demo_swings,
     evaluate,
-    run_demo_episode,
     sample_tasks,
     train,
 )
 from .grp import GrpConfig, GrpModel
-from .target_controller import ControllerGains
 
 MODEL_FORMAT = 1
-
-DEFAULT_HIP = GrpConfig(m=1)
-DEFAULT_KNEE = GrpConfig(m=3)
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Everything a run needs: physics, controller gains, task ranges,
-    one GRP config per joint, and the protocol sizes/seeds."""
-
-    params: LegParams = LegParams()
-    gains: ControllerGains = ControllerGains()
-    ranges: SampleRanges = SampleRanges()
-    hip: GrpConfig = DEFAULT_HIP
-    knee: GrpConfig = DEFAULT_KNEE
-    dt: float = 1e-3
-    timeout: float = 2.0
-    # 40 cyclic passes over the 40-demo corpus. Reference-free landings do
-    # not improve steadily with more episodes, and the count that lands
-    # best differs from one init seed to the next.
-    episodes: int = 1600
-    demo_count: int = 40
-    eval_count: int = 20
-    demo_seed: int = 1
-    eval_seed: int = 2
-
-    def __post_init__(self):
-        check_swing_steps(self.dt, self.timeout)
-        if not self.timeout > self.dt:
-            raise ValueError(f"timeout {self.timeout} not beyond one step")
-        for name, low in (("episodes", 1), ("demo_count", 1), ("eval_count", 1),
-                          ("demo_seed", 0), ("eval_seed", 0)):
-            if getattr(self, name) < low:
-                raise ValueError(f"{name} must be >= {low}, got {getattr(self, name)}")
 
 
 def _object(data, allowed, where: str, noun: str) -> dict:
@@ -155,14 +122,15 @@ def _from_json(cls, data, where: str = "", base=None):
         raise ValueError(f"{where[:-1]}: {exc}") from None
 
 
-def _to_json(obj):
+def _to_json(obj, tp=None):
     """The JSON form of a config dataclass (keys in declaration order) or
-    of one of its field values."""
-    if isinstance(obj, tuple):
-        return list(obj)
-    if not dataclasses.is_dataclass(obj):
-        return obj
-    return {key: _to_json(getattr(obj, name)) for name, key, _, _ in _fields(type(obj))}
+    of one of its field values, of type `tp`. A float field, each bound of
+    a pair included, is written as a float, though it may hold an equal int."""
+    if dataclasses.is_dataclass(obj):
+        return {key: _to_json(getattr(obj, name), ftp) for name, key, ftp, _ in _fields(type(obj))}
+    if tp == tuple[float, float]:
+        return [float(v) for v in obj]
+    return float(obj) if tp is float else obj
 
 
 # The entry points: every config file and model `config` goes through the walker.
@@ -220,14 +188,11 @@ def model_to_dict(model: GrpModel) -> dict:
     return {
         "format": MODEL_FORMAT,
         "config": grp_config_to_dict(model.config),
-        "gamma": model.gamma,
+        "gamma": float(model.gamma),  # a fresh model's is its config's gamma0
         "episode_count": model.episode_count,
         "layers": [{"W": W.tolist(), "R": R.tolist()}
                    for W, R in zip(model.W, model.R)],
     }
-
-
-_MODEL_KEYS = ("format", "config", "gamma", "episode_count", "layers")
 
 
 def _matrix(value, key: str) -> np.ndarray:
@@ -240,13 +205,11 @@ def _matrix(value, key: str) -> np.ndarray:
 
 
 def model_from_dict(data: dict) -> GrpModel:
-    _record(data, _MODEL_KEYS, "")
-    if _int(data["format"], "format") != MODEL_FORMAT:
-        raise ValueError(f"unsupported model format {data['format']!r}")
+    """The model of `data`, parsed from what a model is made of, its config,
+    layers, gamma and episode count; `data` is refused unless model_to_dict
+    writes it back, so its format and every config key are the writer's."""
+    _record(data, ("config", "layers", "gamma", "episode_count"), "", others=True)
     config = _from_json(GrpConfig, data["config"], "config.")
-    missing = [key for _, key, _, _ in _fields(GrpConfig) if key not in data["config"]]
-    if missing:  # a model's file spells the whole config it was trained with
-        raise ValueError(f"missing config key 'config.{missing[0]}'")
     layers = _list(data["layers"], "layers")
     if len(layers) != config.m:
         raise ValueError(f"model has {len(layers)} layers but config.m = {config.m}")
@@ -262,8 +225,9 @@ def model_from_dict(data: dict) -> GrpModel:
     episode_count = _int(data["episode_count"], "episode_count")
     if episode_count < 0:
         raise ValueError(f"episode_count must be >= 0, got {episode_count}")
-    return GrpModel(W=W, R=R, gamma=gamma, config=config,
-                    episode_count=episode_count)
+    model = GrpModel(W=W, R=R, gamma=gamma, config=config, episode_count=episode_count)
+    _written_back(data, model_to_dict(model), "a model is written with")
+    return model
 
 
 def save_model(path, model: GrpModel) -> None:
@@ -286,7 +250,7 @@ def _norm(rows: list, key: str) -> float:
 def weight_summary(model: GrpModel) -> dict:
     """dump-weights' summary of a model, each layer the model file's with its W and
     R norms first. A layer whose W norm is near zero never acts: a passive pair."""
-    return {"m": model.m, "gamma": model.gamma, "episode_count": model.episode_count,
+    return {"m": model.m, "gamma": float(model.gamma), "episode_count": model.episode_count,
             "layers": [{"W_norm": _norm(ly["W"], f"layers[{k}].W"),
                         "R_norm": _norm(ly["R"], f"layers[{k}].R"), **ly}
                        for k, ly in enumerate(model_to_dict(model)["layers"])]}
@@ -372,7 +336,7 @@ def read_trajectory(path) -> Trajectory:
         # (name, m) per model in the order of first appearance, word-character names only
         names = [col.rsplit("_", 2)[0] for col in header[len(FIXED_COLUMNS):]]
         models = {name: n // 2 for name, n in collections.Counter(names).items()
-                  if re.fullmatch(r"\w+", name)}
+                  if MODEL_NAME.fullmatch(name)}
         expected = _header(models.items())
         if header != expected:
             j = next(j for j, (a, b) in enumerate(zip(header + [None], expected + [None]))
@@ -414,23 +378,23 @@ _KINDS = {dict: "an object", list: "a list", float: "a float", int: "an integer"
           bool: "true or false"}
 
 
-def _written_back(got, want, key: str = "") -> None:
+def _written_back(got, want, source: str, key: str = "") -> None:
     """Refuse `got`, a file's value at the dotted `key`, unless it is `want`,
     what the writer writes there, type included, naming the first key that
-    differs; keys are checked as _record checks them."""
+    differs (`key is got but {source} want`); keys are checked as _record does."""
     if type(got) is not type(want):
         raise ValueError(f"{key or 'top level'} must be {_KINDS[type(want)]}, got {got!r}")
     if isinstance(want, dict):
         _record(got, list(want), f"{key}." if key else "")
         for k, value in want.items():
-            _written_back(got[k], value, f"{key}.{k}" if key else k)
+            _written_back(got[k], value, source, f"{key}.{k}" if key else k)
     elif isinstance(want, list) and len(got) == len(want):
         for i, (item, value) in enumerate(zip(got, want)):
-            _written_back(item, value, f"{key}[{i}]")
+            _written_back(item, value, source, f"{key}[{i}]")
     elif isinstance(got, float) and not math.isfinite(got):
         raise ValueError(f"{key} has non-finite value {got!r}")
     elif got != want:
-        raise ValueError(f"{key} is {got!r} but the trajectories and peak_pi give {want!r}")
+        raise ValueError(f"{key} is {got!r} but {source} {want!r}")
 
 
 def report_from_dict(data: dict) -> EvalReport:
@@ -450,7 +414,7 @@ def report_from_dict(data: dict) -> EvalReport:
                for k, v in _object(data["peak_pi"], None, "peak_pi.", "key").items()}
     report = EvalReport(alpha_tgt, alpha_end, timed_out, peak_pi)
     with np.errstate(over="ignore"):  # an error beyond the largest double is refused as inf
-        _written_back(data, report_to_dict(report))
+        _written_back(data, report_to_dict(report), "the trajectories and peak_pi give")
     return report
 
 
@@ -487,20 +451,11 @@ def _out_dir(args) -> Path:
     return out
 
 
-def _demo_swings(config: RunConfig, n: int):
-    """The first n of `config`'s demonstration swings, each rolled as it is read:
-    train reads them after it allocates its log, demo writes each as it comes."""
-    for task, init in sample_tasks(config.ranges, n, config.demo_seed,
-                                   config.gains, config.params):
-        yield run_demo_episode(task, init, config.gains, config.params,
-                               config.dt, config.timeout)
-
-
 def _cmd_demo(args) -> int:
     config = _config_from_args(args)
     out = _out_dir(args)
     files, trajs = [], []
-    for i, traj in enumerate(_demo_swings(config, config.demo_count), start=1):
+    for i, traj in enumerate(demo_swings(config, config.demo_count), start=1):
         trajs.append(traj)
         files.append(f"demo_{i:03d}.csv")
         write_trajectory(out / files[-1], traj)
@@ -533,7 +488,7 @@ def _cmd_train(args) -> int:
     hip, knee = models
     # only the first `episodes` demos are trained on; sample_tasks' first k do not depend on n
     n = min(config.episodes, config.demo_count)
-    hip_log, knee_log = train([(hip, "tau_h"), (knee, "tau_k")], _demo_swings(config, n),
+    hip_log, knee_log = train([(hip, "tau_h"), (knee, "tau_k")], demo_swings(config, n),
                               config.episodes)
     save_model(out / "hip.json", hip)
     save_model(out / "knee.json", knee)

@@ -27,6 +27,9 @@ swing's.
 Torques recorded in trajectories are the saturated values actually applied
 to the plant; Generators therefore learn the delivered torque, bounded by
 +-tau_max, not the controller's raw request.
+
+The run's definition lives here too: RunConfig holds every setting of the
+three stages, and demo_swings rolls its demonstration corpus.
 """
 
 from __future__ import annotations
@@ -34,6 +37,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import re
 import types
 from array import array
 from collections.abc import Iterable
@@ -41,7 +45,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import NonFiniteError, grp, uniform_stream
+from . import NonFiniteError, _float, _int, grp, uniform_stream
 from .dynamics import (
     JointTorques,
     LegParams,
@@ -50,7 +54,7 @@ from .dynamics import (
     kinematics,
     saturate,
 )
-from .grp import GrpModel
+from .grp import GrpConfig, GrpModel
 from .mulnet import split_input, split_row
 from .target_controller import (
     ControllerGains,
@@ -101,6 +105,10 @@ class SampleRanges:
                                  "within one turn (|angle| <= 2*pi rad)")
 
 
+# A model's name in a trajectory: one or more word characters, so that each
+# of its trace columns, name_G_k or name_pi_k, splits back into name and layer.
+MODEL_NAME = re.compile(r"\w+")
+
 # The fixed columns of a trajectory file, in file order: the ten plant
 # floats, then the controller phase and the ground contact flag.
 FIXED_COLUMNS = ("t", "phi_h", "phi_k", "phi_h_dot", "phi_k_dot", "alpha",
@@ -125,14 +133,24 @@ class Trajectory:
     `traces[name].G` and `.pi` are views of the table, and `phase` and
     `contact` are columns 10 and 11 as ints and bools; a table of another
     width or of no rows, or with a phase not 1, 2 or 3 or a contact not 0
-    or 1, is refused. A swing ending off the ground timed out."""
+    or 1, is refused, and so is a model list its file's header cannot
+    carry: a name not MODEL_NAME, a name given twice, or an m not an
+    integer >= 1. A swing ending off the ground timed out."""
 
     table: np.ndarray
     models: tuple[tuple[str, int], ...] = ()
     task: SwingTask | None = None
 
     def __post_init__(self):
-        models = tuple(self.models)
+        models = tuple((name, m) for name, m in self.models)
+        for i, (name, m) in enumerate(models):
+            if not (isinstance(name, str) and MODEL_NAME.fullmatch(name)):
+                raise ValueError("a swing's model name is one or more word characters, "
+                                 f"got {name!r}")
+            if name in (other for other, _ in models[:i]):
+                raise ValueError(f"a swing's model {name!r} is given twice")
+            if _int(m, f"model {name!r}: m") < 1:
+                raise ValueError(f"model {name!r}: m must be >= 1, got {m}")
         width = len(FIXED_COLUMNS) + 2 * sum(m for _, m in models)
         if self.table.shape[1:] != (width,) or not len(self.table):
             raise ValueError(f"a swing of models {models} is a table of {width} columns "
@@ -259,6 +277,44 @@ def check_swing_steps(dt: float, timeout: float) -> None:
         raise ValueError(f"timeout {timeout} is more than {MAX_SWING_STEPS} steps of dt {dt}")
 
 
+DEFAULT_HIP = GrpConfig(m=1)
+DEFAULT_KNEE = GrpConfig(m=3)
+
+
+@dataclass(frozen=True)
+class RunConfig:
+    """Everything a run needs: physics, controller gains, task ranges,
+    one GRP config per joint, and the protocol sizes/seeds."""
+
+    params: LegParams = LegParams()
+    gains: ControllerGains = ControllerGains()
+    ranges: SampleRanges = SampleRanges()
+    hip: GrpConfig = DEFAULT_HIP
+    knee: GrpConfig = DEFAULT_KNEE
+    dt: float = 1e-3
+    timeout: float = 2.0
+    # 40 cyclic passes over the 40-demo corpus. Reference-free landings do
+    # not improve steadily with more episodes, and the count that lands
+    # best differs from one init seed to the next.
+    episodes: int = 1600
+    demo_count: int = 40
+    eval_count: int = 20
+    demo_seed: int = 1
+    eval_seed: int = 2
+
+    def __post_init__(self):
+        # each value is checked as a file's is, so a bool or a float count is refused
+        for name in ("dt", "timeout"):
+            _float(getattr(self, name), name)
+        check_swing_steps(self.dt, self.timeout)
+        if not self.timeout > self.dt:
+            raise ValueError(f"timeout {self.timeout} not beyond one step")
+        for name, low in (("episodes", 1), ("demo_count", 1), ("eval_count", 1),
+                          ("demo_seed", 0), ("eval_seed", 0)):
+            if (v := _int(getattr(self, name), name)) < low:
+                raise ValueError(f"{name} must be >= {low}, got {v}")
+
+
 def _advance(buf, state, kin, ctrl, torques, params, dt, timeout):
     """One tick of a swing: saturate `torques` and append the tick's
     FIXED_COLUMNS values to the packed `buf`, the torques recorded being the
@@ -280,8 +336,8 @@ def run_demo_episode(
     init_state: LegState,
     gains: ControllerGains = ControllerGains(),
     params: LegParams = LegParams(),
-    dt: float = 1e-3,
-    timeout: float = 2.0,
+    dt: float = RunConfig.dt,
+    timeout: float = RunConfig.timeout,
 ) -> Trajectory:
     """One demonstration swing under the target controller, rolled alone,
     a tick at a time through _advance, until it lands or t reaches the
@@ -295,6 +351,15 @@ def run_demo_episode(
         torques, ctrl = control_step(kin, ctrl, task, gains)
         state = _advance(buf, state, kin, ctrl, torques, params, dt, timeout)
     return Trajectory(np.frombuffer(buf).reshape(-1, len(FIXED_COLUMNS)), task=task)
+
+
+def demo_swings(config: RunConfig, n: int):
+    """The first n of `config`'s demonstration swings, each rolled as it is read:
+    train reads them after it allocates its log, demo writes each as it comes."""
+    for task, init in sample_tasks(config.ranges, n, config.demo_seed,
+                                   config.gains, config.params):
+        yield run_demo_episode(task, init, config.gains, config.params,
+                               config.dt, config.timeout)
 
 
 def train(
@@ -376,8 +441,8 @@ def evaluate(
     tasks: list[tuple[SwingTask, LegState]],
     gains: ControllerGains = ControllerGains(),
     params: LegParams = LegParams(),
-    dt: float = 1e-3,
-    timeout: float = 2.0,
+    dt: float = RunConfig.dt,
+    timeout: float = RunConfig.timeout,
 ) -> tuple[EvalReport, list[Trajectory]]:
     """Reference-free evaluation: the models alone drive the plant through
     each task, and the report holds each swing's target and landing angle

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 import grpleg
-from grpleg import cli_io, grp, mulnet
+from grpleg import cli_io, experiment, grp, mulnet
 from grpleg.cli_io import (
     COLUMN_FORMATS,
     FIXED_COLUMNS,
@@ -89,9 +89,16 @@ def with_traces(traj, models=(("hip", 1), ("knee", 3)), seed=9):
 
 
 def test_run_config_round_trip(tmp_path):
-    cfg = RunConfig(episodes=7, demo_seed=11)
-    save_run_config(tmp_path / "cfg.json", cfg)
-    assert load_run_config(tmp_path / "cfg.json") == cfg
+    """A config file loads to its config and saves again to its own bytes,
+    an integer-valued float field included: it is written as a float."""
+    for cfg in (RunConfig(episodes=7, demo_seed=11),
+                RunConfig(params=LegParams(g=10), ranges=SampleRanges(alpha_tgt=(1, 1.4)),
+                          hip=GrpConfig(m=1, lam=0, mu=1))):
+        save_run_config(tmp_path / "cfg.json", cfg)
+        back = load_run_config(tmp_path / "cfg.json")
+        assert back == cfg
+        save_run_config(tmp_path / "again.json", back)
+        assert (tmp_path / "again.json").read_bytes() == (tmp_path / "cfg.json").read_bytes()
 
 
 def test_run_config_defaults_match_owning_modules():
@@ -149,10 +156,17 @@ def test_run_config_range_pair_arity():
         # NaN compares false to everything, and fails each check all the same
         {"dt": math.nan},
         {"timeout": math.nan},
+        # each scalar has its field's type, as in a config file
+        {"demo_count": 2.5},
+        {"episodes": True},
+        {"eval_seed": 1.5},
+        {"demo_count": "3"},
+        {"timeout": "2"},
     ],
 )
 def test_run_config_validation(kwargs):
-    with pytest.raises(ValueError):
+    """Each refusal names the field it refuses."""
+    with pytest.raises(ValueError, match=next(iter(kwargs))):
         RunConfig(**kwargs)
 
 
@@ -283,8 +297,11 @@ def test_grp_config_lambda_key_and_null_rp_rate():
 
 
 def test_model_round_trip_bit_exact(tmp_path):
+    """A model file loads to its model and saves again to its own bytes; a
+    fresh model's gamma, its config's integer gamma0 here, is written as a float."""
     hip, knee = trained_pair()
-    for name, model in (("hip", hip), ("knee", knee)):
+    fresh = grp.init(GrpConfig(m=1, gamma0=1))
+    for name, model in (("hip", hip), ("knee", knee), ("fresh", fresh)):
         save_model(tmp_path / f"{name}.json", model)
         back = load_model(tmp_path / f"{name}.json")
         assert back.config == model.config
@@ -293,6 +310,8 @@ def test_model_round_trip_bit_exact(tmp_path):
         for k in range(model.m):
             assert np.array_equal(model.W[k], back.W[k])
             assert np.array_equal(model.R[k], back.R[k])
+        save_model(tmp_path / "again.json", back)
+        assert (tmp_path / "again.json").read_bytes() == (tmp_path / f"{name}.json").read_bytes()
 
 
 def test_model_file_deterministic_bytes(tmp_path):
@@ -316,7 +335,8 @@ def test_model_loaded_forward_matches(tmp_path):
 @pytest.mark.parametrize(
     "mangle, message",
     [
-        (lambda d: d.update(format=99), "unsupported model format"),
+        # the format is the writer's: a model is written with format 1
+        (lambda d: d.update(format=99), "^format is 99 but a model is written"),
         (lambda d: d.update(extra=1), "unknown key 'extra'"),
         (lambda d: d.pop("gamma"), "missing key 'gamma'"),
         (lambda d: d.update(gamma=0.0), "gamma must be positive"),
@@ -339,7 +359,7 @@ def test_model_loaded_forward_matches(tmp_path):
         (lambda d: d.update(episode_count="3"), "episode_count must be an integer"),
         (lambda d: d["config"].pop("m"), "missing config key 'config.m'"),
         # a model file spells its whole config: no key falls back to a default
-        (lambda d: d["config"].pop("mu"), "^missing config key 'config.mu'$"),
+        (lambda d: d["config"].pop("mu"), "^config missing key 'mu'$"),
         (lambda d: d.update(format=True), "format must be an integer, got True"),
         (lambda d: d.update(format=1.0), "format must be an integer, got 1.0"),
         (lambda d: d["layers"][0].update(W=[[True] * 8] * 8),
@@ -556,6 +576,20 @@ def test_trajectory_is_one_table_of_its_models_width(demo_traj):
     with pytest.raises(TypeError):
         traj.traces["knee"] = demo_traj.traces.get("knee")
     assert len(traj) == len(traj.tau_k) == len(traj.traces["knee"].pi) == len(demo_traj)
+    # a model list its file's header cannot carry is refused, naming the model
+    plant = demo_traj.table
+    for bad_models, message in [
+            ((("hip x", 1),), "a swing's model name is one or more word characters, got 'hip x'"),
+            ((("", 1),), "a swing's model name is one or more word characters, got ''"),
+            (((1, 1),), "a swing's model name is one or more word characters, got 1"),
+            ((("a", 1), ("a", 1)), "a swing's model 'a' is given twice"),
+            ((("a", 1.0),), "model 'a': m must be an integer, got 1.0"),
+            ((("a", True),), "model 'a': m must be an integer, got True"),
+            ((("a", 0),), "model 'a': m must be >= 1, got 0")]:
+        with pytest.raises(ValueError, match=re.escape(message) + "$"):
+            Trajectory(np.hstack([plant, plant[:, :2]]), bad_models)
+    # stored as (name, m) tuples, as read_trajectory gives them back
+    assert with_traces(demo_traj, [["a", 1]]).models == (("a", 1),)
 
 
 def test_trajectory_read_errors_name_lines(tmp_path, demo_traj):
@@ -945,7 +979,7 @@ def test_cli_train_rolls_only_the_demos_its_episodes_use(tmp_path, monkeypatch, 
         rolled.append(args[0])
         return run_demo_episode(*args, **kwargs)
 
-    monkeypatch.setattr(cli_io, "run_demo_episode", counted)
+    monkeypatch.setattr(experiment, "run_demo_episode", counted)
     outs = []
     for data in ({"episodes": 3}, {"episodes": 3, "demo_count": 3}):
         out = tmp_path / str(len(outs))
@@ -1294,7 +1328,8 @@ def test_train_refuses_an_episode_count_numpy_cannot_allocate(tmp_path, monkeypa
     digits) exits 1 with one error line naming episodes: train allocates
     its log before it reads a demo, so none is rolled and no file written."""
     rolled = []
-    monkeypatch.setattr(cli_io, "run_demo_episode", lambda *args, **kwargs: rolled.append(1))
+    monkeypatch.setattr(experiment, "run_demo_episode",
+                        lambda *args, **kwargs: rolled.append(1))
     out = tmp_path / "out"
     rc = cli_io.cli(["train", "--episodes", str(episodes), "--out", str(out)])
     assert rc == 1

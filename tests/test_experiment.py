@@ -792,3 +792,5 @@ def test_weight_summary_layout():
     assert np.array(entry["W"]).shape == (8, 8)
     model.W[1][:] = 0.0
     assert weight_summary(model)["layers"][1]["W_norm"] == 0.0
+    # gamma is written as a float, as the model file writes it, from an integer gamma0 too
+    assert type(weight_summary(grp.init(GrpConfig(m=1, gamma0=1)))["gamma"]) is float
