@@ -1,9 +1,16 @@
 """Swing-leg control transfer: a three-phase swing-leg controller on a planar
 double-pendulum leg, and the modular generator/responsibility-predictor (GRP)
-model that learns it online from controller demonstrations."""
+model that learns it online from controller demonstrations.
 
+The package holds the one type rule of config fields: each config dataclass
+calls _check_fields first when built, and the config file walker calls
+_typed per key, so a field holds a value of its annotated type."""
+
+import dataclasses
+import functools
 import math
 import numbers
+import typing
 
 __version__ = "0.1.0"
 
@@ -26,6 +33,37 @@ def _float(value, key: str) -> float:
     if not math.isfinite(v):
         raise ValueError(f"{key} has non-finite value {value!r}")
     return v
+
+
+@functools.cache
+def _fields(cls) -> tuple:
+    """(attribute, JSON key, resolved type, default) per field of a config
+    dataclass, in declaration order, which is also the on-disk key order.
+    `lam` is written as `lambda`, the one key that differs."""
+    hints = typing.get_type_hints(cls)
+    return tuple((f.name, "lambda" if f.name == "lam" else f.name,
+                  hints[f.name], f.default) for f in dataclasses.fields(cls))
+
+
+def _typed(tp, value, key: str):
+    """`value` as a config field of type `tp` holds it: an int, a finite float,
+    or a [lo, hi] pair as a tuple of them; a config section checks itself."""
+    if tp is int:
+        return _int(value, key)
+    if tp is float:
+        return _float(value, key)
+    if tp == tuple[float, float]:
+        if not isinstance(value, (list, tuple)) or len(value) != 2:
+            raise ValueError(f"config key '{key}' must be a [lo, hi] pair")
+        return (_float(value[0], f"{key}[0]"), _float(value[1], f"{key}[1]"))
+    return value
+
+
+def _check_fields(obj) -> None:
+    """Store each field of the config dataclass `obj` as _typed gives it, naming it."""
+    for name, key, tp, _ in _fields(type(obj)):
+        label = name if name == key else f"{name} ({key})"
+        object.__setattr__(obj, name, _typed(tp, getattr(obj, name), label))
 
 
 class NonFiniteError(RuntimeError):

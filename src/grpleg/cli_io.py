@@ -4,8 +4,10 @@ JSON carries configs, models, evaluation reports and weight summaries (whose
 layers are the model file's); trajectories go to CSV with 17 significant
 digits so every double survives a round trip. A model file or a report is
 refused unless its writer would write it back. Writers are deterministic
-(fixed key order, no timestamps, a float field always a float): identical
-config and seeds give byte-identical files. Angles are radians everywhere
+(fixed key order, no timestamps): identical config and seeds give
+byte-identical files. A config file is read through the package's one type
+rule, the one each config dataclass checks itself by, so a config's float
+field holds a float and is written as one. Angles are radians everywhere
 except evaluation reports, which speak degrees.
 """
 
@@ -19,14 +21,13 @@ import json
 import math
 import re
 import sys
-import typing
 from array import array
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
-from . import NonFiniteError, _float, _int, grp, mulnet, uniform_stream
+from . import NonFiniteError, _fields, _float, _int, _typed, grp, mulnet, uniform_stream
 from .experiment import (
     DEFAULT_HIP,  # this and DEFAULT_KNEE are unused here: perfbench reads them as cli_io's
     DEFAULT_KNEE,
@@ -78,40 +79,19 @@ def _bool(value, key: str) -> bool:
     return value
 
 
-@functools.cache
-def _fields(cls) -> tuple:
-    """(attribute, JSON key, resolved type, default) per field of a config
-    dataclass, in declaration order, which is also the on-disk key order.
-    `lam` is written as `lambda`, the one key that differs."""
-    hints = typing.get_type_hints(cls)
-    return tuple((f.name, "lambda" if f.name == "lam" else f.name,
-                  hints[f.name], f.default) for f in dataclasses.fields(cls))
-
-
-def _value(tp, value, key: str, base):
-    if tp is int:
-        return _int(value, key)
-    if tp is float:
-        return _float(value, key)
-    if tp == tuple[float, float]:
-        if not isinstance(value, list) or len(value) != 2:
-            raise ValueError(f"config key '{key}' must be a [lo, hi] pair")
-        return (_float(value[0], f"{key}[0]"), _float(value[1], f"{key}[1]"))
-    return _from_json(tp, value, key + ".", base)
-
-
 def _from_json(cls, data, where: str = "", base=None):
-    """A config dataclass from its JSON form, each value checked against
-    its field's type. Keys not present keep `base`'s value (or the field
-    default); every error names the dotted key, or for the dataclass's own
-    check, the section."""
+    """A config dataclass from its JSON form, each value checked by _typed
+    and each section walked in turn. Keys not present keep `base`'s value (or
+    the field default); every error names the dotted key, or for the
+    dataclass's own check, the section."""
     fields = _fields(cls)
     _object(data, [key for _, key, _, _ in fields], where, "config key")
     kwargs = {}
     for name, key, tp, default in fields:
         current = default if base is None else getattr(base, name)
         if key in data:
-            kwargs[name] = _value(tp, data[key], where + key, current)
+            kwargs[name] = (_from_json(tp, data[key], f"{where}{key}.", current)
+                            if dataclasses.is_dataclass(tp) else _typed(tp, data[key], where + key))
         elif current is dataclasses.MISSING:
             raise ValueError(f"missing config key '{where}{key}'")
     try:
@@ -122,15 +102,13 @@ def _from_json(cls, data, where: str = "", base=None):
         raise ValueError(f"{where[:-1]}: {exc}") from None
 
 
-def _to_json(obj, tp=None):
+def _to_json(obj):
     """The JSON form of a config dataclass (keys in declaration order) or
-    of one of its field values, of type `tp`. A float field, each bound of
-    a pair included, is written as a float, though it may hold an equal int."""
+    of one of its field values. A float field holds a float from
+    construction, so only a pair changes form: it is written as a list."""
     if dataclasses.is_dataclass(obj):
-        return {key: _to_json(getattr(obj, name), ftp) for name, key, ftp, _ in _fields(type(obj))}
-    if tp == tuple[float, float]:
-        return [float(v) for v in obj]
-    return float(obj) if tp is float else obj
+        return {key: _to_json(getattr(obj, name)) for name, key, _, _ in _fields(type(obj))}
+    return list(obj) if isinstance(obj, tuple) else obj
 
 
 # The entry points: every config file and model `config` goes through the walker.
@@ -454,12 +432,15 @@ def _out_dir(args) -> Path:
 def _cmd_demo(args) -> int:
     config = _config_from_args(args)
     out = _out_dir(args)
-    files, trajs = [], []
-    for i, traj in enumerate(demo_swings(config, config.demo_count), start=1):
-        trajs.append(traj)
-        files.append(f"demo_{i:03d}.csv")
-        write_trajectory(out / files[-1], traj)
-    report = EvalReport.from_swings(trajs)
+    files = []
+
+    def written():  # each swing is written as it comes, so one is held at a time
+        for i, traj in enumerate(demo_swings(config, config.demo_count), start=1):
+            files.append(f"demo_{i:03d}.csv")
+            write_trajectory(out / files[-1], traj)
+            yield traj
+
+    report = EvalReport.from_swings(written())
     _dump_json(out / "manifest.json", {
         "count": config.demo_count,
         "seed": config.demo_seed,

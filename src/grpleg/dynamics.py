@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
 
-from . import NonFiniteError
+from . import NonFiniteError, _check_fields
 
 
 @dataclass(frozen=True)
@@ -52,6 +52,7 @@ class LegParams:
     tau_max: float = 60.0
 
     def __post_init__(self):
+        _check_fields(self)
         for name in ("l_t", "l_s", "m_t", "m_s", "g", "tau_max"):
             if not getattr(self, name) > 0.0:
                 raise ValueError(f"LegParams.{name} must be strictly positive")

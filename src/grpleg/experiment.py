@@ -45,7 +45,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import NonFiniteError, _float, _int, grp, uniform_stream
+from . import NonFiniteError, _check_fields, _int, grp, uniform_stream
 from .dynamics import (
     JointTorques,
     LegParams,
@@ -87,6 +87,7 @@ class SampleRanges:
     phi_k0: float = 175.0 * DEG
 
     def __post_init__(self):
+        _check_fields(self)
         for name in ("alpha_tgt", "phi_h_dot0", "phi_k_dot0"):
             lo, hi = getattr(self, name)
             if not lo <= hi:
@@ -220,16 +221,24 @@ class EvalReport:
         return {name: int((peak > ACTIVE_PI).sum()) for name, peak in self.peak_pi.items()}
 
     @classmethod
-    def from_swings(cls, trajs: list[Trajectory]) -> EvalReport:
-        """The report of rolled-out swings, each carrying its task; peak_pi
-        covers each model whose traces they carry."""
-        return cls(
-            alpha_tgt_deg=np.array([tr.task.alpha_tgt for tr in trajs]) / DEG,
-            alpha_end_deg=np.array([tr.alpha_end for tr in trajs]) / DEG,
-            timed_out=np.array([tr.timed_out for tr in trajs], dtype=bool),
-            peak_pi={name: np.concatenate([tr.traces[name].pi for tr in trajs]).max(axis=0)
-                     for name in trajs[0].traces},
-        )
+    def from_swings(cls, trajs: Iterable[Trajectory]) -> EvalReport:
+        """The report of rolled-out swings, each carrying its task, read
+        once: of each swing it keeps the target and landing angles, the
+        timeout and each model's per-layer peak pi, so `trajs` may be a
+        generator rolling one swing at a time. peak_pi covers each model
+        whose traces they carry."""
+        tgt, end, timed_out, peak_pi = [], [], [], {}
+        for tr in trajs:
+            tgt.append(tr.task.alpha_tgt)
+            end.append(tr.alpha_end)
+            timed_out.append(tr.timed_out)
+            for name, trace in tr.traces.items():
+                peak = trace.pi.max(axis=0)
+                peak_pi[name] = np.maximum(peak_pi.get(name, peak), peak)
+        if not tgt:
+            raise ValueError("no swings to report")
+        return cls(np.array(tgt) / DEG, np.array(end) / DEG,
+                   np.array(timed_out, dtype=bool), peak_pi)
 
 
 def sample_tasks(
@@ -242,7 +251,7 @@ def sample_tasks(
     """n seeded swing tasks; per task the draws are alpha_tgt, then the hip
     rate, then the knee rate, from one stream, each lo + (hi - lo) * u as
     default_rng(seed).uniform draws it."""
-    if n < 1:
+    if _int(n, "n") < 1:
         raise ValueError(f"need at least one task, got n={n}")
     draws = uniform_stream(seed)
     out = []
@@ -303,15 +312,13 @@ class RunConfig:
     eval_seed: int = 2
 
     def __post_init__(self):
-        # each value is checked as a file's is, so a bool or a float count is refused
-        for name in ("dt", "timeout"):
-            _float(getattr(self, name), name)
+        _check_fields(self)
         check_swing_steps(self.dt, self.timeout)
         if not self.timeout > self.dt:
             raise ValueError(f"timeout {self.timeout} not beyond one step")
         for name, low in (("episodes", 1), ("demo_count", 1), ("eval_count", 1),
                           ("demo_seed", 0), ("eval_seed", 0)):
-            if (v := _int(getattr(self, name), name)) < low:
+            if (v := getattr(self, name)) < low:
                 raise ValueError(f"{name} must be >= {low}, got {v}")
 
 
@@ -391,7 +398,7 @@ def train(
     raises NonFiniteError naming each model's place in the list, from 1,
     and its joint; numpy warns of nothing on the way.
     """
-    if episodes < 1:
+    if _int(episodes, "episodes") < 1:
         raise ValueError(f"episodes must be >= 1, got {episodes}")
     joints = [joint for _, joint in models]
     if not joints or not set(joints) <= {"tau_h", "tau_k"}:

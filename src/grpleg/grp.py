@@ -48,7 +48,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import NonFiniteError, _float, _int, uniform_stream
+from . import NonFiniteError, _check_fields, uniform_stream
 from .mulnet import (
     NET_DIM,
     P_CEIL,
@@ -84,12 +84,10 @@ class GrpConfig:
     seed: int = 0
 
     def __post_init__(self):
-        # each value is checked as a file's is, so a bool or a float m is refused
+        _check_fields(self)
         for name, low in (("m", 1), ("seed", 0)):
-            if (v := _int(getattr(self, name), name)) < low:
+            if (v := getattr(self, name)) < low:
                 raise ValueError(f"{name} must be >= {low}, got {v}")
-        for name in ("mu", "mu_rp", "lam", "gamma0", "beta", "w_gain", "init_scale"):
-            _float(getattr(self, name), "lam (lambda)" if name == "lam" else name)
         for name in ("mu", "mu_rp", "gamma0", "init_scale"):
             v = getattr(self, name)
             if not v > 0.0:
@@ -211,7 +209,7 @@ class LearnStack:
         # each row's model and (mu, lam, RP rate, sigmoid gain), for the per-row half
         self._row_model = [k for k, size in enumerate(sizes) for _ in range(size)]
         self._row_consts = [
-            (float(cfg.mu), float(cfg.lam), float(cfg.mu_rp), float(cfg.w_gain))
+            (cfg.mu, cfg.lam, cfg.mu_rp, cfg.w_gain)
             for cfg, size in zip((mdl.config for mdl in models), sizes) for _ in range(size)
         ]
         self.w_gain = np.array([w_gain for *_, w_gain in self._row_consts])

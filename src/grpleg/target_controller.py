@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from enum import IntEnum
 from typing import NamedTuple
 
+from . import _check_fields
 from .dynamics import JointTorques, KinematicSnapshot, LegParams, LegState, kinematics
 
 
@@ -40,6 +41,7 @@ class ControllerGains:
     delta_alpha_thr: float = math.radians(8.0)
 
     def __post_init__(self):
+        _check_fields(self)
         # stopping_torque divides by it, and a negative one inverts the braking
         if not self.alpha_dot_max > 0.0:
             raise ValueError("ControllerGains.alpha_dot_max must be strictly positive")

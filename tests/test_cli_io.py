@@ -162,6 +162,8 @@ def test_run_config_range_pair_arity():
         {"eval_seed": 1.5},
         {"demo_count": "3"},
         {"timeout": "2"},
+        {"timeout": True},
+        {"dt": 10**400},
     ],
 )
 def test_run_config_validation(kwargs):
@@ -222,6 +224,44 @@ def test_config_accepts_json_integers_for_floats():
     cfg = run_config_from_dict({"dt": 1, "params": {"g": 10}, "hip": {"mu_rp": 1}})
     assert (cfg.dt, cfg.params.g, cfg.hip.mu_rp) == (1.0, 10.0, 1.0)
     assert all(type(v) is float for v in (cfg.dt, cfg.params.g, cfg.hip.mu_rp))
+
+
+@pytest.mark.parametrize("cls, kwargs, message", [
+    (LegParams, {"g": True}, "g must be a number, got True"),
+    (LegParams, {"l_t": "0.5"}, "l_t must be a number, got '0.5'"),
+    (LegParams, {"g": 10**400}, "g is an integer too large for a float"),
+    (LegParams, {"tau_max": math.nan}, "tau_max has non-finite value nan"),
+    (ControllerGains, {"k_i": True}, "k_i must be a number, got True"),
+    (ControllerGains, {"k_i": "x"}, "k_i must be a number, got 'x'"),
+    (ControllerGains, {"k_ii": 10**400}, "k_ii is an integer too large for a float"),
+    (ControllerGains, {"k_i": math.nan}, "k_i has non-finite value nan"),
+    (SampleRanges, {"phi_h0": True}, "phi_h0 must be a number, got True"),
+    (SampleRanges, {"alpha_tgt": (0.9, "1.4")}, "alpha_tgt[1] must be a number, got '1.4'"),
+    (SampleRanges, {"phi_h_dot0": (-10**400, 0)},
+     "phi_h_dot0[0] is an integer too large for a float"),
+    (SampleRanges, {"phi_k_dot0": (math.nan, 0.0)}, "phi_k_dot0[0] has non-finite value nan"),
+    (SampleRanges, {"alpha_tgt": (1, 1.2, 1.3)}, "config key 'alpha_tgt' must be a [lo, hi] pair"),
+    (SampleRanges, {"alpha_tgt": 1.0}, "config key 'alpha_tgt' must be a [lo, hi] pair"),
+])
+def test_each_config_section_refuses_a_value_not_of_its_field_type(cls, kwargs, message):
+    """Each config section checks its fields by their annotations, in the
+    words the config walker uses for a file's values, naming the field, as
+    GrpConfig's and RunConfig's own tests show of theirs."""
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        cls(**kwargs)
+
+
+def test_config_fields_hold_their_annotated_types():
+    """An int given for a float field is held as a float and a [lo, hi]
+    list as a tuple of floats, so the writer converts nothing. Every field
+    is annotated with a type the rule knows, so none passes unchecked."""
+    assert type(LegParams(g=10).g) is float and LegParams(g=10).g == 10.0
+    pair = SampleRanges(alpha_tgt=[1, 2]).alpha_tgt
+    assert pair == (1.0, 2.0) and all(type(v) is float for v in pair)
+    sections = (LegParams, ControllerGains, SampleRanges, GrpConfig)
+    for cls in (*sections, RunConfig):
+        for name, _, tp, _ in grpleg._fields(cls):
+            assert tp in (int, float, tuple[float, float], *sections), (cls.__name__, name, tp)
 
 
 RUN_CONFIG_KEYS = ["params", "gains", "ranges", "hip", "knee", "dt", "timeout",
@@ -1034,6 +1074,22 @@ def test_cli_train_holds_the_corpus_once(tmp_path, capsys):
         tracemalloc.stop()
     capsys.readouterr()
     assert peak < 1.5e6, f"traced peak {peak / 1e6:.2f} MB"
+
+
+def test_cli_demo_holds_one_swing_at_a_time(tmp_path, capsys):
+    """A default 40-swing demo writes each swing as it rolls and keeps of
+    it only what its report reads, about 0.22 MB traced; holding every
+    swing to the end peaked at 1.46 MB, and grew by about 32 KB a swing.
+    The first call warms every lazily built cache."""
+    assert cli_io.cli(["demo", "--n", "1", "--out", str(tmp_path)]) == 0
+    tracemalloc.start()
+    try:
+        assert cli_io.cli(["demo", "--out", str(tmp_path)]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    capsys.readouterr()
+    assert peak < 1e6, f"traced peak {peak / 1e6:.2f} MB"
 
 
 def test_cli_eval_holds_each_swing_as_packed_doubles(tmp_path, capsys):

@@ -431,8 +431,8 @@ def test_params_reject_nonpositive():
         LegParams(knee_stop_stiffness=-1.0)
     with pytest.raises(ValueError):
         LegParams(tau_max=0.0)
-    for name in ("knee_stop_stiffness", "knee_stop_damping"):
-        with pytest.raises(ValueError, match=f"LegParams.{name} must be non-negative"):
+    for name in ("knee_stop_stiffness", "knee_stop_damping"):  # a NaN fails the type rule first
+        with pytest.raises(ValueError, match=f"^{name} has non-finite value nan"):
             LegParams(**{name: math.nan})
 
 

@@ -114,6 +114,9 @@ def test_sample_tasks_ranges_and_fixed_posture():
 def test_sample_tasks_rejects_empty():
     with pytest.raises(ValueError, match="at least one task"):
         sample_tasks(SampleRanges(), 0, seed=0)
+    for n in (True, 2.5, "3"):  # a count goes through _int, as a config's does
+        with pytest.raises(ValueError, match=f"^n must be an integer, got {re.escape(repr(n))}$"):
+            sample_tasks(SampleRanges(), n, seed=0)
 
 
 def test_ranges_must_be_ordered():
@@ -137,8 +140,11 @@ def test_target_range_must_stay_within_one_turn(bounds):
                                    -math.inf, math.nan])
 def test_initial_posture_must_be_a_finite_angle_within_one_turn(field, value):
     """A fixed initial joint angle that is not finite or lies beyond 2*pi
-    rad is refused naming its field; one full turn either way is accepted."""
-    with pytest.raises(ValueError, match=rf"^{field} .* is not a finite angle within one turn"):
+    rad is refused naming its field, a non-finite one by the type rule;
+    one full turn either way is accepted."""
+    message = (rf"{field} .* is not a finite angle within one turn" if math.isfinite(value)
+               else rf"{field} has non-finite value {value!r}$")
+    with pytest.raises(ValueError, match=f"^{message}"):
         SampleRanges(**{field: value})
     for turn in (-2 * math.pi, 2 * math.pi):
         assert getattr(SampleRanges(**{field: turn}), field) == turn
@@ -442,6 +448,9 @@ def test_train_validation():
     hip, knee = fresh_pair()
     with pytest.raises(ValueError, match="episodes"):
         train([(hip, "tau_h"), (knee, "tau_k")], [synthetic_demo()], episodes=0)
+    for episodes in (2.5, "3", True):  # a count goes through _int, as a config's does
+        with pytest.raises(ValueError, match=rf"^episodes must be an integer, got {episodes!r}$"):
+            train([(hip, "tau_h"), (knee, "tau_k")], [synthetic_demo()], episodes)
     with pytest.raises(ValueError, match="no demonstrations"):
         train([(hip, "tau_h"), (knee, "tau_k")], [], episodes=1)
     with pytest.raises(ValueError, match=r"got joints \['tau_h', 'phi_k'\]"):
@@ -518,6 +527,11 @@ def test_evaluate_report_consistency():
     assert np.array_equal(report.error_deg, np.abs(tgt - end))
     assert report.avg_error_deg == report.error_deg.mean()
     assert report.max_error_deg == report.error_deg.max()
+    # the report reads the swings once, keeping a running peak: a max is exact
+    streamed = experiment.EvalReport.from_swings(iter(trajs))
+    for name, peak in report.peak_pi.items():
+        whole = np.concatenate([tr.traces[name].pi for tr in trajs]).max(axis=0)
+        assert np.array_equal(peak, whole) and np.array_equal(streamed.peak_pi[name], whole)
     for tr in trajs:
         assert tr.timed_out == (not tr.contact[-1])
         for trace in tr.traces.values():
@@ -642,6 +656,8 @@ def test_evaluate_rejects_empty_task_list():
     hip, knee = fresh_pair()
     with pytest.raises(ValueError, match="no tasks to evaluate"):
         evaluate(hip, knee, [])
+    with pytest.raises(ValueError, match="^no swings to report$"):
+        experiment.EvalReport.from_swings(iter([]))
 
 
 @pytest.mark.parametrize("timeout, dt", [(math.nan, 1e-3), (math.inf, 1e-3),
