@@ -2,9 +2,12 @@
 double-pendulum leg, and the modular generator/responsibility-predictor (GRP)
 model that learns it online from controller demonstrations.
 
-The package holds the one type rule of config fields: each config dataclass
-calls _check_fields first when built, and the config file walker calls
-_typed per key, so a field holds a value of its annotated type."""
+The package holds the one rule of config fields: each config dataclass,
+and GrpModel, calls _check_fields first when built, naming its fields'
+bounds, and the config file walker calls _typed per key. So a field holds
+a value of its annotated type (a section field, an instance of its
+section) within its bound, and a value out of bounds is refused in one
+wording, such as `mu must be > 0, got 0.0`."""
 
 import dataclasses
 import functools
@@ -46,8 +49,8 @@ def _fields(cls) -> tuple:
 
 
 def _typed(tp, value, key: str):
-    """`value` as a config field of type `tp` holds it: an int, a finite float,
-    or a [lo, hi] pair as a tuple of them; a config section checks itself."""
+    """`value` as a field of type `tp` holds it: an int, a finite float, a [lo, hi]
+    pair as a tuple of them, or else an instance of `tp`, such as a config section."""
     if tp is int:
         return _int(value, key)
     if tp is float:
@@ -56,23 +59,35 @@ def _typed(tp, value, key: str):
         if not isinstance(value, (list, tuple)) or len(value) != 2:
             raise ValueError(f"config key '{key}' must be a [lo, hi] pair")
         return (_float(value[0], f"{key}[0]"), _float(value[1], f"{key}[1]"))
+    if not isinstance(value, tp):
+        raise ValueError(f"{key} must be a {tp.__name__}, got {value!r}")
     return value
 
 
-def _check_fields(obj) -> None:
-    """Store each field of the config dataclass `obj` as _typed gives it, naming it."""
+def _check_fields(obj, **bounds: str) -> None:
+    """Store each field of the dataclass `obj` as _typed gives it, then hold each
+    field in `bounds` to its bound, "> c" or ">= c", in turn, naming the field."""
+    labels = {}
     for name, key, tp, _ in _fields(type(obj)):
-        label = name if name == key else f"{name} ({key})"
+        labels[name] = label = name if name == key else f"{name} ({key})"
         object.__setattr__(obj, name, _typed(tp, getattr(obj, name), label))
+    for name, bound in bounds.items():
+        op, low = bound.split()
+        value = getattr(obj, name)
+        if not (value > int(low) if op == ">" else value >= int(low)):
+            raise ValueError(f"{labels[name]} must be {bound}, got {value}")
 
 
 class NonFiniteError(RuntimeError):
     """A numerical update went non-finite: a diverging learn step or plant
     integration step. Raised before the bad values replace the old state.
     A diverging learn step sets `models`: the places in its stack, from 1,
-    of the models whose weights went non-finite."""
+    of the models whose weights went non-finite; train's report of it, or
+    of a sharpness that overflows, keeps them."""
 
-    models: tuple[int, ...] = ()
+    def __init__(self, message: str, models: tuple[int, ...] = ()):
+        super().__init__(message)
+        self.models = models
 
 
 _M32, _M64, _M128 = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1

@@ -5,10 +5,12 @@ layers are the model file's); trajectories go to CSV with 17 significant
 digits so every double survives a round trip. A model file or a report is
 refused unless its writer would write it back. Writers are deterministic
 (fixed key order, no timestamps): identical config and seeds give
-byte-identical files. A config file is read through the package's one type
-rule, the one each config dataclass checks itself by, so a config's float
-field holds a float and is written as one. Angles are radians everywhere
-except evaluation reports, which speak degrees.
+byte-identical files. A config file is read through the package's one field
+rule, the one each config dataclass and a model check themselves by, types
+and bounds, so a config's float field holds a float and is written as one.
+A JSON value's kind (object, list, float, integer or bool) is checked by
+_kind alone, in the writer's words. Angles are radians everywhere except
+evaluation reports, which speak degrees.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import NonFiniteError, _fields, _float, _int, _typed, grp, mulnet, uniform_stream
+from . import NonFiniteError, _fields, _float, _typed, grp, mulnet, uniform_stream
 from .experiment import (
     DEFAULT_HIP,  # this and DEFAULT_KNEE are unused here: perfbench reads them as cli_io's
     DEFAULT_KNEE,
@@ -46,11 +48,22 @@ from .grp import GrpConfig, GrpModel
 MODEL_FORMAT = 1
 
 
+# The type of each JSON value a writer writes, as a refusal names it.
+_KINDS = {dict: "an object", list: "a list", float: "a float", int: "an integer",
+          bool: "true or false"}
+
+
+def _kind(value, tp, key: str):
+    """`value`, if its type is `tp`, one of _KINDS; the error names `key`, or the top level."""
+    if type(value) is not tp:
+        raise ValueError(f"{key or 'top level'} must be {_KINDS[tp]}, got {value!r}")
+    return value
+
+
 def _object(data, allowed, where: str, noun: str) -> dict:
     """`data`, if it is a JSON object with no key outside `allowed` (any
     key when `allowed` is None); an unknown key is named an unknown `noun`."""
-    if not isinstance(data, dict):
-        raise ValueError(f"{where[:-1] or 'top level'} must be an object, got {data!r}")
+    _kind(data, dict, where[:-1])
     unknown = [] if allowed is None else sorted(set(data) - set(allowed))
     if unknown:
         raise ValueError(f"unknown {noun} '{where}{unknown[0]}'")
@@ -64,19 +77,6 @@ def _record(data, keys, where: str, others: bool = False) -> dict:
         if key not in data:
             raise ValueError(f"{where[:-1] or 'top level'} missing key '{key}'")
     return data
-
-
-def _list(value, key: str) -> list:
-    if not isinstance(value, list):
-        raise ValueError(f"{key} must be a list, got {value!r}")
-    return value
-
-
-def _bool(value, key: str) -> bool:
-    """A JSON true or false, not coerced."""
-    if type(value) is not bool:
-        raise ValueError(f"{key} must be true or false, got {value!r}")
-    return value
 
 
 def _from_json(cls, data, where: str = "", base=None):
@@ -188,7 +188,7 @@ def model_from_dict(data: dict) -> GrpModel:
     writes it back, so its format and every config key are the writer's."""
     _record(data, ("config", "layers", "gamma", "episode_count"), "", others=True)
     config = _from_json(GrpConfig, data["config"], "config.")
-    layers = _list(data["layers"], "layers")
+    layers = _kind(data["layers"], list, "layers")
     if len(layers) != config.m:
         raise ValueError(f"model has {len(layers)} layers but config.m = {config.m}")
     W = np.empty((config.m, mulnet.NET_DIM, mulnet.NET_DIM))
@@ -197,13 +197,8 @@ def model_from_dict(data: dict) -> GrpModel:
         _record(entry, ("W", "R"), f"layers[{k}].")
         W[k] = _matrix(entry["W"], f"layers[{k}].W")
         R[k] = _matrix(entry["R"], f"layers[{k}].R")
-    gamma = _float(data["gamma"], "gamma")
-    if not gamma > 0.0:
-        raise ValueError(f"gamma must be positive, got {gamma!r}")
-    episode_count = _int(data["episode_count"], "episode_count")
-    if episode_count < 0:
-        raise ValueError(f"episode_count must be >= 0, got {episode_count}")
-    model = GrpModel(W=W, R=R, gamma=gamma, config=config, episode_count=episode_count)
+    model = GrpModel(W=W, R=R, gamma=data["gamma"], config=config,
+                     episode_count=data["episode_count"])
     _written_back(data, model_to_dict(model), "a model is written with")
     return model
 
@@ -351,17 +346,11 @@ def report_to_dict(report: EvalReport) -> dict:
     }
 
 
-# The type of each JSON value a writer writes, as a refusal names it.
-_KINDS = {dict: "an object", list: "a list", float: "a float", int: "an integer",
-          bool: "true or false"}
-
-
 def _written_back(got, want, source: str, key: str = "") -> None:
     """Refuse `got`, a file's value at the dotted `key`, unless it is `want`,
     what the writer writes there, type included, naming the first key that
     differs (`key is got but {source} want`); keys are checked as _record does."""
-    if type(got) is not type(want):
-        raise ValueError(f"{key or 'top level'} must be {_KINDS[type(want)]}, got {got!r}")
+    _kind(got, type(want), key)
     if isinstance(want, dict):
         _record(got, list(want), f"{key}." if key else "")
         for k, value in want.items():
@@ -381,14 +370,14 @@ def report_from_dict(data: dict) -> EvalReport:
     so `data` is refused unless report_to_dict writes it back."""
     _record(data, ("trajectories", "peak_pi"), "", others=True)
     swings = [_record(entry, _SWING_KEYS, f"trajectories[{i}].")
-              for i, entry in enumerate(_list(data["trajectories"], "trajectories"))]
+              for i, entry in enumerate(_kind(data["trajectories"], list, "trajectories"))]
     alpha_tgt, alpha_end, timed_out = (
         np.array([parse(entry[key], f"trajectories[{i}].{key}") for i, entry in enumerate(swings)])
         for key, parse in (("alpha_tgt_deg", _float), ("alpha_end_deg", _float),
-                           ("timed_out", _bool)))
+                           ("timed_out", lambda v, k: _kind(v, bool, k))))
     if not swings:
         raise ValueError("trajectories must not be empty")
-    peak_pi = {k: np.array([_float(p, f"peak_pi.{k}") for p in _list(v, f"peak_pi.{k}")])
+    peak_pi = {k: np.array([_float(p, f"peak_pi.{k}") for p in _kind(v, list, f"peak_pi.{k}")])
                for k, v in _object(data["peak_pi"], None, "peak_pi.", "key").items()}
     report = EvalReport(alpha_tgt, alpha_end, timed_out, peak_pi)
     with np.errstate(over="ignore"):  # an error beyond the largest double is refused as inf

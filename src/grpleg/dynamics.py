@@ -52,13 +52,8 @@ class LegParams:
     tau_max: float = 60.0
 
     def __post_init__(self):
-        _check_fields(self)
-        for name in ("l_t", "l_s", "m_t", "m_s", "g", "tau_max"):
-            if not getattr(self, name) > 0.0:
-                raise ValueError(f"LegParams.{name} must be strictly positive")
-        for name in ("knee_stop_stiffness", "knee_stop_damping"):
-            if not getattr(self, name) >= 0.0:
-                raise ValueError(f"LegParams.{name} must be non-negative")
+        _check_fields(self, l_t="> 0", l_s="> 0", m_t="> 0", m_s="> 0", g="> 0",
+                      tau_max="> 0", knee_stop_stiffness=">= 0", knee_stop_damping=">= 0")
         a, b, c, *_ = coefficients = self._mass_coefficients  # a * b: largest term of det
         if not all(map(math.isfinite, (*coefficients, a * b))):
             raise ValueError("LegParams l_t, l_s, m_t, m_s and g give a mass matrix "

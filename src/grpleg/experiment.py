@@ -226,9 +226,12 @@ class EvalReport:
         once: of each swing it keeps the target and landing angles, the
         timeout and each model's per-layer peak pi, so `trajs` may be a
         generator rolling one swing at a time. peak_pi covers each model
-        whose traces they carry."""
+        whose traces they carry. A swing without a task is refused, named
+        by its index."""
         tgt, end, timed_out, peak_pi = [], [], [], {}
-        for tr in trajs:
+        for i, tr in enumerate(trajs):
+            if tr.task is None:
+                raise ValueError(f"swings[{i}] carries no task, so it has no target angle")
             tgt.append(tr.task.alpha_tgt)
             end.append(tr.alpha_end)
             timed_out.append(tr.timed_out)
@@ -312,14 +315,11 @@ class RunConfig:
     eval_seed: int = 2
 
     def __post_init__(self):
-        _check_fields(self)
+        _check_fields(self, episodes=">= 1", demo_count=">= 1", eval_count=">= 1",
+                      demo_seed=">= 0", eval_seed=">= 0")
         check_swing_steps(self.dt, self.timeout)
         if not self.timeout > self.dt:
             raise ValueError(f"timeout {self.timeout} not beyond one step")
-        for name, low in (("episodes", 1), ("demo_count", 1), ("eval_count", 1),
-                          ("demo_seed", 0), ("eval_seed", 0)):
-            if (v := getattr(self, name)) < low:
-                raise ValueError(f"{name} must be >= {low}, got {v}")
 
 
 def _advance(buf, state, kin, ctrl, torques, params, dt, timeout):
@@ -396,7 +396,8 @@ def train(
     its index, is refused before any learn step and leaves the models
     unchanged. A learn step that diverges, or a sharpness that overflows,
     raises NonFiniteError naming each model's place in the list, from 1,
-    and its joint; numpy warns of nothing on the way.
+    and its joint, with those places as its `models`; numpy warns of
+    nothing on the way.
     """
     if _int(episodes, "episodes") < 1:
         raise ValueError(f"episodes must be >= 1, got {episodes}")
@@ -431,14 +432,14 @@ def train(
                     e_G[i] = stack.e_G
             except NonFiniteError as err:
                 names = ", ".join(f"model {k} ({joints[k - 1]})" for k in err.models)
-                raise NonFiniteError(f"{names}: {err}") from None
+                raise NonFiniteError(f"{names}: {err}", err.models) from None
             # summed in tick order, as a running sum over the episode would be
             log[ep] = np.add.accumulate(np.abs(e_G, out=e_G))[-1] / X.shape[0]
             for k, (mdl, joint) in enumerate(models, 1):
                 try:
                     grp.end_episode(mdl)
                 except NonFiniteError as err:
-                    raise NonFiniteError(f"model {k} ({joint}): {err}") from None
+                    raise NonFiniteError(f"model {k} ({joint}): {err}", (k,)) from None
     return [log[:, sl] for sl in stack.slices]
 
 
@@ -465,6 +466,8 @@ def evaluate(
     (split_row, split_input's bits), and the rows take one grp.forward
     call. Each swing's packed array('d') gets the tick's row from _advance,
     then forward's G and pi blocks, and its table is a view of that array.
+    Weights that overflow are refused by the torque check, and numpy warns
+    of nothing on the way.
     """
     for name, mdl in (("hip", hip_model), ("knee", knee_model)):
         if not isinstance(mdl, GrpModel):
@@ -484,27 +487,29 @@ def evaluate(
     models = (("hip", hip_model.m), ("knee", knee_model.m))
     active = list(range(len(tasks)))
 
-    while active:
-        kins = []
-        for i in active:
-            kin = kinematics(states[i], params)
-            _, ctrls[i] = control_step(kin, ctrls[i], swing_tasks[i], gains)
-            kins.append(kin)
-        rows = [split_row(*_sensor_channels(kin.alpha, states[i], swing_tasks[i].alpha_tgt))
-                for i, kin in zip(active, kins)]
-        (G_h, pi_h, tau_h), (G_k, pi_k, tau_k) = grp.forward(stack, rows)
-        traces = np.concatenate((G_h, pi_h, G_k, pi_k), axis=1).tolist()
-        torques = map(JointTorques, tau_h.tolist(), tau_k.tolist())
+    # entered once per call, as train's: an overflow is refused by the torque check alone
+    with np.errstate(over="ignore", invalid="ignore"):
+        while active:
+            kins = []
+            for i in active:
+                kin = kinematics(states[i], params)
+                _, ctrls[i] = control_step(kin, ctrls[i], swing_tasks[i], gains)
+                kins.append(kin)
+            rows = [split_row(*_sensor_channels(kin.alpha, states[i], swing_tasks[i].alpha_tgt))
+                    for i, kin in zip(active, kins)]
+            (G_h, pi_h, tau_h), (G_k, pi_k, tau_k) = grp.forward(stack, rows)
+            traces = np.concatenate((G_h, pi_h, G_k, pi_k), axis=1).tolist()
+            torques = map(JointTorques, tau_h.tolist(), tau_k.tolist())
 
-        still = []
-        for i, kin, tq, trace in zip(active, kins, torques, traces):
-            states[i] = _advance(bufs[i], states[i], kin, ctrls[i], tq, params, dt, timeout)
-            # not `+ trace`: CPython 3.11 keeps every freed 20-item tuple (a
-            # default eval row) in its free list, up to 2000, and reuses none
-            bufs[i].extend(trace)
-            if states[i] is not None:
-                still.append(i)
-        active = still
+            still = []
+            for i, kin, tq, trace in zip(active, kins, torques, traces):
+                states[i] = _advance(bufs[i], states[i], kin, ctrls[i], tq, params, dt, timeout)
+                # not `+ trace`: CPython 3.11 keeps every freed 20-item tuple (a
+                # default eval row) in its free list, up to 2000, and reuses none
+                bufs[i].extend(trace)
+                if states[i] is not None:
+                    still.append(i)
+            active = still
 
     width = len(FIXED_COLUMNS) + 2 * sum(m for _, m in models)
     trajs = [Trajectory(np.frombuffer(buf).reshape(-1, width), models, task)

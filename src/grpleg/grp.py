@@ -84,18 +84,8 @@ class GrpConfig:
     seed: int = 0
 
     def __post_init__(self):
-        _check_fields(self)
-        for name, low in (("m", 1), ("seed", 0)):
-            if (v := getattr(self, name)) < low:
-                raise ValueError(f"{name} must be >= {low}, got {v}")
-        for name in ("mu", "mu_rp", "gamma0", "init_scale"):
-            v = getattr(self, name)
-            if not v > 0.0:
-                raise ValueError(f"{name} must be > 0, got {v}")
-        if self.lam < 0.0:
-            raise ValueError(f"lam (lambda) must be >= 0, got {self.lam}")
-        if not self.beta > 1.0:
-            raise ValueError(f"beta must be > 1, got {self.beta}")
+        _check_fields(self, m=">= 1", seed=">= 0", mu="> 0", mu_rp="> 0", gamma0="> 0",
+                      init_scale="> 0", lam=">= 0", beta="> 1")
         if not math.isfinite(2.0 * self.init_scale):
             raise ValueError(f"init_scale {self.init_scale} gives a draw range "
                              "2*init_scale wider than a float holds")
@@ -111,6 +101,9 @@ class GrpModel:
     gamma: float
     config: GrpConfig
     episode_count: int = 0
+
+    def __post_init__(self):
+        _check_fields(self, gamma="> 0", episode_count=">= 0")
 
     @property
     def m(self) -> int:
@@ -326,17 +319,15 @@ def learn_step_joint(stack: LearnStack, x, r_G) -> list[StepRecord]:
         # the models whose W or R rows went non-finite, by place from 1
         rows_ok = np.isfinite(new).reshape(2, stack.pi.size, -1).all((0, 2))
         places = [j for j, sl in enumerate(stack.slices, 1) if not rows_ok[sl].all()]
-        err = NonFiniteError(
+        raise NonFiniteError(
             "non-finite weight update: "
             f"max|S|={np.abs(S).max():g} r_G={float(r_G[k]):g} "
             f"max|e_G|={worst[k]:g} "
             f"episodes={[mdl.episode_count for mdl in stack.models]}; "
             f"non-finite rows in stack models {places}; "
             f"input row {'finite' if np.isfinite(x).all() else 'non-finite'}, "
-            f"references {'finite' if np.isfinite(r_G).all() else 'non-finite'}"
-        )
-        err.models = tuple(places)
-        raise err
+            f"references {'finite' if np.isfinite(r_G).all() else 'non-finite'}",
+            tuple(places))
     np.copyto(S, new)
     return stack.records
 

@@ -41,10 +41,8 @@ class ControllerGains:
     delta_alpha_thr: float = math.radians(8.0)
 
     def __post_init__(self):
-        _check_fields(self)
-        # stopping_torque divides by it, and a negative one inverts the braking
-        if not self.alpha_dot_max > 0.0:
-            raise ValueError("ControllerGains.alpha_dot_max must be strictly positive")
+        # stopping_torque divides by alpha_dot_max, and a negative one inverts the braking
+        _check_fields(self, alpha_dot_max="> 0")
 
 
 @dataclass(frozen=True)

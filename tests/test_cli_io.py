@@ -242,13 +242,34 @@ def test_config_accepts_json_integers_for_floats():
     (SampleRanges, {"phi_k_dot0": (math.nan, 0.0)}, "phi_k_dot0[0] has non-finite value nan"),
     (SampleRanges, {"alpha_tgt": (1, 1.2, 1.3)}, "config key 'alpha_tgt' must be a [lo, hi] pair"),
     (SampleRanges, {"alpha_tgt": 1.0}, "config key 'alpha_tgt' must be a [lo, hi] pair"),
+    (RunConfig, {"params": 5}, "params must be a LegParams, got 5"),
+    (RunConfig, {"hip": LegParams()}, f"hip must be a GrpConfig, got {LegParams()!r}"),
+    (RunConfig, {"ranges": {"phi_h0": 1.0}}, "ranges must be a SampleRanges, got {'phi_h0': 1.0}"),
 ])
 def test_each_config_section_refuses_a_value_not_of_its_field_type(cls, kwargs, message):
     """Each config section checks its fields by their annotations, in the
     words the config walker uses for a file's values, naming the field, as
-    GrpConfig's and RunConfig's own tests show of theirs."""
+    GrpConfig's and RunConfig's own tests show of theirs. A section field
+    takes only an instance of its section, so a wrong one is refused when
+    the config is built, not when a rollout first reads it."""
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         cls(**kwargs)
+
+
+@pytest.mark.parametrize("cls, field, value, message", [
+    *[(LegParams, name, 0.0, f"{name} must be > 0, got 0.0")
+      for name in ("l_t", "l_s", "m_t", "m_s", "g", "tau_max")],
+    *[(LegParams, name, -5e-324, f"{name} must be >= 0, got -5e-324")
+      for name in ("knee_stop_stiffness", "knee_stop_damping")],
+    (ControllerGains, "alpha_dot_max", 0.0, "alpha_dot_max must be > 0, got 0.0"),
+])
+def test_each_section_bound_is_refused_at_its_edge(cls, field, value, message):
+    """A bound is refused at its edge in the one wording every config
+    bound has, naming the field and the value; a `>= 0` bound takes 0."""
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        cls(**{field: value})
+    if ">=" in message:
+        assert getattr(cls(**{field: 0.0}), field) == 0.0
 
 
 def test_config_fields_hold_their_annotated_types():
@@ -379,7 +400,7 @@ def test_model_loaded_forward_matches(tmp_path):
         (lambda d: d.update(format=99), "^format is 99 but a model is written"),
         (lambda d: d.update(extra=1), "unknown key 'extra'"),
         (lambda d: d.pop("gamma"), "missing key 'gamma'"),
-        (lambda d: d.update(gamma=0.0), "gamma must be positive"),
+        (lambda d: d.update(gamma=0.0), "gamma must be > 0, got 0.0"),
         (lambda d: d.update(episode_count=-1), "episode_count"),
         (lambda d: d["layers"].pop(), "layers but config.m"),
         (lambda d: d["layers"][0].update(Q=[]), "layers\\[0\\].Q"),
@@ -1287,8 +1308,8 @@ SINGULAR_PARAMS = "singular mass matrix: LegParams l_t, l_s, m_t, m_s give det <
 
 
 @pytest.mark.parametrize("config, message", [
-    ('{"gains": {"alpha_dot_max": 0}}', "ControllerGains.alpha_dot_max must be strictly positive"),
-    ('{"gains": {"alpha_dot_max": -10.0}}', "ControllerGains.alpha_dot_max must be strictly positive"),
+    ('{"gains": {"alpha_dot_max": 0}}', "alpha_dot_max must be > 0, got 0.0"),
+    ('{"gains": {"alpha_dot_max": -10.0}}', "alpha_dot_max must be > 0, got -10.0"),
     ('{"ranges": {"phi_h_dot0": [-1e308, 1e308]}}',
      "phi_h_dot0 range (-1e+308, 1e+308) is wider than a float holds"),
     ('{"params": {"m_s": 1e308}}', OVERFLOWING_PARAMS),

@@ -474,6 +474,21 @@ def test_train_refuses_a_demo_without_a_task(tmp_path, demo):
     assert hip.W is W and hip.episode_count == knee.episode_count == 0
 
 
+@pytest.mark.parametrize("knee_config, message", [
+    ({"mu": 1e6}, "^model 2 \\(tau_k\\): non-finite weight update: "),
+    ({"beta": 1e200}, "^model 2 \\(tau_k\\): gamma 1e\\+200 \\* beta 1e\\+200 overflows "),
+], ids=["diverging-update", "overflowing-gamma"])
+def test_train_keeps_the_places_of_the_models_that_went_non_finite(knee_config, message, demo):
+    """train's NonFiniteError names each model by its place in the list and
+    keeps those places as `models`, for a diverging learn step as for an
+    overflowing sharpness."""
+    hip = grp.init(GrpConfig(m=1))
+    knee = grp.init(GrpConfig(m=3, **knee_config))
+    with pytest.raises(NonFiniteError, match=message) as err:
+        train([(hip, "tau_h"), (knee, "tau_k")], [demo], episodes=3)
+    assert err.value.models == (2,)
+
+
 def pulled(demos, count):
     """A generator over `demos` that appends to `count` each demo it yields."""
     for d in demos:
@@ -658,6 +673,25 @@ def test_evaluate_rejects_empty_task_list():
         evaluate(hip, knee, [])
     with pytest.raises(ValueError, match="^no swings to report$"):
         experiment.EvalReport.from_swings(iter([]))
+
+
+def test_report_refuses_a_swing_without_a_task(tmp_path, demo):
+    """A swing read back from its CSV carries no task, so no target angle:
+    the report refuses it naming its index, as train names a demo's."""
+    write_trajectory(tmp_path / "demo.csv", demo)
+    read_back = read_trajectory(tmp_path / "demo.csv")
+    with pytest.raises(ValueError, match=r"^swings\[1\] carries no task, so it has no target angle$"):
+        experiment.EvalReport.from_swings(iter([demo, read_back]))
+
+
+def test_evaluate_refuses_overflowing_weights_without_numpy_warnings(fixture_pair):
+    """Weights scaled by 1e300 are finite, so a model file holds them, but
+    the network output overflows to a NaN torque: the rollout's torque check
+    refuses it, and numpy warns of nothing (any warning fails the test)."""
+    hip, knee = fixture_pair
+    huge = dataclasses.replace(hip, W=hip.W * 1e300)
+    with pytest.raises(ValueError, match="^tau_h torque is NaN; it cannot be saturated$"):
+        evaluate(huge, knee, sample_tasks(SampleRanges(), 2, seed=2))
 
 
 @pytest.mark.parametrize("timeout, dt", [(math.nan, 1e-3), (math.inf, 1e-3),

@@ -118,6 +118,24 @@ def test_config_rejects_non_finite_fields(field, value, message):
         GrpConfig(m=1, **{field: value})
 
 
+@pytest.mark.parametrize("field, value, message", [
+    ("gamma", 0.0, "gamma must be > 0, got 0.0"),
+    ("gamma", "x", "gamma must be a number, got 'x'"),
+    ("episode_count", -1, "episode_count must be >= 0, got -1"),
+    ("episode_count", 1.0, "episode_count must be an integer, got 1.0"),
+    ("config", 5, "config must be a GrpConfig, got 5"),
+])
+def test_model_checks_its_fields_as_a_config_does(field, value, message):
+    """A GrpModel's gamma, episode count and config are held to their
+    types and bounds by the rule a config's fields are, naming the field;
+    an int gamma is stored as a float."""
+    model = init(GrpConfig(m=1))
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        dataclasses.replace(model, **{field: value})
+    held = dataclasses.replace(model, gamma=1)
+    assert type(held.gamma) is float and held.gamma == 1.0
+
+
 def test_config_rejects_an_init_scale_whose_draw_range_overflows():
     """init draws lo + 2*init_scale * u, so 2*init_scale must be finite;
     the largest such init_scale is accepted."""
