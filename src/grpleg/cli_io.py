@@ -8,9 +8,11 @@ refused unless its writer would write it back. Writers are deterministic
 byte-identical files. A config file is read through the package's one field
 rule, the one each config dataclass and a model check themselves by, types
 and bounds, so a config's float field holds a float and is written as one.
-A JSON value's kind (object, list, float, integer or bool) is checked by
-_kind alone, in the writer's words. Angles are radians everywhere except
-evaluation reports, which speak degrees.
+A run command's flags are config keys (FLAGS), read by the same walker over
+--config's values, so the CLI holds no bound of its own. A JSON value's kind
+(object, list, float, integer or bool) is checked by _kind alone, in the
+writer's words. Angles are radians everywhere except evaluation reports,
+which speak degrees.
 """
 
 from __future__ import annotations
@@ -24,7 +26,6 @@ import math
 import re
 import sys
 from array import array
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -95,7 +96,7 @@ def _from_json(cls, data, where: str = "", base=None):
         elif current is dataclasses.MISSING:
             raise ValueError(f"missing config key '{where}{key}'")
     try:
-        return cls(**kwargs) if base is None else replace(base, **kwargs)
+        return cls(**kwargs) if base is None else dataclasses.replace(base, **kwargs)
     except ValueError as exc:
         if not where:  # the dataclass's own check names a field, not its section
             raise
@@ -189,14 +190,10 @@ def model_from_dict(data: dict) -> GrpModel:
     _record(data, ("config", "layers", "gamma", "episode_count"), "", others=True)
     config = _from_json(GrpConfig, data["config"], "config.")
     layers = _kind(data["layers"], list, "layers")
-    if len(layers) != config.m:
-        raise ValueError(f"model has {len(layers)} layers but config.m = {config.m}")
-    W = np.empty((config.m, mulnet.NET_DIM, mulnet.NET_DIM))
-    R = np.empty_like(W)
+    W, R = np.empty((2, len(layers), mulnet.NET_DIM, mulnet.NET_DIM))
     for k, entry in enumerate(layers):
         _record(entry, ("W", "R"), f"layers[{k}].")
-        W[k] = _matrix(entry["W"], f"layers[{k}].W")
-        R[k] = _matrix(entry["R"], f"layers[{k}].R")
+        W[k], R[k] = (_matrix(entry[name], f"layers[{k}].{name}") for name in ("W", "R"))
     model = GrpModel(W=W, R=R, gamma=data["gamma"], config=config,
                      episode_count=data["episode_count"])
     _written_back(data, model_to_dict(model), "a model is written with")
@@ -401,15 +398,25 @@ def train_log_to_dict(hip_log: np.ndarray, knee_log: np.ndarray) -> dict:
 # --- command line -----------------------------------------------------------
 
 
+# Per run command, each flag and the dotted config keys it sets.
+FLAGS = {
+    "demo": {"--seed": ("demo_seed",), "--n": ("demo_count",)},
+    "train": {"--seed": ("hip.seed", "knee.seed"), "--layers": ("knee.m",),
+              "--episodes": ("episodes",)},
+    "eval": {"--seed": ("eval_seed",), "--n": ("eval_count",)},
+}
+
+
 def _config_from_args(args) -> RunConfig:
-    """--config's RunConfig, or the defaults, with each flag given set over the field
-    its argparse dest names; train's --seed is both models' seed, --layers (dest m) the knee's."""
+    """--config's RunConfig, or the defaults, with each flag given read over it
+    as the config keys FLAGS names, by the walker a config file goes through."""
     config = load_run_config(args.config) if args.config else RunConfig()
-    flags = {name: value for name, value in vars(args).items() if value is not None}
-    models = {name: replace(getattr(config, name), **{k: flags[k] for k in keys if k in flags})
-              for name, keys in (("hip", ("seed",)), ("knee", ("seed", "m")))}
-    return replace(config, **models,
-                   **{name: flags[name] for name, *_ in _fields(RunConfig) if name in flags})
+    given = {}
+    for flag, keys in FLAGS[args.command].items():
+        if (value := getattr(args, flag[2:])) is not None:
+            for section, _, name in (key.rpartition(".") for key in keys):
+                (given.setdefault(section, {}) if section else given)[name] = value
+    return _from_json(RunConfig, given, base=config)
 
 
 def _out_dir(args) -> Path:
@@ -418,15 +425,24 @@ def _out_dir(args) -> Path:
     return out
 
 
+def _numbered(out: Path, stem: str, count: int) -> list[str]:
+    """The `count` file names a run writes to `out`, `{stem}_001.csv` on, once
+    each other `{stem}_<digits>.csv` there is removed; no other file is touched."""
+    names = [f"{stem}_{i:03d}.csv" for i in range(1, count + 1)]
+    for path in set(out.glob(f"{stem}_*.csv")) - {out / name for name in names}:
+        if re.fullmatch(rf"{stem}_[0-9]+\.csv", path.name):
+            path.unlink()
+    return names
+
+
 def _cmd_demo(args) -> int:
     config = _config_from_args(args)
     out = _out_dir(args)
-    files = []
+    files = _numbered(out, "demo", config.demo_count)
 
     def written():  # each swing is written as it comes, so one is held at a time
-        for i, traj in enumerate(demo_swings(config, config.demo_count), start=1):
-            files.append(f"demo_{i:03d}.csv")
-            write_trajectory(out / files[-1], traj)
+        for name, traj in zip(files, demo_swings(config, config.demo_count)):
+            write_trajectory(out / name, traj)
             yield traj
 
     report = EvalReport.from_swings(written())
@@ -484,8 +500,8 @@ def _cmd_eval(args) -> int:
                          config.gains, config.params)
     report, trajs = evaluate(hip, knee, tasks, config.gains, config.params,
                              config.dt, config.timeout)
-    for i, traj in enumerate(trajs, start=1):
-        write_trajectory(out / f"eval_{i:03d}.csv", traj)
+    for name, traj in zip(_numbered(out, "eval", len(trajs)), trajs):
+        write_trajectory(out / name, traj)
     write_report(out / "report.json", report)
     print(f"evaluated {config.eval_count} swings: landing error avg "
           f"{report.avg_error_deg:.2f} deg, max {report.max_error_deg:.2f} deg, "
@@ -530,43 +546,19 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Swing-leg demonstrations, GRP training, and evaluation.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def at_least(low: int):
-        """An integer flag's type refusing values below `low`, so argparse names the flag."""
-        def integer(text: str) -> int:
-            if int(text) < low:
-                raise argparse.ArgumentTypeError(f"must be >= {low}, got {text}")
-            return int(text)
-        return integer
-
-    seed, count = at_least(0), at_least(1)
-
-    def common(p, stage=None):  # each flag's dest is the RunConfig field it sets
+    for command, summary, func in (("demo", "generate demonstration trajectories", _cmd_demo),
+                                   ("train", "train hip and knee GRP models", _cmd_train),
+                                   ("eval", "run trained models without references", _cmd_eval)):
+        p = sub.add_parser(command, help=summary)
         p.add_argument("--config", help="JSON run configuration")
         p.add_argument("--out", default="out", help="output directory")
-        if stage:
-            p.add_argument("--seed", type=seed, dest=f"{stage}_seed", metavar="SEED",
-                           help=f"sets {stage}_seed")
-            p.add_argument("--n", type=count, dest=f"{stage}_count", metavar="N",
-                           help=f"sets {stage}_count")
-
-    p = sub.add_parser("demo", help="generate demonstration trajectories")
-    common(p, "demo")
-    p.set_defaults(func=_cmd_demo)
-
-    p = sub.add_parser("train", help="train hip and knee GRP models")
-    common(p)
-    p.add_argument("--seed", type=seed, help="sets hip.seed and knee.seed")
-    p.add_argument("--layers", type=count, dest="m", metavar="LAYERS", help="sets knee.m")
-    p.add_argument("--episodes", type=count, help="sets episodes")
-    p.set_defaults(func=_cmd_train)
-
-    p = sub.add_parser("eval", help="run trained models without references")
-    common(p, "eval")
-    p.set_defaults(func=_cmd_eval)
+        for flag, keys in FLAGS[command].items():
+            p.add_argument(flag, type=int, help="sets " + " and ".join(keys))
+        p.set_defaults(func=func)
 
     p = sub.add_parser("gradcheck",
                        help="network gradients vs central differences")
-    p.add_argument("--seed", type=seed, default=0, help="instance RNG seed")
+    p.add_argument("--seed", type=int, default=0, help="instance RNG seed")
     p.set_defaults(func=_cmd_gradcheck)
 
     p = sub.add_parser("dump-weights", help="per-layer weight summary")

@@ -446,19 +446,19 @@ def train(
 def evaluate(
     hip_model: GrpModel,
     knee_model: GrpModel,
-    tasks: list[tuple[SwingTask, LegState]],
+    tasks: Iterable[tuple[SwingTask, LegState]],
     gains: ControllerGains = ControllerGains(),
     params: LegParams = LegParams(),
     dt: float = RunConfig.dt,
     timeout: float = RunConfig.timeout,
 ) -> tuple[EvalReport, list[Trajectory]]:
     """Reference-free evaluation: the models alone drive the plant through
-    each task, and the report holds each swing's target and landing angle
-    in degrees, whether it timed out, and peak_pi, each layer's largest pi
-    over every tick of every swing. The models' copies join one LearnStack
-    for the call, so the models themselves, and any live stack they belong
-    to, are left as they were; check_swing_steps refuses dt and timeout
-    once the stack is built.
+    each task (any iterable, read once into a list), and the report holds
+    each swing's target and landing angle in degrees, whether it timed out,
+    and peak_pi, each layer's largest pi over every tick of every swing.
+    The models' copies join one LearnStack for the call, so the models
+    themselves, and any live stack they belong to, are left as they were;
+    check_swing_steps refuses dt and timeout once the stack is built.
 
     The swings roll in lockstep (see the module docstring), the controller
     state machine only a contact/phase monitor. Each tick, every active
@@ -469,6 +469,7 @@ def evaluate(
     Weights that overflow are refused by the torque check, and numpy warns
     of nothing on the way.
     """
+    tasks = list(tasks)
     for name, mdl in (("hip", hip_model), ("knee", knee_model)):
         if not isinstance(mdl, GrpModel):
             raise ValueError(

@@ -94,7 +94,7 @@ class GrpConfig:
 @dataclass
 class GrpModel:
     """m Generator/RP pairs: W[k] and R[k] are layer k's (8, 8) Generator
-    and RP weights, so W and R are (m, 8, 8) float arrays."""
+    and RP weights, so W and R are (config.m, 8, 8) float arrays."""
 
     W: np.ndarray
     R: np.ndarray
@@ -104,6 +104,12 @@ class GrpModel:
 
     def __post_init__(self):
         _check_fields(self, gamma="> 0", episode_count=">= 0")
+        shape = (self.config.m, NET_DIM, NET_DIM)
+        for name in ("W", "R"):
+            if (got := getattr(self, name).shape) != shape:
+                raise ValueError(f"model has {got[0]} layers but config.m = {shape[0]}"
+                                 if name == "W" and got[1:] == shape[1:]
+                                 else f"{name} must have shape {shape}, got {got}")
 
     @property
     def m(self) -> int:

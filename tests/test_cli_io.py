@@ -1000,6 +1000,32 @@ def test_cli_demo_writes_files_and_manifest(tmp_path, capsys):
     assert "avg" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("command, files", [
+    ("demo", ["demo_001.csv", "manifest.json"]),
+    ("eval", ["eval_001.csv", "hip.json", "knee.json", "report.json"]),
+])
+def test_cli_leaves_no_numbered_csv_of_an_earlier_larger_run(tmp_path, capsys, command, files):
+    """demo and eval first remove each `{command}_<digits>.csv` in --out
+    that the run does not write, a zero-padded other spelling included: a
+    3-swing run then a 1-swing run leaves exactly the second run's files,
+    and every file of another name."""
+    for name in ("hip.json", "knee.json") if command == "eval" else ():
+        (tmp_path / name).write_bytes((FIXTURE_DIR / name).read_bytes())
+    assert cli_io.cli([command, "--n", "3", "--out", str(tmp_path)]) == 0
+    other = "eval" if command == "demo" else "demo"
+    kept = ["notes.csv", f"{command}_x.csv", f"{other}_002.csv"]
+    for name in [*kept, f"{command}_0002.csv"]:
+        (tmp_path / name).write_text("kept\n")
+    assert cli_io.cli([command, "--n", "1", "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted({*files, *kept})
+    assert all((tmp_path / name).read_text() == "kept\n" for name in kept)
+    if command == "demo":
+        assert json.loads((tmp_path / "manifest.json").read_text())["files"] == ["demo_001.csv"]
+    else:
+        assert len(read_report(tmp_path / "report.json").error_deg) == 1
+
+
 def test_cli_train_then_eval_then_dump(tmp_path, capsys):
     cfg = RunConfig(episodes=2, demo_count=2, eval_count=1)
     save_run_config(tmp_path / "cfg.json", cfg)
@@ -1347,30 +1373,70 @@ def test_cli_rejects_values_the_rollout_cannot_use(tmp_path, capsys, config, mes
     assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
 
 
-FLAG_FLOOR_CASES = [
-    # (command, flag, value, floor)
-    *[pytest.param(command, "--seed", "-1", 0, id=command)
-      for command in ("demo", "train", "eval", "gradcheck")],
-    pytest.param("demo", "--n", "0", 1, id="demo-n"),
-    pytest.param("eval", "--n", "-2", 1, id="eval-n"),
-    pytest.param("train", "--episodes", "0", 1, id="train-episodes"),
-    pytest.param("train", "--layers", "0", 1, id="train-layers"),
+FLAG_RANGE_CASES = [
+    # (command, flag, value, the refusal)
+    pytest.param("demo", "--seed", "-1", "demo_seed must be >= 0, got -1", id="demo"),
+    pytest.param("train", "--seed", "-1", "hip: seed must be >= 0, got -1", id="train"),
+    pytest.param("eval", "--seed", "-1", "eval_seed must be >= 0, got -1", id="eval"),
+    pytest.param("gradcheck", "--seed", "-1",
+                 "seed must be a nonnegative integer or a list of them, got -1", id="gradcheck"),
+    pytest.param("demo", "--n", "0", "demo_count must be >= 1, got 0", id="demo-n"),
+    pytest.param("eval", "--n", "-2", "eval_count must be >= 1, got -2", id="eval-n"),
+    pytest.param("train", "--episodes", "0", "episodes must be >= 1, got 0",
+                 id="train-episodes"),
+    pytest.param("train", "--layers", "0", "knee: m must be >= 1, got 0", id="train-layers"),
 ]
 
 
-@pytest.mark.parametrize("command, flag, value, floor", FLAG_FLOOR_CASES)
-def test_cli_rejects_a_negative_seed_naming_the_flag(tmp_path, monkeypatch, capsys,
-                                                      command, flag, value, floor):
-    """Every command's argparse refuses a negative --seed, and a count
-    flag (--n, --episodes, --layers) below 1, before any work, naming the
-    flag; the seeded stream names no flag, and the library's own checks name
-    their parameter (`m must be >= 1` for --layers 0), not the flag."""
+@pytest.mark.parametrize("command, flag, value, message", FLAG_RANGE_CASES)
+def test_cli_refuses_an_out_of_range_flag_by_its_field_rule(tmp_path, monkeypatch, capsys,
+                                                            command, flag, value, message):
+    """A negative --seed, and a count flag (--n, --episodes, --layers) below
+    1, exits 1 before any work, refused by the rule of what it sets in that
+    rule's words: a run command's by its config field's (`knee: m must be
+    >= 1` for --layers 0, the hip first for train's --seed), gradcheck's
+    by the seeded stream."""
     monkeypatch.chdir(tmp_path)
+    assert cli_io.cli([command, flag, value]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("command, flag, keys", [
+    pytest.param(command, flag, keys, id=f"{command}{flag}")
+    for command, flags in cli_io.FLAGS.items() for flag, keys in flags.items()])
+def test_cli_flag_is_refused_as_the_config_keys_it_sets(tmp_path, monkeypatch, capsys,
+                                                       command, flag, keys):
+    """Each flag of cli_io.FLAGS is read as the config keys it sets. -1 is
+    out of range at each of those keys alone, as a --config file holding it
+    there shows, and the flag at -1 is refused as a file holding -1 at all
+    of them is: exit 1, the same one line less the file's path, and
+    nothing written. A value that is not an integer is argparse's to
+    refuse, naming the flag, with exit status 2."""
+    monkeypatch.chdir(tmp_path)
+    path = tmp_path / "cfg.json"
+
+    def config_refusal(keys) -> str:
+        data = {}
+        for key in keys:
+            section, _, name = key.rpartition(".")
+            (data.setdefault(section, {}) if section else data)[name] = -1
+        path.write_text(json.dumps(data))
+        assert cli_io.cli([command, "--config", str(path)]) == 1
+        path.unlink()
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: ")
+        return err.replace(f"{path}: ", "", 1)
+
+    for key in keys:
+        config_refusal([key])
+    assert cli_io.cli([command, flag, "-1"]) == 1
+    assert capsys.readouterr().err == config_refusal(keys)
     with pytest.raises(SystemExit) as exc:
-        cli_io.cli([command, flag, value])
+        cli_io.cli([command, flag, "1.5"])
     assert exc.value.code == 2
     assert capsys.readouterr().err.endswith(
-        f"grpleg {command}: error: argument {flag}: must be >= {floor}, got {value}\n")
+        f"grpleg {command}: error: argument {flag}: invalid int value: '1.5'\n")
     assert not list(tmp_path.iterdir())
 
 

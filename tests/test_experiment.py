@@ -562,6 +562,20 @@ def test_evaluate_rejects_missing_model():
         evaluate(hip, None, tasks)
 
 
+def test_evaluate_takes_a_generator_of_tasks(fixture_pair):
+    """evaluate reads its tasks once into a list, so a generator of them
+    gives the list's report and tables bit for bit."""
+    tasks = sample_tasks(SampleRanges(), 2, seed=11)
+    (report, trajs), (streamed, streamed_trajs) = (
+        evaluate(*fixture_pair, given) for given in (tasks, (task for task in tasks)))
+    for key in ("alpha_tgt_deg", "alpha_end_deg", "error_deg", "timed_out"):
+        assert same_bits(getattr(streamed, key), getattr(report, key)), key
+    assert report.peak_pi.keys() == streamed.peak_pi.keys()
+    assert all(same_bits(streamed.peak_pi[k], peak) for k, peak in report.peak_pi.items())
+    assert len(streamed_trajs) == len(trajs) == 2
+    assert all(same_bits(a.table, b.table) for a, b in zip(streamed_trajs, trajs))
+
+
 def test_evaluate_never_mutates_weights():
     hip, knee = fresh_pair()
     before = [(W.copy(), R.copy())

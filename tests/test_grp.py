@@ -13,6 +13,7 @@ from grpleg.cli_io import load_model
 from grpleg.experiment import SampleRanges, evaluate, sample_tasks, sensor_matrix
 from grpleg.grp import (
     GrpConfig,
+    GrpModel,
     LearnStack,
     end_episode,
     forward,
@@ -134,6 +135,20 @@ def test_model_checks_its_fields_as_a_config_does(field, value, message):
         dataclasses.replace(model, **{field: value})
     held = dataclasses.replace(model, gamma=1)
     assert type(held.gamma) is float and held.gamma == 1.0
+
+
+@pytest.mark.parametrize("W, R, message", [
+    ((2, 8, 8), (2, 8, 8), "model has 2 layers but config.m = 3"),
+    ((3, 7, 8), (3, 8, 8), "W must have shape (3, 8, 8), got (3, 7, 8)"),
+    ((3, 8, 8), (2, 8, 8), "R must have shape (3, 8, 8), got (2, 8, 8)"),
+    ((8, 8), (8, 8), "W must have shape (3, 8, 8), got (8, 8)"),
+], ids=["layers", "W-rows", "R-layers", "W-2d"])
+def test_model_refuses_weights_that_are_not_its_config_m_stacks(W, R, message):
+    """A model's W and R are (config.m, 8, 8) stacks from construction, so
+    save_model never writes a model that load_model refuses and no weights
+    reach LearnStack's concatenate in another shape."""
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        GrpModel(W=np.zeros(W), R=np.zeros(R), gamma=1.0, config=GrpConfig(m=3))
 
 
 def test_config_rejects_an_init_scale_whose_draw_range_overflows():
@@ -1056,9 +1071,10 @@ def test_learn_stack_rejects_a_model_whose_weights_are_not_its_config_m():
     """Each row's rates come from its model's config, so a model with 2
     layers of weights and config m=1, stacked before one with 1 layer and
     m=2, would give its second layer the other model's rate: refused,
-    naming the model's place from 1."""
-    a = dataclasses.replace(init(GrpConfig(m=2, seed=48)), config=GrpConfig(m=1, mu=1e-3))
-    b = dataclasses.replace(init(GrpConfig(m=1, seed=49)), config=GrpConfig(m=2, mu=1e-6))
+    naming the model's place from 1. A model is built with config.m
+    layers, so each config here is rebound after construction."""
+    a, b = init(GrpConfig(m=2, seed=48)), init(GrpConfig(m=1, seed=49))
+    a.config, b.config = GrpConfig(m=1, mu=1e-3), GrpConfig(m=2, mu=1e-6)
     with pytest.raises(ValueError, match=re.escape(
             "model 1 of the learn stack has 2 layers of weights but config.m = 1")):
         LearnStack([a, b])
