@@ -1,18 +1,18 @@
 """Command line surface and on-disk formats.
 
 JSON carries configs, models, evaluation reports and weight summaries (whose
-layers are the model file's); trajectories go to CSV with 17 significant
-digits so every double survives a round trip. A model file or a report is
-refused unless its writer would write it back. Writers are deterministic
-(fixed key order, no timestamps): identical config and seeds give
-byte-identical files. A config file is read through the package's one field
-rule, the one each config dataclass and a model check themselves by, types
-and bounds, so a config's float field holds a float and is written as one.
-A run command's flags are config keys (FLAGS), read by the same walker over
---config's values, so the CLI holds no bound of its own. A JSON value's kind
-(object, list, float, integer or bool) is checked by _kind alone, in the
-writer's words. Angles are radians everywhere except evaluation reports,
-which speak degrees.
+layers are the model file's); trajectories go to UTF-8 CSV with 17
+significant digits so every double survives a round trip. A model file, a
+report or a trajectory is refused unless its writer would write it back.
+Writers are deterministic (fixed key order, no timestamps): identical config
+and seeds give byte-identical files. A config file is read through the
+package's one field rule, the one each config dataclass and a model check
+themselves by, types and bounds, so a config's float field holds a float and
+is written as one. A run command's flags are config keys (FLAGS), read by
+the same walker over --config's values, so the CLI holds no bound of its
+own. A JSON value's kind (object, list, float, integer or bool) is checked
+by _kind alone, in the writer's words. Angles are radians everywhere except
+evaluation reports, which speak degrees.
 """
 
 from __future__ import annotations
@@ -232,44 +232,31 @@ def trace_columns(model_name: str, m: int) -> list[str]:
     return [f"{model_name}_{f}_{k}" for f in ("G", "pi") for k in range(1, m + 1)]
 
 
-def _header(models) -> list[str]:
-    """A trajectory file's columns for the (name, m) pairs `models`."""
-    return [*FIXED_COLUMNS, *(c for name, m in models for c in trace_columns(name, m))]
+# The format write_trajectory writes each fixed column in, and each trace column in _DOUBLE.
+_DOUBLE = "%.17g"
+COLUMN_FORMATS = dict(zip(FIXED_COLUMNS, [_DOUBLE] * 10 + ["%d"] * 2))
 
 
-# Per trajectory column: the format write_trajectory writes it in, the pattern of
-# the text it gives for the column's values (all read_trajectory reads there),
-# and those values. Plant values are finite when written; a trace's G may
-# overflow to inf. _FINITE is '%.17g' % x (f"{x:.17g}") of a finite double x.
-_FINITE = r"-?[0-9]+(?:\.[0-9]+)?(?:e[-+][0-9]{2,3})?"
-COLUMN_FORMATS = dict(zip(FIXED_COLUMNS, [("%.17g", _FINITE, "a finite double")] * 10
-                          + [("%d", "[123]", "1, 2 or 3"), ("%d", "[01]", "0 or 1")]))
-TRACE_FORMAT = ("%.17g", rf"{_FINITE}|-?inf|nan", "a double")
+def _columns(models) -> dict[str, str]:
+    """A trajectory file's columns for the (name, m) pairs `models`, each with its format."""
+    return {**COLUMN_FORMATS, **{c: _DOUBLE for name, m in models for c in trace_columns(name, m)}}
 
 
-def _row_formats(width: int) -> list[tuple[str, str, str]]:
-    """The (format, pattern, values) of each column of a `width`-column file."""
-    return [*COLUMN_FORMATS.values(), *[TRACE_FORMAT] * (width - len(COLUMN_FORMATS))]
-
-
-@functools.cache
-def _row_pattern(width: int) -> re.Pattern:
-    """The one pattern a row of a `width`-column file matches in full."""
-    return re.compile(",".join(f"(?:{pattern})" for _, pattern, _ in _row_formats(width)))
-
-
-def _row_error(path, lineno: int, row: str, header: list[str]) -> ValueError:
-    """Why `row`, line `lineno` of `path`, is no row of `header`'s file: its
-    field count, or else its first field whose text its column never holds."""
+def _field_error(path, lineno: int, row: str, columns: dict[str, str]) -> ValueError:
+    """Why `row`, line `lineno` of `path`, is no row of `columns`: its field count,
+    or else its first field whose format does not give back its text from its value."""
     fields = row.split(",")
-    if len(fields) != len(header):
-        return ValueError(f"{path} line {lineno}: expected {len(header)} fields, "
+    if len(fields) != len(columns):
+        return ValueError(f"{path} line {lineno}: expected {len(columns)} fields, "
                           f"got {len(fields)}")
-    return next(ValueError(f"{path} line {lineno} column {j + 1} ({name}): got {text!r}, "
-                           f"expected {values} as {fmt!r} writes it")
-                for j, (name, text, (fmt, pattern, values))
-                in enumerate(zip(header, fields, _row_formats(len(header))))
-                if not re.fullmatch(pattern, text))
+    for j, ((name, fmt), text) in enumerate(zip(columns.items(), fields)):
+        where = f"{path} line {lineno} column {j + 1} ({name}): got {text!r}"
+        try:
+            back = fmt % (value := float(text))
+        except (ValueError, OverflowError):  # no float, or '%d' of nan or inf
+            return ValueError(f"{where}, which {fmt!r} never writes")
+        if back != text:
+            return ValueError(f"{where}, but {fmt!r} writes {value!r} as {back!r}")
 
 
 # Rows write_trajectory formats per write, so no swing is held whole as text.
@@ -277,13 +264,13 @@ WRITE_BLOCK_ROWS = 128
 
 
 def write_trajectory(path, traj: Trajectory) -> None:
-    """`traj`'s table as a CSV: its header, then one line per table row,
+    """`traj`'s table as a UTF-8 CSV: its header, then one line per table row,
     WRITE_BLOCK_ROWS rows per `%` and write, over a flat tuple of their values."""
-    header = _header(traj.models)
-    row = ",".join(fmt for fmt, _, _ in _row_formats(len(header))) + "\n"
+    columns = _columns(traj.models)
+    row = ",".join(columns.values()) + "\n"
     table = traj.table
-    with open(path, "w", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(",".join(columns) + "\n")
         for start in range(0, len(table), WRITE_BLOCK_ROWS):
             block = table[start:start + WRITE_BLOCK_ROWS]
             fh.write((row * len(block)) % tuple(block.ravel().tolist()))
@@ -291,13 +278,13 @@ def write_trajectory(path, traj: Trajectory) -> None:
 
 def read_trajectory(path) -> Trajectory:
     """A trajectory file as write_trajectory writes it. The header must be
-    FIXED_COLUMNS, then trace_columns(name, m) for each model in turn, each
-    name one or more word characters and used by one block only. The file
-    is read a line at a time, and each row's values are parsed straight
-    into one packed array('d'), of which the table is a view; lines may
-    end in \\n or \\r\\n, the last one in neither. A field whose text is not
-    what COLUMN_FORMATS gives its column is refused, naming line and column;
-    a byte that is not UTF-8 is read as a lone surrogate, which no column holds."""
+    FIXED_COLUMNS, then trace_columns(name, m) for each model in turn, each name
+    one or more word characters and used by one block only. The file is read a
+    line at a time into one packed array('d'), of which the table is a view;
+    lines may end in \\n or \\r\\n, the last one in neither. A field its
+    column's format does not write back from its value (a byte not UTF-8
+    included), or a non-finite plant value, is refused, naming line and column;
+    Trajectory refuses a bad phase or contact."""
     with open(path, encoding="utf-8", errors="surrogateescape") as fh:
         header = fh.readline()
         if not header:
@@ -307,23 +294,35 @@ def read_trajectory(path) -> Trajectory:
         names = [col.rsplit("_", 2)[0] for col in header[len(FIXED_COLUMNS):]]
         models = {name: n // 2 for name, n in collections.Counter(names).items()
                   if MODEL_NAME.fullmatch(name)}
-        expected = _header(models.items())
-        if header != expected:
+        columns = _columns(models.items())
+        if header != (expected := list(columns)):
             j = next(j for j, (a, b) in enumerate(zip(header + [None], expected + [None]))
                      if a != b)
             raise ValueError(f"{path} line 1: bad trajectory header from column {j + 1}: "
                              f"got {','.join(header[j:])!r}, "
                              f"expected {','.join(expected[j:])!r}")
-        match = _row_pattern(len(header)).fullmatch
+        row_format = ",".join(columns.values())
         buf = array("d")
         for lineno, line in enumerate(fh, start=2):
             row = line.rstrip("\n")
-            if match(row) is None:
-                raise _row_error(path, lineno, row, header)
-            buf.extend(map(float, row.split(",")))
+            try:  # TypeError: a field count not the header's
+                values = tuple(map(float, row.split(",")))
+                if row_format % values != row:
+                    raise ValueError
+            except (ValueError, OverflowError, TypeError):
+                raise _field_error(path, lineno, row, columns) from None
+            buf.extend(values)
     if not buf:
         raise ValueError(f"{path}: no data rows")
-    return Trajectory(np.frombuffer(buf).reshape(-1, len(header)), models.items())
+    table = np.frombuffer(buf).reshape(-1, len(header))
+    if not (finite := np.isfinite(table[:, :10])).all():
+        i, j = np.argwhere(~finite)[0]  # the first non-finite plant value, by line
+        raise ValueError(f"{path} line {i + 2} column {j + 1} ({header[j]}): "
+                         f"got {_DOUBLE % table[i, j]!r}, expected a finite double")
+    try:
+        return Trajectory(table, models.items())
+    except ValueError as exc:  # a phase or contact code
+        raise ValueError(f"{path}: {exc}") from None
 
 
 _SWING_KEYS = ("alpha_tgt_deg", "alpha_end_deg", "error_deg", "timed_out")

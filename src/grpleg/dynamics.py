@@ -217,8 +217,8 @@ def integrate_step(
 ) -> LegState:
     """One classical 4th-order fixed step with torques held constant; raises
     NonFiniteError, naming the step's time, if the state or torque goes non-finite."""
-    if not dt > 0.0:
-        raise ValueError("dt must be positive")
+    if not 0.0 < dt < math.inf:
+        raise ValueError(f"dt must be finite and positive, got {dt}")
     th, tk = torques
     h = 0.5 * dt
     qh, qk, vh, vk, t = state

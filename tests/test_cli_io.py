@@ -18,9 +18,7 @@ import pytest
 import grpleg
 from grpleg import cli_io, experiment, grp, mulnet
 from grpleg.cli_io import (
-    COLUMN_FORMATS,
     FIXED_COLUMNS,
-    TRACE_FORMAT,
     RunConfig,
     grp_config_from_dict,
     grp_config_to_dict,
@@ -515,24 +513,53 @@ def test_trajectory_bytes_match_per_value_format(tmp_path, demo_traj, driven_by)
     assert first == [b"nan", b"inf", b"-inf", b"-0", b"4.9406564584124654e-324", b"1e+308"]
 
 
-def test_trajectory_column_texts_are_the_writers_texts():
-    """Each column's format gives text its own pattern matches, for every
-    value the column holds, and the plant pattern matches no non-finite
-    double's text: over 10^5 seeded random 64-bit patterns viewed as
-    doubles, and the edge doubles."""
+def test_trajectory_column_texts_are_the_writers_texts(tmp_path):
+    """Every double reads back from the text write_trajectory writes for it:
+    in a trace column with its bits (each NaN as a NaN, '%.17g' writes every
+    NaN as 'nan'), and in a plant column exactly when it is finite, a
+    non-finite one refused, naming line and column; over 10^5 seeded random
+    64-bit patterns viewed as doubles, and the edge doubles. A phase or
+    contact code reads back exactly when it is one of its column's codes;
+    Trajectory refuses any other, naming the file and the row."""
     bits = np.random.default_rng(31).integers(0, 2**64, 10**5, dtype=np.uint64)
-    doubles = bits.view(np.float64).tolist() + [0.0, -0.0, math.inf, -math.inf, math.nan,
-                                                5e-324, sys.float_info.max]
-    plant_format, plant_text, _ = COLUMN_FORMATS["phi_h"]
-    trace_format, trace_text, _ = TRACE_FORMAT
-    plant, trace = re.compile(plant_text), re.compile(trace_text)
-    for x in doubles:
-        assert trace.fullmatch(trace_format % x), trace_format % x
-        assert bool(plant.fullmatch(plant_format % x)) == math.isfinite(x), plant_format % x
-    for name, values in (("phase", (1, 2, 3)), ("contact", (0, 1))):
-        fmt, text, _ = COLUMN_FORMATS[name]
-        assert [re.fullmatch(text, fmt % float(v)) is not None for v in range(-1, 5)] == [
-            v in values for v in range(-1, 5)]
+    doubles = np.concatenate([bits.view(np.float64), [0.0, -0.0, math.inf, -math.inf,
+                                                      math.nan, 5e-324, sys.float_info.max]])
+
+    def rows(values):  # ten to a row, the last row filled up with zeros
+        return np.concatenate([values, np.zeros(-len(values) % 10)]).reshape(-1, 10)
+
+    traced, finite = rows(doubles), rows(doubles[np.isfinite(doubles)])
+    codes = np.array([[1.0, 0.0]])
+    trace = np.hstack([np.zeros_like(traced), codes.repeat(len(traced), 0), traced])
+    plant = np.hstack([finite, codes.repeat(len(finite), 0)])
+    path = tmp_path / "t.csv"
+    for table, models in ((trace, (("a", 5),)), (plant, ())):
+        write_trajectory(path, Trajectory(table, models))
+        back = read_trajectory(path).table
+        nan = np.isnan(table)
+        assert np.array_equal(np.isnan(back), nan)
+        assert back[~nan].tobytes() == table[~nan].tobytes()
+    for x in (math.inf, -math.inf, math.nan):
+        table = plant[:2].copy()
+        table[1, 3] = x
+        write_trajectory(path, Trajectory(table))
+        with pytest.raises(ValueError, match=re.escape(
+                f"{path} line 3 column 4 (phi_h_dot): got {'%.17g' % x!r}, "
+                "expected a finite double") + "$"):
+            read_trajectory(path)
+    header, row = ",".join(FIXED_COLUMNS), ",".join(["0"] * 10)
+    for j, name, values in ((10, "phase", (1, 2, 3)), (11, "contact", (0, 1))):
+        for v in range(-1, 5):
+            fields = ["1", "0"]
+            fields[j - 10] = f"{v:d}"
+            path.write_text(f"{header}\n{row},{','.join(fields)}\n")
+            if v in values:
+                assert read_trajectory(path).table[0, j] == v
+            else:
+                with pytest.raises(ValueError, match=re.escape(
+                        f"{path}: a swing's {name} is one of {values} in every row, "
+                        f"got {float(v)!r} in row 0") + "$"):
+                    read_trajectory(path)
 
 
 def test_trajectory_round_trip_value_exact(tmp_path, demo_traj):
@@ -655,8 +682,10 @@ def test_trajectory_is_one_table_of_its_models_width(demo_traj):
 
 def test_trajectory_read_errors_name_lines(tmp_path, demo_traj):
     """A row is refused, naming its line, for its field count, or else for
-    the first field whose text is not what write_trajectory writes in that
-    column: COLUMN_FORMATS' text, not whatever float() takes."""
+    the first field whose text its column's format does not give back from
+    the field's value, not whatever float() takes, or whose plant value is
+    not finite, naming the column; a phase or contact code Trajectory
+    refuses is refused naming the file and the row."""
     traj = with_traces(demo_traj)
     write_trajectory(tmp_path / "t.csv", traj)
     lines = (tmp_path / "t.csv").read_text().splitlines()
@@ -680,33 +709,55 @@ def test_trajectory_read_errors_name_lines(tmp_path, demo_traj):
     (tmp_path / "byte.csv").write_bytes(raw.replace(
         f",{field},".encode(), f",\udcff{field[1:]},".encode(errors="surrogateescape"), 1))
     with pytest.raises(ValueError, match=re.escape(
-            f"line 2 column 2 (phi_h): got {chr(0xdcff) + field[1:]!r}, expected a finite")):
+            f"line 2 column 2 (phi_h): got {chr(0xdcff) + field[1:]!r}, "
+            "which '%.17g' never writes") + "$"):
         read_trajectory(tmp_path / "byte.csv")
 
-    plant = "a finite double as '%.17g' writes it"
-    trace = "a double as '%.17g' writes it"
-    for col, value, expected in [(4, "not-a-number", plant),
-                                 (10, "2.7", "1, 2 or 3 as '%d' writes it"),
-                                 (10, "1.0", "1, 2 or 3 as '%d' writes it"),
-                                 (10, "9", "1, 2 or 3 as '%d' writes it"),
-                                 (10, "nan", "1, 2 or 3 as '%d' writes it"),
-                                 (11, "0.5", "0 or 1 as '%d' writes it"),
-                                 (11, "-3", "0 or 1 as '%d' writes it"),
+    def wrote(value, text, fmt="'%.17g'"):
+        return f"but {fmt} writes {value} as {text!r}"
+
+    never = "which '%.17g' never writes"
+    plant = "expected a finite double"
+    path = tmp_path / "int.csv"
+    for col, value, expected in [(4, "not-a-number", never),
+                                 (10, "2.7", wrote(2.7, "2", "'%d'")),
+                                 (10, "1.0", wrote(1.0, "1", "'%d'")),
+                                 (10, "9", None),
+                                 (10, "nan", "which '%d' never writes"),
+                                 (11, "0.5", wrote(0.5, "0", "'%d'")),
+                                 (11, "-3", None),
                                  (0, "nan", plant), (4, "inf", plant),
                                  (7, "-inf", plant), (9, "nan", plant),
                                  # what float() takes but '%.17g' never gives
-                                 (1, "1_0", plant), (2, " 2 ", plant), (3, "Infinity", plant),
-                                 (5, "+1e0", plant), (6, "1E+05", plant), (8, "\u0663", plant),
-                                 (12, "-nan", trace), (13, "Infinity", trace),
-                                 (14, "1_0", trace), (15, " 2 ", trace), (16, "+1e0", trace),
-                                 (17, "1E+05", trace), (19, "\u0663", trace)]:
+                                 (1, "1_0", wrote(10.0, "10")), (2, " 2 ", wrote(2.0, "2")),
+                                 (3, "Infinity", wrote("inf", "inf")),
+                                 (5, "+1e0", wrote(1.0, "1")),
+                                 (6, "1E+05", wrote(100000.0, "100000")),
+                                 (8, "\u0663", wrote(3.0, "3")),
+                                 (12, "-nan", wrote("nan", "nan")),
+                                 (13, "Infinity", wrote("inf", "inf")),
+                                 (14, "1_0", wrote(10.0, "10")), (15, " 2 ", wrote(2.0, "2")),
+                                 (16, "+1e0", wrote(1.0, "1")),
+                                 (17, "1E+05", wrote(100000.0, "100000")),
+                                 (19, "\u0663", wrote(3.0, "3")),
+                                 # a leading zero, a trailing zero, more digits than 17
+                                 (5, "03.8", wrote(3.8, "3.7999999999999998")),
+                                 (1, "0.000", wrote(0.0, "0")), (2, "1.0", wrote(1.0, "1")),
+                                 (3, "3.8397243543875250",
+                                  wrote(3.839724354387525, "3.839724354387525")),
+                                 (9, "1234567890123456789012345",
+                                  wrote(1.2345678901234568e+24, "1.2345678901234568e+24"))]:
         parts = lines[3].split(",")
         parts[col] = value
-        (tmp_path / "int.csv").write_text("\n".join(lines[:3] + [",".join(parts)]) + "\n",
-                                          encoding="utf-8")
-        message = f"line 4 column {col + 1} ({header[col]}): got {value!r}, expected {expected}"
+        path.write_text("\n".join(lines[:3] + [",".join(parts)]) + "\n", encoding="utf-8")
+        if expected is None:  # Trajectory's refusal, naming the row
+            codes = "(1, 2, 3)" if col == 10 else "(0, 1)"
+            message = (f"{path}: a swing's {header[col]} is one of {codes} in every row, "
+                       f"got {float(value)!r} in row 2")
+        else:
+            message = f"line 4 column {col + 1} ({header[col]}): got {value!r}, {expected}"
         with pytest.raises(ValueError, match=re.escape(message) + "$"):
-            read_trajectory(tmp_path / "int.csv")
+            read_trajectory(path)
     assert float("1_0") == 10.0 and float("\u0663") == 3.0 and math.isnan(float("-nan"))
 
 
@@ -722,6 +773,41 @@ def test_trajectory_reads_other_line_ends(tmp_path, demo_traj, ending, last):
     back = read_trajectory(tmp_path / "v.csv")
     assert back.table.tobytes() == traj.table.tobytes()
     assert back.models == traj.models
+
+
+def test_trajectory_is_written_as_utf8_under_any_locale(tmp_path, demo_traj):
+    """write_trajectory writes UTF-8, what read_trajectory reads, whatever
+    the locale: under the C locale, with neither locale coercion nor UTF-8
+    mode, a swing of the model 'hüft' writes and reads back to its table's
+    bits, and each file, an ASCII header's too, has the bytes a UTF-8
+    locale gives."""
+    package_root = str(Path(grpleg.__file__).resolve().parent.parent)
+    env = {**os.environ, "LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0",
+           "PYTHONPATH": os.pathsep.join(p for p in (package_root, os.environ.get("PYTHONPATH"))
+                                         if p)}
+    table = with_traces(demo_traj, (("hip", 1),)).table
+    np.save(tmp_path / "table.npy", table)
+    script = """if True:
+        import locale, sys
+        import numpy as np
+        from grpleg.cli_io import read_trajectory, write_trajectory
+        from grpleg.experiment import Trajectory
+        assert locale.getpreferredencoding(False) == "ANSI_X3.4-1968"
+        table = np.load(sys.argv[1])
+        for k, name in enumerate(("h\\u00fcft", "hip")):  # the script is ASCII
+            path = f"{sys.argv[2]}/c{k}.csv"
+            write_trajectory(path, Trajectory(table, ((name, 1),)))
+            back = read_trajectory(path)
+            assert back.table.tobytes() == table.tobytes() and back.models == ((name, 1),)
+    """
+    proc = subprocess.run([sys.executable, "-c", script, str(tmp_path / "table.npy"),
+                           str(tmp_path)], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    for k, name in enumerate(("hüft", "hip")):
+        write_trajectory(tmp_path / f"{k}.csv", Trajectory(table, ((name, 1),)))
+        assert (tmp_path / f"c{k}.csv").read_bytes() == (tmp_path / f"{k}.csv").read_bytes()
+    assert (tmp_path / "0.csv").read_bytes().startswith(
+        (",".join(FIXED_COLUMNS) + ",hüft_G_1,hüft_pi_1\n").encode())
 
 
 @pytest.mark.parametrize("brk", ["\f", "\v", "\x1c", "\x85", "\u2028"],
@@ -742,7 +828,8 @@ def test_trajectory_refuses_a_line_break_inside_a_row(tmp_path, demo_traj, brk, 
     (tmp_path / "b.csv").write_text("\n".join(lines[:3] + [",".join(parts)] + lines[4:]) + "\n",
                                     encoding="utf-8")
     with pytest.raises(ValueError, match=re.escape(
-            f"line 4 column {col + 1} ({FIXED_COLUMNS[col]}): got {parts[col]!r}, expected ")):
+            f"line 4 column {col + 1} ({FIXED_COLUMNS[col]}): got {parts[col]!r}, ")
+            + "(but|which) '%"):
         read_trajectory(tmp_path / "b.csv")
 
 

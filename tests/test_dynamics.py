@@ -201,9 +201,12 @@ def test_rk4_convergence_order():
     assert 12.0 < ratio < 22.0  # ~16x, 4th-order global error
 
 
-def test_rejects_nonpositive_dt():
-    with pytest.raises(ValueError):
-        integrate_step(LegState(1, 1, 0, 0), JointTorques(), P, 0.0)
+@pytest.mark.parametrize("dt", [0.0, math.inf, math.nan], ids=["zero", "inf", "nan"])
+def test_rejects_nonpositive_dt(dt):
+    """A dt that is not finite and positive is refused in check_swing_steps'
+    words, before any stage blames the state."""
+    with pytest.raises(ValueError, match=f"^dt must be finite and positive, got {dt}$"):
+        integrate_step(LegState(1, 1, 0, 0), JointTorques(), P, dt)
 
 
 def test_nonfinite_step_raises_dedicated_error():
