@@ -4,8 +4,8 @@ model that learns it online from controller demonstrations.
 
 The package holds the one rule of config fields: each config dataclass,
 and GrpModel, calls _check_fields first when built, naming its fields'
-bounds, and the config file walker calls _typed per key. So a field holds
-a value of its annotated type (a section field, an instance of its
+bounds, and the config file walker leaves every value to them. So a field
+holds a value of its annotated type (a section field, an instance of its
 section) within its bound, and a value out of bounds is refused in one
 wording, such as `mu must be > 0, got 0.0`."""
 
@@ -18,10 +18,15 @@ import typing
 __version__ = "0.1.0"
 
 
-def _int(value, key: str) -> int:
-    """An `int`, not a bool or a float, as JSON gives it; the error names `key`."""
-    if type(value) is not int:
-        raise ValueError(f"{key} must be an integer, got {value!r}")
+# The type of each JSON value a writer writes, as a refusal names it.
+_KINDS = {dict: "an object", list: "a list", float: "a float", int: "an integer",
+          bool: "true or false"}
+
+
+def _kind(value, tp, key: str):
+    """`value`, if its type is `tp`, one of _KINDS; the error names `key`, or the top level."""
+    if type(value) is not tp:
+        raise ValueError(f"{key or 'top level'} must be {_KINDS[tp]}, got {value!r}")
     return value
 
 
@@ -49,16 +54,21 @@ def _fields(cls) -> tuple:
 
 
 def _typed(tp, value, key: str):
-    """`value` as a field of type `tp` holds it: an int, a finite float, a [lo, hi]
-    pair as a tuple of them, or else an instance of `tp`, such as a config section."""
+    """`value` as a field of type `tp` holds it: an int, a finite float, an ordered [lo, hi]
+    pair of them of finite width, as a tuple, or else an instance of `tp`, such as a section."""
     if tp is int:
-        return _int(value, key)
+        return _kind(value, int, key)
     if tp is float:
         return _float(value, key)
     if tp == tuple[float, float]:
         if not isinstance(value, (list, tuple)) or len(value) != 2:
-            raise ValueError(f"config key '{key}' must be a [lo, hi] pair")
-        return (_float(value[0], f"{key}[0]"), _float(value[1], f"{key}[1]"))
+            raise ValueError(f"{key} must be a [lo, hi] pair, got {value!r}")
+        lo, hi = _float(value[0], f"{key}[0]"), _float(value[1], f"{key}[1]")
+        if not lo <= hi:
+            raise ValueError(f"{key} range ({lo}, {hi}) not ordered")
+        if not math.isfinite(hi - lo):  # a draw lo + (hi - lo) * u would be inf
+            raise ValueError(f"{key} range ({lo}, {hi}) is wider than a float holds")
+        return lo, hi
     if not isinstance(value, tp):
         raise ValueError(f"{key} must be a {tp.__name__}, got {value!r}")
     return value

@@ -11,8 +11,8 @@ themselves by, types and bounds, so a config's float field holds a float and
 is written as one. A run command's flags are config keys (FLAGS), read by
 the same walker over --config's values, so the CLI holds no bound of its
 own. A JSON value's kind (object, list, float, integer or bool) is checked
-by _kind alone, in the writer's words. Angles are radians everywhere except
-evaluation reports, which speak degrees.
+by the package's _kind alone, in the writer's words. Angles are radians
+everywhere except evaluation reports, which speak degrees.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import NonFiniteError, _fields, _float, _typed, grp, mulnet, uniform_stream
+from . import NonFiniteError, _fields, _float, _kind, grp, mulnet, uniform_stream
 from .experiment import (
     DEFAULT_HIP,  # this and DEFAULT_KNEE are unused here: perfbench reads them as cli_io's
     DEFAULT_KNEE,
@@ -47,18 +47,6 @@ from .experiment import (
 from .grp import GrpConfig, GrpModel
 
 MODEL_FORMAT = 1
-
-
-# The type of each JSON value a writer writes, as a refusal names it.
-_KINDS = {dict: "an object", list: "a list", float: "a float", int: "an integer",
-          bool: "true or false"}
-
-
-def _kind(value, tp, key: str):
-    """`value`, if its type is `tp`, one of _KINDS; the error names `key`, or the top level."""
-    if type(value) is not tp:
-        raise ValueError(f"{key or 'top level'} must be {_KINDS[tp]}, got {value!r}")
-    return value
 
 
 def _object(data, allowed, where: str, noun: str) -> dict:
@@ -81,10 +69,10 @@ def _record(data, keys, where: str, others: bool = False) -> dict:
 
 
 def _from_json(cls, data, where: str = "", base=None):
-    """A config dataclass from its JSON form, each value checked by _typed
-    and each section walked in turn. Keys not present keep `base`'s value (or
-    the field default); every error names the dotted key, or for the
-    dataclass's own check, the section."""
+    """A config dataclass from its JSON form: each section walked in turn, each
+    other value handed to the dataclass, whose own check types and bounds it.
+    Keys not present keep `base`'s value (or the field default). An unknown or
+    missing key names the dotted key; the dataclass's refusal, its section."""
     fields = _fields(cls)
     _object(data, [key for _, key, _, _ in fields], where, "config key")
     kwargs = {}
@@ -92,7 +80,7 @@ def _from_json(cls, data, where: str = "", base=None):
         current = default if base is None else getattr(base, name)
         if key in data:
             kwargs[name] = (_from_json(tp, data[key], f"{where}{key}.", current)
-                            if dataclasses.is_dataclass(tp) else _typed(tp, data[key], where + key))
+                            if dataclasses.is_dataclass(tp) else data[key])
         elif current is dataclasses.MISSING:
             raise ValueError(f"missing config key '{where}{key}'")
     try:
@@ -243,9 +231,11 @@ def _columns(models) -> dict[str, str]:
 
 
 def _field_error(path, lineno: int, row: str, columns: dict[str, str]) -> ValueError:
-    """Why `row`, line `lineno` of `path`, is no row of `columns`: its field count,
-    or else its first field whose format does not give back its text from its value."""
+    """Why `row`, line `lineno` of `path`, is no row of `columns`: a \\r in it, its
+    field count, or else its first field whose format does not give back its text."""
     fields = row.split(",")
+    if cr := next((j for j, text in enumerate(fields, 1) if "\r" in text), 0):
+        return ValueError(f"{path} line {lineno} column {cr}: a \\r not ending the line")
     if len(fields) != len(columns):
         return ValueError(f"{path} line {lineno}: expected {len(columns)} fields, "
                           f"got {len(fields)}")
@@ -281,15 +271,17 @@ def read_trajectory(path) -> Trajectory:
     FIXED_COLUMNS, then trace_columns(name, m) for each model in turn, each name
     one or more word characters and used by one block only. The file is read a
     line at a time into one packed array('d'), of which the table is a view;
-    lines may end in \\n or \\r\\n, the last one in neither. A field its
-    column's format does not write back from its value (a byte not UTF-8
-    included), or a non-finite plant value, is refused, naming line and column;
-    Trajectory refuses a bad phase or contact."""
-    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+    lines end in \\n or \\r\\n, and the last may end in neither. Any other \\r,
+    a field its column's format does not write back from its value (a byte
+    not UTF-8 included), or a non-finite plant value, is refused, naming line
+    and column; Trajectory refuses a bad phase or contact."""
+    with open(path, encoding="utf-8", errors="surrogateescape", newline="\n") as fh:
         header = fh.readline()
         if not header:
             raise ValueError(f"{path}: empty trajectory file")
-        header = header.rstrip("\n").split(",")
+        if "\r" in (header := header.removesuffix("\r\n").removesuffix("\n")):
+            raise _field_error(path, 1, header, {})  # as lone \r line ends run into line 1
+        header = header.split(",")
         # (name, m) per model in the order of first appearance, word-character names only
         names = [col.rsplit("_", 2)[0] for col in header[len(FIXED_COLUMNS):]]
         models = {name: n // 2 for name, n in collections.Counter(names).items()
@@ -304,7 +296,7 @@ def read_trajectory(path) -> Trajectory:
         row_format = ",".join(columns.values())
         buf = array("d")
         for lineno, line in enumerate(fh, start=2):
-            row = line.rstrip("\n")
+            row = line.removesuffix("\r\n").removesuffix("\n")
             try:  # TypeError: a field count not the header's
                 values = tuple(map(float, row.split(",")))
                 if row_format % values != row:

@@ -45,7 +45,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import NonFiniteError, _check_fields, _int, grp, uniform_stream
+from . import NonFiniteError, _check_fields, _kind, grp, uniform_stream
 from .dynamics import (
     JointTorques,
     LegParams,
@@ -87,14 +87,7 @@ class SampleRanges:
     phi_k0: float = 175.0 * DEG
 
     def __post_init__(self):
-        _check_fields(self)
-        for name in ("alpha_tgt", "phi_h_dot0", "phi_k_dot0"):
-            lo, hi = getattr(self, name)
-            if not lo <= hi:
-                raise ValueError(f"{name} range ({lo}, {hi}) not ordered")
-            # a draw is lo + (hi - lo) * u, which a width that overflows makes inf
-            if not math.isfinite(hi - lo):
-                raise ValueError(f"{name} range ({lo}, {hi}) is wider than a float holds")
+        _check_fields(self)  # each pair ordered, and of a width a float holds
         # a leg angle past one turn means nothing, and far past it overflows in degrees
         lo, hi = self.alpha_tgt
         if not max(-lo, hi) <= 2.0 * math.pi:
@@ -150,7 +143,7 @@ class Trajectory:
                                  f"got {name!r}")
             if name in (other for other, _ in models[:i]):
                 raise ValueError(f"a swing's model {name!r} is given twice")
-            if _int(m, f"model {name!r}: m") < 1:
+            if _kind(m, int, f"model {name!r}: m") < 1:
                 raise ValueError(f"model {name!r}: m must be >= 1, got {m}")
         width = len(FIXED_COLUMNS) + 2 * sum(m for _, m in models)
         if self.table.shape[1:] != (width,) or not len(self.table):
@@ -254,8 +247,8 @@ def sample_tasks(
     """n seeded swing tasks; per task the draws are alpha_tgt, then the hip
     rate, then the knee rate, from one stream, each lo + (hi - lo) * u as
     default_rng(seed).uniform draws it."""
-    if _int(n, "n") < 1:
-        raise ValueError(f"need at least one task, got n={n}")
+    if _kind(n, int, "n") < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
     draws = uniform_stream(seed)
     out = []
     for _ in range(n):
@@ -399,7 +392,7 @@ def train(
     and its joint, with those places as its `models`; numpy warns of
     nothing on the way.
     """
-    if _int(episodes, "episodes") < 1:
+    if _kind(episodes, int, "episodes") < 1:
         raise ValueError(f"episodes must be >= 1, got {episodes}")
     joints = [joint for _, joint in models]
     if not joints or not set(joints) <= {"tau_h", "tau_k"}:

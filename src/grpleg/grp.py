@@ -48,7 +48,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import NonFiniteError, _check_fields, uniform_stream
+from . import NonFiniteError, _check_fields, mulnet, uniform_stream
 from .mulnet import (
     NET_DIM,
     P_CEIL,
@@ -156,7 +156,7 @@ def responsibility_reference(errors, gamma: float) -> np.ndarray:
     z *= -gamma
     # ufunc reductions called directly, as in mulnet
     z -= np.maximum.reduce(z, -1, keepdims=True)
-    np.exp(z, out=z)
+    mulnet.exp(z, out=z)
     z /= np.add.reduce(z, -1, keepdims=True)
     return z
 
@@ -345,7 +345,7 @@ def _row_half(stack: LearnStack, r_G: list[float]) -> None:
 
     Each value has the bits that `sigmoid_head`, `responsibility_reference`
     and the update's array ops give: the same operations in the same order,
-    with every exponential taken in one np.exp call (math.exp is not
+    with every exponential taken in one mulnet.exp call (math.exp is not
     numpy's exp). The sigmoid needs only exp(-|z|), because its numerator
     exp(min(z, 0)) is that same value for z < 0 and 1 otherwise. A
     softmax row of 7 or fewer is summed left to right, which is numpy's
@@ -363,7 +363,7 @@ def _row_half(stack: LearnStack, r_G: list[float]) -> None:
         a = [abs(e) * neg_gamma for e in e_G[sl]]
         top = max(a)
         soft_args += [v - top for v in a]
-    exps = np.exp([-abs(v) for v in z] + soft_args)
+    exps = mulnet.exp([-abs(v) for v in z] + soft_args)
     ex = exps.tolist()
 
     pi = []

@@ -43,6 +43,7 @@ import numpy as np
 RAW_DIM = 5  # (alpha - alpha_tgt), phi_h, phi_h_dot, phi_k, phi_k_dot
 NET_DIM = 8
 EXP_CLAMP = 50.0
+exp = np.exp  # every exponential of the model, here and in grp; not wrapped, to cost no call
 
 # the open interval a sigmoid head's pi is pinned to, as Python floats
 P_FLOOR = float(np.finfo(float).tiny)
@@ -120,7 +121,7 @@ def _row_products(b, xr):
     if hits:
         _clamp_events += hits
     prod = np.add.reduce(clip, -1, out=b.prod)
-    return np.exp(prod, out=prod)
+    return exp(prod, out=prod)
 
 
 class NetBuffers:
@@ -234,10 +235,10 @@ def sigmoid_head(b, w_gain: float = 1.0, buffers=None):
     z = np.asarray(np.multiply(b, w_gain, out=out, dtype=float))  # 0-d stays an array
     e = np.empty_like(z) if buffers is None else buffers.pi_den
     np.negative(np.abs(z, out=e), out=e)
-    np.exp(e, out=e)
+    exp(e, out=e)
     e += 1.0
     np.minimum(z, 0.0, out=z)
-    np.exp(z, out=z)
+    exp(z, out=z)
     z /= e
     np.maximum(z, P_FLOOR, out=z)
     return np.minimum(z, P_CEIL, out=z)[()]

@@ -176,36 +176,36 @@ def test_run_config_validation(kwargs):
         (grp_config_from_dict, {"m": 3.7}, "m must be an integer, got 3.7"),
         (run_config_from_dict, {"episodes": 1599.7}, "episodes must be an integer"),
         (run_config_from_dict, {"params": {"g": True}},
-         "params.g must be a number, got True"),
+         "params: g must be a number, got True"),
         (run_config_from_dict, {"demo_seed": "7"},
          "demo_seed must be an integer, got '7'"),
         (run_config_from_dict, {"knee": {"seed": "7"}},
-         "knee.seed must be an integer, got '7'"),
+         "knee: seed must be an integer, got '7'"),
         (run_config_from_dict, {"dt": "0.001"}, "dt must be a number, got '0.001'"),
-        (run_config_from_dict, {"hip": {"m": True}}, "hip.m must be an integer"),
+        (run_config_from_dict, {"hip": {"m": True}}, "hip: m must be an integer"),
         (run_config_from_dict, {"knee": {"lambda": "1e-4"}},
-         "knee.lambda must be a number"),
+         "knee: lam \\(lambda\\) must be a number"),
         (run_config_from_dict, {"ranges": {"alpha_tgt": [0.9, "1.4"]}},
-         "ranges.alpha_tgt\\[1\\] must be a number"),
+         "ranges: alpha_tgt\\[1\\] must be a number"),
         (run_config_from_dict, {"params": 5}, "params must be an object, got 5"),
         (run_config_from_dict, {"timeout": math.nan}, "timeout has non-finite value nan"),
         (run_config_from_dict, {"timeout": math.inf}, "timeout has non-finite value inf"),
-        (run_config_from_dict, {"gains": {"k_i": math.nan}}, "gains.k_i has non-finite"),
-        (run_config_from_dict, {"params": {"l_t": math.inf}}, "params.l_t has non-finite"),
+        (run_config_from_dict, {"gains": {"k_i": math.nan}}, "gains: k_i has non-finite"),
+        (run_config_from_dict, {"params": {"l_t": math.inf}}, "params: l_t has non-finite"),
         (run_config_from_dict, {"ranges": {"phi_h0": math.nan}},
-         "ranges.phi_h0 has non-finite"),
+         "ranges: phi_h0 has non-finite"),
         (run_config_from_dict, {"ranges": {"alpha_tgt": [0, math.inf]}},
-         "ranges.alpha_tgt\\[1\\] has non-finite value inf"),
+         "ranges: alpha_tgt\\[1\\] has non-finite value inf"),
         (run_config_from_dict, {"ranges": [1, 2]}, "ranges must be an object, got \\[1, 2\\]"),
         (run_config_from_dict, {"hip": "x"}, "hip must be an object, got 'x'"),
         (run_config_from_dict, {"dt": None}, "dt must be a number, got None"),
         (run_config_from_dict, {"knee": {"mu_rp": None}},
-         "knee.mu_rp must be a number, got None"),
+         "knee: mu_rp must be a number, got None"),
         (grp_config_from_dict, {"mu": 1e-3}, "missing config key 'm'"),
         (run_config_from_dict, {"timeout": 1e300}, "timeout 1e\\+300 is more than"),
         (run_config_from_dict, {"dt": 10 ** 400}, "^dt is an integer too large for a float$"),
         (run_config_from_dict, {"params": {"l_t": -(10 ** 400)}},
-         "^params.l_t is an integer too large for a float$"),
+         "^params: l_t is an integer too large for a float$"),
     ],
     ids=["m-float", "episodes-float", "g-bool", "demo_seed-str", "knee.seed-str",
          "dt-str", "hip.m-bool", "knee.lambda-str", "alpha_tgt-str",
@@ -224,7 +224,8 @@ def test_config_accepts_json_integers_for_floats():
     assert all(type(v) is float for v in (cfg.dt, cfg.params.g, cfg.hip.mu_rp))
 
 
-@pytest.mark.parametrize("cls, kwargs, message", [
+# Per section, values its fields' types refuse, each with the section's message.
+SECTION_TYPE_FAULTS = [
     (LegParams, {"g": True}, "g must be a number, got True"),
     (LegParams, {"l_t": "0.5"}, "l_t must be a number, got '0.5'"),
     (LegParams, {"g": 10**400}, "g is an integer too large for a float"),
@@ -238,8 +239,14 @@ def test_config_accepts_json_integers_for_floats():
     (SampleRanges, {"phi_h_dot0": (-10**400, 0)},
      "phi_h_dot0[0] is an integer too large for a float"),
     (SampleRanges, {"phi_k_dot0": (math.nan, 0.0)}, "phi_k_dot0[0] has non-finite value nan"),
-    (SampleRanges, {"alpha_tgt": (1, 1.2, 1.3)}, "config key 'alpha_tgt' must be a [lo, hi] pair"),
-    (SampleRanges, {"alpha_tgt": 1.0}, "config key 'alpha_tgt' must be a [lo, hi] pair"),
+    (SampleRanges, {"alpha_tgt": (1, 1.2, 1.3)},
+     "alpha_tgt must be a [lo, hi] pair, got (1, 1.2, 1.3)"),
+    (SampleRanges, {"alpha_tgt": 1.0}, "alpha_tgt must be a [lo, hi] pair, got 1.0"),
+]
+
+
+@pytest.mark.parametrize("cls, kwargs, message", [
+    *SECTION_TYPE_FAULTS,
     (RunConfig, {"params": 5}, "params must be a LegParams, got 5"),
     (RunConfig, {"hip": LegParams()}, f"hip must be a GrpConfig, got {LegParams()!r}"),
     (RunConfig, {"ranges": {"phi_h0": 1.0}}, "ranges must be a SampleRanges, got {'phi_h0': 1.0}"),
@@ -252,6 +259,36 @@ def test_each_config_section_refuses_a_value_not_of_its_field_type(cls, kwargs, 
     the config is built, not when a rollout first reads it."""
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         cls(**kwargs)
+
+
+@pytest.mark.parametrize("cls, kwargs", [(cls, kwargs) for cls, kwargs, _ in SECTION_TYPE_FAULTS])
+def test_a_config_file_value_is_refused_in_its_sections_words(tmp_path, cls, kwargs):
+    """A config file's value that its section's type refuses is refused
+    in the words the section gives in process, prefixed by the section
+    alone, as a bound is: the walker types no value itself."""
+    section = next(key for _, key, tp, _ in grpleg._fields(RunConfig) if tp is cls)
+    (field, value), = json.loads(json.dumps(kwargs)).items()  # a tuple reads back as a list
+    with pytest.raises(ValueError) as in_process:
+        cls(**{field: value})
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({section: {field: value}}))
+    with pytest.raises(ValueError) as from_file:
+        load_run_config(path)
+    assert str(from_file.value) == f"{path}: {section}: {in_process.value}"
+
+
+def test_every_range_pair_field_is_ordered_and_of_a_finite_width():
+    """Each [lo, hi] field of every config class refuses a pair out of
+    order and one wider than a float holds, by its type alone."""
+    sections = (LegParams, ControllerGains, SampleRanges, GrpConfig, RunConfig)
+    pairs = [(cls, name) for cls in sections
+             for name, _, tp, _ in grpleg._fields(cls) if tp == tuple[float, float]]
+    assert len(pairs) >= 3  # the three of SampleRanges at least
+    for cls, name in pairs:
+        for pair, fault in (((1.0, 0.0), "not ordered"),
+                            ((-1e308, 1e308), "is wider than a float holds")):
+            with pytest.raises(ValueError, match=f"^{re.escape(f'{name} range {pair} {fault}')}$"):
+                cls(**{name: pair})
 
 
 @pytest.mark.parametrize("cls, field, value, message", [
@@ -773,6 +810,26 @@ def test_trajectory_reads_other_line_ends(tmp_path, demo_traj, ending, last):
     back = read_trajectory(tmp_path / "v.csv")
     assert back.table.tobytes() == traj.table.tobytes()
     assert back.models == traj.models
+
+
+@pytest.mark.parametrize("join, lineno, col", [
+    (lambda lines: "\r".join(lines) + "\r", 1, 12),
+    (lambda lines: "\n".join([*lines[:3], lines[3].replace(",", ",\r", 1), *lines[4:]]), 4, 2),
+    (lambda lines: "\n".join(lines) + "\r", -1, 12),
+], ids=["lone-cr-line-ends", "cr-in-a-row", "lone-cr-last-line-end"])
+def test_trajectory_refuses_a_carriage_return_not_ending_a_line(tmp_path, demo_traj, join,
+                                                               lineno, col):
+    """A \\r that is not part of a \\r\\n line end is refused, naming its
+    line (-1: the last) and column and quoting nothing of the file: so a
+    file whose lines end in a lone \\r, which reads as one line, is
+    refused at line 1."""
+    write_trajectory(tmp_path / "t.csv", demo_traj)
+    lines = (tmp_path / "t.csv").read_text().splitlines()
+    (tmp_path / "v.csv").write_bytes(join(lines).encode())
+    lineno = lineno % (len(lines) + 1)
+    with pytest.raises(ValueError, match=re.escape(
+            f"{tmp_path / 'v.csv'} line {lineno} column {col}: a \\r not ending the line") + "$"):
+        read_trajectory(tmp_path / "v.csv")
 
 
 def test_trajectory_is_written_as_utf8_under_any_locale(tmp_path, demo_traj):
@@ -1381,7 +1438,7 @@ def test_cli_dump_weights_names_a_norm_beyond_the_largest_double(tmp_path, capsy
 
 @pytest.mark.parametrize("command, file, text, key", [
     ("demo", "cfg.json", '{"dt": 1%s}' % ("0" * 400), "dt"),
-    ("demo", "cfg.json", '{"params": {"l_t": 1%s}}' % ("0" * 400), "params.l_t"),
+    ("demo", "cfg.json", '{"params": {"l_t": 1%s}}' % ("0" * 400), "params: l_t"),
     ("dump-weights", "knee.json", None, "gamma"),
 ], ids=["dt", "params.l_t", "model-gamma"])
 def test_cli_refuses_an_integer_too_large_for_a_float(tmp_path, capsys, command, file, text, key):

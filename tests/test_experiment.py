@@ -112,9 +112,9 @@ def test_sample_tasks_ranges_and_fixed_posture():
 
 
 def test_sample_tasks_rejects_empty():
-    with pytest.raises(ValueError, match="at least one task"):
+    with pytest.raises(ValueError, match="^n must be >= 1, got 0$"):
         sample_tasks(SampleRanges(), 0, seed=0)
-    for n in (True, 2.5, "3"):  # a count goes through _int, as a config's does
+    for n in (True, 2.5, "3"):  # a count goes through _kind, as a config's does
         with pytest.raises(ValueError, match=f"^n must be an integer, got {re.escape(repr(n))}$"):
             sample_tasks(SampleRanges(), n, seed=0)
 
@@ -448,7 +448,7 @@ def test_train_validation():
     hip, knee = fresh_pair()
     with pytest.raises(ValueError, match="episodes"):
         train([(hip, "tau_h"), (knee, "tau_k")], [synthetic_demo()], episodes=0)
-    for episodes in (2.5, "3", True):  # a count goes through _int, as a config's does
+    for episodes in (2.5, "3", True):  # a count goes through _kind, as a config's does
         with pytest.raises(ValueError, match=rf"^episodes must be an integer, got {episodes!r}$"):
             train([(hip, "tau_h"), (knee, "tau_k")], [synthetic_demo()], episodes)
     with pytest.raises(ValueError, match="no demonstrations"):

@@ -357,6 +357,30 @@ def test_forward_reads_the_live_stack():
         assert same_bits(G, G1) and same_bits(pi, pi1) and same_bits(tau, tau1)
 
 
+def test_every_exponential_goes_through_mulnet_exp(monkeypatch):
+    """The model takes each exponential through the one name mulnet.exp,
+    looked up at call time: a learn step calls it twice (row products,
+    then _row_half's sigmoids and softmaxes), forward three times (row
+    products and the sigmoid head's two), responsibility_reference once.
+    No other np.exp call is left in mulnet or grp."""
+    calls = []
+
+    def counting_exp(*args, **kwargs):
+        calls.append(1)
+        return np.exp(*args, **kwargs)
+
+    monkeypatch.setattr(mulnet, "exp", counting_exp)
+    stack = LearnStack([init(GrpConfig(m=1, seed=23)), init(GrpConfig(m=3, seed=24))])
+    for run, count in ((lambda: learn_step_joint(stack, sample_x(8), [3.0, -1.0]), 2),
+                       (lambda: forward(stack, np.asarray(sample_x(8))[None]), 3),
+                       (lambda: responsibility_reference([0.1, 0.2], 2.0), 1)):
+        calls.clear()
+        run()
+        assert len(calls) == count
+    for module in (mulnet, grp):
+        assert "np.exp(" not in Path(module.__file__).read_text()
+
+
 def test_responsibility_reference_broadcasts_over_rows():
     rng = np.random.default_rng(24)
     E = rng.normal(0.0, 5.0, size=(4, 6, 3))
