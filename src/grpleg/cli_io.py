@@ -152,6 +152,7 @@ def save_run_config(path, config: RunConfig) -> None:
 
 
 def model_to_dict(model: GrpModel) -> dict:
+    model.check()  # so no file is written that load_model refuses
     return {
         "format": MODEL_FORMAT,
         "config": grp_config_to_dict(model.config),
@@ -230,23 +231,31 @@ def _columns(models) -> dict[str, str]:
     return {**COLUMN_FORMATS, **{c: _DOUBLE for name, m in models for c in trace_columns(name, m)}}
 
 
-def _field_error(path, lineno: int, row: str, columns: dict[str, str]) -> ValueError:
-    """Why `row`, line `lineno` of `path`, is no row of `columns`: a \\r in it, its
-    field count, or else its first field whose format does not give back its text."""
+def _row_values(path, lineno: int, row: str, columns: dict[str, str]) -> list[float]:
+    """The values of `row`, line `lineno` of `path`, as a row of `columns`. Refused,
+    naming the line: a \\r in it, its field count, or else its first field whose
+    format does not give back its text, or whose plant value is not finite."""
     fields = row.split(",")
-    if cr := next((j for j, text in enumerate(fields, 1) if "\r" in text), 0):
-        return ValueError(f"{path} line {lineno} column {cr}: a \\r not ending the line")
+    if "\r" in row:
+        cr = next(j for j, text in enumerate(fields, 1) if "\r" in text)
+        raise ValueError(f"{path} line {lineno} column {cr}: a \\r not ending the line")
     if len(fields) != len(columns):
-        return ValueError(f"{path} line {lineno}: expected {len(columns)} fields, "
-                          f"got {len(fields)}")
+        raise ValueError(f"{path} line {lineno}: expected {len(columns)} fields, "
+                         f"got {len(fields)}")
+    values = []  # not a tuple: CPython keeps each freed row tuple on a free list
     for j, ((name, fmt), text) in enumerate(zip(columns.items(), fields)):
-        where = f"{path} line {lineno} column {j + 1} ({name}): got {text!r}"
         try:
             back = fmt % (value := float(text))
         except (ValueError, OverflowError):  # no float, or '%d' of nan or inf
-            return ValueError(f"{where}, which {fmt!r} never writes")
-        if back != text:
-            return ValueError(f"{where}, but {fmt!r} writes {value!r} as {back!r}")
+            fault = f"which {fmt!r} never writes"
+        else:
+            if back == text and (j >= 10 or math.isfinite(value)):
+                values.append(value)
+                continue
+            fault = (f"but {fmt!r} writes {value!r} as {back!r}" if back != text
+                     else "expected a finite double")
+        raise ValueError(f"{path} line {lineno} column {j + 1} ({name}): got {text!r}, {fault}")
+    return values
 
 
 # Rows write_trajectory formats per write, so no swing is held whole as text.
@@ -269,18 +278,17 @@ def write_trajectory(path, traj: Trajectory) -> None:
 def read_trajectory(path) -> Trajectory:
     """A trajectory file as write_trajectory writes it. The header must be
     FIXED_COLUMNS, then trace_columns(name, m) for each model in turn, each name
-    one or more word characters and used by one block only. The file is read a
-    line at a time into one packed array('d'), of which the table is a view;
-    lines end in \\n or \\r\\n, and the last may end in neither. Any other \\r,
-    a field its column's format does not write back from its value (a byte
-    not UTF-8 included), or a non-finite plant value, is refused, naming line
-    and column; Trajectory refuses a bad phase or contact."""
+    one or more word characters and used by one block only. Lines end in \\n or
+    \\r\\n, the last maybe in neither. Each row is read by _row_values in one pass
+    into one packed array('d') the table views, so the first fault in file order
+    is refused, naming line and column (a byte not UTF-8 is text no format
+    writes); Trajectory refuses a bad phase or contact."""
     with open(path, encoding="utf-8", errors="surrogateescape", newline="\n") as fh:
         header = fh.readline()
         if not header:
             raise ValueError(f"{path}: empty trajectory file")
         if "\r" in (header := header.removesuffix("\r\n").removesuffix("\n")):
-            raise _field_error(path, 1, header, {})  # as lone \r line ends run into line 1
+            _row_values(path, 1, header, {})  # refuses it, as lone \r line ends run into line 1
         header = header.split(",")
         # (name, m) per model in the order of first appearance, word-character names only
         names = [col.rsplit("_", 2)[0] for col in header[len(FIXED_COLUMNS):]]
@@ -293,26 +301,14 @@ def read_trajectory(path) -> Trajectory:
             raise ValueError(f"{path} line 1: bad trajectory header from column {j + 1}: "
                              f"got {','.join(header[j:])!r}, "
                              f"expected {','.join(expected[j:])!r}")
-        row_format = ",".join(columns.values())
         buf = array("d")
         for lineno, line in enumerate(fh, start=2):
             row = line.removesuffix("\r\n").removesuffix("\n")
-            try:  # TypeError: a field count not the header's
-                values = tuple(map(float, row.split(",")))
-                if row_format % values != row:
-                    raise ValueError
-            except (ValueError, OverflowError, TypeError):
-                raise _field_error(path, lineno, row, columns) from None
-            buf.extend(values)
+            buf.extend(_row_values(path, lineno, row, columns))
     if not buf:
         raise ValueError(f"{path}: no data rows")
-    table = np.frombuffer(buf).reshape(-1, len(header))
-    if not (finite := np.isfinite(table[:, :10])).all():
-        i, j = np.argwhere(~finite)[0]  # the first non-finite plant value, by line
-        raise ValueError(f"{path} line {i + 2} column {j + 1} ({header[j]}): "
-                         f"got {_DOUBLE % table[i, j]!r}, expected a finite double")
     try:
-        return Trajectory(table, models.items())
+        return Trajectory(np.frombuffer(buf).reshape(-1, len(header)), models.items())
     except ValueError as exc:  # a phase or contact code
         raise ValueError(f"{path}: {exc}") from None
 

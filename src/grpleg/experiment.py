@@ -275,11 +275,13 @@ def sensor_matrix(traj: Trajectory) -> np.ndarray:
 
 def check_swing_steps(dt: float, timeout: float) -> None:
     """Refuse a dt that is not finite and positive, then a timeout of more
-    than MAX_SWING_STEPS dt."""
+    than MAX_SWING_STEPS dt, then one not beyond one step."""
     if not 0.0 < dt < math.inf:
         raise ValueError(f"dt must be finite and positive, got {dt}")
     if not timeout / dt <= MAX_SWING_STEPS:
         raise ValueError(f"timeout {timeout} is more than {MAX_SWING_STEPS} steps of dt {dt}")
+    if not timeout > dt:  # a swing of one row, timed out
+        raise ValueError(f"timeout {timeout} not beyond one step")
 
 
 DEFAULT_HIP = GrpConfig(m=1)
@@ -311,8 +313,6 @@ class RunConfig:
         _check_fields(self, episodes=">= 1", demo_count=">= 1", eval_count=">= 1",
                       demo_seed=">= 0", eval_seed=">= 0")
         check_swing_steps(self.dt, self.timeout)
-        if not self.timeout > self.dt:
-            raise ValueError(f"timeout {self.timeout} not beyond one step")
 
 
 def _advance(buf, state, kin, ctrl, torques, params, dt, timeout):

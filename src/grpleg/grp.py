@@ -103,6 +103,10 @@ class GrpModel:
     episode_count: int = 0
 
     def __post_init__(self):
+        self.check()
+
+    def check(self) -> None:
+        """Refuse a bad field, then W or R not (config.m, 8, 8): when built, stacked, written."""
         _check_fields(self, gamma="> 0", episode_count=">= 0")
         shape = (self.config.m, NET_DIM, NET_DIM)
         for name in ("W", "R"):
@@ -174,9 +178,9 @@ class LearnStack:
     also owns the network half's work: one mulnet.NetBuffers for S, built
     here once, whose `out` holds the network output (G is its first half)
     and whose `grad` holds the gradient, then the update. A stack takes at
-    least one model, each with config.m layers of W and as many of R. A
-    model belongs to one live stack at a time; rebinding its W or R
-    detaches it.
+    least one model, each one its check takes, so with config.m layers of W
+    and as many of R. A model belongs to one live stack at a time; rebinding
+    its W or R detaches it.
     """
 
     def __init__(self, models: list[GrpModel]):
@@ -188,14 +192,12 @@ class LearnStack:
                 "the same model appears twice in a learn stack; "
                 "its weight views would alias"
             )
+        for k, mdl in enumerate(models, start=1):
+            try:  # each row's rates come from its model's config, and S's halves line up
+                mdl.check()
+            except ValueError as exc:
+                raise ValueError(f"model {k} of the learn stack: {exc}") from None
         sizes = [mdl.m for mdl in models]
-        for k, (mdl, size) in enumerate(zip(models, sizes), start=1):
-            if size != mdl.config.m:  # each row's rates come from its model's config
-                raise ValueError(f"model {k} of the learn stack has {size} layers of "
-                                 f"weights but config.m = {mdl.config.m}")
-            if len(mdl.R) != size:  # S's R half would shift into the next model's rows
-                raise ValueError(f"model {k} of the learn stack has {size} layers of W "
-                                 f"but {len(mdl.R)} of R")
         total = sum(sizes)
         ends = np.cumsum(sizes).tolist()
         self.models = models

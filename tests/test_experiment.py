@@ -734,6 +734,28 @@ def test_rollouts_refuse_a_timeout_that_is_not_finite(rollout, timeout, dt, monk
             run_demo_episode(*tasks[0], dt=dt, timeout=timeout)
 
 
+@pytest.mark.parametrize("timeout", [0.0, 1e-3, -math.inf], ids=["zero", "dt", "-inf"])
+@pytest.mark.parametrize("rollout", ["evaluate", "run_demo_episode"])
+def test_rollouts_refuse_a_timeout_not_beyond_one_step(rollout, timeout, monkeypatch):
+    """A timeout not beyond one step of dt would roll a swing of one row,
+    timed out: both rollouts refuse it in RunConfig's words, before any
+    swing takes its first tick (RunConfig refuses -inf as non-finite first)."""
+    def no_tick(*args):
+        raise AssertionError("a swing rolled")
+
+    monkeypatch.setattr(experiment, "kinematics", no_tick)
+    tasks = sample_tasks(SampleRanges(), 2, seed=5)
+    message = f"timeout {timeout} not beyond one step"
+    if math.isfinite(timeout):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            RunConfig(timeout=timeout)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        if rollout == "evaluate":
+            evaluate(*fresh_pair(), tasks, dt=1e-3, timeout=timeout)
+        else:
+            run_demo_episode(*tasks[0], dt=1e-3, timeout=timeout)
+
+
 @pytest.mark.parametrize("rates, error, message", [
     ({"phi_h_dot": math.nan}, ValueError, "tau_h torque is NaN; it cannot be saturated"),
     ({"phi_h_dot": 1e200}, NonFiniteError,

@@ -1100,22 +1100,34 @@ def test_learn_stack_rejects_a_model_whose_weights_are_not_its_config_m():
     a, b = init(GrpConfig(m=2, seed=48)), init(GrpConfig(m=1, seed=49))
     a.config, b.config = GrpConfig(m=1, mu=1e-3), GrpConfig(m=2, mu=1e-6)
     with pytest.raises(ValueError, match=re.escape(
-            "model 1 of the learn stack has 2 layers of weights but config.m = 1")):
+            "model 1 of the learn stack: model has 2 layers but config.m = 1")):
         LearnStack([a, b])
     with pytest.raises(ValueError, match=re.escape(
-            "model 2 of the learn stack has 1 layers of weights but config.m = 2")):
+            "model 2 of the learn stack: model has 1 layers but config.m = 2")):
         LearnStack([init(GrpConfig(m=1, seed=50)), b])
 
 
 def test_learn_stack_rejects_a_model_whose_r_stack_is_not_its_w_stack():
     """A model with 2 layers of W and 1 of R, stacked before a 1-layer
     model, would take the next model's R as its second layer and leave that
-    model an empty R: refused, naming its place and both counts."""
+    model an empty R: refused, naming its place and R's shape beside the
+    one its config gives."""
     a = init(GrpConfig(m=2, seed=1))
     a.R = a.R[:1].copy()
     with pytest.raises(ValueError, match="^" + re.escape(
-            "model 1 of the learn stack has 2 layers of W but 1 of R") + "$"):
+            "model 1 of the learn stack: R must have shape (2, 8, 8), got (1, 8, 8)") + "$"):
         LearnStack([a, init(GrpConfig(m=1, seed=2))])
+
+
+def test_learn_stack_runs_each_models_own_check():
+    """A model's W rebound after construction to a shape the model itself
+    would refuse is refused by the stack in the model's words, naming its
+    place from 1, before its weights reach S."""
+    a, b = init(GrpConfig(m=3, seed=1)), init(GrpConfig(m=3, seed=2))
+    b.W = b.W[:, :7]
+    with pytest.raises(ValueError, match="^" + re.escape(
+            "model 2 of the learn stack: W must have shape (3, 8, 8), got (3, 7, 8)") + "$"):
+        LearnStack([a, b])
 
 
 # -------------------------------------------------------------- end_episode
