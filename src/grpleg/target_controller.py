@@ -1,10 +1,16 @@
-"""Demonstration swing-leg controller.
+"""Demonstration swing-leg controller: one hip policy plus three knee
+policies dispatched by a one-way phase machine, all in `control_step`.
 
-One hip policy plus three knee policies dispatched by a one-way phase
-machine: flex until the leg has shortened past the clearance, hold the knee
-while the hip servo advances the leg, then stop the swing and extend until
-ground contact. The stopping torque is mirrored to the hip as a
-compensation torque so the braking does not disturb the leg-angle servo.
+- FLEXION: flex the knee while the leg swings forward, until the leg has
+  shortened by L_CLR.
+- HOLD: hold the knee while the hip servo advances the leg, until the leg
+  angle reaches alpha_thr. An extending knee's damping is scaled by the
+  leg-angle error and the rate mismatch (phi_k_dot + alpha_dot): it assists
+  a knee that extends slower than the leg swings and resists one that
+  outruns it, so the leg straightens while the target is approached.
+- STOP_EXTEND: brake the swing, then extend the leg until ground contact.
+- Hip: a leg-angle servo. The stopping torque is mirrored to it as a
+  compensation torque so the braking does not disturb the servo.
 
 Angles in radians, torques in N*m. Positive knee torque extends the leg
 (drives phi_k toward pi).
@@ -19,6 +25,10 @@ from typing import NamedTuple
 
 from . import _check_fields
 from .dynamics import JointTorques, KinematicSnapshot, LegParams, LegState, kinematics
+
+
+# the leg shortening (m) that ends flexion
+L_CLR = 0.05
 
 
 class Phase(IntEnum):
@@ -41,7 +51,7 @@ class ControllerGains:
     delta_alpha_thr: float = math.radians(8.0)
 
     def __post_init__(self):
-        # stopping_torque divides by alpha_dot_max, and a negative one inverts the braking
+        # the stopping torque divides by alpha_dot_max, and a negative one inverts the braking
         _check_fields(self, alpha_dot_max="> 0")
 
 
@@ -56,7 +66,6 @@ class SwingTask:
 
     alpha_tgt: float
     alpha_thr: float
-    l_clr: float = 0.05
     ground_y: float = 0.0
     l_0: float = 1.0
 
@@ -82,117 +91,54 @@ class ControllerState(NamedTuple):
     contact: bool = False
 
 
-def hip_torque(
-    kin: KinematicSnapshot, task: SwingTask, gains: ControllerGains, tau_add: float = 0.0
-) -> float:
-    """Leg-angle servo plus the knee-coupling compensation term."""
-    return (
-        gains.k_p_alpha * (task.alpha_tgt - kin.alpha)
-        - gains.k_d_alpha * kin.alpha_dot
-        + tau_add
-    )
-
-
-def knee_phase1(kin: KinematicSnapshot, gains: ControllerGains) -> float:
-    """Adaptive flexion: assist only while the leg swings forward."""
-    if kin.alpha_dot <= 0.0:
-        return gains.k_i * kin.alpha_dot
-    return 0.0
-
-
-def knee_phase2(kin: KinematicSnapshot, task: SwingTask, gains: ControllerGains) -> float:
-    """Hold the knee: plain rate damping while it flexes; while it extends,
-    the damping is modulated by the leg-angle error and the rate mismatch
-    (phi_k_dot + alpha_dot).
-
-    The modulated term drives the extension rate toward -alpha_dot: it
-    assists a knee that extends slower than the leg swings and resists one
-    that outruns it, so the leg straightens while the target is approached
-    instead of after.
-    """
-    pkd = kin.phi_k_dot
-    if pkd <= 0.0:
-        return -gains.k_ii * pkd
-    return -gains.k_ii * pkd * (kin.alpha - task.alpha_tgt) * (pkd + kin.alpha_dot)
-
-
-def stopping_torque(kin: KinematicSnapshot, task: SwingTask, gains: ControllerGains) -> float:
-    """Nonlinear-contact-style braking torque; active inside the threshold
-    while the leg is slower than alpha_dot_max."""
-    if kin.alpha <= task.alpha_thr and kin.alpha_dot < gains.alpha_dot_max:
-        return (
-            -gains.k_stp
-            * (task.alpha_thr - kin.alpha)
-            * (1.0 - kin.alpha_dot / gains.alpha_dot_max)
-        )
-    return 0.0
-
-
-def update_latch(ctrl: ControllerState, kin: KinematicSnapshot) -> ControllerState:
-    """Arm the knee extension once the stopped leg's angular rate reaches
-    zero; the latch never releases."""
-    if ctrl.phase is Phase.STOP_EXTEND and not ctrl.extension_latched and kin.alpha_dot >= 0.0:
-        return ctrl._replace(extension_latched=True)
-    return ctrl
-
-
-def knee_phase3(
-    kin: KinematicSnapshot, ctrl: ControllerState, task: SwingTask, gains: ControllerGains
-) -> tuple[float, float, ControllerState]:
-    """Stop the swing and extend the leg.
-
-    Returns (tau_k, tau_add_h, updated controller state). The hip receives
-    -2x the stopping torque; once latched, the extension spring
-    k_ext*(l_0 - l) is always on.
-    """
-    tau_iii = stopping_torque(kin, task, gains)
-    ctrl = update_latch(ctrl, kin)
-    tau_k = tau_iii
-    if ctrl.extension_latched:
-        tau_k += gains.k_ext * (task.l_0 - kin.l)
-    return tau_k, -2.0 * tau_iii, ctrl
-
-
-def update_phase(ctrl: ControllerState, kin: KinematicSnapshot, task: SwingTask) -> ControllerState:
-    """One-way phase progression: flexion ends once the leg has shortened by
-    the clearance; holding ends once the leg angle passes the threshold."""
-    if ctrl.phase is Phase.FLEXION and kin.l <= task.l_0 - task.l_clr:
-        return ctrl._replace(phase=Phase.HOLD)
-    if ctrl.phase is Phase.HOLD and kin.alpha <= task.alpha_thr:
-        return ctrl._replace(phase=Phase.STOP_EXTEND)
-    return ctrl
-
-
-def update_contact(ctrl: ControllerState, kin: KinematicSnapshot, task: SwingTask) -> ControllerState:
-    """Ground contact, tested only during latched extension so mid-swing
-    grazing cannot end the episode."""
-    if (
-        ctrl.phase is Phase.STOP_EXTEND
-        and ctrl.extension_latched
-        and not ctrl.contact
-        and kin.foot_y <= task.ground_y
-    ):
-        return ctrl._replace(contact=True)
-    return ctrl
-
-
 def control_step(
     kin: KinematicSnapshot,
     ctrl: ControllerState,
     task: SwingTask,
     gains: ControllerGains,
 ) -> tuple[JointTorques, ControllerState]:
-    """One control tick on the kinematic snapshot `kin` of the current state
-    (`dynamics.kinematics`): phase update, knee-policy dispatch, hip
-    composition, contact test."""
-    ctrl = update_phase(ctrl, kin, task)
+    """One control tick on the kinematic snapshot `kin` (`dynamics.kinematics`):
+    at most one phase step, decided on the phase the tick starts in, then the
+    knee policy of the phase it ends in and the hip servo. The latch and the
+    contact are set only in STOP_EXTEND, so mid-swing grazing cannot land."""
+    phase, latched, contact = ctrl
+    if phase is Phase.FLEXION and kin.l <= task.l_0 - L_CLR:
+        phase = Phase.HOLD
+    elif phase is Phase.HOLD and kin.alpha <= task.alpha_thr:
+        phase = Phase.STOP_EXTEND
     tau_add = 0.0
-    if ctrl.phase is Phase.FLEXION:
-        tau_k = knee_phase1(kin, gains)
-    elif ctrl.phase is Phase.HOLD:
-        tau_k = knee_phase2(kin, task, gains)
+    if phase is Phase.FLEXION:
+        # adaptive flexion: assist only while the leg swings forward
+        tau_k = gains.k_i * kin.alpha_dot if kin.alpha_dot <= 0.0 else 0.0
+    elif phase is Phase.HOLD:
+        # rate damping while the knee flexes, modulated damping while it extends
+        pkd = kin.phi_k_dot
+        if pkd <= 0.0:
+            tau_k = -gains.k_ii * pkd
+        else:
+            tau_k = -gains.k_ii * pkd * (kin.alpha - task.alpha_tgt) * (pkd + kin.alpha_dot)
     else:
-        tau_k, tau_add, ctrl = knee_phase3(kin, ctrl, task, gains)
-    tau_h = hip_torque(kin, task, gains, tau_add)
-    ctrl = update_contact(ctrl, kin, task)
-    return JointTorques(tau_h, tau_k), ctrl
+        # braking inside the threshold, mirrored to the hip as -2x; the spring
+        # k_ext*(l_0 - l) latches on once the leg's angular rate reaches zero
+        tau_iii = 0.0
+        if kin.alpha <= task.alpha_thr and kin.alpha_dot < gains.alpha_dot_max:
+            tau_iii = (
+                -gains.k_stp
+                * (task.alpha_thr - kin.alpha)
+                * (1.0 - kin.alpha_dot / gains.alpha_dot_max)
+            )
+        if kin.alpha_dot >= 0.0:
+            latched = True
+        tau_k = tau_iii
+        if latched:
+            tau_k += gains.k_ext * (task.l_0 - kin.l)
+        tau_add = -2.0 * tau_iii
+        if latched and kin.foot_y <= task.ground_y:
+            contact = True
+    # the + tau_add stays when it is 0.0: it turns a -0.0 torque into +0.0
+    tau_h = (
+        gains.k_p_alpha * (task.alpha_tgt - kin.alpha)
+        - gains.k_d_alpha * kin.alpha_dot
+        + tau_add
+    )
+    return JointTorques(tau_h, tau_k), ControllerState(phase, latched, contact)

@@ -22,25 +22,36 @@ from grpleg.target_controller import (
     Phase,
     SwingTask,
     control_step,
-    hip_torque,
-    knee_phase1,
-    knee_phase2,
-    knee_phase3,
     make_task,
-    stopping_torque,
-    update_latch,
-    update_phase,
 )
 
 P = LegParams()
 G = ControllerGains()
 DT = 1e-3
 INIT = (math.radians(220.0), math.radians(175.0))
+T = SwingTask(alpha_tgt=1.0, alpha_thr=1.1)
 
 
-def snap(alpha=0.0, alpha_dot=0.0, l=1.0, phi_k_dot=0.0):
-    return KinematicSnapshot(alpha=alpha, alpha_dot=alpha_dot, l=l, foot_y=0.0,
+def snap(alpha=0.0, alpha_dot=0.0, l=1.0, phi_k_dot=0.0, foot_y=0.0):
+    return KinematicSnapshot(alpha=alpha, alpha_dot=alpha_dot, l=l, foot_y=foot_y,
                              phi_k_dot=phi_k_dot)
+
+
+def tick(kin, phase=Phase.FLEXION, task=T, latched=False):
+    """One control_step from a built state; FLEXION stays FLEXION at l = 1.0,
+    HOLD stays HOLD above alpha_thr."""
+    return control_step(kin, ControllerState(phase, latched), task, G)
+
+
+def servo(kin, task):
+    return G.k_p_alpha * (task.alpha_tgt - kin.alpha) - G.k_d_alpha * kin.alpha_dot
+
+
+def braking(kin, task):
+    """The braking term, written out as the controller's STOP_EXTEND branch has it."""
+    if kin.alpha <= task.alpha_thr and kin.alpha_dot < G.alpha_dot_max:
+        return -G.k_stp * (task.alpha_thr - kin.alpha) * (1.0 - kin.alpha_dot / G.alpha_dot_max)
+    return 0.0
 
 
 def demo_task(alpha_tgt_deg=68.0, vh=-2.0, vk=-4.0):
@@ -64,102 +75,125 @@ def rollout(st, task, timeout=2.0):
 # --- hip servo -----------------------------------------------------------
 
 def test_hip_torque_zero_at_target():
-    task = SwingTask(alpha_tgt=1.0, alpha_thr=1.1)
-    assert hip_torque(snap(alpha=1.0), task, G) == 0.0
+    tq, _ = tick(snap(alpha=1.0))
+    assert tq.tau_h == 0.0
 
 
 def test_hip_torque_gains():
     task = SwingTask(alpha_tgt=1.1, alpha_thr=1.2)
-    assert hip_torque(snap(alpha=1.0), task, G) == pytest.approx(11.0)
-    assert hip_torque(snap(alpha=1.0, alpha_dot=1.0), task, G) == pytest.approx(2.5)
+    assert tick(snap(alpha=1.0), task=task)[0].tau_h == pytest.approx(11.0)
+    assert tick(snap(alpha=1.0, alpha_dot=1.0), task=task)[0].tau_h == pytest.approx(2.5)
 
 
 def test_hip_torque_additive_term():
-    task = SwingTask(alpha_tgt=1.0, alpha_thr=1.1)
-    assert hip_torque(snap(alpha=1.0), task, G, tau_add=17.5) == pytest.approx(17.5)
+    # at the target with zero rate the servo is zero; the braking torque
+    # -250 * 0.035 = -8.75 reaches the hip as +17.5
+    task = SwingTask(alpha_tgt=1.0, alpha_thr=1.035)
+    tq, _ = tick(snap(alpha=1.0), Phase.STOP_EXTEND, task)
+    assert tq.tau_h == pytest.approx(17.5)
+    assert tq.tau_k == pytest.approx(-8.75)
 
 
 # --- knee phase 1 --------------------------------------------------------
 
 def test_phase1_flexes_while_swinging_forward():
-    assert knee_phase1(snap(alpha_dot=-1.0), G) == pytest.approx(-23.0)
+    tq, ctrl = tick(snap(alpha_dot=-1.0))
+    assert ctrl.phase is Phase.FLEXION
+    assert tq.tau_k == pytest.approx(-23.0)
 
 
 def test_phase1_silent_otherwise():
-    assert knee_phase1(snap(alpha_dot=0.5), G) == 0.0
-    assert knee_phase1(snap(alpha_dot=0.0), G) == 0.0
+    assert tick(snap(alpha_dot=0.5))[0].tau_k == 0.0
+    assert tick(snap(alpha_dot=0.0))[0].tau_k == 0.0
 
 
 # --- knee phase 2 --------------------------------------------------------
 
 def test_phase2_damps_flexion():
-    task = SwingTask(alpha_tgt=1.0, alpha_thr=1.1)
-    assert knee_phase2(snap(phi_k_dot=-1.0), task, G) == pytest.approx(4.0)
+    tq, ctrl = tick(snap(alpha=2.0, phi_k_dot=-1.0), Phase.HOLD)
+    assert ctrl.phase is Phase.HOLD
+    assert tq.tau_k == pytest.approx(4.0)
 
 
 def test_phase2_zero_rate():
-    task = SwingTask(alpha_tgt=1.0, alpha_thr=1.1)
-    assert knee_phase2(snap(phi_k_dot=0.0), task, G) == 0.0
+    assert tick(snap(alpha=2.0, phi_k_dot=0.0), Phase.HOLD)[0].tau_k == 0.0
 
 
 def test_phase2_modulated_extension():
     # -4 * 0.5 * 0.2 * (0.5 - 0.3) = -0.08
-    task = SwingTask(alpha_tgt=1.0, alpha_thr=1.1)
     kin = snap(alpha=1.2, alpha_dot=-0.3, phi_k_dot=0.5)
-    assert knee_phase2(kin, task, G) == pytest.approx(-0.08)
+    assert tick(kin, Phase.HOLD)[0].tau_k == pytest.approx(-0.08)
 
 
 def test_phase2_assists_lagging_extension():
     # knee extending slower than the swing advances: the modulated damping
     # flips sign and pushes the knee out
-    task = SwingTask(alpha_tgt=1.0, alpha_thr=1.1)
     kin = snap(alpha=1.2, alpha_dot=-0.9, phi_k_dot=0.5)
-    assert knee_phase2(kin, task, G) == pytest.approx(0.16)
+    assert tick(kin, Phase.HOLD)[0].tau_k == pytest.approx(0.16)
 
 
 # --- knee phase 3 --------------------------------------------------------
 
 def test_stopping_zero_at_threshold():
-    task = SwingTask(alpha_tgt=1.0, alpha_thr=1.1)
+    # at l = l_0 the extension spring is zero whether or not the tick latches
     for ad in (-5.0, 0.0, 9.9):
-        assert stopping_torque(snap(alpha=1.1, alpha_dot=ad), task, G) == 0.0
+        kin = snap(alpha=1.1, alpha_dot=ad)
+        tq, _ = tick(kin, Phase.STOP_EXTEND)
+        assert tq.tau_k == 0.0
+        assert tq.tau_h == servo(kin, T)
 
 
 def test_stopping_gain_arithmetic():
-    task = SwingTask(alpha_tgt=1.0, alpha_thr=1.1)
     kin = snap(alpha=1.0, alpha_dot=-5.0)
-    tau_k, tau_add, _ = knee_phase3(kin, ControllerState(phase=Phase.STOP_EXTEND), task, G)
-    assert tau_k == pytest.approx(-37.5)
-    assert tau_add == pytest.approx(75.0)
+    tq, ctrl = tick(kin, Phase.STOP_EXTEND)
+    assert not ctrl.extension_latched
+    assert tq.tau_k == pytest.approx(-37.5)
+    assert tq.tau_h == pytest.approx(servo(kin, T) + 75.0)
 
 
 def test_stopping_inactive_above_rate_limit():
-    task = SwingTask(alpha_tgt=1.0, alpha_thr=1.1)
-    assert stopping_torque(snap(alpha=1.0, alpha_dot=10.0), task, G) == 0.0
+    kin = snap(alpha=1.0, alpha_dot=10.0)
+    tq, _ = tick(kin, Phase.STOP_EXTEND)
+    assert tq.tau_k == 0.0
+    assert tq.tau_h == servo(kin, T)
 
 
 def test_extension_spring_after_latch():
-    task = SwingTask(alpha_tgt=1.0, alpha_thr=1.1)
-    ctrl = ControllerState(phase=Phase.STOP_EXTEND, extension_latched=True)
     kin = snap(alpha=1.1, alpha_dot=0.5, l=0.9)  # stopping component zero
-    tau_k, tau_add, _ = knee_phase3(kin, ctrl, task, G)
-    assert tau_k == pytest.approx(20.0)
-    assert tau_add == 0.0
+    tq, _ = tick(kin, Phase.STOP_EXTEND, latched=True)
+    assert tq.tau_k == pytest.approx(20.0)
+    assert tq.tau_h == servo(kin, T)
 
 
 def test_latch_sets_on_zero_rate_and_holds():
-    ctrl = ControllerState(phase=Phase.STOP_EXTEND)
-    assert not update_latch(ctrl, snap(alpha_dot=-0.1)).extension_latched
-    latched = update_latch(ctrl, snap(alpha_dot=0.0))
-    assert latched.extension_latched
+    assert not tick(snap(alpha_dot=-0.1), Phase.STOP_EXTEND)[1].extension_latched
+    assert tick(snap(alpha_dot=0.0), Phase.STOP_EXTEND)[1].extension_latched
     # never releases
-    assert update_latch(latched, snap(alpha_dot=-3.0)).extension_latched
+    assert tick(snap(alpha_dot=-3.0), Phase.STOP_EXTEND, latched=True)[1].extension_latched
 
 
 def test_latch_only_in_stop_extend():
     for ph in (Phase.FLEXION, Phase.HOLD):
-        ctrl = ControllerState(phase=ph)
-        assert not update_latch(ctrl, snap(alpha_dot=0.5)).extension_latched
+        _, ctrl = tick(snap(alpha=2.0, alpha_dot=0.5), ph)
+        assert ctrl.phase is ph
+        assert not ctrl.extension_latched
+
+
+def test_latching_tick_adds_the_spring_and_can_land():
+    # -250 * 0.1 * 1 + 200 * (1.0 - 0.9) = -5.0, all on the tick that latches
+    for foot_y, lands in ((0.01, False), (0.0, True), (-0.01, True)):
+        tq, ctrl = tick(snap(alpha=1.0, alpha_dot=0.0, l=0.9, foot_y=foot_y), Phase.STOP_EXTEND)
+        assert ctrl == (Phase.STOP_EXTEND, True, lands)
+        assert tq.tau_k == pytest.approx(-5.0)
+
+
+def test_contact_is_tested_only_in_stop_extend():
+    # a foot below the ground lands nothing before STOP_EXTEND, latched or not
+    for ph in (Phase.FLEXION, Phase.HOLD):
+        for latched in (False, True):
+            _, ctrl = tick(snap(alpha=2.0, foot_y=-1.0), ph, latched=latched)
+            assert ctrl.phase is ph
+            assert not ctrl.contact
 
 
 # --- phase machine -------------------------------------------------------
@@ -170,23 +204,27 @@ def test_controller_state_rejects_field_assignment():
 
 
 def test_flexion_to_hold_on_clearance():
-    task = SwingTask(alpha_tgt=1.0, alpha_thr=1.1, l_clr=0.05, l_0=1.0)
-    assert update_phase(ControllerState(), snap(alpha=2.0, l=0.94), task).phase is Phase.HOLD
-    assert update_phase(ControllerState(), snap(alpha=2.0, l=0.96), task).phase is Phase.FLEXION
+    task = SwingTask(alpha_tgt=1.0, alpha_thr=1.1, l_0=1.0)
+    assert tick(snap(alpha=2.0, l=0.94), task=task)[1].phase is Phase.HOLD
+    assert tick(snap(alpha=2.0, l=0.96), task=task)[1].phase is Phase.FLEXION
 
 
 def test_hold_to_stop_on_threshold():
-    task = SwingTask(alpha_tgt=1.0, alpha_thr=1.1)
-    ctrl = ControllerState(phase=Phase.HOLD)
-    assert update_phase(ctrl, snap(alpha=1.09, l=0.9), task).phase is Phase.STOP_EXTEND
-    assert update_phase(ctrl, snap(alpha=1.2, l=0.9), task).phase is Phase.HOLD
+    assert tick(snap(alpha=1.09, l=0.9), Phase.HOLD)[1].phase is Phase.STOP_EXTEND
+    assert tick(snap(alpha=1.2, l=0.9), Phase.HOLD)[1].phase is Phase.HOLD
 
 
 def test_stop_extend_is_terminal():
-    task = SwingTask(alpha_tgt=1.0, alpha_thr=1.1)
-    ctrl = ControllerState(phase=Phase.STOP_EXTEND)
     for kin in (snap(alpha=3.0, l=1.0), snap(alpha=0.1, l=0.2)):
-        assert update_phase(ctrl, kin, task).phase is Phase.STOP_EXTEND
+        assert tick(kin, Phase.STOP_EXTEND)[1].phase is Phase.STOP_EXTEND
+
+
+def test_flexion_tick_moves_one_phase_only():
+    # past both the clearance and alpha_thr: the tick ends in HOLD and runs
+    # HOLD's knee policy, -4 * -1.0 = 4.0
+    tq, ctrl = tick(snap(alpha=1.0, l=0.9, phi_k_dot=-1.0))
+    assert ctrl == (Phase.HOLD, False, False)
+    assert tq.tau_k == pytest.approx(4.0)
 
 
 # --- control_step --------------------------------------------------------
@@ -200,13 +238,11 @@ def test_initial_state_dispatches_flexion_policy():
 
 
 def test_servo_and_hold_balance_at_target():
-    # both policies are zero at the target with zero rates; evaluated
-    # directly because the phase machine would already be in StopExtend
-    # at alpha <= alpha_thr
+    # the servo is zero at the target with zero rates; HOLD cannot be asked
+    # there, as the phase machine is in STOP_EXTEND at alpha <= alpha_thr
     task = SwingTask(alpha_tgt=1.2, alpha_thr=1.2 + G.delta_alpha_thr)
-    kin = snap(alpha=1.2, alpha_dot=0.0, phi_k_dot=0.0)
-    assert hip_torque(kin, task, G) == 0.0
-    assert knee_phase2(kin, task, G) == 0.0
+    tq, _ = tick(snap(alpha=1.2, alpha_dot=0.0, phi_k_dot=0.0), task=task)
+    assert tq.tau_h == 0.0
 
 
 def test_rollout_terminates_with_contact():
@@ -236,9 +272,10 @@ def test_compensation_identity_along_rollout():
         if ctrl.phase is not Phase.STOP_EXTEND:
             continue
         kin = kinematics(state, P)
-        tau_iii = stopping_torque(kin, task, G)
+        tau_iii = braking(kin, task)
         if tau_iii != 0.0:
-            assert tq.tau_h == hip_torque(kin, task, G, -2.0 * tau_iii)
+            assert tq.tau_h == (G.k_p_alpha * (task.alpha_tgt - kin.alpha)
+                                - G.k_d_alpha * kin.alpha_dot + -2.0 * tau_iii)
             checked += 1
     assert checked > 10
 
@@ -251,7 +288,7 @@ def test_extension_term_follows_latch_exactly():
         if ctrl.phase is not Phase.STOP_EXTEND:
             continue
         kin = kinematics(state, P)
-        expect = stopping_torque(kin, task, G)
+        expect = braking(kin, task)
         if ctrl.extension_latched:
             expect += G.k_ext * (task.l_0 - kin.l)
             latched_seen = True
