@@ -11,8 +11,9 @@ themselves by, types and bounds, so a config's float field holds a float and
 is written as one. A run command's flags are config keys (FLAGS), read by
 the same walker over --config's values, so the CLI holds no bound of its
 own. A JSON value's kind (object, list, float, integer or bool) is checked
-by the package's _kind alone, in the writer's words. Angles are radians
-everywhere except evaluation reports, which speak degrees.
+by the package's _kind alone, in the writer's words, and a JSON object's keys
+by _record alone, a missing or unknown one named by its dotted path. Angles
+are radians everywhere except evaluation reports, which speak degrees.
 """
 
 from __future__ import annotations
@@ -49,40 +50,31 @@ from .grp import GrpConfig, GrpModel
 MODEL_FORMAT = 1
 
 
-def _object(data, allowed, where: str, noun: str) -> dict:
-    """`data`, if it is a JSON object with no key outside `allowed` (any
-    key when `allowed` is None); an unknown key is named an unknown `noun`."""
+def _record(data, keys, where: str, optional=(), others: bool = False) -> dict:
+    """`data`, if it is a JSON object with every key of `keys`, any of `optional`
+    and no other unless `others`; the one check of a JSON object's keys. Refused
+    in _kind's words if not an object, then at its first unknown key (sorted),
+    then its first missing one, each by its dotted path after `where`."""
     _kind(data, dict, where[:-1])
-    unknown = [] if allowed is None else sorted(set(data) - set(allowed))
-    if unknown:
-        raise ValueError(f"unknown {noun} '{where}{unknown[0]}'")
-    return data
-
-
-def _record(data, keys, where: str, others: bool = False) -> dict:
-    """`data`, if it is a JSON object with the keys `keys`, and no other unless `others`."""
-    _object(data, None if others else keys, where, "key")
-    for key in keys:
-        if key not in data:
-            raise ValueError(f"{where[:-1] or 'top level'} missing key '{key}'")
+    unknown = [] if others else sorted(set(data).difference(keys, optional))
+    for fault, names in (("unknown", unknown), ("missing", [k for k in keys if k not in data])):
+        if names:
+            raise ValueError(f"{fault} key '{where}{names[0]}'")
     return data
 
 
 def _from_json(cls, data, where: str = "", base=None):
-    """A config dataclass from its JSON form: each section walked in turn, each
-    other value handed to the dataclass, whose own check types and bounds it.
-    Keys not present keep `base`'s value (or the field default). An unknown or
-    missing key names the dotted key; the dataclass's refusal, its section."""
-    fields = _fields(cls)
-    _object(data, [key for _, key, _, _ in fields], where, "config key")
-    kwargs = {}
-    for name, key, tp, default in fields:
-        current = default if base is None else getattr(base, name)
-        if key in data:
-            kwargs[name] = (_from_json(tp, data[key], f"{where}{key}.", current)
-                            if dataclasses.is_dataclass(tp) else data[key])
-        elif current is dataclasses.MISSING:
-            raise ValueError(f"missing config key '{where}{key}'")
+    """A config dataclass from its JSON form: its keys checked by _record (a field
+    with neither a default nor a `base` value is required; one not given keeps
+    that value), each section walked in turn, each other value handed to the
+    dataclass, whose own check types and bounds it and whose refusal names its section."""
+    current = {key: default if base is None else getattr(base, name)
+               for name, key, _, default in _fields(cls)}
+    _record(data, [k for k, v in current.items() if v is dataclasses.MISSING], where,
+            optional=[k for k, v in current.items() if v is not dataclasses.MISSING])
+    kwargs = {name: _from_json(tp, data[key], f"{where}{key}.", current[key])
+              if dataclasses.is_dataclass(tp) else data[key]
+              for name, key, tp, _ in _fields(cls) if key in data}
     try:
         return cls(**kwargs) if base is None else dataclasses.replace(base, **kwargs)
     except ValueError as exc:
@@ -362,7 +354,7 @@ def report_from_dict(data: dict) -> EvalReport:
     if not swings:
         raise ValueError("trajectories must not be empty")
     peak_pi = {k: np.array([_float(p, f"peak_pi.{k}") for p in _kind(v, list, f"peak_pi.{k}")])
-               for k, v in _object(data["peak_pi"], None, "peak_pi.", "key").items()}
+               for k, v in _record(data["peak_pi"], (), "peak_pi.", others=True).items()}
     report = EvalReport(alpha_tgt, alpha_end, timed_out, peak_pi)
     with np.errstate(over="ignore"):  # an error beyond the largest double is refused as inf
         _written_back(data, report_to_dict(report), "the trajectories and peak_pi give")

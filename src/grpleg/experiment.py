@@ -220,16 +220,21 @@ class EvalReport:
         timeout and each model's per-layer peak pi, so `trajs` may be a
         generator rolling one swing at a time. peak_pi covers each model
         whose traces they carry. A swing without a task is refused, named
-        by its index."""
-        tgt, end, timed_out, peak_pi = [], [], [], {}
+        by its index, and so is one whose model has another layer count
+        than an earlier swing gave that name."""
+        tgt, end, timed_out, peak_pi, first = [], [], [], {}, {}
         for i, tr in enumerate(trajs):
             if tr.task is None:
                 raise ValueError(f"swings[{i}] carries no task, so it has no target angle")
             tgt.append(tr.task.alpha_tgt)
             end.append(tr.alpha_end)
             timed_out.append(tr.timed_out)
-            for name, trace in tr.traces.items():
-                peak = trace.pi.max(axis=0)
+            for name, m in tr.models:
+                j, m0 = first.setdefault(name, (i, m))
+                if m != m0:
+                    raise ValueError(f"swings[{i}] gives model {name!r} {m} layers, "
+                                     f"but swings[{j}] gave it {m0}")
+                peak = tr.traces[name].pi.max(axis=0)
                 peak_pi[name] = np.maximum(peak_pi.get(name, peak), peak)
         if not tgt:
             raise ValueError("no swings to report")
@@ -383,20 +388,24 @@ def train(
     n of them, n at most `episodes`, each once, straight into its (T, 8)
     inputs and (T, models) reference torques, and keeps no Trajectory; a
     generator therefore rolls inside this call, under the caller's numpy
-    error settings. The joints are checked and the per-episode log allocated
-    before any demo is read; a log that does not fit in memory is refused
-    naming `episodes`. An empty corpus, or a demo without a task, named by
-    its index, is refused before any learn step and leaves the models
-    unchanged. A learn step that diverges, or a sharpness that overflows,
-    raises NonFiniteError naming each model's place in the list, from 1,
-    and its joint, with those places as its `models`; numpy warns of
-    nothing on the way.
+    error settings. The joints and models are checked, a model that is not
+    a GrpModel named by its place and joint, and the per-episode log
+    allocated before any demo is read; a log that does not fit in memory is
+    refused naming `episodes`. An empty corpus, or a demo without a task,
+    named by its index, is refused before any learn step and leaves the
+    models unchanged. A learn step that diverges, or a sharpness that
+    overflows, raises NonFiniteError naming each model's place in the list,
+    from 1, and its joint, with those places as its `models`; numpy warns
+    of nothing on the way.
     """
     if _kind(episodes, int, "episodes") < 1:
         raise ValueError(f"episodes must be >= 1, got {episodes}")
     joints = [joint for _, joint in models]
     if not joints or not set(joints) <= {"tau_h", "tau_k"}:
         raise ValueError(f"train takes (model, 'tau_h' or 'tau_k') pairs, got joints {joints}")
+    for k, (mdl, joint) in enumerate(models, 1):
+        if not isinstance(mdl, GrpModel):
+            raise ValueError(f"model {k} ({joint}) is not a GrpModel, got {type(mdl).__name__}")
     rows = sum(mdl.m for mdl, _ in models)
     try:
         log = np.empty((episodes, rows))

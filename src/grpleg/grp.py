@@ -178,25 +178,28 @@ class LearnStack:
     also owns the network half's work: one mulnet.NetBuffers for S, built
     here once, whose `out` holds the network output (G is its first half)
     and whose `grad` holds the gradient, then the update. A stack takes at
-    least one model, each one its check takes, so with config.m layers of W
-    and as many of R. A model belongs to one live stack at a time; rebinding
-    its W or R detaches it.
+    least one model, each a GrpModel its check takes, so with config.m
+    layers of W and as many of R. A model belongs to one live stack at a
+    time; rebinding its W or R detaches it.
     """
 
     def __init__(self, models: list[GrpModel]):
         models = list(models)
         if not models:
             raise ValueError("a learn stack takes at least one model, got none")
+        for k, mdl in enumerate(models, start=1):
+            if not isinstance(mdl, GrpModel):
+                raise ValueError(f"model {k} of the learn stack is not a GrpModel, "
+                                 f"got {type(mdl).__name__}")
+            try:  # each row's rates come from its model's config, and S's halves line up
+                mdl.check()
+            except ValueError as exc:
+                raise ValueError(f"model {k} of the learn stack: {exc}") from None
         if len({id(mdl) for mdl in models}) < len(models):
             raise ValueError(
                 "the same model appears twice in a learn stack; "
                 "its weight views would alias"
             )
-        for k, mdl in enumerate(models, start=1):
-            try:  # each row's rates come from its model's config, and S's halves line up
-                mdl.check()
-            except ValueError as exc:
-                raise ValueError(f"model {k} of the learn stack: {exc}") from None
         sizes = [mdl.m for mdl in models]
         total = sum(sizes)
         ends = np.cumsum(sizes).tolist()

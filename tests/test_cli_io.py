@@ -133,7 +133,7 @@ def test_run_config_partial_grp_block():
     ],
 )
 def test_run_config_rejects_unknown_keys(data, offender):
-    with pytest.raises(ValueError, match="unknown config key") as excinfo:
+    with pytest.raises(ValueError, match="unknown key") as excinfo:
         run_config_from_dict(data)
     assert offender in str(excinfo.value)
 
@@ -201,7 +201,7 @@ def test_run_config_validation(kwargs):
         (run_config_from_dict, {"dt": None}, "dt must be a number, got None"),
         (run_config_from_dict, {"knee": {"mu_rp": None}},
          "knee: mu_rp must be a number, got None"),
-        (grp_config_from_dict, {"mu": 1e-3}, "missing config key 'm'"),
+        (grp_config_from_dict, {"mu": 1e-3}, "missing key 'm'"),
         (run_config_from_dict, {"timeout": 1e300}, "timeout 1e\\+300 is more than"),
         (run_config_from_dict, {"dt": 10 ** 400}, "^dt is an integer too large for a float$"),
         (run_config_from_dict, {"params": {"l_t": -(10 ** 400)}},
@@ -463,7 +463,7 @@ def test_model_loaded_forward_matches(tmp_path):
         (lambda d: d["layers"].pop(), "layers but config.m"),
         (lambda d: d["layers"][0].update(Q=[]), "layers\\[0\\].Q"),
         (lambda d: d["layers"][1].update(W=[[0.0] * 8] * 7), "shape"),
-        (lambda d: d["layers"][1].pop("R"), "layers\\[1\\] missing key 'R'"),
+        (lambda d: d["layers"][1].pop("R"), "missing key 'layers\\[1\\].R'"),
         (lambda d: d["layers"][2]["R"][3].__setitem__(5, math.nan),
          "layers\\[2\\].R has non-finite"),
         (lambda d: d["layers"][0]["W"][0].__setitem__(0, -math.inf),
@@ -476,9 +476,9 @@ def test_model_loaded_forward_matches(tmp_path):
         (lambda d: d.update(episode_count=True),
          "episode_count must be an integer, got True"),
         (lambda d: d.update(episode_count="3"), "episode_count must be an integer"),
-        (lambda d: d["config"].pop("m"), "missing config key 'config.m'"),
+        (lambda d: d["config"].pop("m"), "missing key 'config.m'"),
         # a model file spells its whole config: no key falls back to a default
-        (lambda d: d["config"].pop("mu"), "^config missing key 'mu'$"),
+        (lambda d: d["config"].pop("mu"), "^missing key 'config.mu'$"),
         (lambda d: d.update(format=True), "format must be an integer, got True"),
         (lambda d: d.update(format=1.0), "format must be an integer, got 1.0"),
         (lambda d: d["layers"][0].update(W=[[True] * 8] * 8),
@@ -490,9 +490,8 @@ def test_model_loaded_forward_matches(tmp_path):
         (lambda d: d["layers"].__setitem__(0, 5), "layers\\[0\\] must be an object, got 5"),
         (lambda d: d["layers"][2].update(W={"0": [0.0] * 8}),
          "layers\\[2\\].W must have shape"),
-        # the model's config is a config: its keys keep the config wording
-        (lambda d: d["config"].update(momentum=0.9),
-         "unknown config key 'config.momentum'"),
+        # the model's config is a config: its keys read as every object's do
+        (lambda d: d["config"].update(momentum=0.9), "unknown key 'config.momentum'"),
         # and a value its own check refuses names the section
         (lambda d: d["config"].update(beta=1.0), "^config: beta must be > 1, got 1.0$"),
     ],
@@ -1113,7 +1112,7 @@ def test_report_round_trip(tmp_path):
         (lambda d: d["trajectories"][1].update(timed_out=1),
          "trajectories\\[1\\].timed_out must be true or false, got 1"),
         (lambda d: d["trajectories"][1].pop("alpha_end_deg"),
-         "trajectories\\[1\\] missing key 'alpha_end_deg'"),
+         "missing key 'trajectories\\[1\\].alpha_end_deg'"),
         (lambda d: d.pop("peak_pi"), "missing key 'peak_pi'"),
         (lambda d: d["peak_pi"].update(knee=[0.5, math.nan]),
          "peak_pi.knee has non-finite value nan"),
@@ -1145,7 +1144,7 @@ def test_report_round_trip(tmp_path):
         (lambda d: d["active_generators"].update(ankle=0),
          "unknown key 'active_generators.ankle'"),
         (lambda d: d["active_generators"].pop("knee"),
-         "active_generators missing key 'knee'"),
+         "missing key 'active_generators.knee'"),
         (lambda d: d.update(active_generators={"hip": 9, "knee": 0, "ankle": 4}),
          "unknown key 'active_generators.ankle'"),
         (lambda d: d["active_generators"].update(knee=True),
@@ -1157,8 +1156,8 @@ def test_report_round_trip(tmp_path):
          "trajectories\\[1\\].alpha_tgt_deg must be a float, got 70"),
         (lambda d: d.update(timeout_count=1.0), "timeout_count must be an integer, got 1.0"),
         (lambda d: d.update(median_error_deg=3.0), "unknown key 'median_error_deg'"),
-        (lambda d: d.pop("max_error_deg"), "top level missing key 'max_error_deg'"),
-        (lambda d: d.pop("trajectories"), "top level missing key 'trajectories'"),
+        (lambda d: d.pop("max_error_deg"), "missing key 'max_error_deg'"),
+        (lambda d: d.pop("trajectories"), "missing key 'trajectories'"),
         (lambda d: d.update(avg_error_deg=math.nan), "avg_error_deg has non-finite value nan"),
     ],
     ids=["avg-str", "max-bool", "active-float", "trajectories-int", "error-str",
@@ -1176,6 +1175,28 @@ def test_report_rejects_malformed(mangle, message):
     mangle(data)
     with pytest.raises(ValueError, match=message):
         report_from_dict(data)
+
+
+@pytest.mark.parametrize("reader, fault, message", [
+    (load_model, lambda d: d["config"].pop("m"), "missing key 'config.m'"),
+    (load_model, lambda d: d["config"].pop("mu"), "missing key 'config.mu'"),
+    (read_report, lambda d: d.pop("max_error_deg"), "missing key 'max_error_deg'"),
+    (load_run_config, lambda d: d["hip"].update(foo=1), "unknown key 'hip.foo'"),
+], ids=["model-config.m", "model-config.mu", "report-max_error_deg", "config-hip.foo"])
+def test_a_key_fault_reads_alike_in_every_json_file(tmp_path, reader, fault, message):
+    """A missing or unknown key of a config file, a model file or a report is
+    refused in one wording, by its dotted path after the file's name."""
+    write = {load_run_config: lambda p: save_run_config(p, RunConfig()),
+             load_model: lambda p: save_model(p, trained_pair()[1]),
+             read_report: lambda p: write_report(p, report_fixture())}[reader]
+    path = tmp_path / "f.json"
+    write(path)
+    data = json.loads(path.read_text())
+    fault(data)
+    path.write_text(json.dumps(data))
+    with pytest.raises(ValueError) as excinfo:
+        reader(path)
+    assert str(excinfo.value) == f"{path}: {message}"
 
 
 def test_report_refuses_derived_values_the_writer_cannot_write():

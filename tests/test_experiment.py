@@ -474,6 +474,21 @@ def test_train_refuses_a_demo_without_a_task(tmp_path, demo):
     assert hip.W is W and hip.episode_count == knee.episode_count == 0
 
 
+@pytest.mark.parametrize("models, message", [
+    (lambda hip: [(object(), "tau_h")], "model 1 (tau_h) is not a GrpModel, got object"),
+    (lambda hip: [(hip, "tau_h"), (None, "tau_k")],
+     "model 2 (tau_k) is not a GrpModel, got NoneType"),
+], ids=["object", "None"])
+def test_train_refuses_a_model_that_is_not_a_grp_model(models, message):
+    """An entry of the model list that is not a GrpModel is refused by its
+    place and joint before any demo is read, and the models stay as they were."""
+    hip = grp.init(GrpConfig(m=1))
+    W, read = hip.W, []
+    with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+        train(models(hip), pulled([synthetic_demo()], read), episodes=1)
+    assert hip.W is W and hip.episode_count == 0 and not read
+
+
 @pytest.mark.parametrize("knee_config, message", [
     ({"mu": 1e6}, "^model 2 \\(tau_k\\): non-finite weight update: "),
     ({"beta": 1e200}, "^model 2 \\(tau_k\\): gamma 1e\\+200 \\* beta 1e\\+200 overflows "),
@@ -696,6 +711,25 @@ def test_report_refuses_a_swing_without_a_task(tmp_path, demo):
     read_back = read_trajectory(tmp_path / "demo.csv")
     with pytest.raises(ValueError, match=r"^swings\[1\] carries no task, so it has no target angle$"):
         experiment.EvalReport.from_swings(iter([demo, read_back]))
+
+
+def knee_swing(demo, m, pi):
+    """`demo`'s rows carrying a knee trace of m layers, each pi `pi` throughout."""
+    T = len(demo)
+    return Trajectory(np.hstack([demo.table, np.zeros((T, m)), np.full((T, m), pi)]),
+                      (("knee", m),), demo.task)
+
+
+@pytest.mark.parametrize("first, second", [(1, 3), (3, 1), (2, 3)])
+def test_report_refuses_a_model_whose_layer_count_changes(demo, first, second):
+    """peak_pi is kept per layer, so a model name given two layer counts has
+    none: the later swing is refused, naming both swings' indexes, the model
+    and both counts, and neither a merged peak nor numpy's broadcast error
+    comes out."""
+    swings = [demo, knee_swing(demo, first, 0.9), knee_swing(demo, second, 0.2)]
+    with pytest.raises(ValueError, match="^" + re.escape(
+            f"swings[2] gives model 'knee' {second} layers, but swings[1] gave it {first}") + "$"):
+        experiment.EvalReport.from_swings(iter(swings))
 
 
 def test_evaluate_refuses_overflowing_weights_without_numpy_warnings(fixture_pair):

@@ -1119,6 +1119,20 @@ def test_learn_stack_rejects_a_model_whose_r_stack_is_not_its_w_stack():
         LearnStack([a, init(GrpConfig(m=1, seed=2))])
 
 
+@pytest.mark.parametrize("models, message", [
+    (lambda: [None], "model 1 of the learn stack is not a GrpModel, got NoneType"),
+    # the same non-model twice is named as a non-model, not as an aliased model
+    (lambda: [None, None], "model 1 of the learn stack is not a GrpModel, got NoneType"),
+    (lambda: [init(GrpConfig(m=1, seed=3)), object()],
+     "model 2 of the learn stack is not a GrpModel, got object"),
+], ids=["None", "None-twice", "object"])
+def test_learn_stack_refuses_an_entry_that_is_not_a_model(models, message):
+    """An entry that is not a GrpModel is refused by its place from 1, not by
+    the AttributeError of the first model attribute asked of it."""
+    with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+        LearnStack(models())
+
+
 def test_learn_stack_runs_each_models_own_check():
     """A model's W rebound after construction to a shape the model itself
     would refuse is refused by the stack in the model's words, naming its
