@@ -275,8 +275,8 @@ def read_trajectory(path) -> Trajectory:
     into one packed array('d') the table views, so the first fault in file order
     is refused, naming line and column (a byte not UTF-8 is text no format
     writes); Trajectory refuses a bad phase or contact."""
-    with open(path, encoding="utf-8", errors="surrogateescape", newline="\n") as fh:
-        header = fh.readline()
+    with open(path, "rb") as fh:  # decoded line by line: no text layer held for the read
+        header = fh.readline().decode("utf-8", "surrogateescape")
         if not header:
             raise ValueError(f"{path}: empty trajectory file")
         if "\r" in (header := header.removesuffix("\r\n").removesuffix("\n")):
@@ -295,7 +295,7 @@ def read_trajectory(path) -> Trajectory:
                              f"expected {','.join(expected[j:])!r}")
         buf = array("d")
         for lineno, line in enumerate(fh, start=2):
-            row = line.removesuffix("\r\n").removesuffix("\n")
+            row = line.decode("utf-8", "surrogateescape").removesuffix("\r\n").removesuffix("\n")
             buf.extend(_row_values(path, lineno, row, columns))
     if not buf:
         raise ValueError(f"{path}: no data rows")

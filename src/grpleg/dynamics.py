@@ -11,11 +11,14 @@ Leg-axis quantities follow the symmetric-segment geometry:
     alpha = phi_h - phi_k/2        leg angle
     l     = 2*l_t*sin(phi_k/2)     leg length
 
-The knee carries a unilateral hyperextension stop: past phi_k = pi a stiff
-spring-damper pushes back toward flexion (never pulls), entering the
-equations of motion as an internal knee torque. Joint actuators saturate at
-+-tau_max; the clamp is applied by `saturate`, not inside `accelerations`,
-so the equations of motion stay defined for arbitrary applied torques.
+The plant's equations of motion are one function on plain floats,
+`accelerations`, which `integrate_step` calls at each of its four RK4
+stages. It holds the knee's unilateral hyperextension stop: past phi_k = pi
+a stiff spring-damper, -k_stop*(phi_k - pi) - c_stop*phi_k_dot clamped to
+<= 0, pushes back toward flexion (never pulls) as an internal knee torque.
+Joint actuators saturate at +-tau_max; the clamp is applied by `saturate`,
+not inside `accelerations`, so the equations of motion stay defined for
+arbitrary applied torques.
 
 The per-tick records (`LegState`, `JointTorques`, `KinematicSnapshot`) are
 immutable `NamedTuple`s: the plant builds several per 1 kHz tick, and a
@@ -121,19 +124,6 @@ def kinematics(state: LegState, params: LegParams) -> KinematicSnapshot:
     )
 
 
-def knee_stop_torque(phi_k: float, phi_k_dot: float, params: LegParams) -> float:
-    """Unilateral stop torque at the knee, <= 0 (flexion-directed).
-
-    Zero until phi_k passes pi; beyond that a stiff spring-damper resists
-    hyperextension. The clamp keeps the stop from pulling the joint into
-    extension while it unloads."""
-    pen = phi_k - math.pi
-    if pen <= 0.0:
-        return 0.0
-    tau = -params.knee_stop_stiffness * pen - params.knee_stop_damping * phi_k_dot
-    return min(tau, 0.0)
-
-
 def saturate(torques: JointTorques, params: LegParams) -> JointTorques:
     """Actuator model: clamp both joint torques to [-tau_max, +tau_max].
 
@@ -152,7 +142,7 @@ def saturate(torques: JointTorques, params: LegParams) -> JointTorques:
     return JointTorques(max(-m, min(m, tau_h)), max(-m, min(m, tau_k)))
 
 
-def _accel_generalized(
+def accelerations(
     phi_h: float,
     phi_k: float,
     phi_h_dot: float,
@@ -161,7 +151,10 @@ def _accel_generalized(
     tau_k: float,
     params: LegParams,
 ) -> tuple[float, float]:
-    """Accelerations (phi_h_ddot, phi_k_ddot).
+    """Generalized accelerations (phi_h_ddot, phi_k_ddot) under gravity, the
+    applied joint torques and the knee stop, which adds to tau_k: zero while
+    pen = phi_k - pi <= 0, else -k_stop*pen - c_stop*phi_k_dot clamped to <= 0,
+    so it never pulls the knee into extension while it unloads.
 
     Derived from the Lagrangian in absolute segment angles (theta_t, theta_s)
     where the point-mass double-pendulum equations are standard:
@@ -172,7 +165,10 @@ def _accel_generalized(
     with d = theta_t - theta_s. The generalized-force mapping follows from
     phi_h = theta_t + pi/2, phi_k = theta_t - theta_s + pi (virtual work).
     """
-    tau_k = tau_k + knee_stop_torque(phi_k, phi_k_dot, params)
+    pen = phi_k - math.pi
+    stop = 0.0 if pen <= 0.0 else min(
+        -params.knee_stop_stiffness * pen - params.knee_stop_damping * phi_k_dot, 0.0)
+    tau_k = tau_k + stop  # added even when 0.0, which turns a -0.0 torque into +0.0
 
     theta_t = phi_h - 0.5 * math.pi
     theta_s = phi_h + 0.5 * math.pi - phi_k
@@ -196,22 +192,6 @@ def _accel_generalized(
     return tt_dd, tt_dd - ts_dd
 
 
-def accelerations(
-    state: LegState, torques: JointTorques, params: LegParams
-) -> tuple[float, float]:
-    """Generalized accelerations (phi_h_ddot, phi_k_ddot) under gravity,
-    the applied joint torques, and the knee stop when engaged."""
-    return _accel_generalized(
-        state.phi_h,
-        state.phi_k,
-        state.phi_h_dot,
-        state.phi_k_dot,
-        torques.tau_h,
-        torques.tau_k,
-        params,
-    )
-
-
 def integrate_step(
     state: LegState, torques: JointTorques, params: LegParams, dt: float
 ) -> LegState:
@@ -224,13 +204,13 @@ def integrate_step(
     qh, qk, vh, vk, t = state
     # stage j evaluates the accelerations (ah_j, ak_j) at rates (vh_j, vk_j)
     try:
-        ah1, ak1 = _accel_generalized(qh, qk, vh, vk, th, tk, params)
+        ah1, ak1 = accelerations(qh, qk, vh, vk, th, tk, params)
         vh2, vk2 = vh + h * ah1, vk + h * ak1
-        ah2, ak2 = _accel_generalized(qh + h * vh, qk + h * vk, vh2, vk2, th, tk, params)
+        ah2, ak2 = accelerations(qh + h * vh, qk + h * vk, vh2, vk2, th, tk, params)
         vh3, vk3 = vh + h * ah2, vk + h * ak2
-        ah3, ak3 = _accel_generalized(qh + h * vh2, qk + h * vk2, vh3, vk3, th, tk, params)
+        ah3, ak3 = accelerations(qh + h * vh2, qk + h * vk2, vh3, vk3, th, tk, params)
         vh4, vk4 = vh + dt * ah3, vk + dt * ak3
-        ah4, ak4 = _accel_generalized(qh + dt * vh3, qk + dt * vk3, vh4, vk4, th, tk, params)
+        ah4, ak4 = accelerations(qh + dt * vh3, qk + dt * vk3, vh4, vk4, th, tk, params)
     except ValueError as exc:  # math.cos(inf), or a NaN angle in the mass matrix
         raise NonFiniteError(
             f"non-finite state or torque in integration step at t={t}: {exc}"

@@ -232,13 +232,12 @@ class LearnStack:
             for sl in self.slices
         ]
 
-        # work buffers: the per-row gain and decay of the update as (2M, 1, 1)
+        # work buffer: the per-row gain and decay of the update as (2M, 1, 1)
         # columns in one buffer, whose RP decay rows never change and are
-        # written here once, then the decay term
+        # written here once
         self._coef = np.empty(4 * total)
         self._gain, self._decay = self._coef.reshape(2, 2 * total, 1, 1)
         self._coef[3 * total:] = [mu_rp * lam for _, lam, mu_rp, _ in self._row_consts]
-        self._decay_term = np.empty_like(self.S)
         self._block = None  # forward's: NetBuffers, RP outputs, per-model views
 
 
@@ -323,7 +322,7 @@ def learn_step_joint(stack: LearnStack, x, r_G) -> list[StepRecord]:
     # gain * dS + S - decay * S per row, formed in the gradient's buffer
     new = np.multiply(stack._gain, dS, out=dS)
     new += S
-    new -= np.multiply(stack._decay, S, out=stack._decay_term)
+    new -= stack._decay * S
     if not np.isfinite(new).all():
         worst = [np.abs(rec.e_G).max() for rec in stack.records]
         k = worst.index(max(worst))

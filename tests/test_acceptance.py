@@ -248,13 +248,11 @@ def test_criterion_09_dynamics_oracles():
         v1, v2 = rng.uniform(-8, 8, 2)
         t1, t2 = rng.uniform(-150, 150, 2)
         ora = dyn.lagrangian_oracle_accel(q1, q2, v1, v2, t1, t2)
-        ana = accelerations(LegState(q1, q2, v1, v2), JointTorques(t1, t2),
-                            LegParams())
+        ana = accelerations(q1, q2, v1, v2, t1, t2, LegParams())
         for o, a in zip(ora, ana):
             worst = max(worst, abs(o - a) / max(1.0, abs(o)))
 
-    eq = accelerations(LegState(math.pi, math.pi, 0, 0), JointTorques(),
-                       LegParams())
+    eq = accelerations(math.pi, math.pi, 0, 0, 0.0, 0.0, LegParams())
     print(f"\ncriterion 9: passive drift {drift:.3e} (<1e-6), "
           f"accel vs oracle {worst:.3e} (<1e-6), "
           f"equilibrium residual {max(abs(eq[0]), abs(eq[1])):.3e}")

@@ -9,7 +9,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from grpleg import NonFiniteError
+from grpleg import NonFiniteError, dynamics
 from grpleg.dynamics import (
     JointTorques,
     KinematicSnapshot,
@@ -18,7 +18,6 @@ from grpleg.dynamics import (
     accelerations,
     integrate_step,
     kinematics,
-    knee_stop_torque,
     saturate,
     total_energy,
 )
@@ -118,7 +117,7 @@ def test_alpha_dot_definition():
 # --- accelerations ------------------------------------------------------
 
 def test_straight_down_equilibrium():
-    acc = accelerations(LegState(math.pi, math.pi, 0, 0), JointTorques(), P)
+    acc = accelerations(math.pi, math.pi, 0, 0, 0.0, 0.0, P)
     # float pi is not the exact real equilibrium angle; residual is O(g*eps)
     assert abs(acc[0]) < 5e-14
     assert abs(acc[1]) < 5e-14
@@ -126,7 +125,7 @@ def test_straight_down_equilibrium():
 
 def test_horizontal_leg_spot_value():
     # frozen from lagrangian_oracle_accel(pi/2, pi, 0, 0, 0, 0)
-    acc = accelerations(LegState(math.pi / 2, math.pi, 0, 0), JointTorques(), P)
+    acc = accelerations(math.pi / 2, math.pi, 0, 0, 0.0, 0.0, P)
     assert acc[0] == pytest.approx(39.24, rel=1e-9)
     assert acc[1] == pytest.approx(78.48, rel=1e-9)
 
@@ -140,7 +139,7 @@ def test_accelerations_match_lagrangian_oracle():
         v1, v2 = rng.uniform(-8, 8, 2)
         t1, t2 = rng.uniform(-150, 150, 2)
         ora = lagrangian_oracle_accel(q1, q2, v1, v2, t1, t2)
-        ana = accelerations(LegState(q1, q2, v1, v2), JointTorques(t1, t2), P)
+        ana = accelerations(q1, q2, v1, v2, t1, t2, P)
         for o, a in zip(ora, ana):
             worst = max(worst, abs(o - a) / max(1.0, abs(o)))
     assert worst < 1e-6
@@ -149,7 +148,7 @@ def test_accelerations_match_lagrangian_oracle():
 def test_mass_matrix_spd_everywhere():
     # accelerations must stay finite across the whole knee range
     for phi_k in np.linspace(1e-3, math.pi, 50):
-        acc = accelerations(LegState(2.0, float(phi_k), 1.0, -2.0), JointTorques(5, -5), P)
+        acc = accelerations(2.0, float(phi_k), 1.0, -2.0, 5, -5, P)
         assert all(math.isfinite(a) for a in acc)
 
 
@@ -244,7 +243,7 @@ def reference_rk4(state, torques, params, dt):
     closure over `accelerations` and one generator per stage."""
 
     def deriv(q1, q2, v1, v2):
-        a1, a2 = accelerations(LegState(q1, q2, v1, v2), torques, params)
+        a1, a2 = accelerations(q1, q2, v1, v2, *torques, params)
         return v1, v2, a1, a2
 
     y = (state.phi_h, state.phi_k, state.phi_h_dot, state.phi_k_dot)
@@ -334,46 +333,72 @@ def test_work_energy_theorem():
 # --- knee stop and actuator limits ---------------------------------------
 
 def test_stop_silent_in_physical_range():
+    # phi_k <= pi, straight knee included: the stop adds nothing, so the
+    # accelerations are those of the same plant without a stop
     rng = np.random.default_rng(17)
     for _ in range(100):
-        st = LegState(
-            rng.uniform(0, 2 * math.pi),
-            rng.uniform(0.2, math.pi),
-            rng.uniform(-8, 8),
-            rng.uniform(-8, 8),
-        )
-        assert knee_stop_torque(st.phi_k, st.phi_k_dot, P) == 0.0
-        tq = JointTorques(*rng.uniform(-60, 60, 2))
-        assert accelerations(st, tq, P) == accelerations(st, tq, P_FREE)
+        q1, q2, v1, v2 = (rng.uniform(0, 2 * math.pi), rng.uniform(0.2, math.pi),
+                          rng.uniform(-8, 8), rng.uniform(-8, 8))
+        t1, t2 = rng.uniform(-60, 60, 2)
+        for knee in (q2, math.pi):
+            assert accelerations(q1, knee, v1, v2, t1, t2, P) == \
+                accelerations(q1, knee, v1, v2, t1, t2, P_FREE)
 
 
 def test_stop_resists_hyperextension():
-    pen = 0.01
-    tau = knee_stop_torque(math.pi + pen, 2.0, P)
-    assert tau == pytest.approx(-P.knee_stop_stiffness * pen - P.knee_stop_damping * 2.0)
-    assert tau < 0.0
+    # 0.01 rad past straight, still extending at 2 rad/s: the stop adds
+    # -k*pen - c*phi_k_dot to the knee torque
+    phi_k = math.pi + 0.01
+    pen = phi_k - math.pi
+    stop = -P.knee_stop_stiffness * pen - P.knee_stop_damping * 2.0
+    assert stop < 0.0
+    got = accelerations(2.0, phi_k, 1.0, 2.0, 5.0, -5.0, P)
+    assert got == accelerations(2.0, phi_k, 1.0, 2.0, 5.0, -5.0 + stop, P_FREE)
+    assert got != accelerations(2.0, phi_k, 1.0, 2.0, 5.0, -5.0, P_FREE)
 
 
 def test_stop_never_pulls_inward():
     # retracting fast while barely penetrated: damping would turn the stop
-    # into a pull; the clamp forbids that
-    assert knee_stop_torque(math.pi + 1e-5, -3.0, P) == 0.0
+    # into a pull; the clamp forbids that, so the stop adds nothing
+    phi_k, phi_k_dot = math.pi + 1e-5, -3.0
+    unclamped = -P.knee_stop_stiffness * (phi_k - math.pi) - P.knee_stop_damping * phi_k_dot
+    assert unclamped > 0.0
+    got = accelerations(2.0, phi_k, 1.0, phi_k_dot, 5.0, -5.0, P)
+    assert got == accelerations(2.0, phi_k, 1.0, phi_k_dot, 5.0, -5.0, P_FREE)
+    assert got != accelerations(2.0, phi_k, 1.0, phi_k_dot, 5.0, -5.0 + unclamped, P_FREE)
 
 
 def test_stop_is_plain_knee_torque_in_eom():
     # engaged stop must act exactly like an extra applied knee torque
     rng = np.random.default_rng(23)
     for _ in range(50):
-        st = LegState(
-            rng.uniform(0, 2 * math.pi),
-            math.pi + rng.uniform(0.0, 0.05),
-            rng.uniform(-8, 8),
-            rng.uniform(-8, 8),
-        )
-        tq = JointTorques(*rng.uniform(-60, 60, 2))
-        extra = knee_stop_torque(st.phi_k, st.phi_k_dot, P)
-        via_free = accelerations(st, JointTorques(tq.tau_h, tq.tau_k + extra), P_FREE)
-        assert accelerations(st, tq, P) == pytest.approx(via_free, rel=1e-12)
+        q1, q2 = rng.uniform(0, 2 * math.pi), math.pi + rng.uniform(0.0, 0.05)
+        v1, v2 = rng.uniform(-8, 8), rng.uniform(-8, 8)
+        t1, t2 = rng.uniform(-60, 60, 2)
+        pen = q2 - math.pi
+        stop = min(-P.knee_stop_stiffness * pen - P.knee_stop_damping * v2, 0.0)
+        via_free = accelerations(q1, q2, v1, v2, t1, t2 + stop, P_FREE)
+        assert accelerations(q1, q2, v1, v2, t1, t2, P) == via_free
+
+
+def test_integrate_step_evaluates_the_equations_of_motion_only_through_accelerations(
+        monkeypatch):
+    """integrate_step looks dynamics.accelerations up at call time, once per
+    RK4 stage: no other equations-of-motion code is left in the step."""
+    calls = []
+    eom = dynamics.accelerations
+
+    def counting_accelerations(*args):
+        calls.append(args)
+        return eom(*args)
+
+    monkeypatch.setattr(dynamics, "accelerations", counting_accelerations)
+    st = LegState(math.radians(160), math.pi + 0.01, 1.0, 2.0)
+    for _ in range(3):
+        calls.clear()
+        st = integrate_step(st, JointTorques(5.0, -5.0), P, 1e-3)
+        assert len(calls) == 4
+        assert all(len(args) == 7 and args[4:] == (5.0, -5.0, P) for args in calls)
 
 
 def test_stop_dissipates_passively():
